@@ -57,6 +57,7 @@ from .mixture import (
     mixture_value,
     verify_mixture_regularity,
 )
+from .quadrature import MeasureOnTime
 from .report import Check, VerificationReport
 from .smoothing import (
     SmoothedPair,
@@ -70,7 +71,6 @@ from .technology import (
     MoralHazardPrimitives,
     PowerCost,
     PowerUtility,
-    TabulatedUtility,
     Technology,
     effort_star,
     make_moral_hazard_technology,
@@ -78,7 +78,6 @@ from .technology import (
 )
 from .variational import (
     IntegrabilityReport,
-    MeasureOnTime,
     SupergradientProfile,
     euler_residual,
     gateaux_closed_form,

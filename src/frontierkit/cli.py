@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,7 @@ from .mechanism import (
     payoff,
 )
 from .mixture import FrontierDistribution, mixture_value, verify_mixture_regularity
+from .quadrature import MeasureOnTime
 from .report import VerificationReport
 from .smoothing import SmoothingParams, build_sequence, build_smooth_pair, verify_monster
 from .technology import (
@@ -47,7 +48,6 @@ from .technology import (
     verify_ui_assumptions,
 )
 from .variational import (
-    MeasureOnTime,
     SupergradientProfile,
     euler_residual,
     gateaux_closed_form,
@@ -56,18 +56,6 @@ from .variational import (
     stieltjes_ibp,
     strict_concavity_probe,
     warmup_identity,
-)
-
-SUITES = (
-    "ui-assns",
-    "mixture",
-    "saddle",
-    "no-delay",
-    "euler",
-    "gateaux",
-    "ibp",
-    "smoothing",
-    "concavity",
 )
 
 EXPORTS = ("frontiers", "mechanism", "residuals", "smoothing")
@@ -82,7 +70,7 @@ _DEFAULT_CONFIG = {
 
 @dataclass
 class InstanceConfig:
-    """Validated run configuration; `raw` keeps unmodelled extra keys."""
+    """Validated run configuration."""
 
     lam: float
     w: float
@@ -90,7 +78,6 @@ class InstanceConfig:
     kappa_exponent: float
     rate: float = 1.0
     perturb: float = 0.0
-    raw: dict = field(default_factory=dict)
 
     def primitives(self) -> MoralHazardPrimitives:
         return MoralHazardPrimitives(
@@ -104,11 +91,18 @@ class InstanceConfig:
         return make_moral_hazard_technology(self.primitives())
 
 
-def _positive(data: dict, key: str, default: float) -> float:
-    value = data.get(key, default)
-    if not isinstance(value, (int, float)) or value <= 0:
-        raise ConfigError(f"key `{key}` must be a positive number, got {value!r}")
+def _number(value, key: str) -> float:
+    """``value`` as a float; booleans, NaN and infinities are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"key `{key}` must be a finite number, got {value!r}")
     return float(value)
+
+
+def _positive(data: dict, key: str, default: float) -> float:
+    value = _number(data.get(key, default), key)
+    if value <= 0:
+        raise ConfigError(f"key `{key}` must be a positive number, got {value!r}")
+    return value
 
 
 def _shape_spec(data: dict, key: str, default: dict) -> float:
@@ -118,10 +112,7 @@ def _shape_spec(data: dict, key: str, default: dict) -> float:
     kind = spec.get("kind", "power")
     if kind != "power":
         raise ConfigError(f"key `{key}.kind` must be 'power', got {kind!r}")
-    exponent = spec.get("exponent")
-    if not isinstance(exponent, (int, float)):
-        raise ConfigError(f"key `{key}.exponent` must be a number, got {exponent!r}")
-    return float(exponent)
+    return _number(spec.get("exponent"), f"{key}.exponent")
 
 
 def load_config(path: str | None) -> InstanceConfig:
@@ -145,18 +136,13 @@ def load_config(path: str | None) -> InstanceConfig:
     if kappa_exp <= 1.0:
         raise ConfigError(f"key `kappa.exponent` must exceed 1, got {kappa_exp}")
 
-    perturb = data.get("perturb", 0.0)
-    if not isinstance(perturb, (int, float)):
-        raise ConfigError(f"key `perturb` must be a number, got {perturb!r}")
-
     return InstanceConfig(
         lam=_positive(data, "lambda", 1.0),
         w=_positive(data, "w", 1.0),
         phi_exponent=phi_exp,
         kappa_exponent=kappa_exp,
         rate=_positive(data, "rate", 1.0),
-        perturb=float(perturb),
-        raw=data,
+        perturb=_number(data.get("perturb", 0.0), "perturb"),
     )
 
 
@@ -239,12 +225,12 @@ def _random_mechanism(rng, grid: TimeGrid, hi: float) -> Mechanism:
 # verification suites
 
 
-def _suite_ui_assns(cfg: InstanceConfig, rng, trials: int) -> VerificationReport:
+def _suite_ui_assns(cfg, rng, trials, grid) -> VerificationReport:
     tech = cfg.technology()
     return verify_ui_assumptions(tech, np.linspace(0.0, tech.u0, 200))
 
 
-def _suite_mixture(cfg, rng, trials) -> VerificationReport:
+def _suite_mixture(cfg, rng, trials, grid) -> VerificationReport:
     rep = VerificationReport("mixture")
     pair = FrontierDistribution(
         [(QuadraticFrontier(-1.0, 2.0, -1.0), 0.5), (QuadraticFrontier(-9.0, 6.0, -1.0), 0.5)]
@@ -269,7 +255,7 @@ def _suite_mixture(cfg, rng, trials) -> VerificationReport:
     return rep
 
 
-def _suite_saddle(cfg, rng, trials) -> VerificationReport:
+def _suite_saddle(cfg, rng, trials, grid) -> VerificationReport:
     rep = VerificationReport("saddle")
     try:
         result = classify_u_star(cfg.technology())
@@ -291,7 +277,7 @@ def _suite_saddle(cfg, rng, trials) -> VerificationReport:
     return rep
 
 
-def _suite_no_delay(cfg, rng, trials, grid: TimeGrid) -> VerificationReport:
+def _suite_no_delay(cfg, rng, trials, grid) -> VerificationReport:
     rep = VerificationReport("no-delay")
     tech = cfg.technology()
     worst_gain, strict_seen = math.inf, 0
@@ -337,7 +323,7 @@ def _exact_euler_profile(perturb: float = 0.0) -> SupergradientProfile:
     )
 
 
-def _suite_euler(cfg, rng, trials) -> VerificationReport:
+def _suite_euler(cfg, rng, trials, grid) -> VerificationReport:
     rep = VerificationReport("euler")
     res = euler_residual(_exact_euler_profile(cfg.perturb), BreakthroughDistribution.exponential(1.0))
     worst = float(np.nanmax(np.abs(res)))
@@ -356,7 +342,7 @@ def _suite_euler(cfg, rng, trials) -> VerificationReport:
     return rep
 
 
-def _suite_gateaux(cfg, rng, trials, grid: TimeGrid) -> VerificationReport:
+def _suite_gateaux(cfg, rng, trials, grid) -> VerificationReport:
     rep = VerificationReport("gateaux")
     tech = _quad_tech()
     small = TimeGrid(horizon=2.0, step=0.25, r=cfg.rate)
@@ -380,7 +366,7 @@ def _suite_gateaux(cfg, rng, trials, grid: TimeGrid) -> VerificationReport:
     return rep
 
 
-def _suite_ibp(cfg, rng, trials) -> VerificationReport:
+def _suite_ibp(cfg, rng, trials, grid) -> VerificationReport:
     rep = VerificationReport("ibp")
     nu = MeasureOnTime(atoms=((1.0, 1.0),))
     lhs, rhs = stieltjes_ibp(nu, 0.0, lambda t: np.ones_like(t), 2.0)
@@ -412,7 +398,7 @@ def _suite_ibp(cfg, rng, trials) -> VerificationReport:
     return rep
 
 
-def _suite_smoothing(cfg, rng, trials) -> VerificationReport:
+def _suite_smoothing(cfg, rng, trials, grid) -> VerificationReport:
     rep = VerificationReport("smoothing")
     ns = (8, 16, 32, 64)
     for label, tech in (("smooth", _smooth_fixture()), ("kinked", _kinked_fixture())):
@@ -435,7 +421,7 @@ def _suite_smoothing(cfg, rng, trials) -> VerificationReport:
     return rep
 
 
-def _suite_concavity(cfg, rng, trials) -> VerificationReport:
+def _suite_concavity(cfg, rng, trials, grid) -> VerificationReport:
     rep = VerificationReport("concavity")
     tech = _quad_tech()
     small = TimeGrid(horizon=2.0, step=0.25, r=1.0)
@@ -457,6 +443,20 @@ def _suite_concavity(cfg, rng, trials) -> VerificationReport:
     return rep
 
 
+_SUITES = {
+    "ui-assns": _suite_ui_assns,
+    "mixture": _suite_mixture,
+    "saddle": _suite_saddle,
+    "no-delay": _suite_no_delay,
+    "euler": _suite_euler,
+    "gateaux": _suite_gateaux,
+    "ibp": _suite_ibp,
+    "smoothing": _suite_smoothing,
+    "concavity": _suite_concavity,
+}
+SUITES = tuple(_SUITES)
+
+
 def run_suite(
     cfg: InstanceConfig,
     suite: str,
@@ -464,27 +464,11 @@ def run_suite(
     trials: int = 1000,
     grid: TimeGrid | None = None,
 ) -> VerificationReport:
+    if suite not in _SUITES:
+        raise ConfigError(f"unknown suite {suite!r}; choose one of {', '.join(SUITES)}")
     rng = np.random.default_rng(seed)
     grid = grid or TimeGrid(horizon=6.0, step=0.05, r=cfg.rate)
-    if suite == "ui-assns":
-        return _suite_ui_assns(cfg, rng, trials)
-    if suite == "mixture":
-        return _suite_mixture(cfg, rng, trials)
-    if suite == "saddle":
-        return _suite_saddle(cfg, rng, trials)
-    if suite == "no-delay":
-        return _suite_no_delay(cfg, rng, trials, grid)
-    if suite == "euler":
-        return _suite_euler(cfg, rng, trials)
-    if suite == "gateaux":
-        return _suite_gateaux(cfg, rng, trials, grid)
-    if suite == "ibp":
-        return _suite_ibp(cfg, rng, trials)
-    if suite == "smoothing":
-        return _suite_smoothing(cfg, rng, trials)
-    if suite == "concavity":
-        return _suite_concavity(cfg, rng, trials)
-    raise ConfigError(f"unknown suite {suite!r}; choose one of {', '.join(SUITES)}")
+    return _SUITES[suite](cfg, rng, trials, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +500,15 @@ def _frontier_rows(tech: Technology, us):
             tech.f1.left_deriv(u),
             tech.f1.right_deriv(u),
         )
+
+
+def _write_smoothing_csv(out: Path, pair, u0: float, step: float) -> Path:
+    f0n, f1n = pair.f0n, pair.f1n
+    rows = (
+        (u, float(f0n.value(u)), float(f1n.value(u)), f0n.right_deriv(u), f1n.right_deriv(u))
+        for u in map(float, np.arange(0.0, u0 + 0.5 * step, step))
+    )
+    return _write_csv(out / f"smoothing_n{pair.params.n}.csv", "u,F0n,F1n,f0n,f1n", rows)
 
 
 def export_curves(
@@ -560,22 +553,12 @@ def export_curves(
         return [_write_csv(out / "residuals.csv", "t,residual,phi0,cum_phi1_dG,one_minus_G", rows)]
 
     if what == "smoothing":
-        paths = []
-        for n in (16, 32, 64):
-            pair = build_smooth_pair(tech, SmoothingParams.auto(tech, n))
-            us = np.arange(0.0, tech.u0 + 0.5 * grid_step, grid_step)
-            rows = (
-                (
-                    float(u),
-                    float(pair.f0n.value(float(u))),
-                    float(pair.f1n.value(float(u))),
-                    pair.f0n.right_deriv(float(u)),
-                    pair.f1n.right_deriv(float(u)),
-                )
-                for u in us
+        return [
+            _write_smoothing_csv(
+                out, build_smooth_pair(tech, SmoothingParams.auto(tech, n)), tech.u0, grid_step
             )
-            paths.append(_write_csv(out / f"smoothing_n{n}.csv", "u,F0n,F1n,f0n,f1n", rows))
-        return paths
+            for n in (16, 32, 64)
+        ]
 
     raise ConfigError(f"unknown export {what!r}; choose one of {', '.join(EXPORTS)}")
 
@@ -631,21 +614,8 @@ def _cmd_smooth(cfg: InstanceConfig, args) -> int:
     pairs = build_sequence(tech, ns)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    step = args.grid_step
     for pair in pairs:
-        us = np.arange(0.0, tech.u0 + 0.5 * step, step)
-        rows = (
-            (
-                float(u),
-                float(pair.f0n.value(float(u))),
-                float(pair.f1n.value(float(u))),
-                pair.f0n.right_deriv(float(u)),
-                pair.f1n.right_deriv(float(u)),
-            )
-            for u in us
-        )
-        path = _write_csv(out / f"smoothing_n{pair.params.n}.csv", "u,F0n,F1n,f0n,f1n", rows)
-        print(f"wrote {path}")
+        print(f"wrote {_write_smoothing_csv(out, pair, tech.u0, args.grid_step)}")
     rep = verify_monster(tech, pairs)
     (out / "smoothing_report.txt").write_text(rep.render() + "\n")
     print(rep.render())

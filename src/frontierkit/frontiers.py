@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
+from .roots import bisect_predicate
 
 INF = math.inf
 
@@ -76,14 +77,7 @@ class Frontier:
                     raise DomainError("no interior peak found below u=1e12")
         if self.right_deriv(lo) <= 0.0:
             return lo
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if self.right_deriv(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = bisect_predicate(lambda u: self.right_deriv(u) > 0.0, lo, hi)
         return 0.5 * (lo + hi)
 
     def shifted(self, dy: float) -> "Frontier":

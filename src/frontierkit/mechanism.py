@@ -4,24 +4,22 @@ A mechanism is a flow-utility path ``x0`` (piecewise constant on grid cells,
 constant beyond the horizon) together with a post-breakthrough promise path
 ``X1``. The continuation promise ``X0_t = r * int_t^inf e^{-r(s-t)} x0_s ds``
 is computed cell-exactly by a backward recursion, so no quadrature error
-enters the payoff core. Breakthrough times follow a distribution built from
-atoms, a piecewise-constant density and an analytic exponential tail, all
-three integrated exactly or to Gauss-Legendre accuracy per smooth piece.
+enters the payoff core. Breakthrough times follow a `MeasureOnTime` of unit
+mass; the quadrature rules are those of `frontierkit.quadrature`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import NonFiniteValue, PreconditionViolation
 from .frontiers import INF
+from .quadrature import MeasureOnTime, cell_index, expect, step_value
 from .technology import Technology
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True)
@@ -53,41 +51,14 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class BreakthroughDistribution:
-    """CDF on [0, inf) as atoms + piecewise-constant density + exponential tail.
-
-    The survival function is computed by summing the mass *beyond* a time
-    (never as 1 - cdf), which keeps it exact near total mass.
-    """
-
-    atoms: tuple[tuple[float, float], ...] = ()
-    density_edges: np.ndarray | None = None
-    density_values: np.ndarray | None = None
-    tail_rate: float = 1.0
-    tail_mass: float = 0.0
-    tail_start: float = 0.0
+class BreakthroughDistribution(MeasureOnTime):
+    """Probability measure of the breakthrough time: a `MeasureOnTime` of
+    unit mass."""
 
     def __post_init__(self):
-        for t, m in self.atoms:
-            if t < 0 or m < 0:
-                raise ValueError("atoms need nonnegative times and masses")
-        if (self.density_edges is None) != (self.density_values is None):
-            raise ValueError("density edges and values must come together")
-        if self.density_edges is not None:
-            e = np.asarray(self.density_edges, dtype=float)
-            v = np.asarray(self.density_values, dtype=float)
-            if len(e) != len(v) + 1 or np.any(np.diff(e) <= 0) or np.any(v < 0):
-                raise ValueError("malformed piecewise-constant density")
-            object.__setattr__(self, "density_edges", e)
-            object.__setattr__(self, "density_values", v)
-            if self.tail_mass > 0 and self.tail_start < e[-1]:
-                raise ValueError("tail must start at or after the last density edge")
-        if self.tail_mass > 0 and self.tail_rate <= 0:
-            raise ValueError("tail rate must be positive")
+        super().__post_init__()
         if abs(self.total_mass() - 1.0) > 1e-12:
             raise ValueError(f"total mass {self.total_mass()!r} is not 1")
-
-    # -- constructors
 
     @staticmethod
     def exponential(rate: float) -> "BreakthroughDistribution":
@@ -105,63 +76,11 @@ class BreakthroughDistribution:
             density_values=np.array([1.0 / (b - a)]),
         )
 
-    # -- mass accounting
-
-    def total_mass(self) -> float:
-        mass = sum(m for _, m in self.atoms) + self.tail_mass
-        if self.density_edges is not None:
-            mass += float(np.diff(self.density_edges) @ self.density_values)
-        return float(mass)
-
-    def sf(self, t: float) -> float:
-        """P(tau > t), summed directly from the remaining pieces."""
-        mass = sum(m for s, m in self.atoms if s > t)
-        if self.density_edges is not None:
-            e, v = self.density_edges, self.density_values
-            widths = np.clip(e[1:], t, None) - np.clip(e[:-1], t, None)
-            mass += float(widths @ v)
-        if self.tail_mass > 0:
-            mass += self.tail_mass * math.exp(
-                -self.tail_rate * max(0.0, t - self.tail_start)
-            )
-        return float(mass)
-
     def cdf(self, t: float) -> float:
         """P(tau <= t)."""
         if t < 0:
             return 0.0
         return 1.0 - self.sf(t)
-
-    def pdf(self, t):
-        """Density (piecewise-constant pieces plus the exponential tail)."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        if self.density_edges is not None:
-            e, v = self.density_edges, self.density_values
-            k = np.clip(np.searchsorted(e, t, side="right") - 1, 0, len(v) - 1)
-            out = np.where((t >= e[0]) & (t < e[-1]), v[k], out)
-        if self.tail_mass > 0:
-            g = self.tail_rate
-            tail = self.tail_mass * g * np.exp(-g * (t - self.tail_start))
-            out = np.where(t >= self.tail_start, out + tail, out)
-        return out if out.ndim else float(out)
-
-    @property
-    def knots(self) -> tuple[float, ...]:
-        """Times where the density or atom structure changes."""
-        ks = [t for t, _ in self.atoms]
-        if self.density_edges is not None:
-            ks.extend(self.density_edges.tolist())
-        if self.tail_mass > 0:
-            ks.append(self.tail_start)
-        return tuple(sorted(set(ks)))
-
-    def finite_cutoff(self, extra: float = 0.0) -> float:
-        """Last structural time; beyond it only the analytic tail remains."""
-        times = [extra, self.tail_start] + [t for t, _ in self.atoms]
-        if self.density_edges is not None:
-            times.append(float(self.density_edges[-1]))
-        return max(times)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +113,7 @@ class Mechanism:
     r: float
     x0_tail: float = 0.0
     u1: float | None = None
-    X1_cells: np.ndarray | None = field(default=None)
+    X1_cells: np.ndarray | None = None
     X1_tail: float | None = None
 
     def __post_init__(self):
@@ -221,10 +140,14 @@ class Mechanism:
     def X0_edges(self) -> np.ndarray:
         return _promise_edges(self.edges, self.x0, self.r, self.x0_tail)
 
+    def x0_at(self, t):
+        """Flow utility at arbitrary times (cell lookup, tail beyond horizon)."""
+        return step_value(self.edges, self.x0, self.x0_tail, t)
+
     def X0_at(self, t):
         """Continuation promise at arbitrary times (continuous in t)."""
         t = np.asarray(t, dtype=float)
-        k = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, len(self.x0) - 1)
+        k = cell_index(self.edges, t)
         Xe = self.X0_edges
         inner = self.x0[k] + (Xe[k + 1] - self.x0[k]) * np.exp(
             -self.r * (self.edges[k + 1] - t)
@@ -238,11 +161,8 @@ class Mechanism:
         if self.u1 is not None:
             out = np.maximum(self.X0_at(t), self.u1)
         elif self.X1_cells is not None:
-            k = np.clip(
-                np.searchsorted(self.edges, t, side="right") - 1, 0, len(self.x0) - 1
-            )
             tail = self.X1_tail if self.X1_tail is not None else self.x0_tail
-            out = np.where(t >= self.horizon, tail, self.X1_cells[k])
+            out = step_value(self.edges, self.X1_cells, tail, t)
         else:
             out = self.X0_at(t)
         return out if np.ndim(out) else float(out)
@@ -255,12 +175,9 @@ class Mechanism:
         """The same mechanism on a refined edge set including ``knots``."""
         extra = [k for k in knots if 0.0 < k < self.horizon]
         edges = np.unique(np.concatenate([self.edges, np.asarray(extra, dtype=float)]))
-        k = np.searchsorted(self.edges, edges[:-1], side="right") - 1
-        x0 = self.x0[np.clip(k, 0, len(self.x0) - 1)]
-        X1_cells = None
-        if self.X1_cells is not None:
-            X1_cells = self.X1_cells[np.clip(k, 0, len(self.x0) - 1)]
-        return replace(self, edges=edges, x0=x0, X1_cells=X1_cells)
+        k = cell_index(self.edges, edges[:-1])
+        X1_cells = None if self.X1_cells is None else self.X1_cells[k]
+        return replace(self, edges=edges, x0=self.x0[k], X1_cells=X1_cells)
 
 
 def promised_utility(x0, grid: TimeGrid, x0_tail: float = 0.0) -> np.ndarray:
@@ -336,38 +253,22 @@ def _crossing_knots(m: Mechanism, level: float) -> list[float]:
     return out
 
 
-def _gl_integral(fn, edges: np.ndarray) -> float:
-    """Gauss-Legendre integral of ``fn`` over each cell of ``edges``, summed."""
-    if len(edges) < 2:
-        return 0.0
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    ts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = fn(ts.ravel()).reshape(ts.shape)
-    return float(np.sum(half * (vals @ _GL_WEIGHTS)))
-
-
-def _expect_with_tail(
-    G: BreakthroughDistribution,
-    point_fn,
-    knots,
-    tail_coeffs,
-):
-    """``E_G[h(tau)]`` for ``h`` smooth between knots and affine-in-``e^{-r
-    tau}`` beyond the last structural time.
+def _expect_with_tail(G: BreakthroughDistribution, m: Mechanism, point_fn, tail_coeffs):
+    """``E_G[h(tau)]`` for ``h`` smooth between the knots of ``m`` (its edges
+    and where X0 crosses ``u1``) and affine-in-``e^{-r tau}`` beyond the last
+    structural time.
 
     ``point_fn`` evaluates h at arrays of times; ``tail_coeffs`` is a
     callable ``T -> (a, b, r)`` describing ``h(t) = a + b e^{-r t}`` for
     ``t >= T``, integrated in closed form against the exponential tail.
     """
-    T_max = G.finite_cutoff(extra=max(knots) if knots else 0.0)
+    knots = list(m.edges) + _crossing_knots(m, m.u1)
+    T_max = G.finite_cutoff(extra=max(knots))
     edges = np.unique(
-        np.concatenate([[0.0, T_max], np.asarray(list(knots) + list(G.knots))])
+        np.concatenate([[0.0, T_max], np.asarray(knots + list(G.knots))])
     )
     edges = edges[(edges >= 0.0) & (edges <= T_max)]
-    total = _gl_integral(lambda t: G.pdf(t) * point_fn(t), edges)
-    for t, mass in G.atoms:
-        total += mass * float(point_fn(np.array([t]))[0])
+    total = expect(G, point_fn, edges)
     if G.tail_mass > 0:
         rem = G.tail_mass * math.exp(-G.tail_rate * (T_max - G.tail_start))
         a, b, r = tail_coeffs(T_max)
@@ -395,7 +296,7 @@ def payoff(m: Mechanism, tech: Technology, G: BreakthroughDistribution) -> float
 
     def A_at(t):
         t = np.asarray(t, dtype=float)
-        k = np.clip(np.searchsorted(m.edges, t, side="right") - 1, 0, len(m.x0) - 1)
+        k = cell_index(m.edges, t)
         inner = A_edges[k] + F0x[k] * (exp_edges[k] - np.exp(-r * t))
         beyond = A_edges[-1] + F0tail * (exp_edges[-1] - np.exp(-r * t))
         return np.where(t >= m.horizon, beyond, inner)
@@ -406,8 +307,6 @@ def payoff(m: Mechanism, tech: Technology, G: BreakthroughDistribution) -> float
             raise NonFiniteValue("F1 is -inf somewhere on the promise path's range")
         return vals
 
-    knots = list(m.edges) + _crossing_knots(m, m.u1)
-
     def tail_coeffs(T):
         # beyond T: A(t) = A(T) + F0tail (e^{-rT} - e^{-rt}) and X1 constant,
         # so h(t) = [A(T) + F0tail e^{-rT}] + [F1(X1c) - F0tail] e^{-rt}
@@ -416,7 +315,7 @@ def payoff(m: Mechanism, tech: Technology, G: BreakthroughDistribution) -> float
         b = float(tech.f1.value(X1c)) - F0tail
         return a, b, r
 
-    return _expect_with_tail(G, point_fn, knots, tail_coeffs)
+    return _expect_with_tail(G, m, point_fn, tail_coeffs)
 
 
 def _require_affine_f0(tech: Technology) -> tuple[float, float]:
@@ -451,14 +350,12 @@ def payoff_affine_rewrite(
     def point_fn(t):
         return np.exp(-r * t) * phi(m.X0_at(t))
 
-    knots = list(m.edges) + _crossing_knots(m, m.u1)
-
     def tail_coeffs(T):
         X0c = m.x0_tail if T >= m.horizon else float(m.X0_at(T))
         return 0.0, float(phi(np.asarray(X0c))), r
 
     head = float(tech.f0.value(m.X0_edges[0]))
-    return head + _expect_with_tail(G, point_fn, knots, tail_coeffs)
+    return head + _expect_with_tail(G, m, point_fn, tail_coeffs)
 
 
 def pi_G(x0_mech: Mechanism, tech: Technology, G: BreakthroughDistribution) -> float:

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import EmptySupport
 from .frontiers import INF, Frontier
 from .report import VerificationReport
+from .roots import bisect_predicate
 
 _PROB_TOL = 1e-12
 _EXPECT_TOL = 1e-10
@@ -80,15 +81,8 @@ def _member_alloc(f: Frontier, eta: float, cap: float, largest: bool) -> float:
         return lo
     if above(hi):
         return hi
-    # predicate is monotone (derivatives nonincreasing); binary search
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if above(mid):
-            lo = mid
-        else:
-            hi = mid
+    # predicate is monotone (derivatives nonincreasing)
+    lo, hi = bisect_predicate(above, lo, hi)
     return lo if largest else hi
 
 
@@ -128,14 +122,9 @@ def mixture_value(
         if _totals(dist, eta_hi, cap, largest=False)[1] <= u:
             break
         eta_hi *= 2.0
-    for _ in range(200):
-        eta = 0.5 * (eta_lo + eta_hi)
-        if eta <= eta_lo or eta >= eta_hi:
-            break
-        if _totals(dist, eta, cap, largest=False)[1] > u:
-            eta_lo = eta
-        else:
-            eta_hi = eta
+    eta_lo, eta_hi = bisect_predicate(
+        lambda eta: _totals(dist, eta, cap, largest=False)[1] > u, eta_lo, eta_hi
+    )
 
     xs, total = _totals(dist, eta_hi, cap, largest=False)
     deficit = u - total

@@ -1,0 +1,225 @@
+"""The time axis: finite measures on [0, inf), cell lookup and quadrature.
+
+Payoffs, Euler residuals, Gateaux derivatives and the Stieltjes identity all
+integrate against one kind of object, a finite nonnegative measure on
+``[0, inf)`` made of atoms, a piecewise-constant density and an optional
+exponential tail (`MeasureOnTime`).
+
+Quadrature rules, shared by `mechanism` and `variational`:
+
+- Smooth pieces are integrated by 16-node Gauss-Legendre per cell of an edge
+  set that contains every knot (grid edges, atoms, density breakpoints, the
+  tail start), so each integrand is smooth on each cell (`integral`).
+- Running integrals ``t -> int_0^t`` add the whole cells before ``t`` to a
+  fresh 16-node rule on the partial cell ``[edge, t]`` (`cumulative`).
+- Expectations add atoms exactly to the density integral (`expect`,
+  `cumulative_against`).
+- An improper horizon is truncated ``pad / r`` past the last knot, where
+  ``e^{-rt}`` is below machine scale, and the far region is subdivided at the
+  decay scale ``2 / max(r, decay)`` (`integration_edges`). Where the
+  integrand is affine in ``e^{-rt}`` beyond the last knot, the caller may
+  instead integrate the exponential tail in closed form, as `payoff` does.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+# ---------------------------------------------------------------------------
+# cell lookup
+
+
+def cell_index(edges: np.ndarray, t) -> np.ndarray:
+    """Index of the cell ``[edges[k], edges[k+1])`` holding ``t``, clipped to
+    the first and last cell."""
+    return np.clip(np.searchsorted(edges, t, side="right") - 1, 0, len(edges) - 2)
+
+
+def step_value(edges: np.ndarray, cells: np.ndarray, tail: float, t):
+    """Piecewise-constant path: ``cells[k]`` on cell ``k``, ``tail`` from the
+    last edge on."""
+    t = np.asarray(t, dtype=float)
+    return np.where(t >= edges[-1], tail, cells[cell_index(edges, t)])
+
+
+# ---------------------------------------------------------------------------
+# measures
+
+
+@dataclass(frozen=True)
+class MeasureOnTime:
+    """Finite nonnegative measure on [0, inf): atoms, a piecewise-constant
+    density and an exponential tail ``tail_mass * Exp(tail_rate)`` shifted to
+    start at ``tail_start``.
+
+    The survival function is computed by summing the mass *beyond* a time,
+    which keeps it exact near total mass.
+    """
+
+    atoms: tuple[tuple[float, float], ...] = ()
+    density_edges: np.ndarray | None = None
+    density_values: np.ndarray | None = None
+    tail_rate: float = 1.0
+    tail_mass: float = 0.0
+    tail_start: float = 0.0
+
+    def __post_init__(self):
+        for t, m in self.atoms:
+            if t < 0 or m < 0:
+                raise ValueError("atoms need nonnegative times and masses")
+        if (self.density_edges is None) != (self.density_values is None):
+            raise ValueError("density edges and values must come together")
+        if self.density_edges is not None:
+            e = np.asarray(self.density_edges, dtype=float)
+            v = np.asarray(self.density_values, dtype=float)
+            if len(e) != len(v) + 1 or np.any(np.diff(e) <= 0) or np.any(v < 0):
+                raise ValueError("malformed piecewise-constant density")
+            object.__setattr__(self, "density_edges", e)
+            object.__setattr__(self, "density_values", v)
+            if self.tail_mass > 0 and self.tail_start < e[-1]:
+                raise ValueError("tail must start at or after the last density edge")
+        if self.tail_mass > 0 and self.tail_rate <= 0:
+            raise ValueError("tail rate must be positive")
+
+    def total_mass(self) -> float:
+        mass = sum(m for _, m in self.atoms) + self.tail_mass
+        if self.density_edges is not None:
+            mass += float(np.diff(self.density_edges) @ self.density_values)
+        return float(mass)
+
+    def sf(self, t: float) -> float:
+        """``nu((t, inf))``, summed directly from the remaining pieces."""
+        mass = sum(m for s, m in self.atoms if s > t)
+        if self.density_edges is not None:
+            e, v = self.density_edges, self.density_values
+            widths = np.clip(e[1:], t, None) - np.clip(e[:-1], t, None)
+            mass += float(widths @ v)
+        if self.tail_mass > 0:
+            mass += self.tail_mass * math.exp(
+                -self.tail_rate * max(0.0, t - self.tail_start)
+            )
+        return float(mass)
+
+    def mass_upto(self, t):
+        """``nu([0, t])`` (atoms at exactly t included)."""
+        t = np.asarray(t, dtype=float)
+        out = np.zeros_like(t)
+        for s, m in self.atoms:
+            out = out + np.where(t >= s, m, 0.0)
+        if self.density_edges is not None:
+            e, v = self.density_edges, self.density_values
+            widths = np.clip(t[..., None], e[:-1], e[1:]) - e[:-1]
+            out = out + widths @ v
+        if self.tail_mass > 0:
+            elapsed = np.maximum(0.0, t - self.tail_start)
+            out = out - self.tail_mass * np.expm1(-self.tail_rate * elapsed)
+        return out
+
+    def pdf(self, t):
+        """Density (piecewise-constant pieces plus the exponential tail)."""
+        t = np.asarray(t, dtype=float)
+        out = np.zeros_like(t)
+        if self.density_edges is not None:
+            e, v = self.density_edges, self.density_values
+            out = np.where((t >= e[0]) & (t < e[-1]), v[cell_index(e, t)], out)
+        if self.tail_mass > 0:
+            g = self.tail_rate
+            tail = self.tail_mass * g * np.exp(-g * (t - self.tail_start))
+            out = np.where(t >= self.tail_start, out + tail, out)
+        return out if out.ndim else float(out)
+
+    @property
+    def knots(self) -> tuple[float, ...]:
+        """Times where the density or atom structure changes."""
+        ks = [t for t, _ in self.atoms]
+        if self.density_edges is not None:
+            ks.extend(self.density_edges.tolist())
+        if self.tail_mass > 0:
+            ks.append(self.tail_start)
+        return tuple(sorted(set(ks)))
+
+    def finite_cutoff(self, extra: float = 0.0) -> float:
+        """Last structural time; beyond it only the analytic tail remains."""
+        times = [extra, self.tail_start] + [t for t, _ in self.atoms]
+        if self.density_edges is not None:
+            times.append(float(self.density_edges[-1]))
+        return max(times)
+
+
+# ---------------------------------------------------------------------------
+# edge sets and Gauss-Legendre rules
+
+
+def subdivide(a: float, b: float, max_width: float) -> np.ndarray:
+    """Equal cells of width at most ``max_width`` covering ``[a, b]``."""
+    n = max(1, int(math.ceil((b - a) / max_width)))
+    return np.linspace(a, b, n + 1)
+
+
+def integration_edges(G: MeasureOnTime, r: float, knots=(), pad: float = 37.0) -> np.ndarray:
+    """Edges covering [0, T_struct + pad/r] for integrating against ``G`` at
+    discount rate ``r``, split at ``knots``, at G's knots and at the decay
+    scale of ``e^{-rt}`` and of G's tail."""
+    decay = G.tail_rate if G.tail_mass > 0 else r
+    ks = sorted({0.0} | {float(k) for k in (*knots, *G.knots) if math.isfinite(k) and k >= 0.0})
+    ks.append(ks[-1] + pad / r)
+    width = 2.0 / max(r, decay)
+    pieces = [subdivide(a, b, width) for a, b in zip(ks[:-1], ks[1:]) if b > a]
+    return np.unique(np.concatenate(pieces))
+
+
+def _cell_integrals(fn, edges: np.ndarray) -> np.ndarray:
+    """Integral of ``fn`` over each cell of ``edges``."""
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    ts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    return half * (np.asarray(fn(ts.ravel()), dtype=float).reshape(ts.shape) @ _GL_WEIGHTS)
+
+
+def integral(fn, edges: np.ndarray) -> float:
+    """Integral of ``fn`` over ``[edges[0], edges[-1]]``."""
+    return float(np.sum(_cell_integrals(fn, edges))) if len(edges) >= 2 else 0.0
+
+
+def cumulative(fn, edges: np.ndarray):
+    """Callable ``t -> int_0^t fn``, exact to GL accuracy per piece."""
+    cum_edges = np.concatenate([[0.0], np.cumsum(_cell_integrals(fn, edges))])
+
+    def cum(t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        k = cell_index(edges, t)
+        h = 0.5 * (t - edges[k])
+        m = 0.5 * (t + edges[k])
+        nodes = m[:, None] + h[:, None] * _GL_NODES[None, :]
+        part = h * (np.asarray(fn(nodes.ravel()), dtype=float).reshape(nodes.shape) @ _GL_WEIGHTS)
+        return cum_edges[k] + part
+
+    return cum
+
+
+def expect(G: MeasureOnTime, h, edges: np.ndarray) -> float:
+    """``int h dG`` with the density (incl. tail) on ``edges`` plus atoms."""
+    total = integral(lambda t: G.pdf(t) * np.asarray(h(t), dtype=float), edges)
+    for t, mass in G.atoms:
+        total += mass * float(np.asarray(h(np.array([t])))[0])
+    return total
+
+
+def cumulative_against(h, G: MeasureOnTime, edges: np.ndarray):
+    """Callable ``t -> int_[0,t] h dG`` (atoms included up to and at t)."""
+    dens_cum = cumulative(lambda t: h(t) * G.pdf(t), edges)
+
+    def cum(t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        out = dens_cum(t)
+        for s, mass in G.atoms:
+            out = out + np.where(t >= s, mass * float(h(np.array([s]))[0]), 0.0)
+        return out
+
+    return cum

@@ -84,6 +84,26 @@ def solve_monotone(
     return bisect(f, a, b, tol=tol)
 
 
+def bisect_predicate(
+    pred: Callable[[float], bool], lo: float, hi: float
+) -> tuple[float, float]:
+    """Shrink ``[lo, hi]`` around the switch of a monotone predicate.
+
+    ``pred`` is true up to some point and false beyond it; the returned
+    bracket keeps ``lo`` on the true side and ``hi`` on the false side, after
+    at most 200 halvings or once it spans adjacent floats.
+    """
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def golden_section_max(
     f: Callable[[float], float],
     lo: float,

@@ -39,13 +39,10 @@ class PowerUtility:
     def phi_inv(self, u):
         return np.power(u, 1.0 / self.a)
 
-    def phi_prime(self, c):
-        with np.errstate(divide="ignore"):
-            return self.a * np.power(c, self.a - 1.0)
-
     def phi_prime_at_inv(self, u):
-        """``phi'(phi_inv(u))``, which is ``a * u**(1 - 1/a)``; +inf at 0."""
-        with np.errstate(divide="ignore"):
+        """``phi'(phi_inv(u))``, which is ``a * u**(1 - 1/a)``; +inf at 0
+        (and, for small ``a``, already overflowing to +inf near 0)."""
+        with np.errstate(divide="ignore", over="ignore"):
             return self.a * np.power(u, 1.0 - 1.0 / self.a)
 
 
@@ -66,42 +63,13 @@ class PowerCost:
         return self.b * np.power(L, self.b - 1.0)
 
 
-class TabulatedUtility:
-    """Monotone-concave utility interpolated from ``(c, phi(c))`` samples."""
-
-    kind = "table"
-
-    def __init__(self, cs, vals):
-        from scipy.interpolate import PchipInterpolator
-
-        cs = np.asarray(cs, dtype=float)
-        vals = np.asarray(vals, dtype=float)
-        if np.any(np.diff(vals) <= 0):
-            raise ValueError("table values must be strictly increasing")
-        self._f = PchipInterpolator(cs, vals)
-        self._finv = PchipInterpolator(vals, cs)
-        self._df = self._f.derivative()
-
-    def phi(self, c):
-        return self._f(c)
-
-    def phi_inv(self, u):
-        return self._finv(u)
-
-    def phi_prime(self, c):
-        return self._df(c)
-
-    def phi_prime_at_inv(self, u):
-        return self._df(self._finv(u))
-
-
 @dataclass
 class MoralHazardPrimitives:
     """Cost weight, wage, utility-of-consumption and effort-cost specs."""
 
     lam: float
     w: float
-    phi: PowerUtility | TabulatedUtility
+    phi: PowerUtility
     kappa: PowerCost
 
     #: upper effort grid point and safety factor for the divergence check
@@ -115,17 +83,22 @@ class MoralHazardPrimitives:
             raise ValueError("w must be positive")
 
     def validate(self) -> None:
-        """Check the qualitative-shape invariants at the grid endpoints."""
-        ratio_small = float(self.phi.phi_prime_at_inv(1e-10))
-        ratio_large = float(self.phi.phi_prime_at_inv(1e10))
+        """Check the qualitative-shape invariants at the grid endpoints.
+
+        Extreme exponents overflow to inf or divide by zero there; the
+        comparisons handle those limits, so the warnings are silenced.
+        """
+        with np.errstate(over="ignore", divide="ignore"):
+            ratio_small = float(self.phi.phi_prime_at_inv(1e-10))
+            ratio_large = float(self.phi.phi_prime_at_inv(1e10))
+            L = self.divergence_grid_L
+            marginal = float(
+                self.kappa.kappa_prime(L) / self.phi.phi_prime_at_inv(self.kappa.kappa(L))
+            )
         if not ratio_small > ratio_large:
             raise DivergenceViolation("phi' must be strictly decreasing")
         if float(self.kappa.kappa(0.0)) != 0.0:
             raise DivergenceViolation("kappa(0) must equal 0")
-        L = self.divergence_grid_L
-        marginal = float(
-            self.kappa.kappa_prime(L) / self.phi.phi_prime_at_inv(self.kappa.kappa(L))
-        )
         if marginal < self.divergence_factor * self.w:
             raise DivergenceViolation(
                 f"marginal effort cost {marginal:.3g} at L={L:g} does not exceed "
@@ -181,11 +154,6 @@ class Technology:
     def gap(self, u):
         return self.f1.value(u) - self.f0.value(u)
 
-    def gap_left_deriv(self, u: float) -> float:
-        return self.f1.left_deriv(u) - self.f0.left_deriv(u)
-
-    def gap_right_deriv(self, u: float) -> float:
-        return self.f1.right_deriv(u) - self.f0.right_deriv(u)
 
 
 class _PostBreakthroughFrontier(ParametricFrontier):
@@ -214,13 +182,12 @@ def make_frontier_f0(prims: MoralHazardPrimitives) -> Frontier:
     u0 = solve_monotone(
         lambda u: float(p.phi.phi_prime_at_inv(u)) - p.lam, lo=1e-12, hi=1.0
     )
-    f0 = ParametricFrontier(
+    return ParametricFrontier(
         lambda u: u - p.lam * p.phi.phi_inv(u),
         lambda u: 1.0 - p.lam / float(p.phi.phi_prime_at_inv(u)),
         domain=(0.0, INF),
         peak=u0,
     )
-    return f0
 
 
 def make_moral_hazard_technology(prims: MoralHazardPrimitives) -> Technology:

@@ -5,15 +5,11 @@ residual, the closed-form Gateaux (directional) derivative with its
 finite-difference oracle, the integrability bounds that make the Euler
 equation meaningful at an infinite horizon, and a strict-concavity probe.
 
-All integrals are Gauss-Legendre per smooth piece (knots at grid edges,
-atoms, density breakpoints), with the improper horizon handled by truncating
-where ``e^{-rt}`` is below machine scale and subdividing the far region at
-the decay scale.
+Measures and integrals follow the rules of `frontierkit.quadrature`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,122 +17,20 @@ import numpy as np
 from .errors import InvalidProfile, NonConvergent, PreconditionViolation
 from .frontiers import directional_deriv
 from .mechanism import BreakthroughDistribution, Mechanism, pi_G
+from .quadrature import (
+    MeasureOnTime,
+    cumulative,
+    cumulative_against,
+    expect,
+    integral,
+    integration_edges,
+    step_value,
+    subdivide,
+)
 from .technology import Technology
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
 # ---------------------------------------------------------------------------
-# quadrature plumbing
-
-
-def _subdivide(a: float, b: float, max_width: float) -> np.ndarray:
-    n = max(1, int(math.ceil((b - a) / max_width)))
-    return np.linspace(a, b, n + 1)
-
-
-def _integration_edges(knots, r: float, decay: float, pad: float = 37.0) -> np.ndarray:
-    """Edges covering [0, T_struct + pad/r], split at knots and the decay scale."""
-    ks = sorted({0.0} | {float(k) for k in knots if math.isfinite(k) and k >= 0.0})
-    t_big = ks[-1] + pad / r
-    ks.append(t_big)
-    width = 2.0 / max(r, decay)
-    pieces = [_subdivide(a, b, width) for a, b in zip(ks[:-1], ks[1:]) if b > a]
-    return np.unique(np.concatenate(pieces))
-
-
-def _gl_nodes(edges: np.ndarray):
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    ts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    return ts, half
-
-
-def _integral(fn, edges: np.ndarray) -> float:
-    ts, half = _gl_nodes(edges)
-    vals = np.asarray(fn(ts.ravel()), dtype=float).reshape(ts.shape)
-    return float(np.sum(half * (vals @ _GL_WEIGHTS)))
-
-
-def _cumulative(fn, edges: np.ndarray):
-    """Callable ``t -> int_0^t fn`` exact to GL accuracy per piece."""
-    ts, half = _gl_nodes(edges)
-    cells = half * (np.asarray(fn(ts.ravel()), dtype=float).reshape(ts.shape) @ _GL_WEIGHTS)
-    cum_edges = np.concatenate([[0.0], np.cumsum(cells)])
-
-    def cum(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        k = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, len(edges) - 2)
-        h = 0.5 * (t - edges[k])
-        m = 0.5 * (t + edges[k])
-        nodes = m[:, None] + h[:, None] * _GL_NODES[None, :]
-        part = h * (np.asarray(fn(nodes.ravel()), dtype=float).reshape(nodes.shape) @ _GL_WEIGHTS)
-        return cum_edges[k] + part
-
-    return cum
-
-
-def _expect_G(G: BreakthroughDistribution, h, edges: np.ndarray) -> float:
-    """``E_G[h(tau)]`` with the density (incl. tail) on ``edges`` plus atoms."""
-    total = _integral(lambda t: G.pdf(t) * np.asarray(h(t), dtype=float), edges)
-    for t, mass in G.atoms:
-        total += mass * float(np.asarray(h(np.array([t])))[0])
-    return total
-
-
-# ---------------------------------------------------------------------------
-# measures and integration by parts
-
-
-@dataclass(frozen=True)
-class MeasureOnTime:
-    """Finite nonnegative measure on [0, inf): atoms + piecewise density."""
-
-    atoms: tuple[tuple[float, float], ...] = ()
-    density_edges: np.ndarray | None = None
-    density_values: np.ndarray | None = None
-
-    def __post_init__(self):
-        for t, m in self.atoms:
-            if t < 0 or m < 0:
-                raise ValueError("atoms need nonnegative times and masses")
-        if (self.density_edges is None) != (self.density_values is None):
-            raise ValueError("density edges and values must come together")
-        if self.density_edges is not None:
-            e = np.asarray(self.density_edges, dtype=float)
-            v = np.asarray(self.density_values, dtype=float)
-            if len(e) != len(v) + 1 or np.any(np.diff(e) <= 0) or np.any(v < 0):
-                raise ValueError("malformed piecewise-constant density")
-            object.__setattr__(self, "density_edges", e)
-            object.__setattr__(self, "density_values", v)
-
-    def density(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        if self.density_edges is not None:
-            e, v = self.density_edges, self.density_values
-            k = np.clip(np.searchsorted(e, t, side="right") - 1, 0, len(v) - 1)
-            out = np.where((t >= e[0]) & (t < e[-1]), v[k], out)
-        return out
-
-    def mass_upto(self, t):
-        """``nu([0, t])`` (atoms at exactly t included)."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for s, m in self.atoms:
-            out = out + np.where(t >= s, m, 0.0)
-        if self.density_edges is not None:
-            e, v = self.density_edges, self.density_values
-            widths = np.clip(t[..., None], e[:-1], e[1:]) - e[:-1]
-            out = out + widths @ v
-        return out
-
-    @property
-    def knots(self) -> tuple[float, ...]:
-        ks = [t for t, _ in self.atoms]
-        if self.density_edges is not None:
-            ks.extend(self.density_edges.tolist())
-        return tuple(sorted(set(ks)))
+# integration by parts
 
 
 def stieltjes_ibp(nu: MeasureOnTime, L0: float, l, T: float):
@@ -149,19 +43,19 @@ def stieltjes_ibp(nu: MeasureOnTime, L0: float, l, T: float):
     knots = sorted({0.0, T} | set(nu.knots))
     knots = [k for k in knots if 0.0 <= k <= T]
     edges = np.unique(
-        np.concatenate([_subdivide(a, b, 0.5) for a, b in zip(knots[:-1], knots[1:])])
+        np.concatenate([subdivide(a, b, 0.5) for a, b in zip(knots[:-1], knots[1:])])
         if len(knots) > 1
         else np.array([0.0, T])
     )
-    L_cum = _cumulative(l, edges)
+    L_cum = cumulative(l, edges)
     L = lambda t: L0 + L_cum(t)
 
-    lhs = _integral(lambda t: nu.density(t) * L(t), edges)
+    lhs = integral(lambda t: nu.pdf(t) * L(t), edges)
     lhs += sum(m * float(L(np.array([s]))[0]) for s, m in nu.atoms if s <= T)
 
     LT = float(L(np.array([T]))[0])
     rhs = LT * float(nu.mass_upto(np.array([T]))[0])
-    rhs -= _integral(lambda t: nu.mass_upto(t) * np.asarray(l(t), dtype=float), edges)
+    rhs -= integral(lambda t: nu.mass_upto(t) * np.asarray(l(t), dtype=float), edges)
     return lhs, rhs
 
 
@@ -186,20 +80,15 @@ class SupergradientProfile:
     phi0_fn: object | None = None
     phi1_fn: object | None = None
 
-    def _lookup(self, cells, tail, t):
-        t = np.asarray(t, dtype=float)
-        k = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, len(cells) - 1)
-        return np.where(t >= self.edges[-1], tail, cells[k])
-
     def phi0(self, t):
         if self.phi0_fn is not None:
             return np.asarray(self.phi0_fn(np.asarray(t, dtype=float)), dtype=float)
-        return self._lookup(self.phi0_cells, self.phi0_tail, t)
+        return step_value(self.edges, self.phi0_cells, self.phi0_tail, t)
 
     def phi1(self, t):
         if self.phi1_fn is not None:
             return np.asarray(self.phi1_fn(np.asarray(t, dtype=float)), dtype=float)
-        return self._lookup(self.phi1_cells, self.phi1_tail, t)
+        return step_value(self.edges, self.phi1_cells, self.phi1_tail, t)
 
     @classmethod
     def exact(cls, m: Mechanism, tech: Technology) -> "SupergradientProfile":
@@ -217,7 +106,7 @@ class SupergradientProfile:
             phi1_cells=d1(m.X0_at(0.5 * (m.edges[:-1] + m.edges[1:]))),
             phi0_tail=float(d0(m.x0_tail)),
             phi1_tail=float(d1(m.x0_tail)),
-            phi0_fn=lambda t: d0(self_x0_at(m, t)),
+            phi0_fn=lambda t: d0(m.x0_at(t)),
             phi1_fn=lambda t: d1(m.X0_at(t)),
         )
 
@@ -235,13 +124,6 @@ class SupergradientProfile:
                 and tech.f1.right_deriv(X) - 1e-9 <= p1 <= tech.f1.left_deriv(X) + 1e-9
             )
         return flags
-
-
-def self_x0_at(m: Mechanism, t):
-    """Flow utility at arbitrary times (cell lookup, tail beyond horizon)."""
-    t = np.asarray(t, dtype=float)
-    k = np.clip(np.searchsorted(m.edges, t, side="right") - 1, 0, len(m.x0) - 1)
-    return np.where(t >= m.horizon, m.x0_tail, m.x0[k])
 
 
 # ---------------------------------------------------------------------------
@@ -295,20 +177,18 @@ def integrability_bounds(
     probe promise ``probe_u``.
     """
     r = m.r
-    edges = _integration_edges(
-        list(m.edges) + list(G.knots), r, G.tail_rate if G.tail_mass > 0 else r
-    )
-    Phi = _cumulative(lambda t: r * np.exp(-r * t) * prof.phi0(t), edges)
-    e_phi = _expect_G(G, lambda t: Phi(t), edges)
-    e_abs1 = _expect_G(G, lambda t: np.abs(prof.phi1(t)), edges)
+    edges = integration_edges(G, r, m.edges)
+    Phi = cumulative(lambda t: r * np.exp(-r * t) * prof.phi0(t), edges)
+    e_phi = expect(G, Phi, edges)
+    e_abs1 = expect(G, lambda t: np.abs(prof.phi1(t)), edges)
 
     d0 = np.vectorize(lambda u: directional_deriv(tech.f0, float(u), probe_u))
     d1 = np.vectorize(lambda u: directional_deriv(tech.f1, float(u), probe_u))
-    psi0_cum = _cumulative(
-        lambda t: r * np.exp(-r * t) * d0(self_x0_at(m, t)), edges
+    psi0_cum = cumulative(
+        lambda t: r * np.exp(-r * t) * d0(m.x0_at(t)), edges
     )
-    psi0 = _expect_G(G, lambda t: psi0_cum(t), edges)
-    psi1 = _expect_G(G, lambda t: np.exp(-r * t) * d1(m.X0_at(t)), edges)
+    psi0 = expect(G, psi0_cum, edges)
+    psi1 = expect(G, lambda t: np.exp(-r * t) * d1(m.X0_at(t)), edges)
 
     slack = e_abs1 - e_phi
     return IntegrabilityReport(
@@ -323,15 +203,14 @@ def integrability_bounds(
 
 def warmup_identity(G: BreakthroughDistribution, r: float) -> float:
     """``E_G[ r int_0^tau e^{-rt} / (1 - G(t)) dt ]``; equals 1 for atom-free G."""
-    decay = G.tail_rate if G.tail_mass > 0 else r
-    edges = _integration_edges(list(G.knots), r, decay)
+    edges = integration_edges(G, r)
 
     def integrand(t):
         sf = np.array([G.sf(float(s)) for s in np.atleast_1d(t)])
         return r * np.exp(-r * np.asarray(t)) / np.where(sf > 0, sf, np.nan)
 
-    cum = _cumulative(integrand, edges)
-    return _expect_G(G, lambda t: cum(t), edges)
+    cum = cumulative(integrand, edges)
+    return expect(G, cum, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -373,19 +252,16 @@ def gateaux_closed_form(
             raise InvalidProfile("profile is not a supergradient where G(t) < 1")
 
     r = m.r
-    decay = G.tail_rate if G.tail_mass > 0 else r
-    edges = _integration_edges(
-        list(m.edges) + list(m_dag.edges) + list(G.knots), r, decay
-    )
-    dx = lambda t: self_x0_at(m_dag, t) - self_x0_at(m, t)
+    edges = integration_edges(G, r, [*m.edges, *m_dag.edges])
+    dx = lambda t: m_dag.x0_at(t) - m.x0_at(t)
     dX = lambda t: m_dag.X0_at(t) - m.X0_at(t)
     sf = np.vectorize(lambda t: G.sf(float(t)))
 
-    term_b = _integral(
+    term_b = integral(
         lambda t: r * np.exp(-r * t) * sf(t) * prof.phi0(t) * dx(t), edges
     )
-    cum1 = _cumulative_against_G(lambda t: prof.phi1(t), G, edges)
-    term_c = _integral(lambda t: r * np.exp(-r * t) * cum1(t) * dx(t), edges)
+    cum1 = cumulative_against(prof.phi1, G, edges)
+    term_c = integral(lambda t: r * np.exp(-r * t) * cum1(t) * dx(t), edges)
 
     d0 = np.vectorize(
         lambda a, b: directional_deriv(tech.f0, float(a), float(b))
@@ -393,15 +269,15 @@ def gateaux_closed_form(
     d1 = np.vectorize(
         lambda a, b: directional_deriv(tech.f1, float(a), float(b))
     )
-    corr0_cum = _cumulative(
+    corr0_cum = cumulative(
         lambda t: r
         * np.exp(-r * t)
-        * (d0(self_x0_at(m, t), self_x0_at(m_dag, t)) - prof.phi0(t))
+        * (d0(m.x0_at(t), m_dag.x0_at(t)) - prof.phi0(t))
         * dx(t),
         edges,
     )
-    corr0 = _expect_G(G, lambda t: corr0_cum(t), edges)
-    corr1 = _expect_G(
+    corr0 = expect(G, corr0_cum, edges)
+    corr1 = expect(
         G,
         lambda t: np.exp(-r * t)
         * (d1(m.X0_at(t), m_dag.X0_at(t)) - prof.phi1(t))
@@ -417,20 +293,6 @@ def gateaux_closed_form(
             "total": term_b + term_c + corr0 + corr1,
         }
     return term_b + term_c + corr0 + corr1
-
-
-def _cumulative_against_G(h, G: BreakthroughDistribution, edges: np.ndarray):
-    """Callable ``t -> int_[0,t] h dG`` (atoms included up to and at t)."""
-    dens_cum = _cumulative(lambda t: h(t) * G.pdf(t), edges)
-
-    def cum(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = dens_cum(t)
-        for s, mass in G.atoms:
-            out = out + np.where(t >= s, mass * float(h(np.array([s]))[0]), 0.0)
-        return out
-
-    return cum
 
 
 def gateaux_fd(

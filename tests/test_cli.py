@@ -1,5 +1,10 @@
 """Command-line behavior: exit codes, config validation, CSV export contracts."""
 
+import hashlib
+import json
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,10 +19,27 @@ class TestConfig:
         assert cfg.phi_exponent == 0.5 and cfg.kappa_exponent == 2.0
 
     def test_negative_lambda_names_key(self, tmp_path):
+        # NaN, infinities and booleans are rejected like a negative number
+        cases = [
+            ("lambda: -1", "lambda"),
+            ("lambda: .nan", "lambda"),
+            ("lambda: true", "lambda"),
+            ("w: .inf", "w"),
+            ("w: -.inf", "w"),
+            ("rate: .nan", "rate"),
+            ("rate: false", "rate"),
+            ("perturb: .inf", "perturb"),
+            ("perturb: true", "perturb"),
+            ("phi: {kind: power, exponent: .nan}", "phi.exponent"),
+            ("phi: {kind: power, exponent: true}", "phi.exponent"),
+            ("kappa: {kind: power, exponent: .inf}", "kappa.exponent"),
+            ("kappa: {kind: power, exponent: true}", "kappa.exponent"),
+        ]
         path = tmp_path / "bad.yaml"
-        path.write_text("lambda: -1\n")
-        with pytest.raises(ConfigError, match="lambda"):
-            load_config(str(path))
+        for text, key in cases:
+            path.write_text(text + "\n")
+            with pytest.raises(ConfigError, match=f"`{key}`"):
+                load_config(str(path))
 
     def test_bad_phi_exponent_names_key(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -44,9 +66,18 @@ class TestExitCodes:
 
     def test_config_error_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
-        path.write_text("w: 0\n")
-        assert main(["verify", "ui-assns", "--config", str(path)]) == 2
-        assert "w" in capsys.readouterr().err
+        for text, key in (("w: 0", "w"), ("lambda: .nan", "lambda"), ("w: .inf", "w"), ("lambda: true", "lambda")):
+            path.write_text(text + "\n")
+            assert main(["verify", "ui-assns", "--config", str(path)]) == 2
+            assert f"`{key}`" in capsys.readouterr().err
+
+    def test_extreme_exponent_emits_no_warnings(self, tmp_path, capsys):
+        path = tmp_path / "small.yaml"
+        path.write_text("phi: {kind: power, exponent: 0.01}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["frontier", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_failing_check_is_exit_1(self, tmp_path, capsys):
         path = tmp_path / "pert.yaml"
@@ -117,6 +148,16 @@ class TestExport:
         cfg = load_config(None)
         (path,) = export_curves(cfg, "frontiers", tmp_path, u_grid=np.array([]))
         assert path.read_text() == "u,F0,F1,F0_left,F0_right,F1_left,F1_right\n"
+
+    def test_default_exports_match_benchmark_digests(self, tmp_path):
+        digests = Path(__file__).resolve().parents[1] / "perfbench" / "csv_digests.json"
+        expected = json.loads(digests.read_text())
+        cfg = load_config(None)
+        got = {}
+        for what in ("frontiers", "mechanism", "residuals", "smoothing"):
+            for path in export_curves(cfg, what, tmp_path):
+                got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert got == expected
 
     def test_residual_columns_reconstruct_the_equation(self, tmp_path):
         main(["export", "--what", "residuals", "--out", str(tmp_path)])

@@ -1,0 +1,125 @@
+"""The time axis: measures, cell lookup, Gauss-Legendre rules, bisection."""
+
+import math
+
+import numpy as np
+import pytest
+
+from frontierkit import BreakthroughDistribution, MeasureOnTime
+from frontierkit.quadrature import cell_index, cumulative, integral, step_value
+from frontierkit.roots import bisect_predicate
+from frontierkit.variational import stieltjes_ibp
+
+
+def full_measure():
+    """Atoms (one at 0), two density pieces and a tail starting after them."""
+    return MeasureOnTime(
+        atoms=((0.0, 0.2), (0.7, 0.3), (2.5, 0.1)),
+        density_edges=np.array([0.0, 0.5, 1.5]),
+        density_values=np.array([0.4, 0.8]),
+        tail_rate=1.3,
+        tail_mass=0.6,
+        tail_start=2.0,
+    )
+
+
+class TestMeasureOnTime:
+    def test_mass_upto_plus_sf_is_total_mass(self):
+        nu = full_measure()
+        total = nu.total_mass()
+        assert total == pytest.approx(0.6 + 0.2 + 0.8 + 0.6, abs=1e-15)
+        for t in np.linspace(-0.5, 8.0, 35):
+            lhs = float(nu.mass_upto(t)) + nu.sf(float(t))
+            assert lhs == pytest.approx(total, abs=1e-14)
+
+    def test_mass_upto_includes_atoms_at_t(self):
+        nu = full_measure()
+        assert float(nu.mass_upto(0.0)) == pytest.approx(0.2, abs=1e-15)
+        jump = float(nu.mass_upto(0.7)) - float(nu.mass_upto(np.nextafter(0.7, 0.0)))
+        assert jump == pytest.approx(0.3, abs=1e-12)
+
+    def test_pdf_integrates_to_the_continuous_mass(self):
+        nu = full_measure()
+        edges = np.concatenate([np.linspace(0.0, 2.0, 9), np.linspace(2.0, 40.0, 60)[1:]])
+        assert integral(nu.pdf, edges) == pytest.approx(0.4 * 0.5 + 0.8 + 0.6, abs=1e-12)
+
+    def test_knots_and_cutoff(self):
+        nu = full_measure()
+        assert nu.knots == (0.0, 0.5, 0.7, 1.5, 2.0, 2.5)
+        assert nu.finite_cutoff() == 2.5
+
+    def test_tail_before_density_end_is_rejected(self):
+        with pytest.raises(ValueError, match="tail must start"):
+            MeasureOnTime(
+                density_edges=np.array([0.0, 1.0]),
+                density_values=np.array([0.5]),
+                tail_mass=0.5,
+                tail_start=0.5,
+            )
+
+    def test_distribution_is_a_unit_mass_measure(self):
+        G = BreakthroughDistribution.exponential(2.0)
+        assert isinstance(G, MeasureOnTime)
+        assert G.cdf(1.0) == pytest.approx(-math.expm1(-2.0), abs=1e-15)
+        with pytest.raises(ValueError, match="total mass"):
+            BreakthroughDistribution(atoms=((1.0, 0.5),))
+
+
+class TestStieltjesWithTail:
+    def test_distribution_with_tail(self):
+        G = BreakthroughDistribution(
+            atoms=((0.3, 0.25),),
+            density_edges=np.array([0.0, 1.0]),
+            density_values=np.array([0.35]),
+            tail_rate=0.8,
+            tail_mass=0.4,
+            tail_start=1.2,
+        )
+        for T in (0.5, 1.2, 2.0, 4.5):
+            lhs, rhs = stieltjes_ibp(G, 0.3, lambda t: 1.0 - 0.5 * t + 0.2 * t * t, T)
+            assert abs(lhs - rhs) < 1e-9
+
+    def test_pure_exponential_against_closed_form(self):
+        # int_[0,T] sin dG for G = Exp(g): g (1 - e^{-gT}(g sin T + cos T)) / (1 + g^2)
+        g, T = 1.5, 3.0
+        lhs, rhs = stieltjes_ibp(BreakthroughDistribution.exponential(g), 0.0, np.cos, T)
+        exact = g * (1.0 - math.exp(-g * T) * (g * math.sin(T) + math.cos(T))) / (1.0 + g * g)
+        assert lhs == pytest.approx(exact, abs=1e-12)
+        assert rhs == pytest.approx(exact, abs=1e-12)
+
+
+class TestCellLookup:
+    def test_cell_index_clips_to_first_and_last_cell(self):
+        edges = np.array([0.0, 1.0, 2.0, 4.0])
+        t = np.array([-1.0, 0.0, 0.5, 1.0, 3.9, 4.0, 9.0])
+        assert cell_index(edges, t).tolist() == [0, 0, 0, 1, 2, 2, 2]
+
+    def test_step_value_switches_to_tail_at_last_edge(self):
+        edges = np.array([0.0, 1.0, 2.0])
+        cells = np.array([3.0, 5.0])
+        out = step_value(edges, cells, -1.0, [0.0, 0.99, 1.0, 2.0, 7.0])
+        assert out.tolist() == [3.0, 3.0, 5.0, -1.0, -1.0]
+
+    def test_cumulative_matches_partial_integrals(self):
+        edges = np.linspace(0.0, 3.0, 7)
+        cum = cumulative(np.exp, edges)
+        t = np.array([0.0, 0.2, 1.0, 2.75, 3.0])
+        assert np.allclose(cum(t), np.expm1(t), rtol=0, atol=1e-13)
+
+
+class TestBisectPredicate:
+    def test_brackets_the_switch_to_adjacent_floats(self):
+        lo, hi = bisect_predicate(lambda x: x * x < 2.0, 0.0, 2.0)
+        assert lo * lo < 2.0 <= hi * hi
+        assert np.nextafter(lo, 3.0) == hi
+
+    def test_endpoints_are_never_evaluated(self):
+        seen = []
+
+        def pred(x):
+            seen.append(x)
+            return x < 0.3
+
+        lo, hi = bisect_predicate(pred, 0.0, 1.0)
+        assert 0.0 not in seen and 1.0 not in seen
+        assert lo < 0.3 <= hi
