@@ -504,10 +504,8 @@ def _frontier_rows(tech: Technology, us):
 
 def _write_smoothing_csv(out: Path, pair, u0: float, step: float) -> Path:
     f0n, f1n = pair.f0n, pair.f1n
-    rows = (
-        (u, float(f0n.value(u)), float(f1n.value(u)), f0n.right_deriv(u), f1n.right_deriv(u))
-        for u in map(float, np.arange(0.0, u0 + 0.5 * step, step))
-    )
+    us = np.arange(0.0, u0 + 0.5 * step, step)
+    rows = zip(us, f0n.value(us), f1n.value(us), f0n.deriv(us, "right"), f1n.deriv(us, "right"))
     return _write_csv(out / f"smoothing_n{pair.params.n}.csv", "u,F0n,F1n,f0n,f1n", rows)
 
 

@@ -23,8 +23,11 @@ INF = math.inf
 class Frontier:
     """Base class; subclasses fill in `value` and the one-sided derivatives.
 
-    ``value`` accepts scalars or numpy arrays. Derivative accessors are
-    scalar-only.
+    ``value`` accepts scalars or numpy arrays. ``left_deriv`` and
+    ``right_deriv`` are scalar-only; ``deriv(us, side)`` gives either side at
+    an array of points. It evaluates per point unless the subclass overrides
+    `_interior_derivs`, as the smoothed frontiers of `frontierkit.smoothing`
+    do to evaluate the whole array at once.
     """
 
     #: closure of the effective domain, as a pair (lo, hi); hi may be inf
@@ -55,6 +58,26 @@ class Frontier:
         if u >= self.domain[1]:
             return -INF
         return self._deriv_interior(u, "right")
+
+    def deriv(self, us, side: str) -> np.ndarray:
+        """``left_deriv`` or ``right_deriv`` (``side``) at each point of ``us``.
+
+        The whole array is checked against the domain first.
+        """
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        us = np.asarray(us, dtype=float)
+        lo, hi = self.domain
+        outside = (us < lo) | (us > hi)
+        if outside.any():
+            self._check_domain(float(us[outside][0]))
+        edge = us <= lo if side == "left" else us >= hi
+        out = np.full(us.shape, INF if side == "left" else -INF)
+        out[~edge] = self._interior_derivs(us[~edge], side)
+        return out
+
+    def _interior_derivs(self, us: np.ndarray, side: str):
+        return [self._deriv_interior(u, side) for u in us.tolist()]
 
     @property
     def peak(self) -> float:

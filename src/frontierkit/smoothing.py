@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DomainError, ParamsOutOfRange
 from .frontiers import INF, Frontier, midpoint_concavity_slack
 from .report import VerificationReport
+from .roots import golden_section_max
 from .technology import Technology
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -81,16 +82,23 @@ class SmoothingParams:
         raise ParamsOutOfRange("could not reach the accuracy budget eps")
 
 
-def _window_integral(f: Frontier, u: float, delta: float) -> float:
-    """``int_u^{u+delta} f`` exactly per linear/smooth piece (knot-split GL)."""
-    cuts = [u] + [k for k in f.knots if u < k < u + delta] + [u + delta]
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        half, mid = 0.5 * (b - a), 0.5 * (a + b)
-        total += half * float(
-            np.dot(_GL8_WEIGHTS, f.value(mid + half * _GL8_NODES))
-        )
-    return total
+def _window_integral(f: Frontier, u, delta: float):
+    """``int_u^{u+delta} f`` for one window start ``u`` or an array of them.
+
+    Each window is split at the source's knots inside it and every stretch
+    gets GL-8, which is exact per linear piece and accurate per smooth one.
+    The nodes of all windows go to ``f`` in one ``value`` call.
+    """
+    starts = np.atleast_1d(np.asarray(u, dtype=float)).tolist()
+    cuts = [[a, *(k for k in f.knots if a < k < a + delta), a + delta] for a in starts]
+    lo = np.array([c for cs in cuts for c in cs[:-1]])
+    hi = np.array([c for cs in cuts for c in cs[1:]])
+    half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+    vals = np.reshape(f.value((mid[:, None] + half[:, None] * _GL8_NODES).ravel()), (-1, 8))
+    # each window's stretches are added left to right
+    parts = iter([h * float(np.dot(_GL8_WEIGHTS, row)) for h, row in zip(half.tolist(), vals)])
+    totals = [sum(next(parts) for _ in cs[1:]) for cs in cuts]
+    return totals[0] if np.ndim(u) == 0 else np.array(totals)
 
 
 def averaged_right_derivative(f: Frontier, u: float, params: SmoothingParams) -> float:
@@ -108,7 +116,11 @@ def averaged_right_derivative(f: Frontier, u: float, params: SmoothingParams) ->
 
 
 class _Core:
-    """Windowed-average smoother of one source frontier on ``I_n``."""
+    """Windowed-average smoother of one source frontier on ``I_n``.
+
+    ``value`` and ``deriv`` take a scalar or an array of points; an array
+    costs one ``f.value`` call.
+    """
 
     def __init__(self, f: Frontier, params: SmoothingParams, anchor: float, shift: float):
         self.f, self.p = f, params
@@ -117,13 +129,14 @@ class _Core:
         self._H_anchor = _window_integral(f, anchor, params.delta)
         self._F_anchor = float(f.value(anchor))
 
-    def deriv(self, u: float) -> float:
+    def deriv(self, u):
         p = self.p
-        return (
-            float(self.f.value(u + p.delta)) - float(self.f.value(u))
-        ) / p.delta - p.gamma * u
+        us = np.atleast_1d(np.asarray(u, dtype=float))
+        ends = self.f.value(np.concatenate([us + p.delta, us]))
+        out = (ends[: us.size] - ends[us.size :]) / p.delta - p.gamma * us
+        return float(out[0]) if np.ndim(u) == 0 else out
 
-    def value(self, u: float) -> float:
+    def value(self, u):
         p = self.p
         h = _window_integral(self.f, u, p.delta)
         return (
@@ -135,17 +148,18 @@ class _Core:
 
 
 def _core_error(tech: Technology, params: SmoothingParams) -> float:
-    """Max deviation of the (shift-corrected) core pair from the source."""
+    """Max deviation of the (shift-corrected) core pair from the source.
+
+    A deviation that is not finite (a NaN from either side) makes it inf, so
+    it can never pass an accuracy budget.
+    """
     n = params.n
     a = tech.u_star + 1.0 / n
     us = np.linspace(1.0 / n, tech.u0 - 2.0 / n, 33)
-    core0 = _Core(tech.f0, params, a, 0.0)
-    core1 = _Core(tech.f1, params, a, 0.0)
-    err = 0.0
-    for u in us:
-        err = max(err, abs(core0.value(float(u)) - float(tech.f0.value(u))))
-        err = max(err, abs(core1.value(float(u)) - float(tech.f1.value(u))))
-    return err
+    dev = np.concatenate(
+        [np.abs(_Core(f, params, a, 0.0).value(us) - f.value(us)) for f in (tech.f0, tech.f1)]
+    )
+    return float(np.max(dev)) if np.all(np.isfinite(dev)) else INF
 
 
 @dataclass
@@ -154,6 +168,10 @@ class _Piece:
     hi: float
     val: object
     der: object
+    #: ``val`` and ``der`` take arrays (the core). The closed-form pieces run
+    #: per point: the exponential ones use ``math.exp``, which ``np.exp`` does
+    #: not match bit for bit
+    batch: bool = False
 
 
 class _PiecewiseFrontier(Frontier):
@@ -163,33 +181,37 @@ class _PiecewiseFrontier(Frontier):
         self.pieces = pieces
         self.domain = (pieces[0].lo, pieces[-1].hi)
         self.knots = tuple(p.lo for p in pieces[1:])
+        self._his = np.array([p.hi for p in pieces])
         if peak is not None:
             self._peak = float(peak)
 
-    def _piece(self, u: float) -> _Piece:
-        for p in self.pieces:
-            if u <= p.hi:
-                return p
-        return self.pieces[-1]
+    def _dispatch(self, u, what: str):
+        """Piece ``what`` ('val' or 'der') at a scalar or an array ``u``.
+
+        A point goes to the first piece whose ``hi`` it does not exceed, so a
+        join belongs to the piece on its left. A value outside the domain is
+        ``-inf``. Batch pieces get all their points in one call.
+        """
+        us = np.atleast_1d(np.asarray(u, dtype=float))
+        idx = np.minimum(np.searchsorted(self._his, us), len(self.pieces) - 1)
+        out = np.full_like(us, -INF)
+        live = ~((us < self.domain[0]) | (us > self.domain[1]))
+        for i in set(idx[live].tolist()):
+            piece = self.pieces[i]
+            fn = getattr(piece, what)
+            sel = live & (idx == i)
+            out[sel] = fn(us[sel]) if piece.batch else [fn(x) for x in us[sel].tolist()]
+        return float(out[0]) if np.ndim(u) == 0 else out
 
     def value(self, u):
-        scalar = np.ndim(u) == 0
-        us = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.empty_like(us)
-        for i, x in enumerate(us):
-            if x < self.domain[0] or x > self.domain[1]:
-                out[i] = -INF
-            else:
-                out[i] = self._piece(float(x)).val(float(x))
-        return float(out[0]) if scalar else out
+        return self._dispatch(u, "val")
 
     def _deriv_interior(self, u, side):
-        # continuously differentiable by construction: sides agree
-        if side == "left":
-            for p in reversed(self.pieces):
-                if u > p.lo:
-                    return float(p.der(float(u)))
-        return float(self._piece(float(u)).der(float(u)))
+        # continuously differentiable by construction: both sides are the
+        # derivative of the piece holding u
+        return self._dispatch(u, "der")
+
+    _interior_derivs = _deriv_interior
 
 
 @dataclass
@@ -214,8 +236,6 @@ def _gap_argmax(pair_f0: Frontier, pair_f1: Frontier, hi: float) -> float:
     i = int(np.argmax(gaps))
     lo = us[max(0, i - 2)]
     up = us[min(len(us) - 1, i + 2)]
-    from .roots import golden_section_max
-
     g = lambda u: float(pair_f1.value(u)) - float(pair_f0.value(u))
     return golden_section_max(g, float(lo), float(up), tol=1e-12)
 
@@ -233,10 +253,9 @@ def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair
     core0 = _Core(tech.f0, params, a, 0.0)
     core1 = _Core(tech.f1, params, a, zeta)
 
-    d_b0, d_b1 = core0.deriv(b), core1.deriv(b)
-    V_b0, V_b1 = core0.value(b), core1.value(b)
-    d_B0, d_B1 = core0.deriv(B), core1.deriv(B)
-    V_B0, V_B1 = core0.value(B), core1.value(B)
+    ends = np.array([b, B])
+    (d_b0, d_B0), (d_b1, d_B1) = core0.deriv(ends).tolist(), core1.deriv(ends).tolist()
+    (V_b0, V_B0), (V_b1, V_B1) = core0.value(ends).tolist(), core1.value(ends).tolist()
     if d_B0 <= 0.0:
         raise ParamsOutOfRange("pre-breakthrough frontier must still rise at u0-2/n")
     if d_B1 - 1.5 / n >= 0.0:
@@ -255,8 +274,8 @@ def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair
             lambda u, d=d, c=c: d + c * (b - u),
         )
 
-    core_piece0 = _Piece(b, B, core0.value, core0.deriv)
-    core_piece1 = _Piece(b, B, core1.value, core1.deriv)
+    core_piece0 = _Piece(b, B, core0.value, core0.deriv, batch=True)
+    core_piece1 = _Piece(b, B, core1.value, core1.deriv, batch=True)
 
     # right extension of F1: derivative glides down to its clamp d_B1 - 1/n
     m1 = d_B1 - 1.0 / n
@@ -300,7 +319,8 @@ def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair
     # ordering guard: the extensions keep F1_n above F0_n by construction at
     # the chosen scales, but the margin is instance-dependent, so certify it
     probes = np.linspace(0.0, u0 + 2.0, 257)
-    if np.min(f1n.value(probes) - f0n.value(probes)) <= 0.0:
+    gaps = f1n.value(probes) - f0n.value(probes)
+    if not np.min(gaps) > 0.0:
         raise ParamsOutOfRange("extensions failed to keep the pair ordered")
 
     u1_n = f1n.peak
@@ -308,7 +328,6 @@ def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair
 
     # strict-local-max fix: lower F1_n slightly below u_star_n if the gap's
     # argmax is not strict there
-    gaps = f1n.value(probes) - f0n.value(probes)
     top = float(f1n.value(u_star_n) - f0n.value(u_star_n))
     rivals = gaps[np.abs(probes - u_star_n) > 0.5 / n]
     if rivals.size and np.max(rivals) >= top - 1e-12:
@@ -339,6 +358,10 @@ class _StrictFixFrontier(Frontier):
         d = self.base._deriv_interior(u, side)
         return d - 2.0 * self.eps * min(u - self.u_star, 0.0)
 
+    def _interior_derivs(self, us, side):
+        d = self.base._interior_derivs(us, side)
+        return d - 2.0 * self.eps * np.minimum(us - self.u_star, 0.0)
+
     def _compute_peak(self):
         return self.base.peak
 
@@ -360,9 +383,8 @@ def verify_monster(tech: Technology, sequence: list[SmoothedPair]) -> Verificati
         slack1 = midpoint_concavity_slack(pair.f1n, grid)
         interior = np.linspace(0.05 / n, u0 - 1e-6, 41)
         c1_ok = all(
-            abs(f.left_deriv(float(u)) - f.right_deriv(float(u))) < 1e-9
+            bool(np.all(np.abs(f.deriv(interior, "left") - f.deriv(interior, "right")) < 1e-9))
             for f in (pair.f0n, pair.f1n)
-            for u in interior
         )
         ordered = bool(np.min(pair.f1n.value(grid) - pair.f0n.value(grid)) > 0)
         rep.add(
@@ -377,20 +399,12 @@ def verify_monster(tech: Technology, sequence: list[SmoothedPair]) -> Verificati
         )
         rep.add(f"peak-locations-n{n}", peaks_ok)
 
-    # (c) uniform derivative bounds across the sequence
+    # (c) uniform derivative bounds across the sequence; np.min and np.max
+    # keep a NaN, which then fails the finiteness test
     u_lo_probe = 0.5 * u0
-    below = min(
-        f.right_deriv(float(u))
-        for pair in sequence
-        for f in (pair.f0n, pair.f1n)
-        for u in np.linspace(1e-9, u_lo_probe, 33)
-    )
-    above = max(
-        f.right_deriv(float(u))
-        for pair in sequence
-        for f in (pair.f0n, pair.f1n)
-        for u in np.linspace(u_lo_probe, u0, 33)
-    )
+    fronts = [f for pair in sequence for f in (pair.f0n, pair.f1n)]
+    below = float(np.min([f.deriv(np.linspace(1e-9, u_lo_probe, 33), "right") for f in fronts]))
+    above = float(np.max([f.deriv(np.linspace(u_lo_probe, u0, 33), "right") for f in fronts]))
     rep.add(
         "uniform-derivative-bounds",
         math.isfinite(below) and math.isfinite(above),

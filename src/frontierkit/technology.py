@@ -12,7 +12,6 @@ and right side strictly increasing in ``L``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,7 +121,14 @@ def effort_star(prims: MoralHazardPrimitives, u: float) -> float:
 
 
 def effort_star_array(prims: MoralHazardPrimitives, u) -> np.ndarray:
-    """Vectorized `effort_star` by array bisection (same FOC, same tolerance)."""
+    """Vectorized solve of the same FOC as `effort_star`, by array bisection.
+
+    Each element's bracket starts at ``[1e-14, 1]``, with the upper end
+    doubled until the FOC gap turns nonnegative, and is halved at most 90
+    times. The result is the midpoint of the bisection's fixed-point bracket:
+    bit for bit what all 90 steps give. It can differ from `effort_star` in
+    the last bits, since that one brackets and stops differently.
+    """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     lo = np.full_like(u, 1e-14)
     hi = np.ones_like(u)
@@ -132,12 +138,19 @@ def effort_star_array(prims: MoralHazardPrimitives, u) -> np.ndarray:
         if not np.any(bad):
             break
         hi[bad] *= 2.0
+    mid = 0.5 * (lo + hi)
     for _ in range(90):
-        mid = 0.5 * (lo + hi)
         up = _foc_gap(prims, u, mid) < 0.0
         lo = np.where(up, mid, lo)
         hi = np.where(up, hi, mid)
-    return 0.5 * (lo + hi)
+        prev, mid = mid, 0.5 * (lo + hi)
+        if not np.count_nonzero(mid != prev):
+            # Each midpoint repeated, so it is an end of its bracket: the next
+            # step either keeps the bracket or collapses it onto that midpoint,
+            # and every later step changes nothing. ``mid`` is already the
+            # final midpoint, so the remaining FOC evaluations are skipped.
+            break
+    return mid
 
 
 @dataclass

@@ -1,16 +1,24 @@
 """Smooth approximant construction: derivative bounds, ordering, convergence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from frontierkit import technology
 from frontierkit.errors import DomainError, ParamsOutOfRange
 from frontierkit.frontiers import (
     AffineFrontier,
+    ParametricFrontier,
     PiecewiseLinearFrontier,
     QuadraticFrontier,
 )
 from frontierkit.smoothing import (
     SmoothingParams,
+    _Core,
+    _core_error,
+    _StrictFixFrontier,
+    _window_integral,
     averaged_right_derivative,
     build_sequence,
     build_smooth_pair,
@@ -192,3 +200,119 @@ class TestMonsterReport:
         )
         with pytest.raises(ParamsOutOfRange):
             build_smooth_pair(tech, bad)
+
+
+def probe_points(f, hi):
+    """Joins and their neighbouring floats, the origin and a spread of points."""
+    joins = np.array([k for k in f.knots if np.isfinite(k)])
+    near = np.concatenate([joins, np.nextafter(joins, -np.inf), np.nextafter(joins, np.inf)])
+    return np.concatenate([[0.0, 5e-324, hi, np.inf], near, np.linspace(0.0, hi, 37)])
+
+
+def piece_by_piece(f, u, what):
+    """The per-point piece lookup of a `_PiecewiseFrontier`, as a plain loop."""
+    if what == "value" and (u < f.domain[0] or u > f.domain[1]):
+        return -np.inf
+    if what == "left":
+        for p in reversed(f.pieces):
+            if u > p.lo:
+                return p.der(u)
+    piece = next((p for p in f.pieces if u <= p.hi), f.pieces[-1])
+    return piece.val(u) if what == "value" else piece.der(u)
+
+
+def assert_batched_equals_scalar(f, us):
+    outside = np.array([-1.0, -5e-324])
+    both = np.concatenate([outside, us])
+    np.testing.assert_array_equal(f.value(both), [f.value(float(u)) for u in both])
+    assert np.all(f.value(outside) == -np.inf)
+    for side in ("left", "right"):
+        scalar = f.left_deriv if side == "left" else f.right_deriv
+        np.testing.assert_array_equal(f.deriv(us, side), [scalar(float(u)) for u in us])
+        with pytest.raises(DomainError):
+            f.deriv(np.array([0.1, -1.0]), side)
+    if hasattr(f, "pieces"):
+        np.testing.assert_array_equal(f.value(both), [piece_by_piece(f, float(u), "value") for u in both])
+        inner = us[us > 0.0]
+        for side in ("left", "right"):
+            np.testing.assert_array_equal(
+                f._interior_derivs(inner, side), [piece_by_piece(f, float(u), side) for u in inner]
+            )
+
+
+class TestBatchedEvaluation:
+    def test_moral_hazard_pair(self, default_tech):
+        pair = build_smooth_pair(default_tech, SmoothingParams.auto(default_tech, 16))
+        hi = default_tech.u0 + 2.0
+        for f in (pair.f0n, pair.f1n):
+            assert_batched_equals_scalar(f, probe_points(f, hi))
+        fixed = _StrictFixFrontier(pair.f1n, pair.u_star_n, pair.params.zeta / 8.0)
+        assert_batched_equals_scalar(fixed, probe_points(fixed, hi))
+
+    def test_kinked_source_pair(self):
+        tech = kinked_tech()
+        pair = build_smooth_pair(tech, SmoothingParams.auto(tech, 16))
+        for f in (pair.f0n, pair.f1n):
+            assert_batched_equals_scalar(f, probe_points(f, tech.u0 + 2.0))
+
+    def test_core_windows_straddling_a_kink(self):
+        f = PiecewiseLinearFrontier([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+        params = SmoothingParams(n=8, delta=0.1, gamma=1e-9, zeta=0.02, eps=0.009)
+        core = _Core(f, params, anchor=0.5, shift=0.01)
+        # two windows hold the kink inside, one ends and one starts on it
+        us = np.array([0.3, 0.9, 0.95, 1.0 - 1e-12, 1.0, 1.05, 1.5])
+        np.testing.assert_array_equal(core.value(us), [core.value(float(u)) for u in us])
+        np.testing.assert_array_equal(core.deriv(us), [core.deriv(float(u)) for u in us])
+        # split at the kink, GL-8 integrates each linear stretch exactly
+        antideriv = lambda x: np.where(x <= 1.0, 0.5 * x * x, 2.0 * x - 0.5 * x * x - 1.0)
+        exact = antideriv(us + params.delta) - antideriv(us)
+        np.testing.assert_allclose(_window_integral(f, us, params.delta), exact, rtol=0, atol=1e-15)
+
+
+def test_nan_derivative_fails_the_uniform_bounds(default_tech):
+    pair = build_smooth_pair(default_tech, SmoothingParams.auto(default_tech, 16))
+    # the second frontier of the pair has NaN slopes everywhere
+    nan_f1n = _StrictFixFrontier(pair.f1n, pair.u_star_n, np.nan)
+    rep = verify_monster(default_tech, [dataclasses.replace(pair, f1n=nan_f1n)])
+    assert not rep["uniform-derivative-bounds"].passed
+    note = rep["uniform-derivative-bounds"].note
+    assert "min=nan" in note and "max=nan" in note
+
+
+def nan_strip_tech(lo, hi):
+    """`quad_tech` with F1 NaN on ``(lo, hi)``, inside the core interval at n=8."""
+    base = quad_tech()
+    f1 = ParametricFrontier(
+        lambda u: np.where((u > lo) & (u < hi), np.nan, base.f1.value(u)),
+        base.f1.right_deriv,
+        peak=base.u1,
+    )
+    return Technology(f0=base.f0, f1=f1, u0=base.u0, u1=base.u1, u_star=base.u_star)
+
+
+def test_nan_inside_a_window_fails_the_budget():
+    # the n=8 check grid steps 1/256 from 0.125; no grid point lies in the
+    # strip, so only the windows of the points below it see the NaN
+    params = SmoothingParams.auto(quad_tech(), 8)
+    tech = nan_strip_tech(0.2, 0.201)
+    assert _core_error(tech, params) == np.inf
+    with pytest.raises(ParamsOutOfRange):
+        build_smooth_pair(tech, params)
+    # NaN at a grid point fails at every window width, so auto gives up
+    with pytest.raises(ParamsOutOfRange, match="accuracy budget"):
+        SmoothingParams.auto(nan_strip_tech(0.199, 0.2), 8)
+
+
+def test_effort_solves_per_level_are_batched(default_tech, monkeypatch):
+    calls = []
+    solve = technology.effort_star_array
+
+    def counted(prims, u):
+        calls.append(np.size(u))
+        return solve(prims, u)
+
+    monkeypatch.setattr(technology, "effort_star_array", counted)
+    pair = build_smooth_pair(default_tech, SmoothingParams.auto(default_tech, 16))
+    assert verify_monster(default_tech, [pair]).overall_pass
+    # one call per point set, not one per point or window
+    assert 0 < len(calls) <= 200

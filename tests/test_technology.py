@@ -113,6 +113,36 @@ class TestEffortStar:
         scal = np.array([effort_star(default_prims, u) for u in us])
         assert np.max(np.abs(vec - scal)) < 1e-10
 
+    @pytest.mark.parametrize("a, b, w", [(0.5, 2.0, 1.0), (0.2, 1.2, 0.1), (0.8, 4.0, 10.0), (0.35, 3.1, 2.5)])
+    def test_array_solve_is_the_90_step_bisection_bit_for_bit(self, a, b, w):
+        prims = MoralHazardPrimitives(lam=1.0, w=w, phi=PowerUtility(a), kappa=PowerCost(b))
+        tech = make_moral_hazard_technology(prims)
+
+        def reference(u):
+            # bracket [1e-14, 1], upper end doubled until the gap turns
+            # nonnegative, then exactly 90 halvings
+            gap = lambda L: prims.kappa.kappa_prime(L) / prims.phi.phi_prime_at_inv(
+                u + prims.kappa.kappa(L)
+            ) - prims.w
+            lo, hi = np.full_like(u, 1e-14), np.ones_like(u)
+            for _ in range(200):
+                short = gap(hi) < 0.0
+                if not short.any():
+                    break
+                hi[short] *= 2.0
+            for _ in range(90):
+                mid = 0.5 * (lo + hi)
+                up = gap(mid) < 0.0
+                lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+            return 0.5 * (lo + hi)
+
+        special = np.array([0.0, 1e-12, tech.u1, tech.u0, 2.0])
+        rng = np.random.default_rng(7)
+        batches = [special[i : i + 1] for i in range(special.size)]
+        batches += [np.concatenate([special, rng.uniform(0.0, 5.0, size - special.size)]) for size in (8, 4224)]
+        for us in batches:
+            np.testing.assert_array_equal(effort_star_array(prims, us), reference(us))
+
 
 class TestOneSidedDerivatives:
     def test_f0_deriv_at_half(self, default_tech):
