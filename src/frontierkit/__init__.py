@@ -25,7 +25,6 @@ from .frontiers import (
     QuadraticFrontier,
     directional_deriv,
     midpoint_concavity_slack,
-    one_sided_deriv,
 )
 from .gap_analysis import (
     GapClassification,

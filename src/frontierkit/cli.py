@@ -409,13 +409,12 @@ def _suite_smoothing(cfg, rng, trials, grid) -> VerificationReport:
         bound_ok, gap_ok = True, True
         for pair in pairs:
             p = pair.params
-            for u in np.linspace(1.0 / p.n, tech.u0 - 2.0 / p.n, 33):
-                u = float(u)
-                for f_src, f_n in ((tech.f0, pair.f0n), (tech.f1, pair.f1n)):
-                    d = f_n.right_deriv(u)
-                    bound_ok &= d <= f_src.right_deriv(u) + 1e-9
-                    bound_ok &= d >= f_src.left_deriv(u + 1.0 / p.n) - 1.0 - 1e-9
-                gap_ok &= pair.gap(u) >= p.zeta - 2 * p.eps - 1e-9
+            us = np.linspace(1.0 / p.n, tech.u0 - 2.0 / p.n, 33)
+            for f_src, f_n in ((tech.f0, pair.f0n), (tech.f1, pair.f1n)):
+                d = f_n.deriv(us, "right")
+                bound_ok &= bool(np.all(d <= f_src.deriv(us, "right") + 1e-9))
+                bound_ok &= bool(np.all(d >= f_src.deriv(us + 1.0 / p.n, "left") - 1.0 - 1e-9))
+            gap_ok &= bool(np.all(pair.gap(us) >= p.zeta - 2 * p.eps - 1e-9))
         rep.add(f"{label}/windowed-derivative-bound", bound_ok)
         rep.add(f"{label}/ordered-with-margin", gap_ok)
     return rep
@@ -488,20 +487,6 @@ def _write_csv(path: Path, header: str, rows) -> Path:
     return path
 
 
-def _frontier_rows(tech: Technology, us):
-    for u in us:
-        u = float(u)
-        yield (
-            u,
-            float(tech.f0.value(u)),
-            float(tech.f1.value(u)),
-            tech.f0.left_deriv(u),
-            tech.f0.right_deriv(u),
-            tech.f1.left_deriv(u),
-            tech.f1.right_deriv(u),
-        )
-
-
 def _write_smoothing_csv(out: Path, pair, u0: float, step: float) -> Path:
     f0n, f1n = pair.f0n, pair.f1n
     us = np.arange(0.0, u0 + 0.5 * step, step)
@@ -523,12 +508,18 @@ def export_curves(
 
     if what == "frontiers":
         us = np.arange(0.0, tech.u0 + 0.5 * grid_step, grid_step) if u_grid is None else u_grid
-        path = _write_csv(
-            out / "frontiers.csv",
-            "u,F0,F1,F0_left,F0_right,F1_left,F1_right",
-            _frontier_rows(tech, us),
+        us = np.asarray(us, dtype=float)
+        f0, f1 = tech.f0, tech.f1
+        rows = zip(
+            us,
+            f0.value(us),
+            f1.value(us),
+            f0.deriv(us, "left"),
+            f0.deriv(us, "right"),
+            f1.deriv(us, "left"),
+            f1.deriv(us, "right"),
         )
-        return [path]
+        return [_write_csv(out / "frontiers.csv", "u,F0,F1,F0_left,F0_right,F1_left,F1_right", rows)]
 
     grid = TimeGrid(horizon=horizon, step=grid_step, r=cfg.rate)
 
@@ -544,8 +535,8 @@ def export_curves(
         prof = _exact_euler_profile(cfg.perturb)
         ts = prof.edges
         res = euler_residual(prof, G)
-        sf = np.array([G.sf(float(t)) for t in ts])
-        phi0 = np.array([float(prof.phi0(float(t))) for t in ts])
+        sf = G.sf(ts)
+        phi0 = prof.phi0(ts)
         cum = res - sf * phi0
         rows = zip(ts, res, phi0, cum, sf)
         return [_write_csv(out / "residuals.csv", "t,residual,phi0,cum_phi1_dG,one_minus_G", rows)]

@@ -24,10 +24,13 @@ class Frontier:
     """Base class; subclasses fill in `value` and the one-sided derivatives.
 
     ``value`` accepts scalars or numpy arrays. ``left_deriv`` and
-    ``right_deriv`` are scalar-only; ``deriv(us, side)`` gives either side at
-    an array of points. It evaluates per point unless the subclass overrides
-    `_interior_derivs`, as the smoothed frontiers of `frontierkit.smoothing`
-    do to evaluate the whole array at once.
+    ``right_deriv`` are scalar-only, because they sit inside scalar
+    bisections where an array test per call would cost more than the
+    derivative. Every array caller uses ``deriv(us, side)``, or
+    `directional_deriv` to pick the side per point. ``deriv`` evaluates per
+    point unless the subclass overrides `_interior_derivs`, as the smoothed
+    frontiers of `frontierkit.smoothing` do to evaluate the whole array at
+    once.
     """
 
     #: closure of the effective domain, as a pair (lo, hi); hi may be inf
@@ -232,8 +235,7 @@ class ShiftedFrontier(Frontier):
         self.knots = base.knots
 
     def value(self, u):
-        v = self.base.value(u)
-        return v + self.dy if np.ndim(v) == 0 else v + self.dy
+        return self.base.value(u) + self.dy
 
     def _deriv_interior(self, u, side):
         return self.base._deriv_interior(u, side)
@@ -265,25 +267,20 @@ class CutoffFrontier(Frontier):
         return min(self.base.peak, self.cutoff)
 
 
-def one_sided_deriv(f: Frontier, u: float, side: str) -> float:
-    """One-sided derivative of ``f`` at ``u``; ``side`` is 'left' or 'right'."""
-    if side == "left":
-        return f.left_deriv(u)
-    if side == "right":
-        return f.right_deriv(u)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+def directional_deriv(f: Frontier, a, b):
+    """Derivative of ``f`` at ``a`` in the direction of ``b``, elementwise.
 
-
-def directional_deriv(f: Frontier, a: float, b: float) -> float:
-    """Derivative of ``f`` at ``a`` in the direction of ``b``.
-
-    Right derivative if ``a < b``, left if ``a > b``; the ``a == b`` case is
-    inert (it always multiplies a zero difference) and returns the right
-    derivative by convention.
+    Left derivative where ``a > b``, right derivative elsewhere; the
+    ``a == b`` case is inert (it always multiplies a zero difference) and
+    takes the right derivative by convention. ``a`` and ``b`` broadcast; a
+    float comes back for scalars.
     """
-    if a > b:
-        return f.left_deriv(a)
-    return f.right_deriv(a)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    left = a > b
+    out = np.empty(a.shape)
+    out[left] = f.deriv(a[left], "left")
+    out[~left] = f.deriv(a[~left], "right")
+    return out if out.ndim else float(out)
 
 
 def midpoint_concavity_slack(f: Frontier, us: Sequence[float]) -> float:

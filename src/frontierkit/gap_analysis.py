@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, UStarAtOrigin
+from .errors import UStarAtOrigin
 from .technology import Technology
 
 #: shrinking probe radii for the saddle definition's "for every epsilon"
@@ -67,18 +67,15 @@ def shared_supergradient_interval(tech: Technology, u: float) -> tuple[float, fl
 
     Returns ``(lo, hi)`` with ``lo = max_j right_deriv_j(u)`` and
     ``hi = min_j left_deriv_j(u)``; the interval is empty (no shared
-    supergradient) exactly when ``lo > hi``.
+    supergradient) exactly when ``lo > hi``. Raises `DomainError` when ``u``
+    lies outside either frontier's domain closure.
     """
-    for f in (tech.f0, tech.f1):
-        lo_d, hi_d = f.domain
-        if u < lo_d or u > hi_d:
-            raise DomainError(f"u={u:g} outside domain closure [{lo_d:g}, {hi_d:g}]")
     lo = max(tech.f0.right_deriv(u), tech.f1.right_deriv(u))
     hi = min(tech.f0.left_deriv(u), tech.f1.left_deriv(u))
     return lo, hi
 
 
-def _probe_window(psi, u_bar: float, eps: float, lo: float, hi: float):
+def _probe_window(u_bar: float, eps: float, lo: float, hi: float):
     """Sample points strictly left and right of ``u_bar`` within ``eps``."""
     left_lo = max(lo, u_bar - eps)
     right_hi = min(hi, u_bar + eps)
@@ -94,7 +91,8 @@ def is_saddle(
     epsilons=PROBE_EPSILONS,
     domain: tuple[float, float] = (0.0, np.inf),
 ) -> tuple[bool, dict]:
-    """Saddle probe for a scalar function ``psi`` at ``u_bar``.
+    """Saddle probe for a function ``psi`` at ``u_bar``; ``psi`` takes a
+    scalar or an array of points.
 
     True iff, for every probe radius ``eps``, (a) some straddling pair
     ``u < u_bar < u'`` within ``eps`` has ``|psi(u') - psi(u)|/(u' - u) < eps``
@@ -108,16 +106,15 @@ def is_saddle(
     center = float(psi(u_bar))
     witness: dict = {"epsilons": [], "flat_quotients": [], "resolution": min(epsilons)}
     for eps in sorted(epsilons, reverse=True):
-        left, right = _probe_window(psi, u_bar, eps, lo, hi)
+        left, right = _probe_window(u_bar, eps, lo, hi)
         if left.size == 0 or right.size == 0:
             return False, witness
-        lv = np.array([float(psi(x)) for x in left])
-        rv = np.array([float(psi(x)) for x in right])
+        vals = np.asarray(psi(np.concatenate([left, right])), dtype=float)
+        lv, rv = vals[: left.size], vals[left.size :]
         quot = np.abs(rv[None, :] - lv[:, None]) / (right[None, :] - left[:, None])
         flat = float(quot.min())
-        all_vals = np.concatenate([lv, rv])
-        not_max = bool(np.any(all_vals > center + STRICT_TOL))
-        not_min = bool(np.any(all_vals < center - STRICT_TOL))
+        not_max = bool(np.any(vals > center + STRICT_TOL))
+        not_min = bool(np.any(vals < center - STRICT_TOL))
         witness["epsilons"].append(eps)
         witness["flat_quotients"].append(flat)
         if not (flat < eps and not_max and not_min):
@@ -152,8 +149,8 @@ def classify_u_star(tech: Technology) -> GapClassification:
     is_local_max = True
     plateau = False
     for eps in PROBE_EPSILONS:
-        left, right = _probe_window(psi, u, eps, lo, hi)
-        vals = np.array([float(psi(x)) for x in np.concatenate([left, right])])
+        left, right = _probe_window(u, eps, lo, hi)
+        vals = np.asarray(psi(np.concatenate([left, right])), dtype=float)
         if np.any(vals > center + STRICT_TOL):
             is_local_max = False
             break

@@ -76,11 +76,11 @@ class BreakthroughDistribution(MeasureOnTime):
             density_values=np.array([1.0 / (b - a)]),
         )
 
-    def cdf(self, t: float) -> float:
-        """P(tau <= t)."""
-        if t < 0:
-            return 0.0
-        return 1.0 - self.sf(t)
+    def cdf(self, t):
+        """P(tau <= t) at a time or an array of times (a float for a scalar)."""
+        t = np.asarray(t, dtype=float)
+        out = np.where(t < 0, 0.0, 1.0 - self.sf(t))
+        return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +376,8 @@ def _mass_on_region(G: BreakthroughDistribution, in_region, probes) -> float:
     """Approximate G-mass of ``{t : in_region(t)}`` at the probe resolution."""
     mass = sum(m for t, m in G.atoms if in_region(np.array([t]))[0])
     flags = in_region(probes)
-    for k in range(len(probes) - 1):
-        if flags[k] and flags[k + 1]:
-            mass += G.cdf(probes[k + 1]) - G.cdf(probes[k])
+    cell_masses = np.diff(G.cdf(probes))[flags[:-1] & flags[1:]]
+    mass = sum(cell_masses.tolist(), mass)
     if G.tail_mass > 0 and flags[-1]:
         mass += G.sf(float(probes[-1]))
     return float(mass)

@@ -93,18 +93,28 @@ class MeasureOnTime:
             mass += float(np.diff(self.density_edges) @ self.density_values)
         return float(mass)
 
-    def sf(self, t: float) -> float:
-        """``nu((t, inf))``, summed directly from the remaining pieces."""
-        mass = sum(m for s, m in self.atoms if s > t)
+    def sf(self, t):
+        """``nu((t, inf))`` at a time or an array of times (a float for a
+        scalar), summed directly from the remaining pieces.
+
+        Each point's density mass is its own 1-D dot product and its tail
+        term uses `math.exp`: a 2-D matmul and `np.exp` both differ from
+        them in the last bit on some points, and exported residuals would
+        change with them.
+        """
+        ts = np.asarray(t, dtype=float)
+        flat = ts.ravel()
+        mass = np.zeros(flat.shape)
+        for s, m in self.atoms:
+            mass += np.where(flat < s, m, 0.0)
         if self.density_edges is not None:
             e, v = self.density_edges, self.density_values
-            widths = np.clip(e[1:], t, None) - np.clip(e[:-1], t, None)
-            mass += float(widths @ v)
+            widths = np.clip(e[1:], flat[:, None], None) - np.clip(e[:-1], flat[:, None], None)
+            mass += [w @ v for w in widths]
         if self.tail_mass > 0:
-            mass += self.tail_mass * math.exp(
-                -self.tail_rate * max(0.0, t - self.tail_start)
-            )
-        return float(mass)
+            g, start = self.tail_rate, self.tail_start
+            mass += [self.tail_mass * math.exp(-g * max(0.0, x - start)) for x in flat.tolist()]
+        return mass.reshape(ts.shape) if ts.ndim else float(mass[0])
 
     def mass_upto(self, t):
         """``nu([0, t])`` (atoms at exactly t included)."""

@@ -413,21 +413,20 @@ def verify_monster(tech: Technology, sequence: list[SmoothedPair]) -> Verificati
 
     # (d) derivative limits along convergent probes sandwich into [F^+, F^-]
     largest = max(sequence, key=lambda pr: pr.params.n)
-    ok_d, worst = True, 0.0
+    n, half = largest.params.n, 0.5 * largest.params.delta
     probe_points = [0.4 * u0, 0.6 * u0]
     probe_points.extend(k for k in tech.f0.knots if 0 < k < u0)
     probe_points.extend(k for k in tech.f1.knots if 0 < k < u0)
-    for u in probe_points:
-        n = largest.params.n
-        u_n = u - 0.5 * largest.params.delta  # window straddles u itself
-        if u_n <= 0:
-            continue
-        for f_n, f_src in ((largest.f0n, tech.f0), (largest.f1n, tech.f1)):
-            d = f_n.right_deriv(float(u_n))
-            lo_lim = f_src.right_deriv(float(u)) - 2.0 / n - 2.0 * largest.params.gamma
-            hi_lim = f_src.left_deriv(float(u)) + 2.0 / n
-            if not lo_lim <= d <= hi_lim:
-                ok_d = False
-                worst = max(worst, lo_lim - d, d - hi_lim)
+    us = np.array(probe_points)
+    us = us[us - half > 0]  # each window straddles its probe point
+    ok_d, worst = True, 0.0
+    for f_n, f_src in ((largest.f0n, tech.f0), (largest.f1n, tech.f1)):
+        d = f_n.deriv(us - half, "right")
+        lo_lim = f_src.deriv(us, "right") - 2.0 / n - 2.0 * largest.params.gamma
+        hi_lim = f_src.deriv(us, "left") + 2.0 / n
+        inside = (lo_lim <= d) & (d <= hi_lim)
+        if not inside.all():
+            ok_d = False
+            worst = max(worst, float(np.max(np.maximum(lo_lim - d, d - hi_lim)[~inside])))
     rep.add("derivative-limits-sandwich", ok_d, worst_violation=worst)
     return rep

@@ -270,20 +270,20 @@ def verify_ui_assumptions(tech: Technology, grid) -> VerificationReport:
 
     rep.add("conflict-of-interest", 0.0 <= tech.u1 < tech.u0)
 
-    worst = -INF
-    loc = ""
-    checked = False
-    for u in grid:
-        if abs(u - tech.u0) < 1e-9:
-            continue  # derivative comparison is skipped at the peak
-        diff = tech.f1.right_deriv(u) - tech.f0.right_deriv(u)
-        checked = True
-        if diff > worst:
-            worst, loc = diff, f"u={u:g}"
+    # derivative comparison is skipped at the peak; np.argmax takes the
+    # first maximum, or the first NaN, which then fails the check
+    us = np.array(grid)
+    us = us[np.abs(us - tech.u0) >= 1e-9]
+    checked = us.size > 0
+    worst, loc = 0.0, ""
+    if checked:
+        diff = tech.f1.deriv(us, "right") - tech.f0.deriv(us, "right")
+        i = int(np.argmax(diff))
+        worst, loc = float(diff[i]), f"u={us[i]:g}"
     rep.add(
         "gap-derivative-negative",
-        (worst < 0.0) if checked else True,
-        worst_violation=max(0.0, worst) if checked else 0.0,
+        worst < 0.0 if checked else True,
+        worst_violation=float(np.maximum(0.0, worst)),
         location=loc,
         note="" if checked else "skipped (grid only contains the peak)",
     )

@@ -97,12 +97,11 @@ class SupergradientProfile:
         ``phi0`` follows the flow path cell-by-cell; ``phi1`` follows the
         continuation promise continuously.
         """
-        d0 = np.vectorize(lambda u: tech.f0.right_deriv(float(u)))
-        d1 = np.vectorize(lambda u: tech.f1.right_deriv(float(u)))
-        phi0_cells = d0(m.x0)
+        d0 = lambda u: tech.f0.deriv(u, "right")
+        d1 = lambda u: tech.f1.deriv(u, "right")
         return cls(
             edges=m.edges,
-            phi0_cells=np.asarray(phi0_cells, dtype=float),
+            phi0_cells=d0(m.x0),
             phi1_cells=d1(m.X0_at(0.5 * (m.edges[:-1] + m.edges[1:]))),
             phi0_tail=float(d0(m.x0_tail)),
             phi1_tail=float(d1(m.x0_tail)),
@@ -113,17 +112,15 @@ class SupergradientProfile:
     def validity_flags(self, m: Mechanism, tech: Technology) -> np.ndarray:
         """Per-cell supergradient membership at the cell midpoints."""
         mids = 0.5 * (m.edges[:-1] + m.edges[1:])
-        flags = np.empty(len(mids), dtype=bool)
-        for i, t in enumerate(mids):
-            x = float(np.clip(m.x0[i], *tech.f0.domain))
-            X = float(np.clip(m.X0_at(t), *tech.f1.domain))
-            p0 = float(self.phi0(np.array([t]))[0])
-            p1 = float(self.phi1(np.array([t]))[0])
-            flags[i] = (
-                tech.f0.right_deriv(x) - 1e-9 <= p0 <= tech.f0.left_deriv(x) + 1e-9
-                and tech.f1.right_deriv(X) - 1e-9 <= p1 <= tech.f1.left_deriv(X) + 1e-9
-            )
-        return flags
+        x = np.clip(m.x0, *tech.f0.domain)
+        X = np.clip(m.X0_at(mids), *tech.f1.domain)
+        p0, p1 = self.phi0(mids), self.phi1(mids)
+        return (
+            (tech.f0.deriv(x, "right") - 1e-9 <= p0)
+            & (p0 <= tech.f0.deriv(x, "left") + 1e-9)
+            & (tech.f1.deriv(X, "right") - 1e-9 <= p1)
+            & (p1 <= tech.f1.deriv(X, "left") + 1e-9)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +139,11 @@ def euler_residual(
     edges = prof.edges if edges is None else np.asarray(edges, dtype=float)
     mids = 0.5 * (edges[:-1] + edges[1:])
     phi1_mid = prof.phi1(mids)
-    cdf_vals = np.array([G.cdf(float(t)) for t in edges])
+    cdf_vals = G.cdf(edges)
     cum = np.concatenate([[0.0], np.cumsum(phi1_mid * np.diff(cdf_vals))])
     # an atom exactly at 0 belongs to [0, t_k] for every k
     atom0 = sum(m * float(prof.phi1(np.array([0.0]))[0]) for s, m in G.atoms if s == 0.0)
-    sf_vals = np.array([G.sf(float(t)) for t in edges])
+    sf_vals = G.sf(edges)
     phi0_vals = np.asarray(prof.phi0(edges), dtype=float)
     out = np.where(sf_vals > 0.0, sf_vals * phi0_vals + cum + atom0, np.nan)
     return out
@@ -182,13 +179,13 @@ def integrability_bounds(
     e_phi = expect(G, Phi, edges)
     e_abs1 = expect(G, lambda t: np.abs(prof.phi1(t)), edges)
 
-    d0 = np.vectorize(lambda u: directional_deriv(tech.f0, float(u), probe_u))
-    d1 = np.vectorize(lambda u: directional_deriv(tech.f1, float(u), probe_u))
     psi0_cum = cumulative(
-        lambda t: r * np.exp(-r * t) * d0(m.x0_at(t)), edges
+        lambda t: r * np.exp(-r * t) * directional_deriv(tech.f0, m.x0_at(t), probe_u), edges
     )
     psi0 = expect(G, psi0_cum, edges)
-    psi1 = expect(G, lambda t: np.exp(-r * t) * d1(m.X0_at(t)), edges)
+    psi1 = expect(
+        G, lambda t: np.exp(-r * t) * directional_deriv(tech.f1, m.X0_at(t), probe_u), edges
+    )
 
     slack = e_abs1 - e_phi
     return IntegrabilityReport(
@@ -206,8 +203,8 @@ def warmup_identity(G: BreakthroughDistribution, r: float) -> float:
     edges = integration_edges(G, r)
 
     def integrand(t):
-        sf = np.array([G.sf(float(s)) for s in np.atleast_1d(t)])
-        return r * np.exp(-r * np.asarray(t)) / np.where(sf > 0, sf, np.nan)
+        sf = G.sf(t)
+        return r * np.exp(-r * t) / np.where(sf > 0, sf, np.nan)
 
     cum = cumulative(integrand, edges)
     return expect(G, cum, edges)
@@ -245,9 +242,7 @@ def gateaux_closed_form(
     m, m_dag = _align(m, m_dag)
     if check_validity:
         flags = prof.validity_flags(m, tech)
-        sf_mids = np.array(
-            [G.sf(float(t)) for t in 0.5 * (m.edges[:-1] + m.edges[1:])]
-        )
+        sf_mids = G.sf(0.5 * (m.edges[:-1] + m.edges[1:]))
         if np.any(~flags & (sf_mids > 0)):
             raise InvalidProfile("profile is not a supergradient where G(t) < 1")
 
@@ -255,24 +250,17 @@ def gateaux_closed_form(
     edges = integration_edges(G, r, [*m.edges, *m_dag.edges])
     dx = lambda t: m_dag.x0_at(t) - m.x0_at(t)
     dX = lambda t: m_dag.X0_at(t) - m.X0_at(t)
-    sf = np.vectorize(lambda t: G.sf(float(t)))
 
     term_b = integral(
-        lambda t: r * np.exp(-r * t) * sf(t) * prof.phi0(t) * dx(t), edges
+        lambda t: r * np.exp(-r * t) * G.sf(t) * prof.phi0(t) * dx(t), edges
     )
     cum1 = cumulative_against(prof.phi1, G, edges)
     term_c = integral(lambda t: r * np.exp(-r * t) * cum1(t) * dx(t), edges)
 
-    d0 = np.vectorize(
-        lambda a, b: directional_deriv(tech.f0, float(a), float(b))
-    )
-    d1 = np.vectorize(
-        lambda a, b: directional_deriv(tech.f1, float(a), float(b))
-    )
     corr0_cum = cumulative(
         lambda t: r
         * np.exp(-r * t)
-        * (d0(m.x0_at(t), m_dag.x0_at(t)) - prof.phi0(t))
+        * (directional_deriv(tech.f0, m.x0_at(t), m_dag.x0_at(t)) - prof.phi0(t))
         * dx(t),
         edges,
     )
@@ -280,7 +268,7 @@ def gateaux_closed_form(
     corr1 = expect(
         G,
         lambda t: np.exp(-r * t)
-        * (d1(m.X0_at(t), m_dag.X0_at(t)) - prof.phi1(t))
+        * (directional_deriv(tech.f1, m.X0_at(t), m_dag.X0_at(t)) - prof.phi1(t))
         * dX(t),
         edges,
     )

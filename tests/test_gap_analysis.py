@@ -3,6 +3,7 @@ import pytest
 
 from frontierkit import (
     CallableFrontier,
+    DomainError,
     PiecewiseLinearFrontier,
     QuadraticFrontier,
     Technology,
@@ -65,6 +66,12 @@ class TestSharedSupergradientInterval:
         lo, hi = shared_supergradient_interval(tech, 1.0)
         assert (lo, hi) == (f.right_deriv(1.0), f.left_deriv(1.0))
         assert (lo, hi) == (-1.0, 1.0)
+
+    def test_out_of_domain_raises_for_the_first_frontier_that_excludes_u(self):
+        tech = mutual_kink_tech()  # F0 on [0, 2], F1 on [0, 1.5]
+        for u, closure in ((1.8, r"\[0, 1.5\]"), (2.5, r"\[0, 2\]"), (-0.5, r"\[0, 2\]")):
+            with pytest.raises(DomainError, match=rf"u={u:g} outside domain closure {closure}"):
+                shared_supergradient_interval(tech, u)
 
 
 class TestIsSaddle:

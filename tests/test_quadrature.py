@@ -23,14 +23,62 @@ def full_measure():
     )
 
 
+def probe_times(nu):
+    """Atoms, density edges, the tail start, times below 0 and far in the
+    tail; dense enough in the tail that `np.exp` would differ from `math.exp`."""
+    tail = np.linspace(2.0, 42.0, 2001)
+    return np.array([*nu.knots, *np.linspace(-0.5, 8.0, 35), *tail, -3.0, 800.0])
+
+
+def unit_distribution():
+    """`full_measure`'s kinds of pieces with unit total mass."""
+    return BreakthroughDistribution(
+        atoms=((0.0, 0.1), (0.7, 0.15)),
+        density_edges=np.array([0.0, 0.5, 1.5]),
+        density_values=np.array([0.2, 0.4]),
+        tail_rate=1.3,
+        tail_mass=0.25,
+        tail_start=2.0,
+    )
+
+
+def sf_reference(nu, t: float) -> float:
+    """Per-point survival sum: one 1-D dot product, `math.exp` for the tail."""
+    mass = sum(m for s, m in nu.atoms if s > t)
+    if nu.density_edges is not None:
+        e = nu.density_edges
+        mass += float((np.clip(e[1:], t, None) - np.clip(e[:-1], t, None)) @ nu.density_values)
+    if nu.tail_mass > 0:
+        mass += nu.tail_mass * math.exp(-nu.tail_rate * max(0.0, t - nu.tail_start))
+    return float(mass)
+
+
 class TestMeasureOnTime:
     def test_mass_upto_plus_sf_is_total_mass(self):
         nu = full_measure()
         total = nu.total_mass()
         assert total == pytest.approx(0.6 + 0.2 + 0.8 + 0.6, abs=1e-15)
-        for t in np.linspace(-0.5, 8.0, 35):
-            lhs = float(nu.mass_upto(t)) + nu.sf(float(t))
-            assert lhs == pytest.approx(total, abs=1e-14)
+        t = np.linspace(-0.5, 8.0, 35)
+        np.testing.assert_allclose(nu.mass_upto(t) + nu.sf(t), total, rtol=0, atol=1e-14)
+
+    def test_array_sf_and_cdf_are_the_scalar_values_bit_for_bit(self):
+        # many density pieces, where a 2-D matmul would differ from the 1-D dots
+        fine = MeasureOnTime(
+            density_edges=np.linspace(0.0, 3.0, 13),
+            density_values=np.random.default_rng(5).uniform(0.1, 1.0, 12),
+        )
+        G = unit_distribution()
+        for nu, accessor in ((full_measure(), "sf"), (fine, "sf"), (G, "sf"), (G, "cdf")):
+            fn = getattr(nu, accessor)
+            ts = probe_times(nu)
+            scalar = np.array([fn(float(t)) for t in ts])
+            ref = np.array([sf_reference(nu, float(t)) for t in ts])
+            if accessor == "cdf":
+                ref = np.where(ts < 0, 0.0, 1.0 - ref)
+            np.testing.assert_array_equal(scalar, ref)
+            assert all(type(fn(float(t))) is float for t in ts[:3])
+            np.testing.assert_array_equal(fn(ts), scalar)
+            np.testing.assert_array_equal(fn(ts[:, None]), scalar[:, None])
 
     def test_mass_upto_includes_atoms_at_t(self):
         nu = full_measure()

@@ -12,9 +12,11 @@ from frontierkit import (
     PiecewiseLinearFrontier,
     PowerCost,
     PowerUtility,
+    QuadraticFrontier,
+    Technology,
+    directional_deriv,
     effort_star,
     make_moral_hazard_technology,
-    one_sided_deriv,
     verify_ui_assumptions,
 )
 from frontierkit.technology import effort_star_array
@@ -150,13 +152,28 @@ class TestOneSidedDerivatives:
         h = 1e-7
         fd = (default_tech.f0.value(0.5 + h) - default_tech.f0.value(0.5 - h)) / (2 * h)
         assert abs(fd) < 1e-6
-        assert abs(one_sided_deriv(default_tech.f0, 0.5, "left")) < 1e-10
-        assert abs(one_sided_deriv(default_tech.f0, 0.5, "right")) < 1e-10
+        assert abs(default_tech.f0.left_deriv(0.5)) < 1e-10
+        assert abs(default_tech.f0.right_deriv(0.5)) < 1e-10
 
     def test_piecewise_linear_kink(self):
         f = PiecewiseLinearFrontier([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
-        assert one_sided_deriv(f, 1.0, "left") == 1.0
-        assert one_sided_deriv(f, 1.0, "right") == -1.0
+        assert f.left_deriv(1.0) == 1.0
+        assert f.right_deriv(1.0) == -1.0
+
+    def test_array_directional_deriv_is_the_scalar_side_per_element(self, default_tech):
+        kinked = PiecewiseLinearFrontier([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+        # a < b, a > b, a == b, both domain ends (+inf/-inf) and the kink at 1
+        a = np.array([0.5, 0.5, 0.5, 0.0, 0.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.5])
+        b = np.array([0.9, 0.1, 0.5, -1.0, 0.5, 3.0, 1.0, 2.0, 0.0, 1.0, 1.5])
+        for f in (kinked, default_tech.f0, default_tech.f1):
+            expected = [f.left_deriv(x) if x > y else f.right_deriv(x) for x, y in zip(a, b)]
+            np.testing.assert_array_equal(directional_deriv(f, a, b), expected)
+            column = directional_deriv(f, a[:, None], b[:, None])
+            np.testing.assert_array_equal(column[:, 0], expected)
+            assert directional_deriv(f, 0.5, 0.1) == f.left_deriv(0.5)
+        assert directional_deriv(kinked, 0.0, -1.0) == math.inf
+        assert directional_deriv(kinked, 2.0, 3.0) == -math.inf
+        np.testing.assert_array_equal(directional_deriv(kinked, 1.0, [2.0, 0.0]), [-1.0, 1.0])
 
     def test_peak_sandwich(self, default_tech):
         for f in (default_tech.f0, default_tech.f1):
@@ -210,6 +227,25 @@ class TestVerifyUiAssumptions:
         rep = verify_ui_assumptions(corner_tech, grid)
         assert rep.overall_pass
         assert rep["peak-identity"].note == "not applicable (corner)"
+
+    def test_nan_derivative_gap_fails(self):
+        class NanAtHalf(QuadraticFrontier):
+            def _deriv_interior(self, u, side):
+                if side == "right" and u == 0.5:
+                    return math.nan
+                return super()._deriv_interior(u, side)
+
+        # F1' - F0' = -1 everywhere except the NaN at u = 0.5
+        f0 = QuadraticFrontier(0.0, 2.0, -1.0)
+        f1 = NanAtHalf(-0.5, 1.0, -1.0)
+        tech = Technology(f0=f0, f1=f1, u0=1.0, u1=0.5, u_star=0.0)
+        check = verify_ui_assumptions(tech, np.linspace(0.0, 1.0, 11))["gap-derivative-negative"]
+        assert not check.passed
+        assert check.location == "u=0.5"
+        assert math.isnan(check.worst_violation)
+        tech.f1 = QuadraticFrontier(-0.5, 1.0, -1.0)
+        check = verify_ui_assumptions(tech, np.linspace(0.0, 1.0, 11))["gap-derivative-negative"]
+        assert check.passed and check.location == "u=0" and check.worst_violation == 0.0
 
     def test_degenerate_grid(self, default_tech):
         rep = verify_ui_assumptions(default_tech, [default_tech.u0])

@@ -1,8 +1,11 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import frontierkit
 from frontierkit import (
     PiecewiseLinearFrontier,
     PreconditionViolation,
@@ -331,3 +334,12 @@ class TestStrictConcavity:
             G = BreakthroughDistribution.exponential(float(rng.uniform(0.5, 2.0)))
             gap, valid = strict_concavity_probe(m, m_dag, lam, tech, G)
             assert valid and gap > 0
+
+
+def test_package_has_no_np_vectorize():
+    # np.vectorize is a Python loop over points; survival, cdf and the
+    # frontier derivatives take arrays instead
+    src = Path(frontierkit.__file__).parent
+    pattern = re.compile(r"\b(?:np|numpy)\.vectorize\b|\bvectorize\s*\(")
+    offenders = [p.name for p in sorted(src.rglob("*.py")) if pattern.search(p.read_text())]
+    assert offenders == []
