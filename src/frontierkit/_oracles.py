@@ -1,71 +1,49 @@
-"""Brute-force reference maximizers used only by the test suites.
+"""Exact reference maximizers used only by the test suites.
 
 Kept in the package (not the tests) so the CLI's randomized suites can reuse
-them, but never called from the production solvers they cross-check.
+them, but never called from the production solvers they cross-check, and
+sharing no code with them.
 """
 
 from __future__ import annotations
 
+import itertools
 
 import numpy as np
 
-from .mixture import FrontierDistribution, _alloc_ceiling, _alloc_floor
+from .frontiers import QuadraticFrontier
 
 
-def brute_force_mixture_value(
-    dist: FrontierDistribution,
-    u: float,
-    step: float = 1e-3,
-    cap: float | None = None,
-) -> float:
-    """Grid maximization over allocations with expectation ``u``.
+def brute_force_mixture_value(dist, u: float, cap: float | None = None) -> float:
+    """Exact mixture value at expectation ``u`` for quadratic members.
 
-    The last member's allocation is eliminated through the expectation
-    constraint. Free coordinates are scanned on a shrinking multi-resolution
-    grid down to the requested step, which is safe for concave objectives.
+    At an optimum each member ``a + b*x + c*x**2`` sits at its floor
+    ``max(0, domain lo)``, at its ceiling ``min(cap, domain hi)``, or is free,
+    and the free members share one slope ``eta``: ``x = (eta - b) / (2c)``,
+    with ``eta`` fixed by the expectation constraint. Every one of the
+    ``3**k`` assignments gives at most one allocation; the optimum is among
+    them, so the best feasible one is the mixture value (``-inf`` if none is).
     """
     members, probs = dist.members, dist.probs
+    if not all(isinstance(f, QuadraticFrontier) for f in members):
+        raise TypeError("the exact mixture oracle needs quadratic members")
     if cap is None:
         cap = max(10.0 * (1.0 + max(f.peak for f in members)), 2.0 * u + 1.0)
-    floors = np.array([_alloc_floor(f) for f in members])
-    ceils = np.array([_alloc_ceiling(f, cap) for f in members])
-    k = len(members)
-    if k == 1:
-        return float(members[0].value(u))
+    a, b, c = np.array([f.coeffs for f in members]).T
+    lo = np.array([max(0.0, f.domain[0]) for f in members])
+    hi = np.array([min(cap, f.domain[1]) for f in members])
 
-    # eliminate the largest-probability member through the constraint so the
-    # implied coordinate is least sensitive to the free ones
-    last = int(np.argmax(probs))
-    free = [i for i in range(k) if i != last]
-    centers = 0.5 * (floors[free] + ceils[free])
-    radii = 0.5 * (ceils[free] - floors[free])
-    best_val, best_x = -np.inf, centers.copy()
-    points_per_dim = 13 if k <= 3 else 9
-
-    while True:
-        axes = [
-            np.linspace(
-                max(floors[i], centers[j] - radii[j]),
-                min(ceils[i], centers[j] + radii[j]),
-                points_per_dim,
-            )
-            for j, i in enumerate(free)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh])  # one free combo per column
-        x_last = (u - probs[free] @ pts) / probs[last]
-        valid = (x_last >= floors[last] - 1e-12) & (x_last <= ceils[last] + 1e-12)
-        vals = probs[last] * np.asarray(members[last].value(x_last), dtype=float)
-        for j, i in enumerate(free):
-            vals = vals + probs[i] * np.asarray(members[i].value(pts[j]), dtype=float)
-        vals = np.where(valid, vals, -np.inf)
-        idx = int(np.argmax(vals))
-        if vals[idx] > best_val:
-            best_val, best_x = float(vals[idx]), pts[:, idx].copy()
-        if np.all(radii <= step):
-            break
-        # halve the window around the incumbent; the margin of two grid
-        # spacings keeps the true argmax inside for concave objectives
-        centers = best_x
-        radii = np.maximum(radii / 2.0, step / 2)
-    return float(best_val)
+    # one row per assignment: 0 floor, 1 ceiling, 2 free
+    state = np.array(list(itertools.product((0, 1, 2), repeat=len(members))))
+    free = state == 2
+    x = np.where(state == 0, lo, hi)
+    slope_mass = np.where(free, probs / (2.0 * c), 0.0)  # d(expectation)/d(eta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = (u - np.where(free, 0.0, probs * x).sum(1) + (slope_mass * b).sum(1)) / slope_mass.sum(1)
+    x = np.where(free, (eta[:, None] - b) / (2.0 * c), x)
+    # rows without a free member meet the constraint only at a corner total
+    feasible = np.all((x >= lo) & (x <= hi), axis=1) & (np.abs(x @ probs - u) <= 1e-12)
+    if not feasible.any():
+        return -np.inf
+    x = x[feasible]
+    return float(np.max((a + b * x + c * x * x) @ probs))

@@ -558,11 +558,10 @@ def export_curves(
 
 def _cmd_frontier(cfg: InstanceConfig, args) -> int:
     tech = cfg.technology()
-    prims = cfg.primitives()
     print(f"u0 = {tech.u0:.12g}")
     print(f"u1 = {tech.u1:.12g}")
     print(f"u_star = {tech.u_star:.12g}")
-    print(f"L_star(u1) = {effort_star(prims, tech.u1):.12g}")
+    print(f"L_star(u1) = {effort_star(tech.prims, tech.u1):.12g}")
     if args.out:
         for path in export_curves(cfg, "frontiers", args.out, grid_step=args.grid_step):
             print(f"wrote {path}")

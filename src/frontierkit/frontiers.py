@@ -21,16 +21,23 @@ INF = math.inf
 
 
 class Frontier:
-    """Base class; subclasses fill in `value` and the one-sided derivatives.
+    """Base class: domain, edge and scalar/array handling around two hooks.
 
-    ``value`` accepts scalars or numpy arrays. ``left_deriv`` and
-    ``right_deriv`` are scalar-only, because they sit inside scalar
+    A subclass implements exactly two hooks, both on in-domain points only:
+
+    - ``_values(us)`` takes a 1-D array of points inside the domain closure
+      and returns their values;
+    - ``_derivs(u, side)`` takes a float or an array of interior points and
+      returns the ``side`` ("left" or "right") derivative in the same shape.
+
+    This class does the rest. ``value`` accepts a scalar or an array, gives
+    ``-inf`` outside the domain and a ``float`` for a scalar. ``left_deriv``
+    and ``right_deriv`` are scalar-only, because they sit inside scalar
     bisections where an array test per call would cost more than the
-    derivative. Every array caller uses ``deriv(us, side)``, or
-    `directional_deriv` to pick the side per point. ``deriv`` evaluates per
-    point unless the subclass overrides `_interior_derivs`, as the smoothed
-    frontiers of `frontierkit.smoothing` do to evaluate the whole array at
-    once.
+    derivative: they check the domain, return ``+inf``/``-inf`` at its ends
+    and pass a float to the hook. Every array caller uses ``deriv(us,
+    side)``, which passes the whole interior array to the hook at once, or
+    `directional_deriv` to pick the side per point.
     """
 
     #: closure of the effective domain, as a pair (lo, hi); hi may be inf
@@ -39,11 +46,19 @@ class Frontier:
     #: derivative breakpoints, if any (used for exact windowed integrals)
     knots: tuple[float, ...] = ()
 
-    def value(self, u):
+    def _values(self, us: np.ndarray):
         raise NotImplementedError
 
-    def _deriv_interior(self, u: float, side: str) -> float:
+    def _derivs(self, u, side: str):
         raise NotImplementedError
+
+    def value(self, u):
+        us = np.asarray(u, dtype=float)
+        lo, hi = self.domain
+        inside = (us >= lo) & (us <= hi)
+        out = np.full(us.shape, -INF)
+        out[inside] = self._values(us[inside])
+        return float(out) if out.ndim == 0 else out
 
     def _check_domain(self, u: float) -> None:
         lo, hi = self.domain
@@ -54,13 +69,13 @@ class Frontier:
         self._check_domain(u)
         if u <= self.domain[0]:
             return INF
-        return self._deriv_interior(u, "left")
+        return float(self._derivs(u, "left"))
 
     def right_deriv(self, u: float) -> float:
         self._check_domain(u)
         if u >= self.domain[1]:
             return -INF
-        return self._deriv_interior(u, "right")
+        return float(self._derivs(u, "right"))
 
     def deriv(self, us, side: str) -> np.ndarray:
         """``left_deriv`` or ``right_deriv`` (``side``) at each point of ``us``.
@@ -76,11 +91,8 @@ class Frontier:
             self._check_domain(float(us[outside][0]))
         edge = us <= lo if side == "left" else us >= hi
         out = np.full(us.shape, INF if side == "left" else -INF)
-        out[~edge] = self._interior_derivs(us[~edge], side)
+        out[~edge] = self._derivs(us[~edge], side)
         return out
-
-    def _interior_derivs(self, us: np.ndarray, side: str):
-        return [self._deriv_interior(u, side) for u in us.tolist()]
 
     @property
     def peak(self) -> float:
@@ -112,12 +124,17 @@ class Frontier:
 
 
 class ParametricFrontier(Frontier):
-    """Smooth concave frontier given by closed-form value and derivative."""
+    """Smooth concave frontier given by closed-form value and derivative.
+
+    ``value_fn`` and ``deriv_fn`` are elementwise: each takes a float or an
+    array and returns the same shape, so ``deriv`` evaluates a whole array in
+    one ``deriv_fn`` call. Both sides share ``deriv_fn``.
+    """
 
     def __init__(
         self,
         value_fn: Callable,
-        deriv_fn: Callable[[float], float],
+        deriv_fn: Callable,
         domain: tuple[float, float] = (0.0, INF),
         peak: float | None = None,
         knots: Sequence[float] = (),
@@ -129,15 +146,12 @@ class ParametricFrontier(Frontier):
         if peak is not None:
             self._peak = float(peak)
 
-    def value(self, u):
-        u = np.asarray(u, dtype=float)
-        lo, hi = self.domain
-        inside = (u >= lo) & (u <= hi)
-        out = np.where(inside, self._value_fn(np.clip(u, lo, min(hi, 1e300))), -INF)
-        return float(out) if out.ndim == 0 else out
+    def _values(self, us):
+        # an unbounded domain holds +inf, where a closed form gives nan
+        return self._value_fn(np.minimum(us, 1e300))
 
-    def _deriv_interior(self, u, side):
-        return float(self._deriv_fn(u))
+    def _derivs(self, u, side):
+        return self._deriv_fn(u)
 
 
 class QuadraticFrontier(ParametricFrontier):
@@ -163,7 +177,9 @@ class AffineFrontier(ParametricFrontier):
         if math.isinf(domain[1]):
             raise ValueError("affine frontier needs a bounded domain")
         peak = domain[1] if b >= 0 else domain[0]
-        super().__init__(lambda u: a + b * u, lambda u: b, domain=domain, peak=peak)
+        super().__init__(
+            lambda u: a + b * u, lambda u: np.full_like(u, b), domain=domain, peak=peak
+        )
         self.coeffs = (a, b)
 
 
@@ -182,47 +198,35 @@ class PiecewiseLinearFrontier(Frontier):
         self.domain = (float(xs[0]), float(xs[-1]))
         self.knots = tuple(xs[1:-1])
 
-    def value(self, u):
-        u = np.asarray(u, dtype=float)
-        inside = (u >= self.xs[0]) & (u <= self.xs[-1])
-        out = np.where(inside, np.interp(u, self.xs, self.ys), -INF)
-        return float(out) if out.ndim == 0 else out
+    def _values(self, us):
+        return np.interp(us, self.xs, self.ys)
 
-    def _deriv_interior(self, u, side):
-        # segment index such that u lies in [xs[i], xs[i+1]]
-        i = int(np.searchsorted(self.xs, u, side="left" if side == "left" else "right"))
-        i = min(max(i - 1, 0), len(self.slopes) - 1)
-        return float(self.slopes[i])
+    def _derivs(self, u, side):
+        # segment index i such that u lies in [xs[i], xs[i+1]]; at a kink the
+        # left side takes the segment below it, the right side the one above
+        i = np.searchsorted(self.xs, u, side=side) - 1
+        return self.slopes[np.clip(i, 0, len(self.slopes) - 1)]
 
     def _compute_peak(self) -> float:
         i = int(np.argmax(self.ys))
         return float(self.xs[i])
 
 
-class CallableFrontier(Frontier):
+class CallableFrontier(ParametricFrontier):
     """Black-box concave function; one-sided difference quotients, step 1e-6."""
 
     FD_STEP = 1e-6
 
     def __init__(self, fn: Callable, domain=(0.0, INF), peak: float | None = None):
-        self._fn = fn
-        self.domain = (float(domain[0]), float(domain[1]))
-        if peak is not None:
-            self._peak = float(peak)
+        super().__init__(fn, None, domain=domain, peak=peak)
 
-    def value(self, u):
-        u = np.asarray(u, dtype=float)
+    def _derivs(self, u, side):
+        # the step shrinks to fit inside the domain
         lo, hi = self.domain
-        inside = (u >= lo) & (u <= hi)
-        out = np.where(inside, self._fn(np.clip(u, lo, min(hi, 1e300))), -INF)
-        return float(out) if out.ndim == 0 else out
-
-    def _deriv_interior(self, u, side):
-        h = self.FD_STEP
         if side == "left":
-            h = min(h, u - self.domain[0])
+            h = np.minimum(self.FD_STEP, u - lo)
             return (self.value(u) - self.value(u - h)) / h
-        h = min(h, self.domain[1] - u) if not math.isinf(self.domain[1]) else h
+        h = np.minimum(self.FD_STEP, hi - u)
         return (self.value(u + h) - self.value(u)) / h
 
 
@@ -234,11 +238,11 @@ class ShiftedFrontier(Frontier):
         self.domain = base.domain
         self.knots = base.knots
 
-    def value(self, u):
-        return self.base.value(u) + self.dy
+    def _values(self, us):
+        return self.base._values(us) + self.dy
 
-    def _deriv_interior(self, u, side):
-        return self.base._deriv_interior(u, side)
+    def _derivs(self, u, side):
+        return self.base._derivs(u, side)
 
     def _compute_peak(self):
         return self.base.peak
@@ -254,14 +258,11 @@ class CutoffFrontier(Frontier):
         self.domain = (base.domain[0], min(base.domain[1], self.cutoff))
         self.knots = tuple(k for k in base.knots if k < self.cutoff)
 
-    def value(self, u):
-        u_arr = np.asarray(u, dtype=float)
-        inside = (u_arr >= self.domain[0]) & (u_arr <= self.domain[1])
-        out = np.where(inside, self.base.value(np.clip(u_arr, *self.domain)), -INF)
-        return float(out) if out.ndim == 0 else out
+    def _values(self, us):
+        return self.base._values(us)
 
-    def _deriv_interior(self, u, side):
-        return self.base._deriv_interior(u, side)
+    def _derivs(self, u, side):
+        return self.base._derivs(u, side)
 
     def _compute_peak(self):
         return min(self.base.peak, self.cutoff)

@@ -186,32 +186,29 @@ class _PiecewiseFrontier(Frontier):
             self._peak = float(peak)
 
     def _dispatch(self, u, what: str):
-        """Piece ``what`` ('val' or 'der') at a scalar or an array ``u``.
+        """Piece ``what`` ('val' or 'der') at in-domain ``u``, in the shape of ``u``.
 
         A point goes to the first piece whose ``hi`` it does not exceed, so a
-        join belongs to the piece on its left. A value outside the domain is
-        ``-inf``. Batch pieces get all their points in one call.
+        join belongs to the piece on its left. Batch pieces get all their
+        points in one call.
         """
         us = np.atleast_1d(np.asarray(u, dtype=float))
         idx = np.minimum(np.searchsorted(self._his, us), len(self.pieces) - 1)
-        out = np.full_like(us, -INF)
-        live = ~((us < self.domain[0]) | (us > self.domain[1]))
-        for i in set(idx[live].tolist()):
+        out = np.empty_like(us)
+        for i in set(idx.tolist()):
             piece = self.pieces[i]
             fn = getattr(piece, what)
-            sel = live & (idx == i)
+            sel = idx == i
             out[sel] = fn(us[sel]) if piece.batch else [fn(x) for x in us[sel].tolist()]
-        return float(out[0]) if np.ndim(u) == 0 else out
+        return out.reshape(np.shape(u))
 
-    def value(self, u):
-        return self._dispatch(u, "val")
+    def _values(self, us):
+        return self._dispatch(us, "val")
 
-    def _deriv_interior(self, u, side):
+    def _derivs(self, u, side):
         # continuously differentiable by construction: both sides are the
         # derivative of the piece holding u
         return self._dispatch(u, "der")
-
-    _interior_derivs = _deriv_interior
 
 
 @dataclass
@@ -351,16 +348,11 @@ class _StrictFixFrontier(Frontier):
     def _bump(self, u):
         return self.eps * np.square(np.minimum(u - self.u_star, 0.0))
 
-    def value(self, u):
-        return self.base.value(u) - self._bump(np.asarray(u, dtype=float))
+    def _values(self, us):
+        return self.base._values(us) - self._bump(us)
 
-    def _deriv_interior(self, u, side):
-        d = self.base._deriv_interior(u, side)
-        return d - 2.0 * self.eps * min(u - self.u_star, 0.0)
-
-    def _interior_derivs(self, us, side):
-        d = self.base._interior_derivs(us, side)
-        return d - 2.0 * self.eps * np.minimum(us - self.u_star, 0.0)
+    def _derivs(self, u, side):
+        return self.base._derivs(u, side) - 2.0 * self.eps * np.minimum(u - self.u_star, 0.0)
 
     def _compute_peak(self):
         return self.base.peak

@@ -176,18 +176,18 @@ class _PostBreakthroughFrontier(ParametricFrontier):
         self._prims = prims
         super().__init__(self._val, self._deriv, domain=(0.0, INF))
 
-    def _val(self, u):
+    def _val(self, us):
         p = self._prims
-        L = effort_star_array(p, u)
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        out = u_arr + p.lam * (p.w * L - p.phi.phi_inv(u_arr + p.kappa.kappa(L)))
-        return out if np.ndim(u) else float(out[0])
+        L = effort_star_array(p, us)
+        return us + p.lam * (p.w * L - p.phi.phi_inv(us + p.kappa.kappa(L)))
 
     def _deriv(self, u):
-        # envelope theorem: only the direct u-dependence matters
+        # envelope theorem: only the direct u-dependence matters. The effort
+        # comes from the scalar solve, one point at a time, because
+        # `effort_star_array` differs from it in the last bits
         p = self._prims
-        L = effort_star(p, float(u))
-        return 1.0 - p.lam / float(p.phi.phi_prime_at_inv(u + p.kappa.kappa(L)))
+        L = np.reshape([effort_star(p, x) for x in np.ravel(u).tolist()], np.shape(u))
+        return 1.0 - p.lam / p.phi.phi_prime_at_inv(u + p.kappa.kappa(L))
 
 
 def make_frontier_f0(prims: MoralHazardPrimitives) -> Frontier:
@@ -197,7 +197,7 @@ def make_frontier_f0(prims: MoralHazardPrimitives) -> Frontier:
     )
     return ParametricFrontier(
         lambda u: u - p.lam * p.phi.phi_inv(u),
-        lambda u: 1.0 - p.lam / float(p.phi.phi_prime_at_inv(u)),
+        lambda u: 1.0 - p.lam / p.phi.phi_prime_at_inv(u),
         domain=(0.0, INF),
         peak=u0,
     )

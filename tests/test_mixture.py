@@ -115,6 +115,26 @@ class TestRandomizedAgainstBruteForce:
             oracle = brute_force_mixture_value(dist, u)
             assert abs(val - oracle) < 1e-5, f"trial {trial}: {val} vs {oracle}"
 
+    def test_optimum_with_a_member_at_its_floor(self):
+        # trial 93 of `frontierkit verify mixture` at seed 42: the optimum
+        # puts the first member at 0, which a shrinking grid missed by 3.2e-3
+        coeffs = [
+            (1.0397851786288752, 1.103564337093495, -0.7490939486209597),
+            (-0.6571317134030441, 2.420623303018998, -0.8218084588402155),
+            (-3.4032289033530407, 4.233678203718005, -0.8861335435180571),
+        ]
+        probs = [0.5591559837183607, 0.03163815187556378, 0.40920586440607565]
+        dist = FrontierDistribution([(QuadraticFrontier(*c), p) for c, p in zip(coeffs, probs)])
+        u = 0.6051519806461108
+        val, alloc = mixture_value(dist, u)
+        assert alloc.values[0] == 0.0
+        assert abs(val - brute_force_mixture_value(dist, u)) < 1e-12
+
+    def test_oracle_rejects_non_quadratic_members(self):
+        dist = FrontierDistribution([(PiecewiseLinearFrontier([0.0, 1.0], [0.0, 1.0]), 1.0)])
+        with pytest.raises(TypeError):
+            brute_force_mixture_value(dist, 0.5)
+
 
 class TestRegularityReport:
     def test_quad_pair_report(self):

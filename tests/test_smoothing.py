@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import assert_batched_equals_scalar
 from frontierkit import technology
 from frontierkit.errors import DomainError, ParamsOutOfRange
 from frontierkit.frontiers import (
@@ -209,37 +210,6 @@ def probe_points(f, hi):
     return np.concatenate([[0.0, 5e-324, hi, np.inf], near, np.linspace(0.0, hi, 37)])
 
 
-def piece_by_piece(f, u, what):
-    """The per-point piece lookup of a `_PiecewiseFrontier`, as a plain loop."""
-    if what == "value" and (u < f.domain[0] or u > f.domain[1]):
-        return -np.inf
-    if what == "left":
-        for p in reversed(f.pieces):
-            if u > p.lo:
-                return p.der(u)
-    piece = next((p for p in f.pieces if u <= p.hi), f.pieces[-1])
-    return piece.val(u) if what == "value" else piece.der(u)
-
-
-def assert_batched_equals_scalar(f, us):
-    outside = np.array([-1.0, -5e-324])
-    both = np.concatenate([outside, us])
-    np.testing.assert_array_equal(f.value(both), [f.value(float(u)) for u in both])
-    assert np.all(f.value(outside) == -np.inf)
-    for side in ("left", "right"):
-        scalar = f.left_deriv if side == "left" else f.right_deriv
-        np.testing.assert_array_equal(f.deriv(us, side), [scalar(float(u)) for u in us])
-        with pytest.raises(DomainError):
-            f.deriv(np.array([0.1, -1.0]), side)
-    if hasattr(f, "pieces"):
-        np.testing.assert_array_equal(f.value(both), [piece_by_piece(f, float(u), "value") for u in both])
-        inner = us[us > 0.0]
-        for side in ("left", "right"):
-            np.testing.assert_array_equal(
-                f._interior_derivs(inner, side), [piece_by_piece(f, float(u), side) for u in inner]
-            )
-
-
 class TestBatchedEvaluation:
     def test_moral_hazard_pair(self, default_tech):
         pair = build_smooth_pair(default_tech, SmoothingParams.auto(default_tech, 16))
@@ -284,7 +254,7 @@ def nan_strip_tech(lo, hi):
     base = quad_tech()
     f1 = ParametricFrontier(
         lambda u: np.where((u > lo) & (u < hi), np.nan, base.f1.value(u)),
-        base.f1.right_deriv,
+        lambda u: base.f1.deriv(u, "right"),
         peak=base.u1,
     )
     return Technology(f0=base.f0, f1=f1, u0=base.u0, u1=base.u1, u_star=base.u_star)

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from conftest import assert_batched_equals_scalar
 from frontierkit import (
+    AffineFrontier,
+    CallableFrontier,
+    CutoffFrontier,
     DivergenceViolation,
     DomainError,
     MoralHazardPrimitives,
@@ -17,6 +21,7 @@ from frontierkit import (
     directional_deriv,
     effort_star,
     make_moral_hazard_technology,
+    midpoint_concavity_slack,
     verify_ui_assumptions,
 )
 from frontierkit.technology import effort_star_array
@@ -175,6 +180,25 @@ class TestOneSidedDerivatives:
         assert directional_deriv(kinked, 2.0, 3.0) == -math.inf
         np.testing.assert_array_equal(directional_deriv(kinked, 1.0, [2.0, 0.0]), [-1.0, 1.0])
 
+    def test_array_calls_match_scalar_calls_for_every_class(self, default_tech):
+        quad = QuadraticFrontier(0.25, 1.0, -1.0)
+        kinked = PiecewiseLinearFrontier([0.0, 0.5, 0.7], [0.0, 0.3, 0.28])
+        saddle = CallableFrontier(lambda u: 10.0 * u - 5.0 * u * u - (u - 1.0) ** 3, domain=(0.0, 2.0))
+        # within one difference step of both ends, the step shrinks
+        h = CallableFrontier.FD_STEP * np.array([0.1, 0.5, 1.0, 2.0])
+        cases = [
+            (quad, np.linspace(0.0, 3.0, 31)),
+            (AffineFrontier(0.2, 0.6, domain=(0.0, 0.5)), np.linspace(0.0, 0.5, 11)),
+            (kinked, np.concatenate([kinked.xs, np.nextafter(0.5, [0.0, 1.0]), np.linspace(0.0, 0.7, 15)])),
+            (saddle, np.concatenate([[0.0, 1.0, 2.0], h, 2.0 - h])),
+            (CutoffFrontier(quad, 0.8), np.linspace(0.0, 0.8, 17)),
+            (quad.shifted(0.3), np.linspace(0.0, 3.0, 31)),
+            (default_tech.f0, np.linspace(0.0, 1.0, 21)),
+            (default_tech.f1, np.linspace(0.0, 1.0, 21)),
+        ]
+        for f, us in cases:
+            assert_batched_equals_scalar(f, us)
+
     def test_peak_sandwich(self, default_tech):
         for f in (default_tech.f0, default_tech.f1):
             u = f.peak
@@ -230,10 +254,9 @@ class TestVerifyUiAssumptions:
 
     def test_nan_derivative_gap_fails(self):
         class NanAtHalf(QuadraticFrontier):
-            def _deriv_interior(self, u, side):
-                if side == "right" and u == 0.5:
-                    return math.nan
-                return super()._deriv_interior(u, side)
+            def _derivs(self, u, side):
+                d = super()._derivs(u, side)
+                return np.where(u == 0.5, math.nan, d) if side == "right" else d
 
         # F1' - F0' = -1 everywhere except the NaN at u = 0.5
         f0 = QuadraticFrontier(0.0, 2.0, -1.0)
@@ -263,3 +286,41 @@ def test_divergence_violation():
     )
     with pytest.raises(DivergenceViolation):
         make_moral_hazard_technology(prims)
+
+
+@given(
+    lam=st.floats(0.1, 10.0),
+    w=st.floats(0.1, 10.0),
+    a=st.floats(0.05, 0.95),
+    b=st.floats(1.05, 6.0),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_peak_properties_over_the_admissible_box(lam, w, a, b):
+    """``0 <= u1 < u0``, the peak identity and concavity of F1 across the box.
+
+    Two corners are excluded, both numerically out of reach:
+
+    - ``u0 = (a/lam)**(a/(1-a)) > 1e6`` (``a`` near 1, ``lam`` small): the
+      float spacing at ``u0`` approaches the 1e-8 identity tolerance.
+    - ``u0 - u1 = kappa(L1) <= 1e-10 * max(1, u0)``, with ``kappa'(L1) = w*lam``
+      (``b`` near 1, ``w*lam`` small): ``u1`` then lies within the 1e-12
+      tolerance of its bisection, or within rounding, of ``u0``, so ``u1 < u0``
+      cannot be resolved and the bisection can lose its bracket.
+
+    Instances that `MoralHazardPrimitives.validate` rejects are not admissible.
+    """
+    u0 = (a / lam) ** (a / (1.0 - a))
+    kappa_L1 = (w * lam / b) ** (b / (b - 1.0))
+    if u0 > 1e6 or kappa_L1 <= 1e-10 * max(1.0, u0):
+        reject()
+    prims = MoralHazardPrimitives(lam=lam, w=w, phi=PowerUtility(a), kappa=PowerCost(b))
+    try:
+        prims.validate()
+    except DivergenceViolation:
+        reject()
+    tech = make_moral_hazard_technology(prims)
+    assert 0.0 <= tech.u1 < tech.u0
+    if tech.u1 > 0.0:
+        L1 = effort_star(prims, tech.u1)
+        assert abs(tech.u0 - tech.u1 - float(prims.kappa.kappa(L1))) <= 1e-8
+    assert midpoint_concavity_slack(tech.f1, np.linspace(0.0, tech.u0, 9)) > -1e-10
