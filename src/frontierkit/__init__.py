@@ -1,7 +1,6 @@
 """Concave frontier calculus, deadline mechanisms, and verification suites."""
 
 from .errors import (
-    ComputeError,
     ConfigError,
     DivergenceViolation,
     DomainError,
@@ -13,6 +12,7 @@ from .errors import (
     ParamsOutOfRange,
     PreconditionViolation,
     RootBracketFailure,
+    UnresolvablePeaks,
     UStarAtOrigin,
 )
 from .frontiers import (

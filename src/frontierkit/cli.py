@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from ._oracles import brute_force_mixture_value
 from .errors import ConfigError, FrontierKitError, UStarAtOrigin
@@ -119,6 +118,8 @@ def load_config(path: str | None) -> InstanceConfig:
     if path is None:
         data = dict(_DEFAULT_CONFIG)
     else:
+        import yaml  # only a config file needs the parser (about 0.3 MB of peak RSS)
+
         try:
             with open(path) as fh:
                 data = yaml.safe_load(fh) or {}

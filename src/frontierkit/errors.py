@@ -1,4 +1,9 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+The command line maps them to exit codes: `ConfigError` and its subclass
+`UnresolvablePeaks` exit 2; every other `FrontierKitError`, like a
+`ValueError` or `ArithmeticError`, exits 3.
+"""
 
 
 class FrontierKitError(Exception):
@@ -49,5 +54,5 @@ class ConfigError(FrontierKitError):
     """A configuration file failed validation; message names the offending key."""
 
 
-class ComputeError(FrontierKitError):
-    """An unexpected numerical failure while running a suite."""
+class UnresolvablePeaks(ConfigError):
+    """The primitives put ``u1`` too close to ``u0`` for the peak solves (exit 2)."""

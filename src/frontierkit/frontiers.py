@@ -37,7 +37,8 @@ class Frontier:
     derivative: they check the domain, return ``+inf``/``-inf`` at its ends
     and pass a float to the hook. Every array caller uses ``deriv(us,
     side)``, which passes the whole interior array to the hook at once, or
-    `directional_deriv` to pick the side per point.
+    `directional_deriv` to pick the side per point. ``argmax_linear`` (and so
+    ``peak``) bisects on the derivatives; a closed form may override it.
     """
 
     #: closure of the effective domain, as a pair (lo, hi); hi may be inf
@@ -94,29 +95,43 @@ class Frontier:
         out[~edge] = self._derivs(us[~edge], side)
         return out
 
-    @property
-    def peak(self) -> float:
-        """Argmax of the frontier over its domain (cached)."""
-        cached = getattr(self, "_peak", None)
-        if cached is None:
-            cached = self._compute_peak()
-            self._peak = cached
-        return cached
+    def _bounds(self, lo, hi) -> tuple[float, float]:
+        return (self.domain[0] if lo is None else lo, self.domain[1] if hi is None else hi)
 
-    def _compute_peak(self) -> float:
-        # the right derivative is nonincreasing; the peak is where it turns
-        # nonpositive (machine-precision bisection, kink-safe)
-        lo, hi = self.domain
+    def argmax_linear(self, eta: float, lo=None, hi=None, largest: bool = False) -> float:
+        """Smallest (or ``largest``) maximizer of ``f(u) - eta*u`` on ``[lo, hi]``.
+
+        ``[lo, hi]`` defaults to the domain. The smallest maximizer is the
+        least ``u`` with ``right_deriv(u) <= eta``, the largest the greatest
+        ``u`` with ``left_deriv(u) >= eta``; both tests are monotone in ``u``,
+        so one bisection finds either (to adjacent floats, kink-safe). An
+        unbounded upper end is doubled out first.
+        """
+        lo, hi = self._bounds(lo, hi)
+        if largest:
+            above = lambda u: self.left_deriv(u) >= eta
+        else:
+            above = lambda u: self.right_deriv(u) > eta
         if math.isinf(hi):
             hi = max(1.0, lo + 1.0)
-            while self.right_deriv(hi) > 0.0:
+            while above(hi):
                 hi = lo + 2.0 * (hi - lo)
                 if hi > 1e12:
-                    raise DomainError("no interior peak found below u=1e12")
-        if self.right_deriv(lo) <= 0.0:
+                    raise DomainError(f"no maximizer of f(u) - {eta:g}*u found below u=1e12")
+        if not above(lo):
             return lo
-        lo, hi = bisect_predicate(lambda u: self.right_deriv(u) > 0.0, lo, hi)
-        return 0.5 * (lo + hi)
+        if above(hi):
+            return hi
+        lo, hi = bisect_predicate(above, lo, hi)
+        return lo if largest else hi
+
+    @property
+    def peak(self) -> float:
+        """Argmax of the frontier over its domain, ``argmax_linear(0.0)`` (cached)."""
+        cached = getattr(self, "_peak", None)
+        if cached is None:
+            cached = self._peak = self.argmax_linear(0.0)
+        return cached
 
     def shifted(self, dy: float) -> "Frontier":
         """The same frontier moved up by ``dy`` utils."""
@@ -160,14 +175,15 @@ class QuadraticFrontier(ParametricFrontier):
     def __init__(self, a: float, b: float, c: float, domain=(0.0, INF)):
         if c >= 0:
             raise ValueError("quadratic frontier needs negative curvature")
-        vertex = -b / (2.0 * c)
-        super().__init__(
-            lambda u: a + b * u + c * u * u,
-            lambda u: b + 2.0 * c * u,
-            domain=domain,
-            peak=min(max(vertex, domain[0]), domain[1]),
-        )
+        super().__init__(lambda u: a + b * u + c * u * u, lambda u: b + 2.0 * c * u, domain=domain)
         self.coeffs = (a, b, c)
+
+    def argmax_linear(self, eta, lo=None, hi=None, largest=False):
+        # the tilted parabola's vertex, clipped: the one maximizer, so ``largest``
+        # changes nothing. At eta = 0 this is -b/(2c) bit for bit
+        lo, hi = self._bounds(lo, hi)
+        b, c = self.coeffs[1:]
+        return min(max(-(b - eta) / (2.0 * c), lo), hi)
 
 
 class AffineFrontier(ParametricFrontier):
@@ -207,10 +223,6 @@ class PiecewiseLinearFrontier(Frontier):
         i = np.searchsorted(self.xs, u, side=side) - 1
         return self.slopes[np.clip(i, 0, len(self.slopes) - 1)]
 
-    def _compute_peak(self) -> float:
-        i = int(np.argmax(self.ys))
-        return float(self.xs[i])
-
 
 class CallableFrontier(ParametricFrontier):
     """Black-box concave function; one-sided difference quotients, step 1e-6."""
@@ -244,8 +256,8 @@ class ShiftedFrontier(Frontier):
     def _derivs(self, u, side):
         return self.base._derivs(u, side)
 
-    def _compute_peak(self):
-        return self.base.peak
+    def argmax_linear(self, eta, lo=None, hi=None, largest=False):
+        return self.base.argmax_linear(eta, lo, hi, largest)
 
 
 class CutoffFrontier(Frontier):
@@ -264,8 +276,8 @@ class CutoffFrontier(Frontier):
     def _derivs(self, u, side):
         return self.base._derivs(u, side)
 
-    def _compute_peak(self):
-        return min(self.base.peak, self.cutoff)
+    def argmax_linear(self, eta, lo=None, hi=None, largest=False):
+        return self.base.argmax_linear(eta, *self._bounds(lo, hi), largest)
 
 
 def directional_deriv(f: Frontier, a, b):

@@ -1,16 +1,21 @@
 """Post-breakthrough frontier over a finitely supported random frontier.
 
 The mixture frontier at promised utility ``u`` is the maximum of the expected
-member value over allocations with expectation ``u``. The maximizer is found
-by supergradient equalization (water-filling): all members with an interior
-allocation share one supergradient level, with nonnegativity clamping at the
-bottom and the member domains (plus a configurable cap) at the top.
+member value over allocations with expectation ``u``. It is found by
+water-filling with one rule per member: at a level ``eta`` each member takes
+its tilted argmax ``f.argmax_linear(eta, floor, ceiling)``, the maximizer of
+``f(x) - eta*x`` between ``max(0, domain lo)`` and its domain's upper end
+(capped well above every peak and ``u``). Total allocation is nonincreasing in
+``eta``, and the members' slopes at their ceilings and floors bracket the
+level where it meets ``u``; one bisection finds it. Members flat at that level
+share what is left in support order (breakpoint water-filling: Palomar and
+Fonollosa, IEEE TSP 53(2), 2005).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +57,6 @@ class Allocation:
     """Promised utility per realized frontier; expectation pinned to ``u``."""
 
     values: np.ndarray
-    cap_binds: bool = field(default=False)
 
     def expectation(self, probs: np.ndarray) -> float:
         return float(np.dot(probs, self.values))
@@ -62,76 +66,44 @@ def _alloc_floor(f: Frontier) -> float:
     return max(0.0, f.domain[0])
 
 
-def _alloc_ceiling(f: Frontier, cap: float) -> float:
-    return min(cap, f.domain[1])
+def mixture_value(dist: FrontierDistribution, u: float) -> tuple[float, Allocation]:
+    """Maximum expected frontier value at expectation ``u``, with a maximizer.
 
-
-def _member_alloc(f: Frontier, eta: float, cap: float, largest: bool) -> float:
-    """Smallest (or largest) maximizer of ``f(x) - eta*x`` on the clamped range.
-
-    The smallest maximizer is the least ``x`` with ``right_deriv(x) <= eta``;
-    the largest is the greatest ``x`` with ``left_deriv(x) >= eta``.
+    Each member must have finite one-sided derivatives at its floor and
+    ceiling, which bracket the level.
     """
-    lo, hi = _alloc_floor(f), _alloc_ceiling(f, cap)
-    if largest:
-        above = lambda x: f.left_deriv(x) >= eta
-    else:
-        above = lambda x: f.right_deriv(x) > eta
-    if not above(lo):
-        return lo
-    if above(hi):
-        return hi
-    # predicate is monotone (derivatives nonincreasing)
-    lo, hi = bisect_predicate(above, lo, hi)
-    return lo if largest else hi
-
-
-def _totals(dist: FrontierDistribution, eta: float, cap: float, largest: bool):
-    xs = np.array(
-        [_member_alloc(f, eta, cap, largest) for f in dist.members], dtype=float
-    )
-    return xs, float(np.dot(dist.probs, xs))
-
-
-def mixture_value(
-    dist: FrontierDistribution, u: float, cap: float | None = None
-) -> tuple[float, Allocation]:
-    """Maximum expected frontier value at expectation ``u``, with a maximizer."""
     if u < 0:
         raise ValueError("promised utility must be nonnegative")
     members, probs = dist.members, dist.probs
-    if cap is None:
-        peaks = [f.peak for f in members]
-        cap = max(10.0 * (1.0 + max(peaks)), 2.0 * u + 1.0)
-
-    floors = np.array([_alloc_floor(f) for f in members])
-    ceils = np.array([_alloc_ceiling(f, cap) for f in members])
+    cap = max(10.0 * (1.0 + max(f.peak for f in members)), 2.0 * u + 1.0)
+    floors = [_alloc_floor(f) for f in members]
+    ceils = [min(cap, f.domain[1]) for f in members]
     lo_total, hi_total = float(probs @ floors), float(probs @ ceils)
     if u < lo_total - _EXPECT_TOL or u > hi_total + _EXPECT_TOL:
         # no allocation in the clamped feasible box has expectation u
-        binds = u > hi_total  # the cap (or member domains) is what bites
-        return -INF, Allocation(np.clip(floors, floors, ceils), cap_binds=binds)
+        return -INF, Allocation(np.clip(floors, floors, ceils))
 
-    # bisect the shared supergradient level; total allocation is nonincreasing
-    eta_lo, eta_hi = -1.0, 1.0
-    for _ in range(200):
-        if _totals(dist, eta_lo, cap, largest=True)[1] >= u:
-            break
-        eta_lo *= 2.0
-    for _ in range(200):
-        if _totals(dist, eta_hi, cap, largest=False)[1] <= u:
-            break
-        eta_hi *= 2.0
-    eta_lo, eta_hi = bisect_predicate(
-        lambda eta: _totals(dist, eta, cap, largest=False)[1] > u, eta_lo, eta_hi
+    alloc = lambda eta, largest: np.array(
+        [f.argmax_linear(eta, lo, hi, largest) for f, lo, hi in zip(members, floors, ceils)]
     )
 
-    xs, total = _totals(dist, eta_hi, cap, largest=False)
-    deficit = u - total
+    # just below eta_lo every member's smallest maximizer is its ceiling (the
+    # predicate holds there even when a member is flat at the lowest ceiling
+    # slope); at eta_hi every one is its floor. Total allocation is
+    # nonincreasing between
+    eta_lo = min(f.left_deriv(x) for f, x in zip(members, ceils))
+    eta_hi = max(f.right_deriv(x) for f, x in zip(members, floors))
+    if not math.isfinite(eta_lo) or not math.isfinite(eta_hi):
+        raise ValueError("mixture members need finite slopes at their floor and ceiling")
+    eta_lo = float(np.nextafter(eta_lo, -INF))
+    _, eta = bisect_predicate(lambda eta: probs @ alloc(eta, False) > u, eta_lo, eta_hi)
+
+    xs = alloc(eta, False)
+    deficit = u - float(probs @ xs)
     if deficit > 0:
         # distribute the remaining budget over members flat at the level,
         # in support order, keeping every allocation as small as possible
-        xs_hi, _ = _totals(dist, eta_hi, cap, largest=True)
+        xs_hi = alloc(eta, True)
         for i in range(len(xs)):
             room = xs_hi[i] - xs[i]
             take = min(room, deficit / probs[i])
@@ -142,12 +114,11 @@ def mixture_value(
     # final exactness polish on the largest-room member
     resid = u - float(probs @ xs)
     if abs(resid) > 0:
-        i = int(np.argmax(ceils - floors))
+        i = int(np.argmax(np.subtract(ceils, floors)))
         xs[i] = np.clip(xs[i] + resid / probs[i], floors[i], ceils[i])
 
     value = float(sum(p * f.value(x) for (f, p), x in zip(dist.support, xs)))
-    cap_binds = bool(np.any(np.isclose(xs, cap)))
-    return value, Allocation(xs, cap_binds=cap_binds)
+    return value, Allocation(xs)
 
 
 def mixture_peak(dist: FrontierDistribution) -> float:
@@ -158,7 +129,7 @@ def mixture_peak(dist: FrontierDistribution) -> float:
 def mixture_domain(dist: FrontierDistribution, resolution: float = 1e-6) -> tuple[float, float]:
     """Effective domain endpoints, confirmed by a finite/-inf transition scan."""
     members, probs = dist.members, dist.probs
-    lo = float(probs @ np.array([_alloc_floor(f) for f in members]))
+    lo = float(probs @ [_alloc_floor(f) for f in members])
     his = np.array([f.domain[1] for f in members])
     hi = INF if np.any(np.isinf(his)) else float(probs @ his)
     if not math.isinf(hi):

@@ -354,9 +354,6 @@ class _StrictFixFrontier(Frontier):
     def _derivs(self, u, side):
         return self.base._derivs(u, side) - 2.0 * self.eps * np.minimum(u - self.u_star, 0.0)
 
-    def _compute_peak(self):
-        return self.base.peak
-
 
 def build_sequence(tech: Technology, ns) -> list[SmoothedPair]:
     return [build_smooth_pair(tech, SmoothingParams.auto(tech, n)) for n in ns]

@@ -12,11 +12,12 @@ and right side strictly increasing in ``L``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceViolation
+from .errors import DivergenceViolation, UnresolvablePeaks
 from .frontiers import INF, Frontier, ParametricFrontier, midpoint_concavity_slack
 from .report import VerificationReport
 from .roots import bisect, golden_section_max, solve_monotone
@@ -214,6 +215,20 @@ def make_moral_hazard_technology(prims: MoralHazardPrimitives) -> Technology:
         L = effort_star(prims, u)
         return float(prims.phi.phi_prime_at_inv(u + prims.kappa.kappa(L))) - prims.lam
 
+    # kappa'(L1) = w*lam gives u0 - u1 <= kappa(L1) = (w*lam/b)**(b/(b-1)),
+    # with equality at an interior u1. The u0 and u1 solves stop at a 1e-12
+    # bracket or at float spacing; within about 5 such steps the u1 condition
+    # loses its sign change on [0, u0], so 16 steps or fewer are refused
+    b = prims.kappa.b
+    ratio = prims.w * prims.lam / b
+    gap = ratio ** (b / (b - 1.0)) if ratio < 1.0 else INF
+    resolution = max(1e-12, math.ulp(u0))
+    if gap <= 16.0 * resolution:
+        raise UnresolvablePeaks(
+            f"`lambda`, `w`, `phi.exponent` and `kappa.exponent` give u0 - u1 <= "
+            f"kappa(L1) = {gap:.3g}, within 16 solver steps of {resolution:.3g} (1e-12 "
+            f"or the float spacing at u0 = {u0:.6g}), so u1 cannot be told apart from u0"
+        )
     # corner first: the FOC holds with inequality at u1 = 0
     if u1_foc(0.0) <= 0.0:
         u1 = 0.0

@@ -228,7 +228,6 @@ def gateaux_closed_form(
     prof: SupergradientProfile,
     tech: Technology,
     G: BreakthroughDistribution,
-    check_validity: bool = True,
     return_terms: bool = False,
 ):
     """Directional derivative of the payoff at ``m`` toward ``m_dag``.
@@ -240,11 +239,10 @@ def gateaux_closed_form(
     smooth instance.
     """
     m, m_dag = _align(m, m_dag)
-    if check_validity:
-        flags = prof.validity_flags(m, tech)
-        sf_mids = G.sf(0.5 * (m.edges[:-1] + m.edges[1:]))
-        if np.any(~flags & (sf_mids > 0)):
-            raise InvalidProfile("profile is not a supergradient where G(t) < 1")
+    flags = prof.validity_flags(m, tech)
+    sf_mids = G.sf(0.5 * (m.edges[:-1] + m.edges[1:]))
+    if np.any(~flags & (sf_mids > 0)):
+        raise InvalidProfile("profile is not a supergradient where G(t) < 1")
 
     r = m.r
     edges = integration_edges(G, r, [*m.edges, *m_dag.edges])

@@ -71,6 +71,20 @@ class TestExitCodes:
             assert main(["verify", "ui-assns", "--config", str(path)]) == 2
             assert f"`{key}`" in capsys.readouterr().err
 
+    def test_unresolvable_peak_gap_is_exit_2(self, tmp_path, capsys):
+        # u0 - u1 = kappa(L1) = 1.7e-19 at u0 = 2.45: the u1 bisection used to
+        # lose its bracket and exit 3 with a message that named no key
+        path = tmp_path / "corner.yaml"
+        path.write_text(
+            "lambda: 0.2204\nw: 0.1626\nphi: {kind: power, exponent: 0.5139}\n"
+            "kappa: {kind: power, exponent: 1.0857}\n"
+        )
+        assert main(["frontier", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "within 16 solver steps" in err
+        for key in ("lambda", "w", "phi.exponent", "kappa.exponent"):
+            assert f"`{key}`" in err
+
     def test_extreme_exponent_emits_no_warnings(self, tmp_path, capsys):
         path = tmp_path / "small.yaml"
         path.write_text("phi: {kind: power, exponent: 0.01}\n")

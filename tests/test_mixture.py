@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frontierkit import (
+    AffineFrontier,
     CutoffFrontier,
     EmptySupport,
     PiecewiseLinearFrontier,
@@ -71,6 +74,32 @@ class TestMixtureValue:
         # ties broken by support order: first member filled first
         assert alloc.values[0] >= alloc.values[1] - 1e-9
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: (
+                PiecewiseLinearFrontier([0.0, 1.0], [0.0, 1.0]),
+                PiecewiseLinearFrontier([0.0, 1.0], [0.0, 0.5]),
+            ),
+            lambda: (AffineFrontier(0.0, 1.0, (0.0, 1.0)), AffineFrontier(0.0, 0.5, (0.0, 1.0))),
+        ],
+        ids=["piecewise-linear", "affine"],
+    )
+    @pytest.mark.parametrize(
+        "u, expected_values, expected_value",
+        [(0.25, [0.5, 0.0], 0.25), (0.75, [1.0, 0.5], 0.625), (1.0, [1.0, 1.0], 0.75)],
+    )
+    def test_linear_members_of_different_slopes(self, make, u, expected_values, expected_value):
+        # slopes 1 and 1/2 on [0, 1]: the steeper member fills first, and once
+        # it is full the level sits at the flatter member's slope, the lowest
+        # slope at any ceiling
+        steep, flat = make()
+        dist = FrontierDistribution([(steep, 0.5), (flat, 0.5)])
+        val, alloc = mixture_value(dist, u)
+        assert alloc.expectation(dist.probs) == pytest.approx(u, abs=1e-12)
+        assert alloc.values == pytest.approx(expected_values, abs=1e-12)
+        assert val == pytest.approx(expected_value, abs=1e-12)
+
 
 class TestMixturePeak:
     def test_quad_pair(self):
@@ -134,6 +163,36 @@ class TestRandomizedAgainstBruteForce:
         dist = FrontierDistribution([(PiecewiseLinearFrontier([0.0, 1.0], [0.0, 1.0]), 1.0)])
         with pytest.raises(TypeError):
             brute_force_mixture_value(dist, 0.5)
+
+
+@given(
+    members=st.lists(
+        st.tuples(st.floats(-1.0, 3.0), st.floats(-3.0, 0.3), st.floats(-6.0, 0.0)),
+        min_size=2,
+        max_size=4,
+    ),
+    u=st.floats(0.0, 3.0),
+)
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_water_filling_matches_the_exact_oracle(members, u):
+    """Members ``-c*(x - peak)**2``, against the active-set oracle.
+
+    A peak below 0 puts a member at its floor, ``c = 10**-3`` is near flat,
+    and weights down to ``10**-6`` give tiny probabilities.
+    """
+    weights = np.array([10.0**lw for _, _, lw in members])
+    probs = weights / weights.sum()
+    dist = FrontierDistribution(
+        [
+            (QuadraticFrontier(-(10.0**lc) * x * x, 2.0 * 10.0**lc * x, -(10.0**lc)), p)
+            for (x, lc, _), p in zip(members, probs)
+        ]
+    )
+    val, alloc = mixture_value(dist, u)
+    oracle = brute_force_mixture_value(dist, u)
+    assert abs(val - oracle) <= 1e-12 * max(1.0, abs(oracle))
+    assert abs(alloc.expectation(dist.probs) - u) <= 1e-10
+    assert np.all(alloc.values >= 0.0)
 
 
 class TestRegularityReport:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import assert_batched_equals_scalar
@@ -12,12 +12,14 @@ from frontierkit import (
     CutoffFrontier,
     DivergenceViolation,
     DomainError,
+    Frontier,
     MoralHazardPrimitives,
     PiecewiseLinearFrontier,
     PowerCost,
     PowerUtility,
     QuadraticFrontier,
     Technology,
+    UnresolvablePeaks,
     directional_deriv,
     effort_star,
     make_moral_hazard_technology,
@@ -209,6 +211,86 @@ class TestOneSidedDerivatives:
             default_tech.f0.left_deriv(-0.5)
 
 
+def assert_within_2_ulps(got, ref):
+    # ulps at unit scale below 1: near 0 the float derivative test cannot
+    # tell points closer than that apart
+    assert abs(got - ref) <= 2.0 * math.ulp(max(abs(got), abs(ref), 1.0)), (got, ref)
+
+
+class TestArgmaxLinear:
+    """``argmax_linear`` overrides against the base-class bisection, and peaks."""
+
+    def test_overrides_match_the_base_bisection(self):
+        quad = QuadraticFrontier(-9.0, 6.0, -1.0)
+        cases = [
+            quad,
+            QuadraticFrontier(0.3, 2.5, -0.7, domain=(0.2, 4.0)),
+            CutoffFrontier(quad, 2.0),
+            CutoffFrontier(quad, 4.0),
+            quad.shifted(0.3),
+        ]
+        # eta = 6 puts the tilted vertex at 0, eta = -2 at 4; [2, 2] is a point
+        etas = np.linspace(-4.0, 9.0, 53).tolist() + [6.0, -2.0]
+        for f in cases:
+            for lo, hi in ((None, None), (0.5, 2.0), (0.2, 1.0), (2.0, 2.0)):
+                for eta in etas:
+                    for largest in (False, True):
+                        got = f.argmax_linear(eta, lo, hi, largest)
+                        assert_within_2_ulps(got, Frontier.argmax_linear(f, eta, lo, hi, largest))
+
+    def test_piecewise_linear_at_slopes_and_knots(self):
+        f = PiecewiseLinearFrontier([0.0, 1.0, 2.5, 4.0], [0.0, 2.0, 2.75, 1.25])
+        assert f.slopes.tolist() == [2.0, 0.5, -1.0]
+        for i, slope in enumerate(f.slopes.tolist()):
+            # a flat tilted segment: every point of [xs[i], xs[i+1]] is a maximizer
+            assert f.argmax_linear(slope) == f.xs[i]
+            assert f.argmax_linear(slope, largest=True) == f.xs[i + 1]
+        # between two slopes the kink is the unique maximizer
+        assert f.argmax_linear(1.0) == f.argmax_linear(1.0, largest=True) == 1.0
+        assert f.argmax_linear(0.0) == f.argmax_linear(0.0, largest=True) == 2.5
+        # bounds at knots: the maximizer clips to them
+        assert f.argmax_linear(0.0, lo=1.0, hi=2.5) == 2.5
+        assert f.argmax_linear(0.0, lo=2.5, hi=4.0) == 2.5
+        assert f.argmax_linear(3.0, lo=1.0, hi=2.5) == 1.0
+        assert f.argmax_linear(-5.0, lo=1.0, hi=2.5, largest=True) == 2.5
+        assert f.argmax_linear(0.5, lo=1.0, hi=2.5) == 1.0
+        assert f.argmax_linear(0.5, lo=1.0, hi=2.5, largest=True) == 2.5
+
+    def test_affine_at_and_beside_its_slope(self):
+        f = AffineFrontier(0.2, 0.6, domain=(0.1, 0.5))
+        assert f.argmax_linear(0.6) == 0.1
+        assert f.argmax_linear(0.6, largest=True) == 0.5
+        for largest in (False, True):
+            assert f.argmax_linear(np.nextafter(0.6, 1.0), largest=largest) == 0.1
+            assert f.argmax_linear(np.nextafter(0.6, 0.0), largest=largest) == 0.5
+            assert f.argmax_linear(0.6, 0.2, 0.3, largest) == (0.3 if largest else 0.2)
+
+    def test_peaks_keep_their_closed_forms(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            a, b, c = rng.normal(), rng.normal(0.0, 3.0), -rng.uniform(0.05, 3.0)
+            lo, hi = sorted(rng.uniform(-1.0, 4.0, 2))
+            for domain in ((0.0, math.inf), (lo, hi)):
+                quad = QuadraticFrontier(a, b, c, domain=domain)
+                expected = min(max(-b / (2.0 * c), domain[0]), domain[1])
+                assert quad.peak == expected and math.copysign(1.0, quad.peak) == math.copysign(1.0, expected)
+                cutoff = float(rng.uniform(0.2, 4.0))
+                if cutoff > domain[0]:
+                    assert CutoffFrontier(quad, cutoff).peak == min(quad.peak, cutoff)
+
+            xs = np.cumsum(rng.uniform(0.1, 1.0, 6)) - 0.5
+            slopes = np.sort(rng.uniform(-3.0, 3.0, 5))[::-1]
+            ys = rng.normal() + np.concatenate([[0.0], np.cumsum(slopes * np.diff(xs))])
+            pl = PiecewiseLinearFrontier(xs, ys)
+            assert pl.peak == xs[np.argmax(ys)]
+            cutoff = float(rng.uniform(xs[0] + 0.1, xs[-1]))
+            assert CutoffFrontier(pl, cutoff).peak == min(pl.peak, cutoff)
+
+            slope = float(rng.choice([-1.0, 0.0, 1.0]) * rng.uniform(0.0, 2.0))
+            affine = AffineFrontier(a, slope, domain=(lo, hi))
+            assert affine.peak == (hi if slope >= 0 else lo)
+
+
 class TestFrontierValues:
     def test_f1_matches_brute_force(self, default_prims, default_tech):
         for u in np.linspace(0.0, 0.6, 13):
@@ -294,30 +376,33 @@ def test_divergence_violation():
     a=st.floats(0.05, 0.95),
     b=st.floats(1.05, 6.0),
 )
+@example(lam=0.2204, w=0.1626, a=0.5139, b=1.0857)  # kappa(L1) = 1.7e-19
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_peak_properties_over_the_admissible_box(lam, w, a, b):
     """``0 <= u1 < u0``, the peak identity and concavity of F1 across the box.
 
-    Two corners are excluded, both numerically out of reach:
+    ``u0 = (a/lam)**(a/(1-a)) > 1e6`` (``a`` near 1, ``lam`` small) is
+    excluded: the float spacing at ``u0`` approaches the 1e-8 identity
+    tolerance there.
 
-    - ``u0 = (a/lam)**(a/(1-a)) > 1e6`` (``a`` near 1, ``lam`` small): the
-      float spacing at ``u0`` approaches the 1e-8 identity tolerance.
-    - ``u0 - u1 = kappa(L1) <= 1e-10 * max(1, u0)``, with ``kappa'(L1) = w*lam``
-      (``b`` near 1, ``w*lam`` small): ``u1`` then lies within the 1e-12
-      tolerance of its bisection, or within rounding, of ``u0``, so ``u1 < u0``
-      cannot be resolved and the bisection can lose its bracket.
+    Where ``u0 - u1 = kappa(L1) <= 16 * max(1e-12, ulp(u0))``, with
+    ``kappa'(L1) = w*lam`` (``b`` near 1, ``w*lam`` small), ``u1`` cannot be
+    resolved from ``u0`` and the build must refuse the primitives by name.
 
     Instances that `MoralHazardPrimitives.validate` rejects are not admissible.
     """
     u0 = (a / lam) ** (a / (1.0 - a))
-    kappa_L1 = (w * lam / b) ** (b / (b - 1.0))
-    if u0 > 1e6 or kappa_L1 <= 1e-10 * max(1.0, u0):
+    if u0 > 1e6:
         reject()
     prims = MoralHazardPrimitives(lam=lam, w=w, phi=PowerUtility(a), kappa=PowerCost(b))
     try:
         prims.validate()
     except DivergenceViolation:
         reject()
+    if (w * lam / b) ** (b / (b - 1.0)) <= 16.0 * max(1e-12, math.ulp(u0)):
+        with pytest.raises(UnresolvablePeaks, match="`lambda`, `w`, `phi.exponent` and `kappa.exponent`"):
+            make_moral_hazard_technology(prims)
+        return
     tech = make_moral_hazard_technology(prims)
     assert 0.0 <= tech.u1 < tech.u0
     if tech.u1 > 0.0:
