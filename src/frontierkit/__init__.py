@@ -6,6 +6,7 @@ from .errors import (
     DomainError,
     EmptySupport,
     FrontierKitError,
+    InadmissiblePrimitives,
     InvalidProfile,
     NonConvergent,
     NonFiniteValue,

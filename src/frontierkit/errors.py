@@ -1,8 +1,12 @@
 """Exception types shared across the library.
 
-The command line maps them to exit codes: `ConfigError` and its subclass
-`UnresolvablePeaks` exit 2; every other `FrontierKitError`, like a
-`ValueError` or `ArithmeticError`, exits 3.
+The command line maps them to exit codes: `ConfigError` and its subclasses
+exit 2, among them `InadmissiblePrimitives` (primitives that fail
+`MoralHazardPrimitives.validate`) and `UnresolvablePeaks` (``u0`` beyond the
+peak solver's reach, or ``u1`` too close to ``u0``). Every other
+`FrontierKitError`, like a `ValueError` or `ArithmeticError`, exits 3; so
+does a `DivergenceViolation` that is not an `InadmissiblePrimitives`, such as
+the gap argmax failing its derivative post-check.
 """
 
 
@@ -54,5 +58,10 @@ class ConfigError(FrontierKitError):
     """A configuration file failed validation; message names the offending key."""
 
 
+class InadmissiblePrimitives(ConfigError, DivergenceViolation):
+    """The configured primitives fail the model's shape conditions (exit 2)."""
+
+
 class UnresolvablePeaks(ConfigError):
-    """The primitives put ``u1`` too close to ``u0`` for the peak solves (exit 2)."""
+    """The primitives put ``u0`` beyond the peak solver's reach, or ``u1`` too
+    close to ``u0`` to tell apart (exit 2)."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NonFiniteValue, PreconditionViolation
 from .frontiers import INF
-from .quadrature import MeasureOnTime, cell_index, expect, step_value
+from .quadrature import MeasureOnTime, cell_index, expect_values, gl_nodes, step_value
 from .technology import Technology
 
 
@@ -253,14 +253,17 @@ def _crossing_knots(m: Mechanism, level: float) -> list[float]:
     return out
 
 
-def _expect_with_tail(G: BreakthroughDistribution, m: Mechanism, point_fn, tail_coeffs):
+def _expect_with_tail(G: BreakthroughDistribution, m: Mechanism, f1_at, point_fn, tail_coeffs):
     """``E_G[h(tau)]`` for ``h`` smooth between the knots of ``m`` (its edges
     and where X0 crosses ``u1``) and affine-in-``e^{-r tau}`` beyond the last
     structural time.
 
-    ``point_fn`` evaluates h at arrays of times; ``tail_coeffs`` is a
-    callable ``T -> (a, b, r)`` describing ``h(t) = a + b e^{-r t}`` for
-    ``t >= T``, integrated in closed form against the exponential tail.
+    ``f1_at(t)`` gives the F1 values h needs at times ``t``. One call, so one
+    effort solve, covers the quadrature nodes, the atoms and, for G's tail, a
+    time past the last knot, where it is a constant ``F1c``. ``point_fn(t,
+    F1t)`` evaluates h from them; ``tail_coeffs(T, F1c)`` is ``(a, b, r)``
+    with ``h(t) = a + b e^{-r t}`` for ``t >= T``, integrated in closed form
+    against the exponential tail.
     """
     knots = list(m.edges) + _crossing_knots(m, m.u1)
     T_max = G.finite_cutoff(extra=max(knots))
@@ -268,10 +271,13 @@ def _expect_with_tail(G: BreakthroughDistribution, m: Mechanism, point_fn, tail_
         np.concatenate([[0.0, T_max], np.asarray(knots + list(G.knots))])
     )
     edges = edges[(edges >= 0.0) & (edges <= T_max)]
-    total = expect(G, point_fn, edges)
-    if G.tail_mass > 0:
+    ts = np.concatenate([gl_nodes(edges).ravel(), [t for t, _ in G.atoms]])
+    tail = [T_max + 1.0] if G.tail_mass > 0 else []
+    F1 = f1_at(np.concatenate([ts, tail]))
+    total = expect_values(G, edges, point_fn(ts, F1[: ts.size]))
+    if tail:
         rem = G.tail_mass * math.exp(-G.tail_rate * (T_max - G.tail_start))
-        a, b, r = tail_coeffs(T_max)
+        a, b, r = tail_coeffs(T_max, float(F1[-1]))
         g = G.tail_rate
         total += rem * (a + b * math.exp(-r * T_max) * g / (g + r))
     return total
@@ -283,7 +289,7 @@ def payoff(m: Mechanism, tech: Technology, G: BreakthroughDistribution) -> float
     ``E_G[ r int_0^tau e^{-rt} F0(x0_t) dt + e^{-r tau} F1(X1_tau) ]`` with
     atoms and the exponential tail integrated in closed form and the density
     pieces by per-cell Gauss-Legendre (the integrand is smooth between the
-    merged knots).
+    merged knots). ``tech.f1.value`` is called once (see `_expect_with_tail`).
     """
     r = m.r
     F0x = np.asarray(tech.f0.value(m.x0), dtype=float)
@@ -301,21 +307,20 @@ def payoff(m: Mechanism, tech: Technology, G: BreakthroughDistribution) -> float
         beyond = A_edges[-1] + F0tail * (exp_edges[-1] - np.exp(-r * t))
         return np.where(t >= m.horizon, beyond, inner)
 
-    def point_fn(t):
-        vals = A_at(t) + np.exp(-r * t) * tech.f1.value(m.X1_at(t))
+    def point_fn(t, F1t):
+        vals = A_at(t) + np.exp(-r * t) * F1t
         if not np.all(np.isfinite(vals)):
             raise NonFiniteValue("F1 is -inf somewhere on the promise path's range")
         return vals
 
-    def tail_coeffs(T):
+    def tail_coeffs(T, F1c):
         # beyond T: A(t) = A(T) + F0tail (e^{-rT} - e^{-rt}) and X1 constant,
         # so h(t) = [A(T) + F0tail e^{-rT}] + [F1(X1c) - F0tail] e^{-rt}
-        X1c = float(m.X1_at(max(T, m.horizon) + 1.0))
         a = float(A_at(np.array([T]))[0]) + F0tail * math.exp(-r * T)
-        b = float(tech.f1.value(X1c)) - F0tail
-        return a, b, r
+        return a, F1c - F0tail, r
 
-    return _expect_with_tail(G, m, point_fn, tail_coeffs)
+    f1_at = lambda t: tech.f1.value(m.X1_at(t))
+    return _expect_with_tail(G, m, f1_at, point_fn, tail_coeffs)
 
 
 def _require_affine_f0(tech: Technology) -> tuple[float, float]:
@@ -343,19 +348,17 @@ def payoff_affine_rewrite(
     if any(t == 0.0 and mass > 0.0 for t, mass in G.atoms):
         raise PreconditionViolation("G must have no mass at time 0")
     r = m.r
+    f1_at = lambda t: tech.f1.value(np.maximum(m.X0_at(t), m.u1))
 
-    def phi(u):
-        return tech.f1.value(np.maximum(u, m.u1)) - tech.f0.value(u)
+    def point_fn(t, F1t):
+        return np.exp(-r * t) * (F1t - tech.f0.value(m.X0_at(t)))
 
-    def point_fn(t):
-        return np.exp(-r * t) * phi(m.X0_at(t))
-
-    def tail_coeffs(T):
-        X0c = m.x0_tail if T >= m.horizon else float(m.X0_at(T))
-        return 0.0, float(phi(np.asarray(X0c))), r
+    def tail_coeffs(T, F1c):
+        # X0 is x0_tail from the horizon on, and T is past it
+        return 0.0, F1c - float(tech.f0.value(m.x0_tail)), r
 
     head = float(tech.f0.value(m.X0_edges[0]))
-    return head + _expect_with_tail(G, m, point_fn, tail_coeffs)
+    return head + _expect_with_tail(G, m, f1_at, point_fn, tail_coeffs)
 
 
 def pi_G(x0_mech: Mechanism, tech: Technology, G: BreakthroughDistribution) -> float:

@@ -13,7 +13,7 @@ Quadrature rules, shared by `mechanism` and `variational`:
 - Running integrals ``t -> int_0^t`` add the whole cells before ``t`` to a
   fresh 16-node rule on the partial cell ``[edge, t]`` (`cumulative`).
 - Expectations add atoms exactly to the density integral (`expect`,
-  `cumulative_against`).
+  `expect_values`, `cumulative_against`).
 - An improper horizon is truncated ``pad / r`` past the last knot, where
   ``e^{-rt}`` is below machine scale, and the far region is subdivided at the
   decay scale ``2 / max(r, decay)`` (`integration_edges`). Where the
@@ -184,12 +184,18 @@ def integration_edges(G: MeasureOnTime, r: float, knots=(), pad: float = 37.0) -
     return np.unique(np.concatenate(pieces))
 
 
-def _cell_integrals(fn, edges: np.ndarray) -> np.ndarray:
-    """Integral of ``fn`` over each cell of ``edges``."""
+def gl_nodes(edges: np.ndarray) -> np.ndarray:
+    """The 16 Gauss-Legendre nodes of each cell of ``edges``, one row per cell."""
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
-    ts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    return half * (np.asarray(fn(ts.ravel()), dtype=float).reshape(ts.shape) @ _GL_WEIGHTS)
+    return mid[:, None] + half[:, None] * _GL_NODES[None, :]
+
+
+def _cell_integrals(fn, edges: np.ndarray) -> np.ndarray:
+    """Integral of ``fn`` over each cell of ``edges``."""
+    ts = gl_nodes(edges)
+    vals = np.asarray(fn(ts.ravel()), dtype=float).reshape(ts.shape)
+    return 0.5 * np.diff(edges) * (vals @ _GL_WEIGHTS)
 
 
 def integral(fn, edges: np.ndarray) -> float:
@@ -213,12 +219,21 @@ def cumulative(fn, edges: np.ndarray):
     return cum
 
 
-def expect(G: MeasureOnTime, h, edges: np.ndarray) -> float:
-    """``int h dG`` with the density (incl. tail) on ``edges`` plus atoms."""
-    total = integral(lambda t: G.pdf(t) * np.asarray(h(t), dtype=float), edges)
-    for t, mass in G.atoms:
-        total += mass * float(np.asarray(h(np.array([t])))[0])
+def expect_values(G: MeasureOnTime, edges: np.ndarray, hs: np.ndarray) -> float:
+    """``int h dG`` from ``hs``: h at the `gl_nodes` of ``edges``, then at G's atoms."""
+    n = hs.size - len(G.atoms)
+    total = integral(lambda t: G.pdf(t) * hs[:n], edges)
+    for (_, mass), h in zip(G.atoms, hs[n:].tolist()):
+        total += mass * h
     return total
+
+
+def expect(G: MeasureOnTime, h, edges: np.ndarray) -> float:
+    """``int h dG`` with the density (incl. tail) on ``edges`` plus atoms. ``h``
+    gets all nodes in one call and each atom alone, as a matrix-product row
+    reduction (like `cumulative`'s) can change bits with the row count."""
+    calls = [gl_nodes(edges).ravel()] + [np.array([t]) for t, _ in G.atoms]
+    return expect_values(G, edges, np.concatenate([np.asarray(h(t), dtype=float) for t in calls]))
 
 
 def cumulative_against(h, G: MeasureOnTime, edges: np.ndarray):

@@ -17,10 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceViolation, UnresolvablePeaks
+from .errors import DivergenceViolation, InadmissiblePrimitives, UnresolvablePeaks
 from .frontiers import INF, Frontier, ParametricFrontier, midpoint_concavity_slack
 from .report import VerificationReport
 from .roots import bisect, golden_section_max, solve_monotone
+
+#: ``phi'(phi_inv(u))`` divides by zero at 0 and, for small exponents,
+#: overflows to +inf near 0; every solve that evaluates it handles those
+#: limits. Only used as a decorator, which enters a fresh context per call
+#: (one per solve) and so nests, where a shared ``with`` instance cannot.
+_quiet = np.errstate(divide="ignore", over="ignore")
 
 
 class PowerUtility:
@@ -41,9 +47,9 @@ class PowerUtility:
 
     def phi_prime_at_inv(self, u):
         """``phi'(phi_inv(u))``, which is ``a * u**(1 - 1/a)``; +inf at 0
-        (and, for small ``a``, already overflowing to +inf near 0)."""
-        with np.errstate(divide="ignore", over="ignore"):
-            return self.a * np.power(u, 1.0 - 1.0 / self.a)
+        (and, for small ``a``, already overflowing to +inf near 0). It warns
+        there, so callers run under `_quiet`."""
+        return self.a * np.power(u, 1.0 - 1.0 / self.a)
 
 
 class PowerCost:
@@ -82,27 +88,26 @@ class MoralHazardPrimitives:
         if self.w <= 0:
             raise ValueError("w must be positive")
 
+    @_quiet
     def validate(self) -> None:
         """Check the qualitative-shape invariants at the grid endpoints.
 
         Extreme exponents overflow to inf or divide by zero there; the
         comparisons handle those limits, so the warnings are silenced.
         """
-        with np.errstate(over="ignore", divide="ignore"):
-            ratio_small = float(self.phi.phi_prime_at_inv(1e-10))
-            ratio_large = float(self.phi.phi_prime_at_inv(1e10))
-            L = self.divergence_grid_L
-            marginal = float(
-                self.kappa.kappa_prime(L) / self.phi.phi_prime_at_inv(self.kappa.kappa(L))
-            )
+        ratio_small = float(self.phi.phi_prime_at_inv(1e-10))
+        ratio_large = float(self.phi.phi_prime_at_inv(1e10))
+        L = self.divergence_grid_L
+        marginal = float(self.kappa.kappa_prime(L) / self.phi.phi_prime_at_inv(self.kappa.kappa(L)))
         if not ratio_small > ratio_large:
-            raise DivergenceViolation("phi' must be strictly decreasing")
+            raise InadmissiblePrimitives("`phi.exponent` must make phi' strictly decreasing")
         if float(self.kappa.kappa(0.0)) != 0.0:
-            raise DivergenceViolation("kappa(0) must equal 0")
+            raise InadmissiblePrimitives("`kappa.exponent` must make kappa(0) equal 0")
         if marginal < self.divergence_factor * self.w:
-            raise DivergenceViolation(
-                f"marginal effort cost {marginal:.3g} at L={L:g} does not exceed "
-                f"w={self.w:g} by factor {self.divergence_factor:g}"
+            raise InadmissiblePrimitives(
+                f"`w`, `phi.exponent` and `kappa.exponent` give a marginal effort cost "
+                f"{marginal:.3g} at L={L:g} that does not exceed w={self.w:g} by factor "
+                f"{self.divergence_factor:g}, so the effort problem may have no interior maximizer"
             )
 
 
@@ -112,6 +117,7 @@ def _foc_gap(prims: MoralHazardPrimitives, u: float, L: float) -> float:
     return prims.kappa.kappa_prime(L) / denom - prims.w
 
 
+@_quiet
 def effort_star(prims: MoralHazardPrimitives, u: float) -> float:
     """Unique positive effort solving the inner first-order condition.
 
@@ -121,6 +127,7 @@ def effort_star(prims: MoralHazardPrimitives, u: float) -> float:
     return solve_monotone(lambda L: _foc_gap(prims, u, L), lo=1e-12, hi=1.0, tol=0.0)
 
 
+@_quiet
 def effort_star_array(prims: MoralHazardPrimitives, u) -> np.ndarray:
     """Vectorized solve of the same FOC as `effort_star`, by array bisection.
 
@@ -129,8 +136,11 @@ def effort_star_array(prims: MoralHazardPrimitives, u) -> np.ndarray:
     times. The result is the midpoint of the bisection's fixed-point bracket:
     bit for bit what all 90 steps give. It can differ from `effort_star` in
     the last bits, since that one brackets and stops differently.
+
+    An element's steps are its own and the loop ends only once no midpoint
+    moves, so the solve runs on the distinct inputs and scatters them back.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    u, back = np.unique(np.atleast_1d(np.asarray(u, dtype=float)), return_inverse=True)
     lo = np.full_like(u, 1e-14)
     hi = np.ones_like(u)
     # expand upper bracket elementwise until the FOC gap turns positive
@@ -151,7 +161,7 @@ def effort_star_array(prims: MoralHazardPrimitives, u) -> np.ndarray:
             # and every later step changes nothing. ``mid`` is already the
             # final midpoint, so the remaining FOC evaluations are skipped.
             break
-    return mid
+    return mid[back]
 
 
 @dataclass
@@ -182,6 +192,7 @@ class _PostBreakthroughFrontier(ParametricFrontier):
         L = effort_star_array(p, us)
         return us + p.lam * (p.w * L - p.phi.phi_inv(us + p.kappa.kappa(L)))
 
+    @_quiet
     def _deriv(self, u):
         # envelope theorem: only the direct u-dependence matters. The effort
         # comes from the scalar solve, one point at a time, because
@@ -193,12 +204,21 @@ class _PostBreakthroughFrontier(ParametricFrontier):
 
 def make_frontier_f0(prims: MoralHazardPrimitives) -> Frontier:
     p = prims
-    u0 = solve_monotone(
+    # u0 = (a/lam)**(a/(1-a)) solves phi'(phi_inv(u0)) = lam; solve_monotone
+    # reaches it only within 199 doublings of its bracket [1e-12, 1]
+    a = p.phi.a
+    log2_u0 = a / (1.0 - a) * math.log2(a / p.lam)
+    if not math.log2(1e-12) - 199.0 < log2_u0 < 199.0:
+        raise UnresolvablePeaks(
+            f"`lambda` and `phi.exponent` put u0 = (a/lambda)**(a/(1-a)) = 2**{log2_u0:.6g}, "
+            f"beyond the reach [1e-12 * 2**-199, 2**199] of the peak solve"
+        )
+    u0 = _quiet(solve_monotone)(
         lambda u: float(p.phi.phi_prime_at_inv(u)) - p.lam, lo=1e-12, hi=1.0
     )
     return ParametricFrontier(
         lambda u: u - p.lam * p.phi.phi_inv(u),
-        lambda u: 1.0 - p.lam / p.phi.phi_prime_at_inv(u),
+        _quiet(lambda u: 1.0 - p.lam / p.phi.phi_prime_at_inv(u)),
         domain=(0.0, INF),
         peak=u0,
     )
@@ -211,6 +231,7 @@ def make_moral_hazard_technology(prims: MoralHazardPrimitives) -> Technology:
     u0 = f0.peak
     f1 = _PostBreakthroughFrontier(prims)
 
+    @_quiet
     def u1_foc(u: float) -> float:
         L = effort_star(prims, u)
         return float(prims.phi.phi_prime_at_inv(u + prims.kappa.kappa(L))) - prims.lam

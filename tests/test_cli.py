@@ -85,6 +85,27 @@ class TestExitCodes:
         for key in ("lambda", "w", "phi.exponent", "kappa.exponent"):
             assert f"`{key}`" in err
 
+    @pytest.mark.parametrize(
+        "text, keys",
+        [
+            # validate() rejects the primitives: no interior effort maximizer
+            (
+                "w: 5\nphi: {kind: power, exponent: 0.95}\nkappa: {kind: power, exponent: 1.05}\n",
+                ("w", "phi.exponent", "kappa.exponent"),
+            ),
+            # u0 = (a/lambda)**(a/(1-a)) is about 1e197, past the peak solver's bracket
+            ("lambda: 0.01\nphi: {kind: power, exponent: 0.99}\n", ("lambda", "phi.exponent")),
+        ],
+    )
+    def test_inadmissible_primitives_are_exit_2(self, tmp_path, capsys, text, keys):
+        path = tmp_path / "prims.yaml"
+        path.write_text(text)
+        assert main(["frontier", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        for key in keys:
+            assert f"`{key}`" in err
+
     def test_extreme_exponent_emits_no_warnings(self, tmp_path, capsys):
         path = tmp_path / "small.yaml"
         path.write_text("phi: {kind: power, exponent: 0.01}\n")

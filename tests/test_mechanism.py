@@ -11,6 +11,7 @@ from frontierkit import (
     QuadraticFrontier,
     Technology,
 )
+from frontierkit import technology
 from frontierkit.mechanism import (
     BreakthroughDistribution,
     Mechanism,
@@ -167,6 +168,79 @@ class TestPayoff:
         m = Mechanism.from_grid(GRID, np.full(GRID.n_cells, 0.9), u1=tech.u1)
         with pytest.raises(NonFiniteValue):
             payoff(m, tech, BreakthroughDistribution.exponential(1.0))
+
+
+def _flow_path(tech, seed):
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(0.05 * tech.u0, 0.9 * tech.u0, GRID.n_cells)
+    return Mechanism.from_grid(GRID, x0, x0_tail=float(rng.uniform(0.05 * tech.u0, 0.9 * tech.u0)))
+
+
+SINGLE_BATCH_GS = {
+    "exponential": BreakthroughDistribution.exponential(0.8),
+    "mixed": BreakthroughDistribution(
+        density_edges=np.array([0.0, 1.0]),
+        density_values=np.array([0.5]),
+        tail_rate=1.2,
+        tail_mass=0.5,
+        tail_start=1.0,
+    ),
+    "atoms": BreakthroughDistribution(
+        atoms=((0.5, 0.25), (2.0, 0.25)), tail_rate=1.0, tail_mass=0.5, tail_start=2.0
+    ),
+}
+
+# (payoff, payoff after no_delay_improve) for the three Gs above, recorded
+# while the tail and each atom still had F1 solved in calls of their own
+PINNED_PAYOFFS = {
+    0: [(0.31264495281464116, 0.3126562716557176), (0.303227896266426, 0.30323884813268226),
+        (0.239773719374016, 0.2397938169991508)],
+    1: [(0.3175234105751377, 0.317548078597097), (0.30797906976150213, 0.30799986842930305),
+        (0.24237367661511436, 0.24237768125883583)],
+    2: [(0.3092788355256234, 0.30931824897198146), (0.29957849091510097, 0.29960722154153546),
+        (0.23484724063207027, 0.23486525897955823)],
+}
+
+
+class TestSingleF1Batch:
+    @pytest.fixture
+    def effort_calls(self, monkeypatch):
+        calls = []
+        solve = technology.effort_star_array
+
+        def counted(prims, u):
+            calls.append(np.size(u))
+            return solve(prims, u)
+
+        monkeypatch.setattr(technology, "effort_star_array", counted)
+        return calls
+
+    @pytest.mark.parametrize("family", sorted(SINGLE_BATCH_GS))
+    def test_one_effort_solve_per_payoff(self, default_tech, effort_calls, family):
+        G = SINGLE_BATCH_GS[family]
+        m = _flow_path(default_tech, 0)
+        for mech in (m, no_delay_improve(m, default_tech)):
+            effort_calls.clear()
+            payoff(mech, default_tech, G)
+            assert len(effort_calls) == 1
+
+    def test_one_effort_solve_per_affine_rewrite(self, default_tech, effort_calls):
+        f0 = AffineFrontier(0.1, 0.6, domain=(0.0, default_tech.u0))
+        tech = Technology(f0=f0, f1=default_tech.f1, u0=default_tech.u0, u1=default_tech.u1, u_star=0.0)
+        m = normalize(_flow_path(tech, 1), tech)
+        for G in SINGLE_BATCH_GS.values():
+            effort_calls.clear()
+            payoff_affine_rewrite(m, tech, G)
+            assert len(effort_calls) == 1
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_PAYOFFS))
+    def test_payoffs_are_unchanged_bit_for_bit(self, default_tech, seed):
+        m = _flow_path(default_tech, seed)
+        got = [
+            (payoff(m, default_tech, G), payoff(no_delay_improve(m, default_tech), default_tech, G))
+            for G in SINGLE_BATCH_GS.values()
+        ]
+        assert got == PINNED_PAYOFFS[seed]
 
 
 class TestNoDelayImprove:

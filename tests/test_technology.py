@@ -152,6 +152,19 @@ class TestEffortStar:
         for us in batches:
             np.testing.assert_array_equal(effort_star_array(prims, us), reference(us))
 
+    def test_array_solve_does_not_depend_on_the_batch(self, default_prims, default_tech):
+        # repeats, as max(X0, u1) makes them, are solved once and scattered back
+        rng = np.random.default_rng(11)
+        distinct = np.concatenate([[0.0, default_tech.u1, default_tech.u0], rng.uniform(0.0, 3.0, 300)])
+        us = rng.choice(distinct, 1000)
+        solved = effort_star_array(default_prims, us)
+        order = rng.permutation(us.size)
+        np.testing.assert_array_equal(effort_star_array(default_prims, us[order]), solved[order])
+        alone = np.array([effort_star_array(default_prims, us[i : i + 1])[0] for i in range(50)])
+        np.testing.assert_array_equal(alone, solved[:50])
+        unique, first = np.unique(us, return_index=True)
+        np.testing.assert_array_equal(effort_star_array(default_prims, unique), solved[first])
+
 
 class TestOneSidedDerivatives:
     def test_f0_deriv_at_half(self, default_tech):
