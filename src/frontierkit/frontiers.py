@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .roots import bisect_predicate
+from .roots import bisect_predicate_array
 
 INF = math.inf
 
@@ -32,13 +32,15 @@ class Frontier:
 
     This class does the rest. ``value`` accepts a scalar or an array, gives
     ``-inf`` outside the domain and a ``float`` for a scalar. ``left_deriv``
-    and ``right_deriv`` are scalar-only, because they sit inside scalar
-    bisections where an array test per call would cost more than the
+    and ``right_deriv`` are scalar-only, for callers that need one
+    derivative at a time (the mixture's per-member level test, one-off
+    checks), where an array test per call would cost more than the
     derivative: they check the domain, return ``+inf``/``-inf`` at its ends
     and pass a float to the hook. Every array caller uses ``deriv(us,
     side)``, which passes the whole interior array to the hook at once, or
     `directional_deriv` to pick the side per point. ``argmax_linear`` (and so
-    ``peak``) bisects on the derivatives; a closed form may override it.
+    ``peak``) bisects on ``deriv``, several steps per call; a closed form may
+    override it.
     """
 
     #: closure of the effective domain, as a pair (lo, hi); hi may be inf
@@ -104,25 +106,27 @@ class Frontier:
         ``[lo, hi]`` defaults to the domain. The smallest maximizer is the
         least ``u`` with ``right_deriv(u) <= eta``, the largest the greatest
         ``u`` with ``left_deriv(u) >= eta``; both tests are monotone in ``u``,
-        so one bisection finds either (to adjacent floats, kink-safe). An
-        unbounded upper end is doubled out first.
+        so one bisection finds either (to adjacent floats, kink-safe). It
+        tests arrays of points through ``deriv``. An unbounded upper end is
+        doubled out first.
         """
         lo, hi = self._bounds(lo, hi)
         if largest:
-            above = lambda u: self.left_deriv(u) >= eta
+            above = lambda us: self.deriv(us, "left") >= eta
         else:
-            above = lambda u: self.right_deriv(u) > eta
+            above = lambda us: self.deriv(us, "right") > eta
         if math.isinf(hi):
             hi = max(1.0, lo + 1.0)
             while above(hi):
                 hi = lo + 2.0 * (hi - lo)
                 if hi > 1e12:
                     raise DomainError(f"no maximizer of f(u) - {eta:g}*u found below u=1e12")
-        if not above(lo):
+        above_lo, above_hi = above(np.array([lo, hi]))
+        if not above_lo:
             return lo
-        if above(hi):
+        if above_hi:
             return hi
-        lo, hi = bisect_predicate(above, lo, hi)
+        lo, hi = bisect_predicate_array(above, lo, hi)
         return lo if largest else hi
 
     @property

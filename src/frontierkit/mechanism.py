@@ -217,9 +217,18 @@ def deadline_for_promise(v: float, tech: Technology, grid: TimeGrid) -> float:
     return -math.log1p(-frac) / grid.r
 
 
+def _with_promise(m: Mechanism, **promise) -> Mechanism:
+    """``m`` with another post-breakthrough promise; the flow path is kept, and
+    so is its cached ``X0_edges``, which `dataclasses.replace` would drop."""
+    out = replace(m, **promise)
+    if "X0_edges" in vars(m):
+        out.X0_edges = m.X0_edges
+    return out
+
+
 def no_delay_improve(m: Mechanism, tech: Technology) -> Mechanism:
     """Replace the post-breakthrough promise with ``max(X0, u1)``."""
-    return replace(m, u1=tech.u1, X1_cells=None, X1_tail=None)
+    return _with_promise(m, u1=tech.u1, X1_cells=None, X1_tail=None)
 
 
 def normalize(m: Mechanism, tech: Technology) -> Mechanism:
@@ -367,7 +376,7 @@ def pi_G(x0_mech: Mechanism, tech: Technology, G: BreakthroughDistribution) -> f
     This is the objective whose concavity and Gateaux derivative the
     variational checks exercise: ``X = X0`` (no separate promise choice).
     """
-    m = replace(x0_mech, u1=None, X1_cells=None, X1_tail=None)
+    m = _with_promise(x0_mech, u1=None, X1_cells=None, X1_tail=None)
     return payoff(m, tech, G)
 
 

@@ -1,8 +1,11 @@
 """Bracketing root-finding and scalar maximization helpers.
 
 All first-order conditions in this library are strictly monotone in the
-unknown, so plain bisection with geometric bracket expansion is globally
-safe and is used throughout.
+unknown, so bisection with geometric bracket expansion is globally safe.
+Root solves and `bisect_predicate` probe one point per step. The frontier
+searches, `golden_section_max` and `bisect_predicate_array`, take array
+oracles and look ahead: one oracle call covers their next `LOOKAHEAD` steps
+(see `_lookahead`).
 """
 
 from __future__ import annotations
@@ -10,9 +13,15 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
+
 from .errors import RootBracketFailure
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: steps a lookahead search walks per oracle call; the call evaluates the
+#: ``2**LOOKAHEAD - 1`` points those steps can probe
+LOOKAHEAD = 6
 
 
 def expand_bracket(
@@ -104,24 +113,99 @@ def bisect_predicate(
     return lo, hi
 
 
+def _lookahead(f, state, probe, decide, move):
+    """Walk a binary search, `LOOKAHEAD` steps per call of the array oracle ``f``.
+
+    One step probes ``x = probe(state)`` (``None`` once the search has
+    stopped), learns from ``decide(state, f(x))`` which of its two ways it
+    goes, and takes it: ``state = move(state, f(x), go)``. ``probe`` reads
+    only the bracket, never a value, so the points of the next `LOOKAHEAD`
+    steps over every outcome are known before any is evaluated. They form a
+    binary tree, stored heap-style (node ``i`` leads to ``2i+1`` when ``go``
+    and to ``2i+2`` otherwise) and built by ``move`` with ``fx=None``. One
+    ``f`` call on the whole tree lets the walk take those steps with the real
+    values. ``f`` is elementwise, so each value is what a one-point call
+    gives, and the walk is the one-step search bit for bit. Returns the state
+    the search stopped in.
+    """
+    size, inner = 2**LOOKAHEAD - 1, 2 ** (LOOKAHEAD - 1) - 1
+    while True:
+        nodes, points = [state], []
+        for i in range(size):
+            s = nodes[i]
+            x = None if s is None else probe(s)
+            points.append(x)
+            if i < inner:
+                nodes += [None, None] if x is None else [move(s, None, True), move(s, None, False)]
+        live = [i for i, x in enumerate(points) if x is not None]
+        if not live:
+            return state
+        values = dict(zip(live, f(np.array([points[i] for i in live])).tolist()))
+        i = 0
+        for _ in range(LOOKAHEAD):
+            if points[i] is None:
+                return state
+            go = decide(state, values[i])
+            state = move(state, values[i], go)
+            i = 2 * i + (1 if go else 2)
+
+
+def bisect_predicate_array(
+    pred: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
+) -> tuple[float, float]:
+    """`bisect_predicate`, bit for bit, for a ``pred`` that tests an array of
+    points elementwise: `LOOKAHEAD` halvings per ``pred`` call."""
+
+    def probe(s):
+        lo, hi, steps = s
+        mid = 0.5 * (lo + hi)
+        return None if steps == 200 or mid <= lo or mid >= hi else mid
+
+    def move(s, fx, go):
+        lo, hi, steps = s
+        mid = 0.5 * (lo + hi)
+        return (mid, hi, steps + 1) if go else (lo, mid, steps + 1)
+
+    lo, hi, _ = _lookahead(pred, (lo, hi, 0), probe, lambda s, fx: fx, move)
+    return lo, hi
+
+
 def golden_section_max(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     tol: float = 1e-10,
 ) -> float:
-    """Argmax of a unimodal ``f`` on ``[lo, hi]`` by golden-section search."""
+    """Argmax of a unimodal ``f`` on ``[lo, hi]`` by golden-section search.
+
+    ``f`` takes an array of points and returns their values elementwise. One
+    call evaluates the two first points, and each later one the points of
+    the next `LOOKAHEAD` steps.
+    """
     a, b = lo, hi
+    if not b - a > tol:
+        return 0.5 * (a + b)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
+    fc, fd = f(np.array([c, d])).tolist()
+
+    # a state is (a, b, c, d, the value kept from the last step, whether c
+    # is the point to probe next); the other inner point holds the kept value
+    def probe(s):
+        a, b, c, d, _, new_c = s
+        return (c if new_c else d) if b - a > tol else None
+
+    def decide(s, fx):
+        return fx >= s[4] if s[5] else s[4] >= fx
+
+    def move(s, fx, go):
+        a, b, c, d, kept, new_c = s
+        fc, fd = (fx, kept) if new_c else (kept, fx)
+        if go:
+            return a, d, d - _GOLDEN * (d - a), c, fc, True
+        return c, b, d, c + _GOLDEN * (b - c), fd, False
+
+    # the first step has both values: c's enters as if it had just been probed
+    start = move((a, b, c, d, fd, True), fc, fc >= fd)
+    a, b = _lookahead(f, start, probe, decide, move)[:2]
     return 0.5 * (a + b)

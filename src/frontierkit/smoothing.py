@@ -233,7 +233,7 @@ def _gap_argmax(pair_f0: Frontier, pair_f1: Frontier, hi: float) -> float:
     i = int(np.argmax(gaps))
     lo = us[max(0, i - 2)]
     up = us[min(len(us) - 1, i + 2)]
-    g = lambda u: float(pair_f1.value(u)) - float(pair_f0.value(u))
+    g = lambda u: pair_f1.value(u) - pair_f0.value(u)
     return golden_section_max(g, float(lo), float(up), tol=1e-12)
 
 

@@ -266,19 +266,24 @@ def _gap_argmax(f0: Frontier, f1: Frontier, u_hi: float) -> float:
 
     The gap is a difference of concave functions, so golden section alone is
     not trusted: the candidate is compared against the endpoints and checked
-    for first-order optimality on a fallback grid.
+    for first-order optimality on a fallback grid. The grid holds both
+    endpoints exactly, so their gaps are read from it.
     """
     gap = lambda u: f1.value(u) - f0.value(u)
-    cand = golden_section_max(gap, 0.0, u_hi, tol=1e-10)
     us = np.linspace(0.0, u_hi, 4097)
-    grid_best = float(us[np.argmax(f1.value(us) - f0.value(us))])
-    if gap(grid_best) > gap(cand) + 1e-12:
+    gaps = gap(us)
+    i = int(np.argmax(gaps))
+    grid_best = float(us[i])
+    cand = golden_section_max(gap, 0.0, u_hi, tol=1e-10)
+    g_cand = gap(cand)
+    if gaps[i] > g_cand + 1e-12:
         cand = golden_section_max(
             gap, max(0.0, grid_best - u_hi / 4096), min(u_hi, grid_best + u_hi / 4096)
         )
-    if gap(0.0) >= gap(cand) - 1e-12:
+        g_cand = gap(cand)
+    if gaps[0] >= g_cand - 1e-12:
         return 0.0
-    if gap(u_hi) >= gap(cand) - 1e-12:
+    if gaps[-1] >= g_cand - 1e-12:
         return u_hi
     # first-order post-check: right deriv <= 0 <= left deriv at the candidate
     right = f1.right_deriv(cand) - f0.right_deriv(cand)

@@ -1,12 +1,18 @@
 """Command-line behavior: exit codes, config validation, CSV export contracts."""
 
+import contextlib
 import hashlib
+import io
 import json
+import re
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frontierkit.cli import export_curves, load_config, main, run_suite
 from frontierkit.errors import ConfigError
@@ -124,6 +130,57 @@ class TestExitCodes:
         rc = main(["verify", "ui-assns", "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "ui-assns.txt").read_text().endswith("overall: PASS\n")
+
+
+_ANY = st.one_of(
+    st.floats(),
+    st.floats(min_value=0.05, max_value=20.0),
+    st.integers(-3, 3),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+)
+_EXPONENT = st.one_of(
+    _ANY,
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=1.0, max_value=1e6),
+    st.sampled_from([5e-324, 1e-300, 1e-8, 1.0 - 1e-16, 1.0 + 2.3e-16, 1e300]),
+)
+_SHAPE = st.one_of(
+    _ANY,
+    st.fixed_dictionaries(
+        {}, optional={"kind": st.one_of(st.just("power"), _ANY), "exponent": _EXPONENT}
+    ),
+)
+_CONFIGS = st.fixed_dictionaries(
+    {},
+    optional={
+        "lambda": _ANY,
+        "w": _ANY,
+        "rate": _ANY,
+        "perturb": _ANY,
+        "phi": _SHAPE,
+        "kappa": _SHAPE,
+        "unknown": _ANY,
+    },
+)
+
+
+@given(config=_CONFIGS)
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_fuzzed_config_exits_0_or_2_and_names_the_key(tmp_path_factory, config):
+    path = tmp_path_factory.mktemp("fuzz") / "config.yaml"
+    path.write_text(yaml.safe_dump(config))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["frontier", "--config", str(path)])
+    err = err.getvalue()
+    assert rc in (0, 2), err
+    if rc == 0:
+        assert err == ""
+    else:
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert re.search(r"`[a-z.]+`", err), err
 
 
 class TestSuites:

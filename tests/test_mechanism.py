@@ -11,7 +11,7 @@ from frontierkit import (
     QuadraticFrontier,
     Technology,
 )
-from frontierkit import technology
+from frontierkit import mechanism, technology
 from frontierkit.mechanism import (
     BreakthroughDistribution,
     Mechanism,
@@ -23,6 +23,7 @@ from frontierkit.mechanism import (
     normalize,
     payoff,
     payoff_affine_rewrite,
+    pi_G,
     promised_utility,
 )
 
@@ -232,6 +233,19 @@ class TestSingleF1Batch:
             effort_calls.clear()
             payoff_affine_rewrite(m, tech, G)
             assert len(effort_calls) == 1
+
+    def test_one_promise_edge_solve_per_flow_path(self, default_tech, monkeypatch):
+        # no_delay_improve and pi_G keep the flow path, so they keep its X0_edges
+        calls = []
+        solve = mechanism._promise_edges
+        monkeypatch.setattr(mechanism, "_promise_edges", lambda *a: calls.append(1) or solve(*a))
+        for G in SINGLE_BATCH_GS.values():
+            m = _flow_path(default_tech, 0)
+            calls.clear()
+            payoff(m, default_tech, G)
+            payoff(no_delay_improve(m, default_tech), default_tech, G)
+            pi_G(m, default_tech, G)
+            assert len(calls) == 1
 
     @pytest.mark.parametrize("seed", sorted(PINNED_PAYOFFS))
     def test_payoffs_are_unchanged_bit_for_bit(self, default_tech, seed):
