@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NonFiniteValue, PreconditionViolation
 from .frontiers import INF
-from .quadrature import MeasureOnTime, cell_index, expect_values, gl_nodes, step_value
+from .quadrature import MeasureOnTime, NodePlan, cell_index, step_value
 from .technology import Technology
 
 
@@ -98,6 +98,21 @@ def _promise_edges(edges: np.ndarray, x0: np.ndarray, r: float, x0_tail: float):
     return X
 
 
+class _GridTimes:
+    """Times on a mechanism grid (``edges`` at rate ``r``): each time's cell,
+    whether it lies at or past the horizon and, on first use, the discount
+    ``e^{-r(edges[k+1] - t)}`` from it to the end of its cell."""
+
+    def __init__(self, edges: np.ndarray, r: float, t: np.ndarray):
+        self.edges, self.r, self.t = edges, r, t
+        self.cell = cell_index(edges, t)
+        self.beyond = t >= edges[-1]
+
+    @cached_property
+    def to_edge(self) -> np.ndarray:
+        return np.exp(-self.r * (self.edges[self.cell + 1] - self.t))
+
+
 @dataclass
 class Mechanism:
     """Flow path per cell plus a post-breakthrough promise convention.
@@ -146,26 +161,26 @@ class Mechanism:
 
     def X0_at(self, t):
         """Continuation promise at arbitrary times (continuous in t)."""
-        t = np.asarray(t, dtype=float)
-        k = cell_index(self.edges, t)
-        Xe = self.X0_edges
-        inner = self.x0[k] + (Xe[k + 1] - self.x0[k]) * np.exp(
-            -self.r * (self.edges[k + 1] - t)
-        )
-        out = np.where(t >= self.horizon, self.x0_tail, inner)
+        out = self._X0_on(_GridTimes(self.edges, self.r, np.asarray(t, dtype=float)))
         return out if out.ndim else float(out)
+
+    def _X0_on(self, at: _GridTimes):
+        k = at.cell
+        inner = self.x0[k] + (self.X0_edges[k + 1] - self.x0[k]) * at.to_edge
+        return np.where(at.beyond, self.x0_tail, inner)
 
     def X1_at(self, t):
         """Post-breakthrough promise at arbitrary times."""
-        t = np.asarray(t, dtype=float)
-        if self.u1 is not None:
-            out = np.maximum(self.X0_at(t), self.u1)
-        elif self.X1_cells is not None:
-            tail = self.X1_tail if self.X1_tail is not None else self.x0_tail
-            out = step_value(self.edges, self.X1_cells, tail, t)
-        else:
-            out = self.X0_at(t)
+        out = self._X1_on(_GridTimes(self.edges, self.r, np.asarray(t, dtype=float)))
         return out if np.ndim(out) else float(out)
+
+    def _X1_on(self, at: _GridTimes):
+        if self.u1 is not None:
+            return np.maximum(self._X0_on(at), self.u1)
+        if self.X1_cells is not None:
+            tail = self.X1_tail if self.X1_tail is not None else self.x0_tail
+            return np.where(at.beyond, tail, self.X1_cells[at.cell])
+        return self._X0_on(at)
 
     @property
     def no_delay_form(self) -> bool:
@@ -262,33 +277,59 @@ def _crossing_knots(m: Mechanism, level: float) -> list[float]:
     return out
 
 
-def _expect_with_tail(G: BreakthroughDistribution, m: Mechanism, f1_at, point_fn, tail_coeffs):
-    """``E_G[h(tau)]`` for ``h`` smooth between the knots of ``m`` (its edges
-    and where X0 crosses ``u1``) and affine-in-``e^{-r tau}`` beyond the last
-    structural time.
+class _PayoffPlan:
+    """What the payoff quadrature of ``m`` needs of its grid and ``G``.
 
-    ``f1_at(t)`` gives the F1 values h needs at times ``t``. One call, so one
-    effort solve, covers the quadrature nodes, the atoms and, for G's tail, a
-    time past the last knot, where it is a constant ``F1c``. ``point_fn(t,
-    F1t)`` evaluates h from them; ``tail_coeffs(T, F1c)`` is ``(a, b, r)``
-    with ``h(t) = a + b e^{-r t}`` for ``t >= T``, integrated in closed form
-    against the exponential tail.
+    ``quad`` holds the nodes of ``E_G`` on ``[0, T_max]``, up to the last
+    structural time, split at m's edges, where X0 crosses ``u1`` and at G's
+    knots.
+    ``at`` places the F1 evaluation times on the grid: the nodes and, for
+    G's tail, ``T_max + 1``. ``disc`` is ``e^{-rt}`` at the nodes and
+    ``tail_disc`` is ``e^{-r T_max}``. Each comes from the expression, and
+    the array, that a payoff evaluated on its own would use, so a payoff on
+    a shared plan keeps its bits.
     """
-    knots = list(m.edges) + _crossing_knots(m, m.u1)
-    T_max = G.finite_cutoff(extra=max(knots))
-    edges = np.unique(
-        np.concatenate([[0.0, T_max], np.asarray(knots + list(G.knots))])
-    )
-    edges = edges[(edges >= 0.0) & (edges <= T_max)]
-    ts = np.concatenate([gl_nodes(edges).ravel(), [t for t, _ in G.atoms]])
-    tail = [T_max + 1.0] if G.tail_mass > 0 else []
-    F1 = f1_at(np.concatenate([ts, tail]))
-    total = expect_values(G, edges, point_fn(ts, F1[: ts.size]))
-    if tail:
-        rem = G.tail_mass * math.exp(-G.tail_rate * (T_max - G.tail_start))
-        a, b, r = tail_coeffs(T_max, float(F1[-1]))
+
+    def __init__(self, m: Mechanism, G: BreakthroughDistribution):
+        knots = list(m.edges) + _crossing_knots(m, m.u1)
+        self.T_max = T_max = G.finite_cutoff(extra=max(knots))
+        edges = np.unique(
+            np.concatenate([[0.0, T_max], np.asarray(knots + list(G.knots))])
+        )
+        edges = edges[(edges >= 0.0) & (edges <= T_max)]
+        self.quad = NodePlan.build(G, edges)
+        times = np.concatenate([self.quad.nodes, [T_max + 1.0] if G.tail_mass > 0 else []])
+        self.at = _GridTimes(m.edges, m.r, times)
+        self.disc = np.exp(-m.r * self.quad.nodes)
+        self.tail_disc = float(np.exp(-m.r * np.array([T_max]))[0])
+
+    def serves(self, m: Mechanism) -> bool:
+        """Whether ``m`` is on this plan's grid. Crossing knots are not
+        compared: only paths with the promise pinned to X0, which have none,
+        share a plan."""
+        return m.r == self.at.r and np.array_equal(m.edges, self.at.edges)
+
+
+def _expect_with_tail(plan: _PayoffPlan, f1_on, point_fn, tail_coeffs):
+    """``E_G[h(tau)]`` for ``h`` smooth between the plan's knots and
+    affine-in-``e^{-r tau}`` beyond ``T_max``.
+
+    ``f1_on(plan.at)`` gives the F1 values h needs. One call, so one effort
+    solve, covers the quadrature nodes, the atoms and, for G's tail, a time
+    past the last knot, where it is a constant ``F1c``. ``point_fn(F1t)``
+    evaluates h at the nodes from them; ``tail_coeffs(F1c)`` is ``(a, b, r)``
+    with ``h(t) = a + b e^{-r t}`` for ``t >= T_max``, integrated in closed
+    form against the exponential tail.
+    """
+    F1 = f1_on(plan.at)
+    total = plan.quad.expect_values(point_fn(F1[: plan.quad.nodes.size]))
+    G = plan.quad.G
+    if G.tail_mass > 0:
+        T = plan.T_max
+        rem = G.tail_mass * math.exp(-G.tail_rate * (T - G.tail_start))
+        a, b, r = tail_coeffs(float(F1[-1]))
         g = G.tail_rate
-        total += rem * (a + b * math.exp(-r * T_max) * g / (g + r))
+        total += rem * (a + b * math.exp(-r * T) * g / (g + r))
     return total
 
 
@@ -300,6 +341,10 @@ def payoff(m: Mechanism, tech: Technology, G: BreakthroughDistribution) -> float
     pieces by per-cell Gauss-Legendre (the integrand is smooth between the
     merged knots). ``tech.f1.value`` is called once (see `_expect_with_tail`).
     """
+    return _payoff(m, tech, _PayoffPlan(m, G))
+
+
+def _payoff(m: Mechanism, tech: Technology, plan: _PayoffPlan) -> float:
     r = m.r
     F0x = np.asarray(tech.f0.value(m.x0), dtype=float)
     F0tail = float(tech.f0.value(m.x0_tail))
@@ -308,28 +353,26 @@ def payoff(m: Mechanism, tech: Technology, G: BreakthroughDistribution) -> float
 
     exp_edges = np.exp(-r * m.edges)
     A_edges = np.concatenate([[0.0], np.cumsum(F0x * (exp_edges[:-1] - exp_edges[1:]))])
+    n, disc = plan.quad.nodes.size, plan.disc
 
-    def A_at(t):
-        t = np.asarray(t, dtype=float)
-        k = cell_index(m.edges, t)
-        inner = A_edges[k] + F0x[k] * (exp_edges[k] - np.exp(-r * t))
-        beyond = A_edges[-1] + F0tail * (exp_edges[-1] - np.exp(-r * t))
-        return np.where(t >= m.horizon, beyond, inner)
-
-    def point_fn(t, F1t):
-        vals = A_at(t) + np.exp(-r * t) * F1t
+    def point_fn(F1t):
+        k = plan.at.cell[:n]
+        inner = A_edges[k] + F0x[k] * (exp_edges[k] - disc)
+        beyond = A_edges[-1] + F0tail * (exp_edges[-1] - disc)
+        vals = np.where(plan.at.beyond[:n], beyond, inner) + disc * F1t
         if not np.all(np.isfinite(vals)):
             raise NonFiniteValue("F1 is -inf somewhere on the promise path's range")
         return vals
 
-    def tail_coeffs(T, F1c):
-        # beyond T: A(t) = A(T) + F0tail (e^{-rT} - e^{-rt}) and X1 constant,
-        # so h(t) = [A(T) + F0tail e^{-rT}] + [F1(X1c) - F0tail] e^{-rt}
-        a = float(A_at(np.array([T]))[0]) + F0tail * math.exp(-r * T)
-        return a, F1c - F0tail, r
+    def tail_coeffs(F1c):
+        # beyond T = T_max, which is past the horizon: A(t) = A(T) + F0tail
+        # (e^{-rT} - e^{-rt}) and X1 constant, so h(t) = [A(T) + F0tail
+        # e^{-rT}] + [F1(X1c) - F0tail] e^{-rt}
+        A_T = float(A_edges[-1] + F0tail * (exp_edges[-1] - plan.tail_disc))
+        return A_T + F0tail * math.exp(-r * plan.T_max), F1c - F0tail, r
 
-    f1_at = lambda t: tech.f1.value(m.X1_at(t))
-    return _expect_with_tail(G, m, f1_at, point_fn, tail_coeffs)
+    f1_on = lambda at: tech.f1.value(m._X1_on(at))
+    return _expect_with_tail(plan, f1_on, point_fn, tail_coeffs)
 
 
 def _require_affine_f0(tech: Technology) -> tuple[float, float]:
@@ -357,17 +400,19 @@ def payoff_affine_rewrite(
     if any(t == 0.0 and mass > 0.0 for t, mass in G.atoms):
         raise PreconditionViolation("G must have no mass at time 0")
     r = m.r
-    f1_at = lambda t: tech.f1.value(np.maximum(m.X0_at(t), m.u1))
+    plan = _PayoffPlan(m, G)
+    f1_on = lambda at: tech.f1.value(np.maximum(m._X0_on(at), m.u1))
 
-    def point_fn(t, F1t):
+    def point_fn(F1t):
+        t = plan.quad.nodes
         return np.exp(-r * t) * (F1t - tech.f0.value(m.X0_at(t)))
 
-    def tail_coeffs(T, F1c):
-        # X0 is x0_tail from the horizon on, and T is past it
+    def tail_coeffs(F1c):
+        # X0 is x0_tail from the horizon on, and T_max is past it
         return 0.0, F1c - float(tech.f0.value(m.x0_tail)), r
 
     head = float(tech.f0.value(m.X0_edges[0]))
-    return head + _expect_with_tail(G, m, f1_at, point_fn, tail_coeffs)
+    return head + _expect_with_tail(plan, f1_on, point_fn, tail_coeffs)
 
 
 def pi_G(x0_mech: Mechanism, tech: Technology, G: BreakthroughDistribution) -> float:
@@ -376,8 +421,23 @@ def pi_G(x0_mech: Mechanism, tech: Technology, G: BreakthroughDistribution) -> f
     This is the objective whose concavity and Gateaux derivative the
     variational checks exercise: ``X = X0`` (no separate promise choice).
     """
-    m = _with_promise(x0_mech, u1=None, X1_cells=None, X1_tail=None)
-    return payoff(m, tech, G)
+    return _pinned_payoffs([x0_mech], tech, G)[0]
+
+
+def _pinned_payoffs(mechs, tech: Technology, G: BreakthroughDistribution) -> list[float]:
+    """`pi_G` of each flow path in ``mechs``, in order.
+
+    With the promise pinned to X0 there are no crossing knots, so the payoff
+    plan depends on the grid and G alone: consecutive paths on one grid, such
+    as a finite-difference sweep, share one plan, which lives for this call.
+    """
+    plan, out = None, []
+    for mech in mechs:
+        m = _with_promise(mech, u1=None, X1_cells=None, X1_tail=None)
+        if plan is None or not plan.serves(m):
+            plan = _PayoffPlan(m, G)
+        out.append(_payoff(m, tech, plan))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,12 @@ Quadrature rules, shared by `mechanism` and `variational`:
 - Running integrals ``t -> int_0^t`` add the whole cells before ``t`` to a
   fresh 16-node rule on the partial cell ``[edge, t]`` (`cumulative`).
 - Expectations add atoms exactly to the density integral (`expect`,
-  `expect_values`, `cumulative_against`).
+  `cumulative_against`).
+- A `NodePlan` holds what an expectation on one edge set needs of ``G``
+  (the nodes, then the atoms, G's density at the nodes and the half-widths),
+  so that many integrands share one build: `mechanism` builds one per
+  payoff, and one for every `pi_G` of a finite-difference sweep or a
+  concavity probe, as those share a grid and ``G``.
 - An improper horizon is truncated ``pad / r`` past the last knot, where
   ``e^{-rt}`` is below machine scale, and the far region is subdivided at the
   decay scale ``2 / max(r, decay)`` (`integration_edges`). Where the
@@ -38,7 +43,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 def cell_index(edges: np.ndarray, t) -> np.ndarray:
     """Index of the cell ``[edges[k], edges[k+1])`` holding ``t``, clipped to
     the first and last cell."""
-    return np.clip(np.searchsorted(edges, t, side="right") - 1, 0, len(edges) - 2)
+    k = np.searchsorted(edges, t, side="right") - 1
+    # np.minimum/np.maximum give np.clip's integers without its Python wrapper
+    return np.minimum(np.maximum(k, 0), len(edges) - 2)
 
 
 def step_value(edges: np.ndarray, cells: np.ndarray, tail: float, t):
@@ -97,10 +104,14 @@ class MeasureOnTime:
         """``nu((t, inf))`` at a time or an array of times (a float for a
         scalar), summed directly from the remaining pieces.
 
-        Each point's density mass is its own 1-D dot product and its tail
-        term uses `math.exp`: a 2-D matmul and `np.exp` both differ from
-        them in the last bit on some points, and exported residuals would
-        change with them.
+        A point's density mass is its row of remaining widths dotted with the
+        values. `np.vecdot` runs the 1-D dot kernel of ``w @ v`` on each row,
+        so one call is bit for bit the per-point dots; the 2-D matmul
+        ``widths @ v`` sums in another order and differs in the last bit on
+        some rows. The tail stays `math.exp` per point, which `np.exp` also
+        differs from on some points; only its argument is computed in numpy,
+        by the same IEEE operations (`np.fmax` ignores a NaN as Python's
+        ``max(0.0, x)`` does). Exported residuals would change with either.
         """
         ts = np.asarray(t, dtype=float)
         flat = ts.ravel()
@@ -110,10 +121,10 @@ class MeasureOnTime:
         if self.density_edges is not None:
             e, v = self.density_edges, self.density_values
             widths = np.clip(e[1:], flat[:, None], None) - np.clip(e[:-1], flat[:, None], None)
-            mass += [w @ v for w in widths]
+            mass += np.vecdot(widths, v)
         if self.tail_mass > 0:
-            g, start = self.tail_rate, self.tail_start
-            mass += [self.tail_mass * math.exp(-g * max(0.0, x - start)) for x in flat.tolist()]
+            args = -self.tail_rate * np.fmax(0.0, flat - self.tail_start)
+            mass += [self.tail_mass * math.exp(a) for a in args.tolist()]
         return mass.reshape(ts.shape) if ts.ndim else float(mass[0])
 
     def mass_upto(self, t):
@@ -219,21 +230,44 @@ def cumulative(fn, edges: np.ndarray):
     return cum
 
 
-def expect_values(G: MeasureOnTime, edges: np.ndarray, hs: np.ndarray) -> float:
-    """``int h dG`` from ``hs``: h at the `gl_nodes` of ``edges``, then at G's atoms."""
-    n = hs.size - len(G.atoms)
-    total = integral(lambda t: G.pdf(t) * hs[:n], edges)
-    for (_, mass), h in zip(G.atoms, hs[n:].tolist()):
-        total += mass * h
-    return total
+@dataclass(frozen=True)
+class NodePlan:
+    """The nodes of ``int h dG`` on ``edges``, built once for any number of ``h``.
+
+    ``nodes`` holds the `gl_nodes` of every cell, flattened, then G's atom
+    times; ``pdf`` is G's density at the GL nodes and ``half`` the cells'
+    half-widths. `expect_values` reduces h at the nodes with `integral`'s
+    per-cell ``@ _GL_WEIGHTS`` and sum, so it is `expect` bit for bit.
+    """
+
+    G: MeasureOnTime
+    nodes: np.ndarray
+    pdf: np.ndarray
+    half: np.ndarray
+
+    @classmethod
+    def build(cls, G: MeasureOnTime, edges: np.ndarray) -> "NodePlan":
+        gl = gl_nodes(edges).ravel()
+        nodes = np.concatenate([gl, [t for t, _ in G.atoms]])
+        return cls(G, nodes, G.pdf(gl), 0.5 * np.diff(edges))
+
+    def expect_values(self, hs: np.ndarray) -> float:
+        """``int h dG`` from ``hs``, the values of h at `nodes`."""
+        n = self.pdf.size
+        vals = (self.pdf * hs[:n]).reshape(-1, _GL_NODES.size)
+        total = float(np.sum(self.half * (vals @ _GL_WEIGHTS)))
+        for (_, mass), h in zip(self.G.atoms, hs[n:].tolist()):
+            total += mass * h
+        return total
 
 
 def expect(G: MeasureOnTime, h, edges: np.ndarray) -> float:
     """``int h dG`` with the density (incl. tail) on ``edges`` plus atoms. ``h``
     gets all nodes in one call and each atom alone, as a matrix-product row
     reduction (like `cumulative`'s) can change bits with the row count."""
-    calls = [gl_nodes(edges).ravel()] + [np.array([t]) for t, _ in G.atoms]
-    return expect_values(G, edges, np.concatenate([np.asarray(h(t), dtype=float) for t in calls]))
+    plan = NodePlan.build(G, edges)
+    calls = [plan.nodes[: plan.pdf.size]] + [np.array([t]) for t, _ in G.atoms]
+    return plan.expect_values(np.concatenate([np.asarray(h(t), dtype=float) for t in calls]))
 
 
 def cumulative_against(h, G: MeasureOnTime, edges: np.ndarray):

@@ -148,6 +148,16 @@ class _Core:
 
 
 def _core_error(tech: Technology, params: SmoothingParams) -> float:
+    """`_core_deviation`, computed once per Technology for the same inputs:
+    ``params``, the frontier objects, ``u0`` and ``u_star``. So
+    `build_smooth_pair` re-checks `SmoothingParams.auto`'s choice for free."""
+    key = (params, tech.f0, tech.f1, tech.u0, tech.u_star)
+    if key not in tech._core_errors:
+        tech._core_errors[key] = _core_deviation(tech, params)
+    return tech._core_errors[key]
+
+
+def _core_deviation(tech: Technology, params: SmoothingParams) -> float:
     """Max deviation of the (shift-corrected) core pair from the source.
 
     A deviation that is not finite (a NaN from either side) makes it inf, so

@@ -174,6 +174,8 @@ class Technology:
     u1: float
     u_star: float
     prims: MoralHazardPrimitives | None = field(default=None, repr=False)
+    #: smoothing's core errors by their inputs (see `smoothing._core_error`)
+    _core_errors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def gap(self, u):
         return self.f1.value(u) - self.f0.value(u)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidProfile, NonConvergent, PreconditionViolation
 from .frontiers import directional_deriv
-from .mechanism import BreakthroughDistribution, Mechanism, pi_G
+from .mechanism import BreakthroughDistribution, Mechanism, _pinned_payoffs
 from .quadrature import (
     MeasureOnTime,
     cumulative,
@@ -247,7 +247,6 @@ def gateaux_closed_form(
     r = m.r
     edges = integration_edges(G, r, [*m.edges, *m_dag.edges])
     dx = lambda t: m_dag.x0_at(t) - m.x0_at(t)
-    dX = lambda t: m_dag.X0_at(t) - m.X0_at(t)
 
     term_b = integral(
         lambda t: r * np.exp(-r * t) * G.sf(t) * prof.phi0(t) * dx(t), edges
@@ -255,21 +254,18 @@ def gateaux_closed_form(
     cum1 = cumulative_against(prof.phi1, G, edges)
     term_c = integral(lambda t: r * np.exp(-r * t) * cum1(t) * dx(t), edges)
 
-    corr0_cum = cumulative(
-        lambda t: r
-        * np.exp(-r * t)
-        * (directional_deriv(tech.f0, m.x0_at(t), m_dag.x0_at(t)) - prof.phi0(t))
-        * dx(t),
-        edges,
-    )
-    corr0 = expect(G, corr0_cum, edges)
-    corr1 = expect(
-        G,
-        lambda t: np.exp(-r * t)
-        * (directional_deriv(tech.f1, m.X0_at(t), m_dag.X0_at(t)) - prof.phi1(t))
-        * dX(t),
-        edges,
-    )
+    def corr0_density(t):
+        x, x_dag = m.x0_at(t), m_dag.x0_at(t)
+        gap = directional_deriv(tech.f0, x, x_dag) - prof.phi0(t)
+        return r * np.exp(-r * t) * gap * (x_dag - x)
+
+    def corr1_value(t):
+        X, X_dag = m.X0_at(t), m_dag.X0_at(t)
+        gap = directional_deriv(tech.f1, X, X_dag) - prof.phi1(t)
+        return np.exp(-r * t) * gap * (X_dag - X)
+
+    corr0 = expect(G, cumulative(corr0_density, edges), edges)
+    corr1 = expect(G, corr1_value, edges)
     if return_terms:
         return {
             "survival": term_b,
@@ -290,20 +286,23 @@ def gateaux_fd(
 ) -> float:
     """Finite-difference directional derivative with Richardson extrapolation.
 
-    Uses the payoff with the promise pinned to its own continuation; the
-    difference quotients of a concave objective are nonincreasing in alpha,
-    so the last three are extrapolated to alpha = 0.
+    Uses the payoff with the promise pinned to its own continuation
+    (`pi_G`); the difference quotients of a concave objective are
+    nonincreasing in alpha, so the last three are extrapolated to alpha = 0.
+    All the payoffs share one grid, so they share one payoff plan.
     """
     m, m_dag = _align(m, m_dag)
-    base = pi_G(m, tech, G)
-    quots = []
-    for a in sorted(alphas, reverse=True):
-        blend = replace(
+    steps = sorted(alphas, reverse=True)
+    blends = [
+        replace(
             m,
             x0=m.x0 + a * (m_dag.x0 - m.x0),
             x0_tail=m.x0_tail + a * (m_dag.x0_tail - m.x0_tail),
         )
-        quots.append((a, (pi_G(blend, tech, G) - base) / a))
+        for a in steps
+    ]
+    base, *vals = _pinned_payoffs([m, *blends], tech, G)
+    quots = [(a, (v - base) / a) for a, v in zip(steps, vals)]
     diffs = [abs(q2 - q1) for (_, q1), (_, q2) in zip(quots[:-1], quots[1:])]
     if len(diffs) >= 2 and diffs[-1] > 10.0 * diffs[0] + 1e-6:
         raise NonConvergent("difference quotients diverge as alpha decreases")
@@ -350,7 +349,6 @@ def strict_concavity_probe(
         x0=lam * m.x0 + (1 - lam) * m_dag.x0,
         x0_tail=lam * m.x0_tail + (1 - lam) * m_dag.x0_tail,
     )
-    gap = pi_G(blend, tech, G) - (
-        lam * pi_G(m, tech, G) + (1 - lam) * pi_G(m_dag, tech, G)
-    )
+    at_blend, at_m, at_dag = _pinned_payoffs([blend, m, m_dag], tech, G)
+    gap = at_blend - (lam * at_m + (1 - lam) * at_dag)
     return gap, valid

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frontierkit import BreakthroughDistribution, MeasureOnTime
 from frontierkit.quadrature import cell_index, cumulative, integral, step_value
@@ -79,6 +81,39 @@ class TestMeasureOnTime:
             assert all(type(fn(float(t))) is float for t in ts[:3])
             np.testing.assert_array_equal(fn(ts), scalar)
             np.testing.assert_array_equal(fn(ts[:, None]), scalar[:, None])
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        n_atoms=st.integers(0, 4),
+        n_pieces=st.integers(1, 60),
+        tail=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_array_sf_is_the_reference_on_random_measures(self, n_atoms, n_pieces, tail, seed):
+        rng = np.random.default_rng(seed)
+        edges = rng.uniform(0.0, 3.0) + np.cumsum(rng.uniform(0.01, 1.0, n_pieces + 1))
+        times = [0.0, *rng.uniform(0.0, edges[-1] + 2.0, 3)][:n_atoms]
+        nu = MeasureOnTime(
+            atoms=tuple((float(t), float(m)) for t, m in zip(times, rng.uniform(0.0, 1.0, 4))),
+            density_edges=edges,
+            density_values=rng.uniform(0.0, 2.0, n_pieces),
+            tail_rate=float(rng.uniform(0.05, 5.0)),
+            tail_mass=float(rng.uniform(0.1, 2.0)) if tail else 0.0,
+            tail_start=float(edges[-1] + rng.uniform(0.0, 2.0)),
+        )
+        ts = np.concatenate(
+            [
+                nu.knots,
+                rng.uniform(-1.0, edges[-1] + 5.0, 300),
+                nu.tail_start + rng.exponential(10.0 / nu.tail_rate, 100),
+            ]
+        )
+        ref = np.array([sf_reference(nu, float(t)) for t in ts])
+        assert np.array_equal(nu.sf(ts), ref)
+        assert np.array_equal(nu.sf(ts[:400].reshape(20, 20)), ref[:400].reshape(20, 20))
+        for t, want in zip(ts[:8].tolist(), ref[:8].tolist()):
+            got = nu.sf(np.asarray(t))
+            assert type(got) is float and got == want
 
     def test_mass_upto_includes_atoms_at_t(self):
         nu = full_measure()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_batched_equals_scalar
-from frontierkit import technology
+from frontierkit import smoothing, technology
 from frontierkit.errors import DomainError, ParamsOutOfRange
 from frontierkit.frontiers import (
     AffineFrontier,
@@ -101,6 +101,26 @@ class TestParams:
             assert 0 < p.delta < 1 / n
             assert 0 < p.gamma < 1 / (tech.u0 * n)
             assert 2 * p.eps < p.zeta < 2 / n
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_one_core_error_evaluation_per_auto_and_build(self, n, monkeypatch):
+        evaluated = []
+        real = smoothing._core_deviation
+        monkeypatch.setattr(
+            smoothing, "_core_deviation", lambda tech, p: evaluated.append(p) or real(tech, p)
+        )
+        tech = quad_tech()
+        params = SmoothingParams.auto(tech, n)
+        build_smooth_pair(tech, params)
+        assert evaluated == [params]
+        # hand-made params are still checked against the budget
+        hand = dataclasses.replace(params, delta=0.5 * params.delta)
+        build_smooth_pair(tech, hand)
+        assert evaluated == [params, hand]
+        # a Technology whose frontier changed is evaluated afresh
+        tech.f1 = kinked_tech().f1
+        _core_error(tech, params)
+        assert evaluated == [params, hand, params]
 
 
 class TestDerivativeEnvelope:

@@ -1,5 +1,8 @@
+import gc
+import json
 import math
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ from frontierkit import (
     QuadraticFrontier,
     Technology,
 )
+from frontierkit import mechanism
 from frontierkit.mechanism import BreakthroughDistribution, Mechanism, TimeGrid
 from frontierkit.variational import (
     MeasureOnTime,
@@ -334,6 +338,130 @@ class TestStrictConcavity:
             G = BreakthroughDistribution.exponential(float(rng.uniform(0.5, 2.0)))
             gap, valid = strict_concavity_probe(m, m_dag, lam, tech, G)
             assert valid and gap > 0
+
+
+def pinned_G(rng, kind):
+    """The five kinds of G the pinned instances cycle through."""
+    rate = float(rng.uniform(0.6, 1.5))
+    if kind == 0:
+        return mixed_G(rate)
+    if kind == 1:
+        return BreakthroughDistribution.exponential(rate)
+    if kind == 2:
+        # an atom inside a cell, three density pieces and a tail
+        w = rng.dirichlet(np.ones(5))
+        edges = np.sort(np.concatenate([[0.0, 1.7], rng.uniform(0.1, 1.6, 2)]))
+        return BreakthroughDistribution(
+            atoms=((float(rng.uniform(0.1, 1.9)), float(w[0])),),
+            density_edges=edges,
+            density_values=w[1:4] / np.diff(edges),
+            tail_rate=rate,
+            tail_mass=float(1.0 - w[:4].sum()),
+            tail_start=1.7 + float(rng.uniform(0, 0.5)),
+        )
+    if kind == 3:
+        return BreakthroughDistribution(
+            atoms=((0.0, 0.25),), tail_rate=rate, tail_mass=0.75, tail_start=0.0
+        )
+    return BreakthroughDistribution.uniform(0.0, float(rng.uniform(0.5, 2.5)))
+
+
+def pinned_instance(i, mh_tech):
+    """Instance ``i`` of the pinned values: rates 1, 2 and 0.7, every fourth
+    ``m_dag`` on a coarser grid (so `_align` refines both), and the
+    moral-hazard technology at 7 and 17."""
+    rng = np.random.default_rng(900 + i)
+    tech = mh_tech if i % 10 == 7 else quad_tech()
+    r = (1.0, 2.0, 0.7)[i % 3]
+    grid = TimeGrid(horizon=2.0, step=0.25, r=r)
+    lo, hi = 0.05 * tech.u0, 0.9 * tech.u0
+
+    def flow(g):
+        x0 = rng.uniform(lo, hi, g.n_cells)
+        return Mechanism.from_grid(g, x0, x0_tail=float(rng.uniform(lo, hi)))
+
+    m = flow(grid)
+    m_dag = flow(TimeGrid(horizon=2.0, step=0.5, r=r) if i % 4 == 3 else grid)
+    G = pinned_G(rng, i % 5)
+    return tech, m, m_dag, G, float(rng.uniform(0.05, 0.95)), float(rng.uniform(lo, hi))
+
+
+def pinned_values(i, mh_tech):
+    tech, m, m_dag, G, lam, probe_u = pinned_instance(i, mh_tech)
+    prof = SupergradientProfile.exact(m, tech)
+    out = {"fd": [gateaux_fd(m, m_dag, tech, G)]}
+    if G.tail_mass > 0:
+        gap, valid = strict_concavity_probe(m, m_dag, lam, tech, G)
+        out["probe"] = [gap, float(valid)]
+    out["warmup"] = [warmup_identity(G, r=m.r)]
+    out["euler"] = euler_residual(prof, G).tolist()
+    if tech is not mh_tech:
+        # skipped for the moral-hazard F1, whose derivative is solved one
+        # point at a time: seconds per instance
+        terms = gateaux_closed_form(m, m_dag, prof, tech, G, return_terms=True)
+        out["closed"] = [terms[k] for k in ("survival", "accumulated", "corr0", "corr1", "total")]
+        out["closed"].append(gateaux_closed_form(m, m_dag, prof, tech, G))
+        b = integrability_bounds(prof, G, m, tech, probe_u)
+        out["integrability"] = [
+            b.capital_phi_expectation,
+            b.phi1_abs_expectation,
+            b.psi0_expectation,
+            b.psi1_expectation,
+            b.slack,
+        ]
+    return {k: [float(x).hex() for x in v] for k, v in out.items()}
+
+
+PINS = json.loads((Path(__file__).parent / "variational_pins.json").read_text())
+
+
+@pytest.mark.parametrize("i", range(len(PINS)))
+def test_variational_values_are_pinned_bit_for_bit(i, default_tech):
+    # recorded before the payoff node plan and the array survival function;
+    # both must keep every bit
+    assert pinned_values(i, default_tech) == PINS[i]
+
+
+class TestPayoffPlan:
+    @pytest.fixture
+    def plans(self, monkeypatch):
+        built = []
+
+        class Counting(mechanism._PayoffPlan):
+            def __init__(self, m, G):
+                super().__init__(m, G)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(mechanism, "_PayoffPlan", Counting)
+        return built
+
+    def check_one_plan_not_kept(self, plans):
+        assert len(plans) == 1
+        gc.collect()
+        assert plans[0]() is None
+
+    def test_one_plan_per_finite_difference_sweep(self, plans):
+        rng = np.random.default_rng(5)
+        m, m_dag = random_mechanism(rng), random_mechanism(rng)
+        gateaux_fd(m, m_dag, quad_tech(), mixed_G(0.9))
+        self.check_one_plan_not_kept(plans)
+
+    def test_one_plan_per_concavity_probe(self, plans):
+        rng = np.random.default_rng(6)
+        m, m_dag = random_mechanism(rng), random_mechanism(rng)
+        strict_concavity_probe(m, m_dag, 0.3, quad_tech(), mixed_G(1.2))
+        self.check_one_plan_not_kept(plans)
+
+    def test_a_path_on_another_grid_gets_its_own_plan(self, plans):
+        rng = np.random.default_rng(7)
+        tech, G = quad_tech(), mixed_G()
+        coarse = random_mechanism(rng, TimeGrid(horizon=2.0, step=0.5, r=1.0))
+        paths = [random_mechanism(rng), coarse, random_mechanism(rng)]
+        assert mechanism._pinned_payoffs(paths, tech, G) == [
+            mechanism.pi_G(p, tech, G) for p in paths
+        ]
+        # three for the sweep (the grid changes twice), three for pi_G
+        assert len(plans) == 6
 
 
 def test_package_has_no_np_vectorize():
