@@ -3,7 +3,8 @@
 The command line maps them to exit codes: `ConfigError` and its subclasses
 exit 2, among them `InadmissiblePrimitives` (primitives that fail
 `MoralHazardPrimitives.validate`) and `UnresolvablePeaks` (``u0`` beyond the
-peak solver's reach, or ``u1`` too close to ``u0``). Every other
+peak solver's reach, ``u1`` too close to ``u0``, or solved peaks off the
+identity ``u0 - u1 = kappa(L1)``). Every other
 `FrontierKitError`, like a `ValueError` or `ArithmeticError`, exits 3; so
 does a `DivergenceViolation` that is not an `InadmissiblePrimitives`, such as
 the gap argmax failing its derivative post-check.
@@ -63,5 +64,6 @@ class InadmissiblePrimitives(ConfigError, DivergenceViolation):
 
 
 class UnresolvablePeaks(ConfigError):
-    """The primitives put ``u0`` beyond the peak solver's reach, or ``u1`` too
-    close to ``u0`` to tell apart (exit 2)."""
+    """The primitives put ``u0`` beyond the peak solver's reach, ``u1`` too
+    close to ``u0`` to tell apart, or the solved peaks off the identity
+    ``u0 - u1 = kappa(L1)`` (exit 2)."""

@@ -202,6 +202,12 @@ class AffineFrontier(ParametricFrontier):
         )
         self.coeffs = (a, b)
 
+    def argmax_linear(self, eta, lo=None, hi=None, largest=False):
+        # the tilted line rises (or, for ``largest``, does not fall) to ``hi``
+        lo, hi = self._bounds(lo, hi)
+        b = self.coeffs[1]
+        return hi if (b >= eta if largest else b > eta) else lo
+
 
 class PiecewiseLinearFrontier(Frontier):
     """Concave piecewise-linear frontier through ``(xs, ys)`` breakpoints."""
@@ -226,6 +232,14 @@ class PiecewiseLinearFrontier(Frontier):
         # left side takes the segment below it, the right side the one above
         i = np.searchsorted(self.xs, u, side=side) - 1
         return self.slopes[np.clip(i, 0, len(self.slopes) - 1)]
+
+    def argmax_linear(self, eta, lo=None, hi=None, largest=False):
+        # the first breakpoint whose right slope is <= eta, or the last whose
+        # left slope is >= eta when ``largest`` (the last breakpoint's right
+        # slope is -inf and the first's left slope +inf), clipped
+        lo, hi = self._bounds(lo, hi)
+        k = np.count_nonzero(self.slopes >= eta if largest else self.slopes > eta)
+        return min(max(float(self.xs[k]), lo), hi)
 
 
 class CallableFrontier(ParametricFrontier):

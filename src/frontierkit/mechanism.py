@@ -432,8 +432,9 @@ def _pinned_payoffs(mechs, tech: Technology, G: BreakthroughDistribution) -> lis
     as a finite-difference sweep, share one plan, which lives for this call.
     """
     plan, out = None, []
-    for mech in mechs:
-        m = _with_promise(mech, u1=None, X1_cells=None, X1_tail=None)
+    for m in mechs:
+        if m.u1 is not None or m.X1_cells is not None or m.X1_tail is not None:
+            m = _with_promise(m, u1=None, X1_cells=None, X1_tail=None)
         if plan is None or not plan.serves(m):
             plan = _PayoffPlan(m, G)
         out.append(_payoff(m, tech, plan))

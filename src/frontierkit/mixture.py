@@ -7,10 +7,11 @@ its tilted argmax ``f.argmax_linear(eta, floor, ceiling)``, the maximizer of
 ``f(x) - eta*x`` between ``max(0, domain lo)`` and its domain's upper end
 (capped well above every peak and ``u``). Total allocation is nonincreasing in
 ``eta``, and the members' slopes at their ceilings and floors bracket the
-level where it meets ``u``; one bisection finds it. Members flat at that level
-share what is left in support order (breakpoint water-filling: Palomar and
-Fonollosa, IEEE TSP 53(2), 2005).
-"""
+level where it meets ``u``. An interpolating bracket search,
+`roots.interpolated_switch`, finds that level on the same float as bisection
+would, in about a seventh of the evaluations on quadratic families. Members
+flat at that level share what is left in support order (breakpoint
+water-filling: Palomar and Fonollosa, IEEE TSP 53(2), 2005)."""
 
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import EmptySupport
 from .frontiers import INF, Frontier
 from .report import VerificationReport
-from .roots import bisect_predicate
+from .roots import interpolated_switch
 
 _PROB_TOL = 1e-12
 _EXPECT_TOL = 1e-10
@@ -96,7 +97,13 @@ def mixture_value(dist: FrontierDistribution, u: float) -> tuple[float, Allocati
     if not math.isfinite(eta_lo) or not math.isfinite(eta_hi):
         raise ValueError("mixture members need finite slopes at their floor and ceiling")
     eta_lo = float(np.nextafter(eta_lo, -INF))
-    _, eta = bisect_predicate(lambda eta: probs @ alloc(eta, False) > u, eta_lo, eta_hi)
+    # the total is monotone in eta in floating point too, as the search needs:
+    # so are the closed forms (the clipped quadratic vertex, a chain of
+    # monotone roundings; the affine and piecewise-linear slope thresholds)
+    # and every decision of a bisected argmax_linear, and probs > 0. Its
+    # values at eta_lo and eta_hi are hi_total and lo_total
+    T = lambda eta: float(probs @ alloc(eta, False))
+    _, eta = interpolated_switch(T, u, eta_lo, eta_hi, hi_total, lo_total)
 
     xs = alloc(eta, False)
     deficit = u - float(probs @ xs)

@@ -5,7 +5,9 @@ unknown, so bisection with geometric bracket expansion is globally safe.
 Root solves and `bisect_predicate` probe one point per step. The frontier
 searches, `golden_section_max` and `bisect_predicate_array`, take array
 oracles and look ahead: one oracle call covers their next `LOOKAHEAD` steps
-(see `_lookahead`).
+(see `_lookahead`). `interpolated_switch` is `bisect_predicate` for the
+level test ``T(x) > u`` of a nonincreasing ``T``: it interpolates on the
+values of ``T`` and ends on the same adjacent floats in fewer calls.
 """
 
 from __future__ import annotations
@@ -22,6 +24,11 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 #: steps a lookahead search walks per oracle call; the call evaluates the
 #: ``2**LOOKAHEAD - 1`` points those steps can probe
 LOOKAHEAD = 6
+
+# `interpolated_switch`: rounding steps it probes past an interpolated point,
+# and the probes it may spend beyond bisection's count
+_NUDGE_ULPS = 4
+_SLACK = 4
 
 
 def expand_bracket(
@@ -110,6 +117,81 @@ def bisect_predicate(
             lo = mid
         else:
             hi = mid
+    return lo, hi
+
+
+def interpolated_switch(
+    T: Callable[[float], float], u: float, lo: float, hi: float, t_lo: float, t_hi: float
+) -> tuple[float, float]:
+    """``bisect_predicate(lambda x: T(x) > u, lo, hi)``, bit for bit, in fewer
+    ``T`` calls, for a nonincreasing ``T`` with ``T(lo) = t_lo``, ``T(hi) = t_hi``.
+
+    While the bracket's values fall on both sides of ``u`` the search takes
+    Illinois steps: regula falsi that halves the weight of an end kept twice
+    (Dowell and Jarratt, BIT 11, 1971). When the secant then puts the switch
+    within ``_NUDGE_ULPS`` rounding steps (of the probe, or of ``u`` carried
+    along the secant), it probes that far past the point, toward the switch,
+    which closes the bracket where ``T`` is linear. Otherwise it bisects. As
+    in ITP (Oliveira and Takahashi, ACM TOMS 47(1), 2021), each probe is
+    pulled toward the midpoint far enough that the bracket is never wider
+    than ``2**_SLACK`` times bisection's after as many steps, so the search
+    costs about ``_SLACK`` probes more than bisection at worst. The values only
+    weigh the interpolation: each decision is ``T(x) > u`` at the probe, and
+    the search stops where `bisect_predicate` does, once ``0.5 * (lo + hi)``
+    is not strictly inside.
+
+    Why the result is the same: where ``T(x) > u`` is monotone in ``x`` over
+    the floats of ``[lo, hi]``, with ``lo`` counted true and ``hi`` false,
+    the adjacent pair where it switches is unique, and every bracketing
+    search that tests this predicate and ends on adjacent floats ends on it.
+    `bisect_predicate` does unless its 200-halving cap binds first, which
+    can happen only when the switch lies within ``(hi - lo) * 2**-140`` of
+    0: 200 halvings bring the bracket below the spacing of the floats near
+    any point farther out. When the pair found lies that close to 0, or the
+    search ends on floats that are not adjacent, `bisect_predicate` runs on
+    the whole bracket.
+    """
+    start = lo, hi
+    g_lo, g_hi = t_lo - u, t_hi - u
+    kept = 0  # +1 (-1) when the last interpolated probe moved lo (hi)
+    nudge = None
+    budget = (hi - lo) * 2.0**_SLACK  # the widest the bracket may be after the next probe
+    for _ in range(200 + _SLACK):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        width = hi - lo
+        budget *= 0.5
+        reach = max(0.0, budget - 0.5 * width)
+        if nudge is not None:
+            x, nudge, interpolated = nudge, None, False
+        elif g_lo > 0.0 > g_hi:
+            run = width / (g_lo - g_hi)  # x per unit of T along the secant
+            x, interpolated = lo + g_lo * run, True
+        else:
+            x, interpolated = mid, False
+        x = min(max(x, mid - reach), mid + reach)
+        if not lo < x < hi:
+            x, interpolated = mid, False
+        tx = T(x)
+        moved = 1 if tx > u else -1
+        if moved > 0:
+            lo, g_lo = x, tx - u
+        else:
+            hi, g_hi = x, tx - u
+        if interpolated:
+            if moved == kept:
+                if moved > 0:
+                    g_hi *= 0.5
+                else:
+                    g_lo *= 0.5
+            kept = moved
+            step = _NUDGE_ULPS * max(math.ulp(x), math.ulp(u) * run)
+            if abs(tx - u) * run <= step:
+                nudge = x + moved * step
+    near_zero = min(abs(lo), abs(hi)) <= (start[1] - start[0]) * 2.0**-140
+    if near_zero or hi != math.nextafter(lo, math.inf):
+        return bisect_predicate(lambda x: T(x) > u, *start)
     return lo, hi
 
 

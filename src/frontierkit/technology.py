@@ -243,8 +243,10 @@ def make_moral_hazard_technology(prims: MoralHazardPrimitives) -> Technology:
     # bracket or at float spacing; within about 5 such steps the u1 condition
     # loses its sign change on [0, u0], so 16 steps or fewer are refused
     b = prims.kappa.b
-    ratio = prims.w * prims.lam / b
-    gap = ratio ** (b / (b - 1.0)) if ratio < 1.0 else INF
+    try:
+        gap = (prims.w * prims.lam / b) ** (b / (b - 1.0))
+    except OverflowError:
+        gap = INF
     resolution = max(1e-12, math.ulp(u0))
     if gap <= 16.0 * resolution:
         raise UnresolvablePeaks(
@@ -257,6 +259,18 @@ def make_moral_hazard_technology(prims: MoralHazardPrimitives) -> Technology:
         u1 = 0.0
     else:
         u1 = bisect(u1_foc, 0.0, u0, tol=1e-12)
+    # the solved peaks must meet that identity. In random scans of a wide
+    # box, admissible instances miss it by at most about 16 steps; a tiny
+    # `phi.exponent` (1e-8 and below at the other defaults) puts phi_inv's
+    # rounding into the u1 condition and misses it by thousands or more
+    miss = (u0 - u1) - gap if u1 > 0.0 else max(0.0, u0 - gap)
+    if not abs(miss) <= 1024.0 * resolution:
+        raise UnresolvablePeaks(
+            f"`lambda`, `w`, `phi.exponent` and `kappa.exponent` give u0 = {u0:.6g} and "
+            f"u1 = {u1:.6g}, off the identity u0 - u1 = kappa(L1) = {gap:.3g} (at most, for "
+            f"u1 = 0) by {abs(miss):.3g}, more than 1024 solver steps of {resolution:.3g}, "
+            f"so the peaks are not resolved"
+        )
     f1._peak = u1
 
     u_star = _gap_argmax(f0, f1, u0)

@@ -91,6 +91,21 @@ class TestExitCodes:
         for key in ("lambda", "w", "phi.exponent", "kappa.exponent"):
             assert f"`{key}`" in err
 
+    @pytest.mark.parametrize("exponent", ["1.0e-16", "1.0e-17", "1.0e-20", "1.0e-300"])
+    def test_tiny_phi_exponent_is_exit_2(self, tmp_path, capsys, exponent):
+        # phi_inv's rounding reaches the u1 condition: these used to print
+        # u1 = 0 or 0.99937 where u0 - u1 = kappa(L1) = 0.25, with exit 0,
+        # and from 1e-20 on a RuntimeWarning reached stderr
+        path = tmp_path / "tiny.yaml"
+        path.write_text(f"phi: {{kind: power, exponent: {exponent}}}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["frontier", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert "`phi.exponent`" in err and "Warning" not in err
+
     @pytest.mark.parametrize(
         "text, keys",
         [
@@ -190,6 +205,13 @@ class TestSuites:
     def test_fast_suites_pass(self, suite, capsys):
         assert main(["verify", suite, "--trials", "4"]) == 0
         assert "overall: PASS" in capsys.readouterr().out
+
+    def test_mixture_suite_at_its_default_trials(self, capsys):
+        # the stdout of `verify mixture` before its level search interpolated
+        expected = (Path(__file__).parent / "data" / "verify_mixture_1000.txt").read_text()
+        assert main(["verify", "mixture"]) == 0
+        out, err = capsys.readouterr()
+        assert out == expected and err == ""
 
     def test_no_delay_suite(self, capsys):
         assert main(["verify", "no-delay", "--trials", "3"]) == 0

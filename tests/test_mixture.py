@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from frontierkit import (
     EmptySupport,
     PiecewiseLinearFrontier,
     QuadraticFrontier,
+    mixture,
+    roots,
 )
 from frontierkit._oracles import brute_force_mixture_value
 from frontierkit.mixture import (
@@ -17,6 +21,7 @@ from frontierkit.mixture import (
     mixture_value,
     verify_mixture_regularity,
 )
+from frontierkit.roots import bisect_predicate
 
 
 def quad_pair():
@@ -217,3 +222,94 @@ class TestRegularityReport:
             FrontierDistribution([(f, 1.0)]), np.linspace(0.0, 3.0, 13)
         )
         assert rep.overall_pass
+
+
+def bisected_level(T, u, lo, hi, t_lo, t_hi):
+    """The reference level search: `mixture_value`'s bisection on ``T > u``
+    before it interpolated."""
+    return bisect_predicate(lambda eta: T(eta) > u, lo, hi)
+
+
+def solve_with(search, dist, u):
+    """``mixture_value(dist, u)`` with ``search`` finding the level; returns
+    the level bracket, the value and the allocation, all as hex strings."""
+    brackets = []
+
+    def spy(*args):
+        brackets.append(search(*args))
+        return brackets[-1]
+
+    with mock.patch.object(mixture, "interpolated_switch", spy):
+        value, alloc = mixture_value(dist, u)
+    return [[x.hex() for x in b] for b in brackets], value.hex(), [float(x).hex() for x in alloc.values]
+
+
+def quadratic(peak, log_curv, height):
+    c = -(10.0**log_curv)
+    return QuadraticFrontier(height + c * peak * peak, -2.0 * c * peak, c)
+
+
+_QUADRATIC = st.builds(quadratic, st.floats(-1.0, 3.0), st.floats(-3.0, 0.3), st.floats(0.0, 1.0))
+# slopes and breakpoints on a grid of quarters keep the slopes exact, so some
+# levels fall on a segment slope
+_QUARTERS = st.lists(st.integers(-6, 8), min_size=1, max_size=3, unique=True)
+_MEMBER = st.one_of(
+    _QUADRATIC,
+    st.builds(
+        lambda slope, width: AffineFrontier(0.0, slope / 4.0, (0.0, width / 4.0)),
+        st.integers(-4, 8),
+        st.integers(1, 16),
+    ),
+    st.builds(
+        lambda slopes, widths: PiecewiseLinearFrontier(
+            np.cumsum([0.0] + [w / 4.0 for w in widths[: len(slopes)]]),
+            np.cumsum([0.0] + [s * w / 16.0 for s, w in zip(sorted(slopes, reverse=True), widths)]),
+        ),
+        _QUARTERS,
+        st.lists(st.integers(1, 8), min_size=3, max_size=3),
+    ),
+    st.builds(lambda f, dy: f.shifted(dy), _QUADRATIC, st.floats(-1.0, 1.0)),
+    st.builds(CutoffFrontier, _QUADRATIC, st.floats(0.5, 4.0)),
+)
+
+
+@given(
+    members=st.lists(st.tuples(_MEMBER, st.floats(-6.0, 0.0)), min_size=1, max_size=5),
+    where=st.sampled_from(["lo", "hi", "below lo", "above hi", "peak", "inside"]),
+    t=st.floats(0.0, 1.0),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_level_search_lands_on_the_bisected_level(members, where, t):
+    """The interpolating level search against the bisection it replaced.
+
+    Families of one to five quadratic, affine, piecewise-linear, shifted and
+    cutoff members, with weights down to ``10**-6`` (a quadratic whose peak
+    is below 0 sits at its floor), at ``u`` on either end of the feasible
+    totals, within 1e-10 outside them, at the mixture peak and inside.
+    """
+    weights = np.array([10.0**lw for _, lw in members])
+    dist = FrontierDistribution(list(zip([f for f, _ in members], weights / weights.sum())))
+    probs, fs = dist.probs, dist.members
+    cap = 10.0 * (1.0 + max(f.peak for f in fs))
+    lo_total = float(probs @ [max(0.0, f.domain[0]) for f in fs])
+    hi_total = float(probs @ [min(cap, f.domain[1]) for f in fs])
+    u = {
+        "lo": lo_total,
+        "hi": hi_total,
+        "below lo": max(0.0, lo_total - 1e-10 * t),
+        "above hi": hi_total + 1e-10 * t,
+        "peak": mixture_peak(dist),
+        "inside": lo_total + t * (hi_total - lo_total),
+    }[where]
+    assert solve_with(mixture.interpolated_switch, dist, u) == solve_with(bisected_level, dist, u)
+
+
+def test_level_near_zero_falls_back_to_bisection():
+    # the vertex sits at the floor 0, so at u = 0 the level switches within
+    # 20 * 2**-140 of 0, where bisection's 200 halvings stop short of
+    # adjacent floats: the search must hand over to it
+    dist = FrontierDistribution([(QuadraticFrontier(0.0, 0.0, -1.0), 1.0)])
+    with mock.patch.object(roots, "bisect_predicate", wraps=roots.bisect_predicate) as fallback:
+        got = solve_with(mixture.interpolated_switch, dist, 0.0)
+    assert fallback.call_count == 1
+    assert got == solve_with(bisected_level, dist, 0.0)

@@ -278,6 +278,28 @@ class TestArgmaxLinear:
             assert f.argmax_linear(np.nextafter(0.6, 0.0), largest=largest) == 0.5
             assert f.argmax_linear(0.6, 0.2, 0.3, largest) == (0.3 if largest else 0.2)
 
+    def test_linear_closed_forms_are_the_base_bisection(self):
+        # breakpoints and slopes on a grid of quarters keep every slope
+        # exact, so the slopes never rise and some etas hit one exactly. No
+        # breakpoint sits at 0: bisection across 0 stops 200 halvings short
+        # of a kink there (at about 1e-61), where the closed form is exact
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            n = int(rng.integers(1, 5))
+            xs = np.cumsum(np.concatenate([[rng.integers(-8, 4)], rng.integers(1, 8, n)])) / 4.0 + 0.125
+            slopes = np.sort(rng.choice(np.arange(-12, 13), n, replace=False))[::-1] / 4.0
+            pl = PiecewiseLinearFrontier(xs, np.concatenate([[0.0], np.cumsum(slopes * np.diff(xs))]))
+            assert pl.slopes.tolist() == slopes.tolist()
+            affine = AffineFrontier(rng.normal(), slopes[0], domain=(xs[0], xs[-1]))
+            for f in (pl, affine):
+                a, b = sorted(rng.uniform(xs[0], xs[-1], 2).tolist())
+                etas = rng.uniform(-4.0, 4.0, 4).tolist() + slopes.tolist()
+                for lo, hi in ((None, None), (a, b), (xs[0], b), (a, xs[-1]), (a, a)):
+                    for eta in etas:
+                        for largest in (False, True):
+                            got = f.argmax_linear(eta, lo, hi, largest)
+                            assert got == Frontier.argmax_linear(f, eta, lo, hi, largest), (f, eta, lo, hi)
+
     def test_peaks_keep_their_closed_forms(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
