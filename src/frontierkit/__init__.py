@@ -25,6 +25,7 @@ from .frontiers import (
     PiecewiseLinearFrontier,
     QuadraticFrontier,
     directional_deriv,
+    gap_argmax,
     midpoint_concavity_slack,
 )
 from .gap_analysis import (

@@ -36,7 +36,7 @@ from .mechanism import (
 from .mixture import FrontierDistribution, mixture_value, verify_mixture_regularity
 from .quadrature import MeasureOnTime
 from .report import VerificationReport
-from .smoothing import SmoothingParams, build_sequence, build_smooth_pair, verify_monster
+from .smoothing import SmoothingParams, build_sequence, build_smooth_pair, smallest_level, verify_monster
 from .technology import (
     MoralHazardPrimitives,
     PowerCost,
@@ -299,7 +299,10 @@ def _suite_no_delay(cfg, rng, trials, grid) -> VerificationReport:
         worst_violation=max(0.0, -worst_gain),
         note=f"{trials} trials",
     )
-    rep.add("no-delay-strict-sometimes", strict_seen > 0, note=f"{strict_seen} strict")
+    # at a corner (u1 = 0) max(X0, u1) = X0, so no improvement can be strict
+    corner = tech.u1 == 0.0
+    note = "not applicable (corner)" if corner else f"{strict_seen} strict"
+    rep.add("no-delay-strict-sometimes", corner or strict_seen > 0, note=note)
 
     affine = _affine_tech()
     starts = grid.edges[:-1]
@@ -598,8 +601,9 @@ def _cmd_smooth(cfg: InstanceConfig, args) -> int:
         ns = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"--n-list must be comma-separated integers: {exc}") from exc
-    if not ns:
-        raise ConfigError("--n-list must name at least one level")
+    least = smallest_level(tech)
+    if not ns or min(ns) < least:
+        raise ConfigError(f"`--n-list` needs levels of {least} or more, so that 1/n < (u0 - u1)/3")
     pairs = build_sequence(tech, ns)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)

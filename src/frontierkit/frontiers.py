@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .roots import bisect_predicate_array
+from .roots import bisect_predicate_array, golden_section_max
 
 INF = math.inf
 
@@ -312,6 +312,16 @@ def directional_deriv(f: Frontier, a, b):
     out[left] = f.deriv(a[left], "left")
     out[~left] = f.deriv(a[~left], "right")
     return out if out.ndim else float(out)
+
+
+def gap_argmax(f0: Frontier, f1: Frontier, hi: float) -> float:
+    """Argmax of ``f1 - f0`` on ``[0, hi]`` for a technology or a smoothed pair:
+    the best of 601 even grid points, then golden section at ``tol=1e-12``
+    between the grid points two steps either side of it."""
+    gap = lambda u: f1.value(u) - f0.value(u)
+    us = np.linspace(0.0, hi, 601)
+    i = int(np.argmax(gap(us)))
+    return golden_section_max(gap, float(us[max(0, i - 2)]), float(us[min(600, i + 2)]), tol=1e-12)
 
 
 def midpoint_concavity_slack(f: Frontier, us: Sequence[float]) -> float:

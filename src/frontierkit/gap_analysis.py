@@ -19,7 +19,8 @@ import numpy as np
 from .errors import UStarAtOrigin
 from .technology import Technology
 
-#: shrinking probe radii for the saddle definition's "for every epsilon"
+#: shrinking probe radii for the saddle definition's "for every epsilon",
+#: largest first
 PROBE_EPSILONS = (1e-1, 1e-2, 1e-3)
 
 #: grid points on each side of the probe point, per epsilon window
@@ -85,12 +86,7 @@ def _probe_window(u_bar: float, eps: float, lo: float, hi: float):
     return left, right
 
 
-def is_saddle(
-    psi,
-    u_bar: float,
-    epsilons=PROBE_EPSILONS,
-    domain: tuple[float, float] = (0.0, np.inf),
-) -> tuple[bool, dict]:
+def is_saddle(psi, u_bar: float, domain: tuple[float, float] = (0.0, np.inf)) -> tuple[bool, dict]:
     """Saddle probe for a function ``psi`` at ``u_bar``; ``psi`` takes a
     scalar or an array of points.
 
@@ -104,8 +100,8 @@ def is_saddle(
         raise ValueError("the probe point must be positive")
     lo, hi = domain
     center = float(psi(u_bar))
-    witness: dict = {"epsilons": [], "flat_quotients": [], "resolution": min(epsilons)}
-    for eps in sorted(epsilons, reverse=True):
+    witness: dict = {"epsilons": [], "flat_quotients": [], "resolution": PROBE_EPSILONS[-1]}
+    for eps in PROBE_EPSILONS:
         left, right = _probe_window(u_bar, eps, lo, hi)
         if left.size == 0 or right.size == 0:
             return False, witness
@@ -119,7 +115,7 @@ def is_saddle(
         witness["flat_quotients"].append(flat)
         if not (flat < eps and not_max and not_min):
             return False, witness
-    witness["note"] = f"supported at resolution {min(epsilons):g}"
+    witness["note"] = f"supported at resolution {PROBE_EPSILONS[-1]:g}"
     return True, witness
 
 

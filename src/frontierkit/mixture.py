@@ -133,16 +133,16 @@ def mixture_peak(dist: FrontierDistribution) -> float:
     return float(np.dot(dist.probs, [f.peak for f in dist.members]))
 
 
-def mixture_domain(dist: FrontierDistribution, resolution: float = 1e-6) -> tuple[float, float]:
-    """Effective domain endpoints, confirmed by a finite/-inf transition scan."""
+def mixture_domain(dist: FrontierDistribution) -> tuple[float, float]:
+    """Effective domain endpoints, confirmed by a finite/-inf transition scan
+    1e-6 either side of a finite upper end."""
     members, probs = dist.members, dist.probs
     lo = float(probs @ [_alloc_floor(f) for f in members])
     his = np.array([f.domain[1] for f in members])
     hi = INF if np.any(np.isinf(his)) else float(probs @ his)
     if not math.isinf(hi):
-        # scan across the candidate boundary at the stated resolution
-        v_in, _ = mixture_value(dist, max(lo, hi - resolution))
-        v_out, _ = mixture_value(dist, hi + resolution)
+        v_in, _ = mixture_value(dist, max(lo, hi - 1e-6))
+        v_out, _ = mixture_value(dist, hi + 1e-6)
         if not (np.isfinite(v_in) and v_out == -INF):
             raise AssertionError("effective-domain scan disagrees with endpoints")
     return lo, hi

@@ -19,7 +19,7 @@ Quadrature rules, shared by `mechanism` and `variational`:
   so that many integrands share one build: `mechanism` builds one per
   payoff, and one for every `pi_G` of a finite-difference sweep or a
   concavity probe, as those share a grid and ``G``.
-- An improper horizon is truncated ``pad / r`` past the last knot, where
+- An improper horizon is truncated ``37 / r`` past the last knot, where
   ``e^{-rt}`` is below machine scale, and the far region is subdivided at the
   decay scale ``2 / max(r, decay)`` (`integration_edges`). Where the
   integrand is affine in ``e^{-rt}`` beyond the last knot, the caller may
@@ -183,13 +183,13 @@ def subdivide(a: float, b: float, max_width: float) -> np.ndarray:
     return np.linspace(a, b, n + 1)
 
 
-def integration_edges(G: MeasureOnTime, r: float, knots=(), pad: float = 37.0) -> np.ndarray:
-    """Edges covering [0, T_struct + pad/r] for integrating against ``G`` at
+def integration_edges(G: MeasureOnTime, r: float, knots=()) -> np.ndarray:
+    """Edges covering [0, T_struct + 37/r] for integrating against ``G`` at
     discount rate ``r``, split at ``knots``, at G's knots and at the decay
     scale of ``e^{-rt}`` and of G's tail."""
     decay = G.tail_rate if G.tail_mass > 0 else r
     ks = sorted({0.0} | {float(k) for k in (*knots, *G.knots) if math.isfinite(k) and k >= 0.0})
-    ks.append(ks[-1] + pad / r)
+    ks.append(ks[-1] + 37.0 / r)
     width = 2.0 / max(r, decay)
     pieces = [subdivide(a, b, width) for a, b in zip(ks[:-1], ks[1:]) if b > a]
     return np.unique(np.concatenate(pieces))

@@ -32,31 +32,26 @@ _SLACK = 4
 
 
 def expand_bracket(
-    f: Callable[[float], float],
-    lo: float = 1e-12,
-    hi: float = 1.0,
-    factor: float = 2.0,
-    max_expansions: int = 200,
+    f: Callable[[float], float], lo: float = 1e-12, hi: float = 1.0
 ) -> tuple[float, float]:
     """Expand ``[lo, hi]`` geometrically until ``f`` changes sign on it.
 
-    The lower endpoint is shrunk toward zero and the upper endpoint grown,
-    which covers both increasing and decreasing monotone objectives.
+    The lower endpoint is halved toward zero and the upper endpoint doubled,
+    at most 200 times, which covers both increasing and decreasing monotone
+    objectives.
     """
     flo, fhi = f(lo), f(hi)
-    for _ in range(max_expansions):
+    for _ in range(200):
         if flo == 0.0:
             return lo, lo
         if fhi == 0.0:
             return hi, hi
         if flo * fhi < 0.0:
             return lo, hi
-        lo /= factor
-        hi *= factor
+        lo /= 2.0
+        hi *= 2.0
         flo, fhi = f(lo), f(hi)
-    raise RootBracketFailure(
-        f"no sign change found on [{lo:g}, {hi:g}] after {max_expansions} expansions"
-    )
+    raise RootBracketFailure(f"no sign change found on [{lo:g}, {hi:g}] after 200 expansions")
 
 
 def bisect(

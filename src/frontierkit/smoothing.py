@@ -17,15 +17,15 @@ post-breakthrough frontier above forever).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, ParamsOutOfRange
-from .frontiers import INF, Frontier, midpoint_concavity_slack
+from .frontiers import INF, Frontier, gap_argmax, midpoint_concavity_slack
 from .report import VerificationReport
-from .roots import golden_section_max
 from .technology import Technology
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -80,6 +80,13 @@ class SmoothingParams:
             delta *= 0.5
             gamma *= 0.5
         raise ParamsOutOfRange("could not reach the accuracy budget eps")
+
+
+def smallest_level(tech: Technology) -> int:
+    """The least ``n >= 2`` with ``1/n < (u0 - u1)/3``, as `SmoothingParams.validate_for`
+    asks, for ``u1 < u0``; every larger level passes that test too."""
+    need = (tech.u0 - tech.u1) / 3.0
+    return next(n for n in itertools.count(max(2, math.floor(1.0 / need) - 1)) if 1.0 / n < need)
 
 
 def _window_integral(f: Frontier, u, delta: float):
@@ -195,15 +202,15 @@ class _PiecewiseFrontier(Frontier):
         if peak is not None:
             self._peak = float(peak)
 
-    def _dispatch(self, u, what: str):
+    def _dispatch(self, u, what: str, side: str = "left"):
         """Piece ``what`` ('val' or 'der') at in-domain ``u``, in the shape of ``u``.
 
-        A point goes to the first piece whose ``hi`` it does not exceed, so a
-        join belongs to the piece on its left. Batch pieces get all their
-        points in one call.
+        A join belongs to the piece on its ``side``: a point goes to the first
+        piece whose ``hi`` it does not exceed ("left") or that exceeds it
+        ("right"). Batch pieces get all their points in one call.
         """
         us = np.atleast_1d(np.asarray(u, dtype=float))
-        idx = np.minimum(np.searchsorted(self._his, us), len(self.pieces) - 1)
+        idx = np.minimum(np.searchsorted(self._his, us, side=side), len(self.pieces) - 1)
         out = np.empty_like(us)
         for i in set(idx.tolist()):
             piece = self.pieces[i]
@@ -216,9 +223,9 @@ class _PiecewiseFrontier(Frontier):
         return self._dispatch(us, "val")
 
     def _derivs(self, u, side):
-        # continuously differentiable by construction: both sides are the
-        # derivative of the piece holding u
-        return self._dispatch(u, "der")
+        # C1 by construction; at a join each side reads its own piece, so the
+        # two sides there compare the adjacent pieces' slopes
+        return self._dispatch(u, "der", side)
 
 
 @dataclass
@@ -235,16 +242,6 @@ class SmoothedPair:
 
     def gap(self, u):
         return self.f1n.value(u) - self.f0n.value(u)
-
-
-def _gap_argmax(pair_f0: Frontier, pair_f1: Frontier, hi: float) -> float:
-    us = np.linspace(0.0, hi, 601)
-    gaps = pair_f1.value(us) - pair_f0.value(us)
-    i = int(np.argmax(gaps))
-    lo = us[max(0, i - 2)]
-    up = us[min(len(us) - 1, i + 2)]
-    g = lambda u: pair_f1.value(u) - pair_f0.value(u)
-    return golden_section_max(g, float(lo), float(up), tol=1e-12)
 
 
 def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair:
@@ -331,7 +328,7 @@ def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair
         raise ParamsOutOfRange("extensions failed to keep the pair ordered")
 
     u1_n = f1n.peak
-    u_star_n = _gap_argmax(f0n, f1n, p)
+    u_star_n = gap_argmax(f0n, f1n, p)
 
     # strict-local-max fix: lower F1_n slightly below u_star_n if the gap's
     # argmax is not strict there
@@ -339,7 +336,7 @@ def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair
     rivals = gaps[np.abs(probes - u_star_n) > 0.5 / n]
     if rivals.size and np.max(rivals) >= top - 1e-12:
         f1n = _StrictFixFrontier(f1n, u_star_n, params.zeta / 8.0)
-        u_star_n = _gap_argmax(f0n, f1n, p)
+        u_star_n = gap_argmax(f0n, f1n, p)
 
     return SmoothedPair(
         f0n=f0n, f1n=f1n, params=params,
@@ -380,9 +377,10 @@ def verify_monster(tech: Technology, sequence: list[SmoothedPair]) -> Verificati
 
         slack0 = midpoint_concavity_slack(pair.f0n, grid)
         slack1 = midpoint_concavity_slack(pair.f1n, grid)
-        interior = np.linspace(0.05 / n, u0 - 1e-6, 41)
+        # each piece is C1, so the pair is C1 if the two sides agree at every
+        # join (a NaN fails); uniform-derivative-bounds catches other non-finite slopes
         c1_ok = all(
-            bool(np.all(np.abs(f.deriv(interior, "left") - f.deriv(interior, "right")) < 1e-9))
+            bool(np.all(np.abs(f.deriv(f.knots, "left") - f.deriv(f.knots, "right")) < 1e-9))
             for f in (pair.f0n, pair.f1n)
         )
         ordered = bool(np.min(pair.f1n.value(grid) - pair.f0n.value(grid)) > 0)

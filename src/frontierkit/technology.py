@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceViolation, InadmissiblePrimitives, UnresolvablePeaks
-from .frontiers import INF, Frontier, ParametricFrontier, midpoint_concavity_slack
+from .frontiers import INF, Frontier, ParametricFrontier, gap_argmax, midpoint_concavity_slack
 from .report import VerificationReport
-from .roots import bisect, golden_section_max, solve_monotone
+from .roots import bisect, solve_monotone
 
 #: ``phi'(phi_inv(u))`` divides by zero at 0 and, for small exponents,
 #: overflows to +inf near 0; every solve that evaluates it handles those
@@ -181,7 +181,6 @@ class Technology:
         return self.f1.value(u) - self.f0.value(u)
 
 
-
 class _PostBreakthroughFrontier(ParametricFrontier):
     """F1 with the effort problem solved pointwise (vectorized bisection)."""
 
@@ -273,41 +272,34 @@ def make_moral_hazard_technology(prims: MoralHazardPrimitives) -> Technology:
         )
     f1._peak = u1
 
-    u_star = _gap_argmax(f0, f1, u0)
+    u_star = _checked_gap_argmax(f0, f1, gap_argmax(f0, f1, u0), u0)
     return Technology(f0=f0, f1=f1, u0=u0, u1=u1, u_star=u_star, prims=prims)
 
 
-def _gap_argmax(f0: Frontier, f1: Frontier, u_hi: float) -> float:
-    """Argmax of ``F1 - F0`` on ``[0, u_hi]`` with a derivative post-check.
+def _checked_gap_argmax(f0: Frontier, f1: Frontier, cand: float, u_hi: float) -> float:
+    """Trust step for ``cand``, the `gap_argmax` of ``F1 - F0`` on ``[0, u_hi]``:
+    returns ``0.0``, ``u_hi`` or ``cand``.
 
-    The gap is a difference of concave functions, so golden section alone is
-    not trusted: the candidate is compared against the endpoints and checked
-    for first-order optimality on a fallback grid. The grid holds both
-    endpoints exactly, so their gaps are read from it.
+    The gap is a difference of concave functions, so an end whose gap is
+    within 1e-12 of ``cand``'s wins, and an interior ``cand`` must pass a
+    one-sided first-order check. The result is ``0.0`` unless a probe beats
+    ``gap(0)`` by more than 1e-12, which cannot happen where the gap is
+    nonincreasing on ``[0, u0]`` (``gap-derivative-negative`` in ``verify
+    ui-assns``): there ``u_star`` does not depend on where the search probes.
+    Smoothed pairs skip this step; at a corner (``u1 = 0``) their argmax can
+    fail it.
     """
-    gap = lambda u: f1.value(u) - f0.value(u)
-    us = np.linspace(0.0, u_hi, 4097)
-    gaps = gap(us)
-    i = int(np.argmax(gaps))
-    grid_best = float(us[i])
-    cand = golden_section_max(gap, 0.0, u_hi, tol=1e-10)
-    g_cand = gap(cand)
-    if gaps[i] > g_cand + 1e-12:
-        cand = golden_section_max(
-            gap, max(0.0, grid_best - u_hi / 4096), min(u_hi, grid_best + u_hi / 4096)
-        )
-        g_cand = gap(cand)
-    if gaps[0] >= g_cand - 1e-12:
+    ends = np.array([0.0, cand, u_hi])
+    g0, g_cand, g_hi = (f1.value(ends) - f0.value(ends)).tolist()
+    if g0 >= g_cand - 1e-12:
         return 0.0
-    if gaps[-1] >= g_cand - 1e-12:
+    if g_hi >= g_cand - 1e-12:
         return u_hi
     # first-order post-check: right deriv <= 0 <= left deriv at the candidate
     right = f1.right_deriv(cand) - f0.right_deriv(cand)
     left = f1.left_deriv(cand) - f0.left_deriv(cand)
     if not (right <= 1e-6 and left >= -1e-6):
-        raise DivergenceViolation(
-            f"gap argmax candidate {cand:g} fails the one-sided derivative check"
-        )
+        raise DivergenceViolation(f"gap argmax candidate {cand:g} fails the one-sided derivative check")
     return cand
 
 

@@ -277,12 +277,15 @@ def gateaux_closed_form(
     return term_b + term_c + corr0 + corr1
 
 
+#: blend weights of `gateaux_fd`'s difference quotients, largest first
+FD_ALPHAS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+
+
 def gateaux_fd(
     m: Mechanism,
     m_dag: Mechanism,
     tech: Technology,
     G: BreakthroughDistribution,
-    alphas=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
 ) -> float:
     """Finite-difference directional derivative with Richardson extrapolation.
 
@@ -292,19 +295,18 @@ def gateaux_fd(
     All the payoffs share one grid, so they share one payoff plan.
     """
     m, m_dag = _align(m, m_dag)
-    steps = sorted(alphas, reverse=True)
     blends = [
         replace(
             m,
             x0=m.x0 + a * (m_dag.x0 - m.x0),
             x0_tail=m.x0_tail + a * (m_dag.x0_tail - m.x0_tail),
         )
-        for a in steps
+        for a in FD_ALPHAS
     ]
     base, *vals = _pinned_payoffs([m, *blends], tech, G)
-    quots = [(a, (v - base) / a) for a, v in zip(steps, vals)]
+    quots = [(a, (v - base) / a) for a, v in zip(FD_ALPHAS, vals)]
     diffs = [abs(q2 - q1) for (_, q1), (_, q2) in zip(quots[:-1], quots[1:])]
-    if len(diffs) >= 2 and diffs[-1] > 10.0 * diffs[0] + 1e-6:
+    if diffs[-1] > 10.0 * diffs[0] + 1e-6:
         raise NonConvergent("difference quotients diverge as alpha decreases")
     # Neville polynomial-in-alpha extrapolation through the last three points
     pts = quots[-3:]

@@ -37,13 +37,18 @@ def corner_tech(corner_prims):
 
 
 def piece_by_piece(f, u, what):
-    """The per-point piece lookup of a `_PiecewiseFrontier`, as a plain loop."""
+    """The per-point piece lookup of a `_PiecewiseFrontier`, as a plain loop.
+
+    A join's slope on either side is that side's piece's; its value is the
+    left piece's."""
     if what == "value" and (u < f.domain[0] or u > f.domain[1]):
         return -np.inf
     if what == "left":
         for p in reversed(f.pieces):
             if u > p.lo:
                 return p.der(u)
+    if what == "right":
+        return next((p for p in f.pieces if u < p.hi), f.pieces[-1]).der(u)
     piece = next((p for p in f.pieces if u <= p.hi), f.pieces[-1])
     return piece.val(u) if what == "value" else piece.der(u)
 

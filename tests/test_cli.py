@@ -198,6 +198,40 @@ def test_fuzzed_config_exits_0_or_2_and_names_the_key(tmp_path_factory, config):
         assert re.search(r"`[a-z.]+`", err), err
 
 
+# the box of configs that every command should accept or refuse by name
+_BOX = st.fixed_dictionaries(
+    {
+        "lambda": st.floats(0.03, 30.0),
+        "w": st.floats(0.03, 30.0),
+        "phi": st.fixed_dictionaries({"kind": st.just("power"), "exponent": st.floats(0.05, 0.95)}),
+        "kappa": st.fixed_dictionaries({"kind": st.just("power"), "exponent": st.floats(1.05, 6.0)}),
+        "rate": st.floats(0.3, 3.0),
+    }
+)
+
+
+def run_quietly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@given(config=_BOX)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_no_delay_on_the_config_box_exits_0_or_2_and_names_the_key(tmp_path_factory, config):
+    # most of the box is corners (u1 = 0), where no improvement can be strict
+    path = tmp_path_factory.mktemp("box") / "config.yaml"
+    path.write_text(yaml.safe_dump(config))
+    rc, err = run_quietly(["verify", "no-delay", "--trials", "2", "--config", str(path)])
+    assert rc in (0, 2), err
+    if rc == 0:
+        assert err == ""
+    else:
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert re.search(r"`[a-z.]+`", err), err
+
+
 class TestSuites:
     @pytest.mark.parametrize(
         "suite", ["mixture", "saddle", "euler", "ibp", "gateaux", "concavity"]
@@ -217,6 +251,18 @@ class TestSuites:
         assert main(["verify", "no-delay", "--trials", "3"]) == 0
         out = capsys.readouterr().out
         assert "no-delay-strict-sometimes" in out
+
+    def test_no_delay_strictness_does_not_apply_at_a_corner(self, tmp_path, capsys):
+        path = tmp_path / "corner.yaml"
+        path.write_text(
+            "lambda: 1.0850877837800164\nw: 22.459034846596182\n"
+            "phi: {kind: power, exponent: 0.17974365144767035}\n"
+            "kappa: {kind: power, exponent: 5.745814763329357}\n"
+        )
+        assert main(["verify", "no-delay", "--trials", "3", "--config", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert "[PASS] no-delay-strict-sometimes  (not applicable (corner))" in out
+        assert err == ""
 
     def test_unknown_suite_raises(self):
         with pytest.raises(ConfigError):
@@ -292,3 +338,14 @@ class TestSmoothCommand:
 
     def test_bad_n_list_is_config_error(self, capsys):
         assert main(["smooth", "--n-list", "abc"]) == 2
+
+    def test_too_small_level_is_config_error_naming_the_least_level(self, tmp_path, capsys):
+        # lambda 5 gives u0 = 0.1, so the default level 16 is too small
+        path = tmp_path / "lam5.yaml"
+        path.write_text("lambda: 5.0\n")
+        argv = ["smooth", "--config", str(path), "--out", str(tmp_path), "--grid-step", "0.1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: `--n-list` needs levels of 31 or more, so that 1/n < (u0 - u1)/3\n"
+        assert main([*argv, "--n-list", "30"]) == 2
+        assert main([*argv, "--n-list", "31"]) == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import frontierkit as fk
-from frontierkit import roots, technology
+from frontierkit import frontiers, roots, smoothing, technology
 from frontierkit.roots import bisect_predicate_array, golden_section_max
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -167,12 +167,47 @@ def test_peaks_and_gap_argmaxes_are_pinned(inst, peaks, smoothed):
     assert (pair.params.n, pair.u0_n, pair.u1_n, pair.u_star_n) == smoothed
 
 
-def test_gap_argmax_of_an_interior_peak_is_the_one_step_search():
-    f0 = fk.QuadraticFrontier(0.0, 1.0, -1.0)
-    f1 = fk.QuadraticFrontier(0.3, 1.2, -1.3)
-    ref = golden_reference(lambda u: float(f1.value(u)) - float(f0.value(u)), 0.0, 0.5)
+def interior_peak_pair():
+    # the gap 0.3 + 0.2 u - 0.3 u^2 peaks at u = 1/3
+    return fk.QuadraticFrontier(0.0, 1.0, -1.0), fk.QuadraticFrontier(0.3, 1.2, -1.3)
+
+
+def test_gap_argmax_of_an_interior_peak_is_golden_section_around_the_grid_best():
+    f0, f1 = interior_peak_pair()
+    gap = lambda u: float(f1.value(u)) - float(f0.value(u))
+    us = np.linspace(0.0, 0.5, 601)
+    i = int(np.argmax(f1.value(us) - f0.value(us)))
+    assert 2 <= i <= 598
+    ref = golden_reference(gap, float(us[i - 2]), float(us[i + 2]), tol=1e-12)
     assert 0.0 < ref < 0.5
-    assert technology._gap_argmax(f0, f1, 0.5) == ref
+    assert fk.gap_argmax(f0, f1, 0.5) == ref
+
+
+def test_technology_trust_step_returns_an_end_or_the_candidate():
+    f0, f1 = interior_peak_pair()
+    cand = fk.gap_argmax(f0, f1, 0.5)
+    assert technology._checked_gap_argmax(f0, f1, cand, 0.5) == cand
+    # a falling gap gives the origin, a rising one the upper end
+    falling = fk.QuadraticFrontier(1.0, -1.0, -1.0)
+    assert technology._checked_gap_argmax(f0, falling, fk.gap_argmax(f0, falling, 0.5), 0.5) == 0.0
+    rising = fk.QuadraticFrontier(1.0, 3.0, -1.0)
+    assert technology._checked_gap_argmax(f0, rising, fk.gap_argmax(f0, rising, 0.5), 0.5) == 0.5
+    # a candidate short of the peak beats both ends but fails the first-order check
+    with pytest.raises(fk.DivergenceViolation, match="one-sided derivative check"):
+        technology._checked_gap_argmax(f0, f1, 0.8 * cand, 0.5)
+
+
+def test_both_builders_call_the_one_gap_argmax(monkeypatch, default_prims):
+    assert technology.gap_argmax is smoothing.gap_argmax is frontiers.gap_argmax
+    his = []
+    search = frontiers.gap_argmax
+    spy = lambda f0, f1, hi: his.append(hi) or search(f0, f1, hi)
+    for module in (technology, smoothing):
+        monkeypatch.setattr(module, "gap_argmax", spy)
+    tech = fk.make_moral_hazard_technology(default_prims)
+    assert his == [tech.u0]
+    pair = fk.build_smooth_pair(tech, fk.SmoothingParams.auto(tech, 16))
+    assert his[1:] and all(hi == pair.u0_n for hi in his[1:])
 
 
 def test_builds_make_few_effort_calls(monkeypatch, default_prims):
@@ -181,7 +216,7 @@ def test_builds_make_few_effort_calls(monkeypatch, default_prims):
     solve = technology.effort_star_array
     monkeypatch.setattr(technology, "effort_star_array", lambda p, u: calls.append(1) or solve(p, u))
     tech = fk.make_moral_hazard_technology(default_prims)
-    assert len(calls) <= 25
+    assert len(calls) <= 11
     for n in (16, 32, 64):
         params = fk.SmoothingParams.auto(tech, n)
         calls.clear()

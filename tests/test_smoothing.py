@@ -1,5 +1,6 @@
 """Smooth approximant construction: derivative bounds, ordering, convergence."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -93,6 +94,19 @@ class TestParams:
     def test_n_too_small_for_peak_separation(self):
         with pytest.raises(ParamsOutOfRange):
             SmoothingParams.auto(quad_tech(), 4)
+
+    def test_smallest_level_is_the_least_that_validate_for_accepts(self):
+        # separations where 1/n meets (u0 - u1)/3 exactly, and random ones
+        rng = np.random.default_rng(3)
+        seps = [3.0 / k for k in (2, 3, 6, 7, 31, 1000, 2**20)] + list(10.0 ** rng.uniform(-9, 0.5, 200))
+        for sep in seps:
+            tech = Technology(f0=None, f1=None, u0=1.0 + sep, u1=1.0, u_star=0.0)
+            n = smoothing.smallest_level(tech)
+            params = SmoothingParams(n=n, delta=0.5 / n, gamma=0.1 / (tech.u0 * n), zeta=0.9 / n, eps=0.4 / n)
+            params.validate_for(tech)
+            if n > 2:
+                with pytest.raises(ParamsOutOfRange, match="too small"):
+                    dataclasses.replace(params, n=n - 1).validate_for(tech)
 
     def test_auto_params_satisfy_ranges(self):
         tech = quad_tech()
@@ -267,6 +281,41 @@ def test_nan_derivative_fails_the_uniform_bounds(default_tech):
     assert not rep["uniform-derivative-bounds"].passed
     note = rep["uniform-derivative-bounds"].note
     assert "min=nan" in note and "max=nan" in note
+
+
+def with_piece(f, i, **changes):
+    """A copy of the piecewise frontier ``f`` with piece ``i`` changed."""
+    g = copy.copy(f)
+    g.pieces = [dataclasses.replace(p, **changes) if j == i else p for j, p in enumerate(f.pieces)]
+    return g
+
+
+def test_a_broken_join_fails_the_model_assumptions():
+    tech = quad_tech()
+    pair = build_smooth_pair(tech, SmoothingParams.auto(tech, 16))
+    assert verify_monster(tech, [pair])["model-assumptions-n16"].passed
+    # the left quadratic's slope ends 1e-8 off the core's at their join
+    quad = pair.f1n.pieces[0]
+    broken = with_piece(pair.f1n, 0, der=lambda u: quad.der(u) + 1e-8)
+    join = broken.knots[0]
+    assert broken.left_deriv(join) - broken.right_deriv(join) == pytest.approx(1e-8, rel=1e-6)
+    fixed = _StrictFixFrontier(broken, pair.u_star_n, pair.params.zeta / 8.0)
+    for f1n in (broken, fixed):
+        rep = verify_monster(tech, [dataclasses.replace(pair, f1n=f1n)])
+        assert not rep["model-assumptions-n16"].passed
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_slopes_inside_a_piece_fail_the_uniform_bounds(bad):
+    tech = quad_tech()
+    pair = build_smooth_pair(tech, SmoothingParams.auto(tech, 16))
+    core = pair.f0n.pieces[1]
+    # the slope is not finite around u0/2, which the bounds probe, and
+    # finite at the core's joins
+    spoiled = with_piece(pair.f0n, 1, der=lambda u: np.where(np.abs(u - 0.25) < 0.05, bad, core.der(u)))
+    rep = verify_monster(tech, [dataclasses.replace(pair, f0n=spoiled)])
+    assert rep["model-assumptions-n16"].passed
+    assert not rep["uniform-derivative-bounds"].passed
 
 
 def nan_strip_tech(lo, hi):
