@@ -19,7 +19,6 @@ from .errors import (
 from .frontiers import (
     AffineFrontier,
     CallableFrontier,
-    CutoffFrontier,
     Frontier,
     ParametricFrontier,
     PiecewiseLinearFrontier,
@@ -51,7 +50,6 @@ from .mechanism import (
     promised_utility,
 )
 from .mixture import (
-    Allocation,
     FrontierDistribution,
     mixture_domain,
     mixture_peak,

@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from ._oracles import brute_force_mixture_value
-from .errors import ConfigError, FrontierKitError, UStarAtOrigin
+from .errors import ConfigError, FrontierKitError, ParamsOutOfRange, UStarAtOrigin
 from .frontiers import (
+    INF,
     AffineFrontier,
     CallableFrontier,
     PiecewiseLinearFrontier,
@@ -58,6 +59,10 @@ from .variational import (
 )
 
 EXPORTS = ("frontiers", "mechanism", "residuals", "smoothing")
+
+#: most rows a curve on the u-grid may have: at the post-breakthrough
+#: frontier's derivative cost, more would run for minutes
+MAX_GRID_ROWS = 100_000
 
 _DEFAULT_CONFIG = {
     "lambda": 1.0,
@@ -491,9 +496,20 @@ def _write_csv(path: Path, header: str, rows) -> Path:
     return path
 
 
-def _write_smoothing_csv(out: Path, pair, u0: float, step: float) -> Path:
+def _curve_grid(u0: float, step: float) -> np.ndarray:
+    """The points ``0, step, 2*step, ...`` up to ``u0`` at which curves are
+    written; a step that gives more than `MAX_GRID_ROWS` is refused."""
+    stop = u0 + 0.5 * step
+    if not 0.0 < step < INF or math.ceil(stop / step) > MAX_GRID_ROWS:
+        raise ConfigError(
+            f"`--grid-step` {step:g} must be finite, positive and give at most "
+            f"{MAX_GRID_ROWS} points on [0, u0 = {u0:.6g}]"
+        )
+    return np.arange(0.0, stop, step)
+
+
+def _write_smoothing_csv(out: Path, pair, us: np.ndarray) -> Path:
     f0n, f1n = pair.f0n, pair.f1n
-    us = np.arange(0.0, u0 + 0.5 * step, step)
     rows = zip(us, f0n.value(us), f1n.value(us), f0n.deriv(us, "right"), f1n.deriv(us, "right"))
     return _write_csv(out / f"smoothing_n{pair.params.n}.csv", "u,F0n,F1n,f0n,f1n", rows)
 
@@ -504,15 +520,13 @@ def export_curves(
     out_dir: str | Path = ".",
     grid_step: float = 0.05,
     horizon: float = 6.0,
-    u_grid=None,
 ) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tech = cfg.technology()
 
     if what == "frontiers":
-        us = np.arange(0.0, tech.u0 + 0.5 * grid_step, grid_step) if u_grid is None else u_grid
-        us = np.asarray(us, dtype=float)
+        us = _curve_grid(tech.u0, grid_step)
         f0, f1 = tech.f0, tech.f1
         rows = zip(
             us,
@@ -546,10 +560,9 @@ def export_curves(
         return [_write_csv(out / "residuals.csv", "t,residual,phi0,cum_phi1_dG,one_minus_G", rows)]
 
     if what == "smoothing":
+        us = _curve_grid(tech.u0, grid_step)
         return [
-            _write_smoothing_csv(
-                out, build_smooth_pair(tech, SmoothingParams.auto(tech, n)), tech.u0, grid_step
-            )
+            _write_smoothing_csv(out, build_smooth_pair(tech, SmoothingParams.auto(tech, n)), us)
             for n in (16, 32, 64)
         ]
 
@@ -604,11 +617,17 @@ def _cmd_smooth(cfg: InstanceConfig, args) -> int:
     least = smallest_level(tech)
     if not ns or min(ns) < least:
         raise ConfigError(f"`--n-list` needs levels of {least} or more, so that 1/n < (u0 - u1)/3")
-    pairs = build_sequence(tech, ns)
+    pairs = []
+    for n in ns:
+        try:
+            pairs.append(build_smooth_pair(tech, SmoothingParams.auto(tech, n)))
+        except ParamsOutOfRange as exc:
+            raise ConfigError(f"`--n-list` level {n} cannot be smoothed for this config: {exc}") from exc
+    us = _curve_grid(tech.u0, args.grid_step)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     for pair in pairs:
-        print(f"wrote {_write_smoothing_csv(out, pair, tech.u0, args.grid_step)}")
+        print(f"wrote {_write_smoothing_csv(out, pair, us)}")
     rep = verify_monster(tech, pairs)
     (out / "smoothing_report.txt").write_text(rep.render() + "\n")
     print(rep.render())

@@ -137,10 +137,6 @@ class Frontier:
             cached = self._peak = self.argmax_linear(0.0)
         return cached
 
-    def shifted(self, dy: float) -> "Frontier":
-        """The same frontier moved up by ``dy`` utils."""
-        return ShiftedFrontier(self, dy)
-
 
 class ParametricFrontier(Frontier):
     """Smooth concave frontier given by closed-form value and derivative.
@@ -156,12 +152,10 @@ class ParametricFrontier(Frontier):
         deriv_fn: Callable,
         domain: tuple[float, float] = (0.0, INF),
         peak: float | None = None,
-        knots: Sequence[float] = (),
     ):
         self._value_fn = value_fn
         self._deriv_fn = deriv_fn
         self.domain = (float(domain[0]), float(domain[1]))
-        self.knots = tuple(knots)
         if peak is not None:
             self._peak = float(peak)
 
@@ -258,44 +252,6 @@ class CallableFrontier(ParametricFrontier):
             return (self.value(u) - self.value(u - h)) / h
         h = np.minimum(self.FD_STEP, hi - u)
         return (self.value(u + h) - self.value(u)) / h
-
-
-class ShiftedFrontier(Frontier):
-    """A frontier plus a constant."""
-
-    def __init__(self, base: Frontier, dy: float):
-        self.base, self.dy = base, float(dy)
-        self.domain = base.domain
-        self.knots = base.knots
-
-    def _values(self, us):
-        return self.base._values(us) + self.dy
-
-    def _derivs(self, u, side):
-        return self.base._derivs(u, side)
-
-    def argmax_linear(self, eta, lo=None, hi=None, largest=False):
-        return self.base.argmax_linear(eta, lo, hi, largest)
-
-
-class CutoffFrontier(Frontier):
-    """A frontier truncated to ``-inf`` above a cutoff (shrinks the domain)."""
-
-    def __init__(self, base: Frontier, cutoff: float):
-        if cutoff <= base.domain[0]:
-            raise ValueError("cutoff must exceed the domain's lower end")
-        self.base, self.cutoff = base, float(cutoff)
-        self.domain = (base.domain[0], min(base.domain[1], self.cutoff))
-        self.knots = tuple(k for k in base.knots if k < self.cutoff)
-
-    def _values(self, us):
-        return self.base._values(us)
-
-    def _derivs(self, u, side):
-        return self.base._derivs(u, side)
-
-    def argmax_linear(self, eta, lo=None, hi=None, largest=False):
-        return self.base.argmax_linear(eta, *self._bounds(lo, hi), largest)
 
 
 def directional_deriv(f: Frontier, a, b):

@@ -53,22 +53,15 @@ class FrontierDistribution:
         return np.array([p for _, p in self.support], dtype=float)
 
 
-@dataclass
-class Allocation:
-    """Promised utility per realized frontier; expectation pinned to ``u``."""
-
-    values: np.ndarray
-
-    def expectation(self, probs: np.ndarray) -> float:
-        return float(np.dot(probs, self.values))
-
-
 def _alloc_floor(f: Frontier) -> float:
     return max(0.0, f.domain[0])
 
 
-def mixture_value(dist: FrontierDistribution, u: float) -> tuple[float, Allocation]:
-    """Maximum expected frontier value at expectation ``u``, with a maximizer.
+def mixture_value(dist: FrontierDistribution, u: float) -> tuple[float, np.ndarray]:
+    """Maximum expected frontier value at expectation ``u``, with a maximizer:
+    the array of each member's promised utility, in support order. Where no
+    allocation has expectation ``u`` the value is ``-inf`` and the array holds
+    the members' floors.
 
     Each member must have finite one-sided derivatives at its floor and
     ceiling, which bracket the level.
@@ -82,7 +75,7 @@ def mixture_value(dist: FrontierDistribution, u: float) -> tuple[float, Allocati
     lo_total, hi_total = float(probs @ floors), float(probs @ ceils)
     if u < lo_total - _EXPECT_TOL or u > hi_total + _EXPECT_TOL:
         # no allocation in the clamped feasible box has expectation u
-        return -INF, Allocation(np.clip(floors, floors, ceils))
+        return -INF, np.clip(floors, floors, ceils)
 
     alloc = lambda eta, largest: np.array(
         [f.argmax_linear(eta, lo, hi, largest) for f, lo, hi in zip(members, floors, ceils)]
@@ -125,7 +118,7 @@ def mixture_value(dist: FrontierDistribution, u: float) -> tuple[float, Allocati
         xs[i] = np.clip(xs[i] + resid / probs[i], floors[i], ceils[i])
 
     value = float(sum(p * f.value(x) for (f, p), x in zip(dist.support, xs)))
-    return value, Allocation(xs)
+    return value, xs
 
 
 def mixture_peak(dist: FrontierDistribution) -> float:
@@ -174,7 +167,7 @@ def verify_mixture_regularity(dist: FrontierDistribution, grid) -> VerificationR
     ok = abs(peak_val - expected_peak_val) < 1e-9
     strict = all(peak_val > vals[u] for u in finite if abs(u - peak) > 1e-4)
     member_peaks = np.array([f.peak for f in dist.members])
-    at_peaks = np.max(np.abs(alloc.values - member_peaks)) < 1e-8
+    at_peaks = np.max(np.abs(alloc - member_peaks)) < 1e-8
     rep.add("unique-peak", ok and strict and at_peaks)
 
     lo, hi = mixture_domain(dist)

@@ -2,12 +2,13 @@
 
 All first-order conditions in this library are strictly monotone in the
 unknown, so bisection with geometric bracket expansion is globally safe.
-Root solves and `bisect_predicate` probe one point per step. The frontier
-searches, `golden_section_max` and `bisect_predicate_array`, take array
-oracles and look ahead: one oracle call covers their next `LOOKAHEAD` steps
-(see `_lookahead`). `interpolated_switch` is `bisect_predicate` for the
-level test ``T(x) > u`` of a nonincreasing ``T``: it interpolates on the
-values of ``T`` and ends on the same adjacent floats in fewer calls.
+Root solves probe one point per step. The frontier searches,
+`golden_section_max` and `bisect_predicate_array`, take array oracles and
+look ahead: one oracle call covers their next `LOOKAHEAD` steps (see
+`_lookahead`). `interpolated_switch` gives `bisect_predicate_array`'s bracket
+for the level test ``T(x) > u`` of a nonincreasing scalar ``T`` in fewer
+calls, by interpolating on the values of ``T``; where it cannot, it runs that
+bisection with one ``T`` call per point.
 """
 
 from __future__ import annotations
@@ -95,30 +96,10 @@ def solve_monotone(
     return bisect(f, a, b, tol=tol)
 
 
-def bisect_predicate(
-    pred: Callable[[float], bool], lo: float, hi: float
-) -> tuple[float, float]:
-    """Shrink ``[lo, hi]`` around the switch of a monotone predicate.
-
-    ``pred`` is true up to some point and false beyond it; the returned
-    bracket keeps ``lo`` on the true side and ``hi`` on the false side, after
-    at most 200 halvings or once it spans adjacent floats.
-    """
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
 def interpolated_switch(
     T: Callable[[float], float], u: float, lo: float, hi: float, t_lo: float, t_hi: float
 ) -> tuple[float, float]:
-    """``bisect_predicate(lambda x: T(x) > u, lo, hi)``, bit for bit, in fewer
+    """``bisect_predicate_array`` on the test ``T(x) > u``, bit for bit, in fewer
     ``T`` calls, for a nonincreasing ``T`` with ``T(lo) = t_lo``, ``T(hi) = t_hi``.
 
     While the bracket's values fall on both sides of ``u`` the search takes
@@ -132,19 +113,19 @@ def interpolated_switch(
     than ``2**_SLACK`` times bisection's after as many steps, so the search
     costs about ``_SLACK`` probes more than bisection at worst. The values only
     weigh the interpolation: each decision is ``T(x) > u`` at the probe, and
-    the search stops where `bisect_predicate` does, once ``0.5 * (lo + hi)``
-    is not strictly inside.
+    the search stops where bisection does, once ``0.5 * (lo + hi)`` is not
+    strictly inside.
 
     Why the result is the same: where ``T(x) > u`` is monotone in ``x`` over
     the floats of ``[lo, hi]``, with ``lo`` counted true and ``hi`` false,
     the adjacent pair where it switches is unique, and every bracketing
     search that tests this predicate and ends on adjacent floats ends on it.
-    `bisect_predicate` does unless its 200-halving cap binds first, which
-    can happen only when the switch lies within ``(hi - lo) * 2**-140`` of
-    0: 200 halvings bring the bracket below the spacing of the floats near
-    any point farther out. When the pair found lies that close to 0, or the
-    search ends on floats that are not adjacent, `bisect_predicate` runs on
-    the whole bracket.
+    Bisection does unless its 200-halving cap binds first, which can happen
+    only when the switch lies within ``(hi - lo) * 2**-140`` of 0: 200
+    halvings bring the bracket below the spacing of the floats near any
+    point farther out. When the pair found lies that close to 0, or the
+    search ends on floats that are not adjacent, `bisect_predicate_array`
+    runs on the whole bracket, with ``T`` called once per point.
     """
     start = lo, hi
     g_lo, g_hi = t_lo - u, t_hi - u
@@ -186,7 +167,7 @@ def interpolated_switch(
                 nudge = x + moved * step
     near_zero = min(abs(lo), abs(hi)) <= (start[1] - start[0]) * 2.0**-140
     if near_zero or hi != math.nextafter(lo, math.inf):
-        return bisect_predicate(lambda x: T(x) > u, *start)
+        return bisect_predicate_array(lambda xs: np.array([T(x) > u for x in xs.tolist()]), *start)
     return lo, hi
 
 
@@ -230,8 +211,12 @@ def _lookahead(f, state, probe, decide, move):
 def bisect_predicate_array(
     pred: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
 ) -> tuple[float, float]:
-    """`bisect_predicate`, bit for bit, for a ``pred`` that tests an array of
-    points elementwise: `LOOKAHEAD` halvings per ``pred`` call."""
+    """Shrink ``[lo, hi]`` around the switch of a monotone predicate.
+
+    ``pred`` tests an array of points elementwise; it is true up to some point
+    and false beyond it. The returned bracket keeps ``lo`` on the true side
+    and ``hi`` on the false side, after at most 200 halvings or once it spans
+    adjacent floats. One ``pred`` call covers `LOOKAHEAD` halvings."""
 
     def probe(s):
         lo, hi, steps = s

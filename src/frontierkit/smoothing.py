@@ -108,18 +108,24 @@ def _window_integral(f: Frontier, u, delta: float):
     return totals[0] if np.ndim(u) == 0 else np.array(totals)
 
 
-def averaged_right_derivative(f: Frontier, u: float, params: SmoothingParams) -> float:
-    """Windowed average of the right derivative minus the linear tilt.
+def averaged_right_derivative(f: Frontier, u, params: SmoothingParams):
+    """Windowed average of the right derivative minus the linear tilt, at one
+    window start ``u`` or an array of them.
 
     Computed as a value difference, which equals the window average of
-    ``F^+`` exactly for concave ``f``.
+    ``F^+`` exactly for concave ``f``. Both ends of every window go to ``f``
+    in one ``value`` call.
     """
+    us = np.atleast_1d(np.asarray(u, dtype=float))
+    ends = np.concatenate([us + params.delta, us])
     lo, hi = f.domain
-    if u < lo or u + params.delta > hi:
-        raise DomainError(f"window [{u:g}, {u + params.delta:g}] leaves the domain")
-    return (
-        float(f.value(u + params.delta)) - float(f.value(u))
-    ) / params.delta - params.gamma * u
+    outside = (us < lo) | (ends[: us.size] > hi)
+    if outside.any():
+        a = float(us[outside][0])
+        raise DomainError(f"window [{a:g}, {a + params.delta:g}] leaves the domain")
+    vals = f.value(ends)
+    out = (vals[: us.size] - vals[us.size :]) / params.delta - params.gamma * us
+    return float(out[0]) if np.ndim(u) == 0 else out
 
 
 class _Core:
@@ -137,11 +143,7 @@ class _Core:
         self._F_anchor = float(f.value(anchor))
 
     def deriv(self, u):
-        p = self.p
-        us = np.atleast_1d(np.asarray(u, dtype=float))
-        ends = self.f.value(np.concatenate([us + p.delta, us]))
-        out = (ends[: us.size] - ends[us.size :]) / p.delta - p.gamma * us
-        return float(out[0]) if np.ndim(u) == 0 else out
+        return averaged_right_derivative(self.f, u, self.p)
 
     def value(self, u):
         p = self.p

@@ -28,6 +28,11 @@ from .roots import bisect, solve_monotone
 #: (one per solve) and so nests, where a shared ``with`` instance cannot.
 _quiet = np.errstate(divide="ignore", over="ignore")
 
+# `MoralHazardPrimitives.validate`: the effort at which the marginal effort
+# cost must exceed ``_DIVERGENCE_FACTOR`` times the wage
+_DIVERGENCE_L = 1e6
+_DIVERGENCE_FACTOR = 2.0
+
 
 class PowerUtility:
     """Utility of consumption ``phi(c) = c**a`` with ``0 < a < 1``."""
@@ -78,10 +83,6 @@ class MoralHazardPrimitives:
     phi: PowerUtility
     kappa: PowerCost
 
-    #: upper effort grid point and safety factor for the divergence check
-    divergence_grid_L: float = 1e6
-    divergence_factor: float = 2.0
-
     def __post_init__(self):
         if self.lam <= 0:
             raise ValueError("lam must be positive")
@@ -97,17 +98,17 @@ class MoralHazardPrimitives:
         """
         ratio_small = float(self.phi.phi_prime_at_inv(1e-10))
         ratio_large = float(self.phi.phi_prime_at_inv(1e10))
-        L = self.divergence_grid_L
+        L = _DIVERGENCE_L
         marginal = float(self.kappa.kappa_prime(L) / self.phi.phi_prime_at_inv(self.kappa.kappa(L)))
         if not ratio_small > ratio_large:
             raise InadmissiblePrimitives("`phi.exponent` must make phi' strictly decreasing")
         if float(self.kappa.kappa(0.0)) != 0.0:
             raise InadmissiblePrimitives("`kappa.exponent` must make kappa(0) equal 0")
-        if marginal < self.divergence_factor * self.w:
+        if marginal < _DIVERGENCE_FACTOR * self.w:
             raise InadmissiblePrimitives(
                 f"`w`, `phi.exponent` and `kappa.exponent` give a marginal effort cost "
                 f"{marginal:.3g} at L={L:g} that does not exceed w={self.w:g} by factor "
-                f"{self.divergence_factor:g}, so the effort problem may have no interior maximizer"
+                f"{_DIVERGENCE_FACTOR:g}, so the effort problem may have no interior maximizer"
             )
 
 
@@ -342,7 +343,10 @@ def verify_ui_assumptions(tech: Technology, grid) -> VerificationReport:
     if tech.u1 > 0.0 and tech.prims is not None:
         L1 = effort_star(tech.prims, tech.u1)
         residual = abs(tech.u0 - tech.u1 - float(tech.prims.kappa.kappa(L1)))
-        rep.add("peak-identity", residual < 1e-8, worst_violation=residual)
+        # 16 steps of the u0 and u1 solves, the unit of the build's identity check:
+        # at a large u0 the float spacing alone exceeds a fixed bound
+        step = max(1e-12, math.ulp(tech.u0))
+        rep.add("peak-identity", residual <= 16.0 * step, worst_violation=residual)
     else:
         rep.add("peak-identity", True, note="not applicable (corner)")
     return rep

@@ -36,6 +36,19 @@ def corner_tech(corner_prims):
     return make_moral_hazard_technology(corner_prims)
 
 
+def bisect_reference(pred, lo, hi):
+    """Predicate bisection with one scalar probe per step, at most 200 halvings."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def piece_by_piece(f, u, what):
     """The per-point piece lookup of a `_PiecewiseFrontier`, as a plain loop.
 

@@ -14,6 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frontierkit import cli
 from frontierkit.cli import export_curves, load_config, main, run_suite
 from frontierkit.errors import ConfigError
 
@@ -304,10 +305,26 @@ class TestExport:
             tmp_path / "residuals.csv"
         ).read_text().splitlines()[0] == "t,residual,phi0,cum_phi1_dG,one_minus_G"
 
-    def test_empty_grid_writes_header_only(self, tmp_path):
-        cfg = load_config(None)
-        (path,) = export_curves(cfg, "frontiers", tmp_path, u_grid=np.array([]))
-        assert path.read_text() == "u,F0,F1,F0_left,F0_right,F1_left,F1_right\n"
+    def test_grid_beyond_the_row_cap_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # u0 = 335,661.6 gives 6.7 M rows at the default step; the export used
+        # to evaluate them all, for over an hour
+        path = tmp_path / "wide.yaml"
+        path.write_text(
+            "lambda: 0.0555\nw: 11.63\nphi: {kind: power, exponent: 0.825}\n"
+            "kappa: {kind: power, exponent: 5.39}\n"
+        )
+        for what in ("frontiers", "smoothing"):
+            assert main(["export", "--what", what, "--config", str(path), "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "`--grid-step`" in err
+        assert not list(tmp_path.glob("*.csv"))
+        assert main(["export", "--what", "frontiers", "--grid-step", "0", "--out", str(tmp_path)]) == 2
+        # the default config has 11 rows: the cap counts them as written
+        monkeypatch.setattr(cli, "MAX_GRID_ROWS", 11)
+        assert main(["export", "--what", "frontiers", "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "frontiers.csv").read_text().splitlines()) == 1 + 11
+        monkeypatch.setattr(cli, "MAX_GRID_ROWS", 10)
+        assert main(["export", "--what", "frontiers", "--out", str(tmp_path)]) == 2
 
     def test_default_exports_match_benchmark_digests(self, tmp_path):
         digests = Path(__file__).resolve().parents[1] / "perfbench" / "csv_digests.json"
@@ -349,3 +366,19 @@ class TestSmoothCommand:
         assert err == "config error: `--n-list` needs levels of 31 or more, so that 1/n < (u0 - u1)/3\n"
         assert main([*argv, "--n-list", "30"]) == 2
         assert main([*argv, "--n-list", "31"]) == 0
+
+    @pytest.mark.parametrize(
+        "level, reason",
+        [("32", "must still rise at u0-2/n"), ("64", "could not reach the accuracy budget eps")],
+    )
+    def test_level_the_construction_cannot_smooth_is_config_error(self, tmp_path, capsys, level, reason):
+        # both levels pass the 1/n < (u0 - u1)/3 test here, and used to exit 3
+        path = tmp_path / "narrow.yaml"
+        path.write_text(
+            "lambda: 0.030485818732047747\nw: 24.253737953796037\n"
+            "phi: {kind: power, exponent: 0.8316445310278713}\n"
+            "kappa: {kind: power, exponent: 4.643204035332835}\n"
+        )
+        assert main(["smooth", "--config", str(path), "--out", str(tmp_path), "--n-list", level]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: `--n-list` level {level} cannot be smoothed") and reason in err

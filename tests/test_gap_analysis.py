@@ -55,7 +55,7 @@ class TestSharedSupergradientInterval:
         lo, hi = shared_supergradient_interval(tech, 0.8)
         assert lo > hi  # derivatives differ: empty interval
         # identical slopes at every u when f1 is a vertical shift of f0
-        tech2 = Technology(f0=f0, f1=f0.shifted(1.0), u0=1.0, u1=1.0, u_star=0.0)
+        tech2 = Technology(f0=f0, f1=QuadraticFrontier(1.0, 2.0, -1.0), u0=1.0, u1=1.0, u_star=0.0)
         lo, hi = shared_supergradient_interval(tech2, 0.8)
         assert lo == pytest.approx(hi)
         assert lo == pytest.approx(2.0 - 1.6)

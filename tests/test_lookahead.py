@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import bisect_reference
 import frontierkit as fk
 from frontierkit import frontiers, roots, smoothing, technology
 from frontierkit.roots import bisect_predicate_array, golden_section_max
@@ -28,19 +29,6 @@ def golden_reference(f, lo, hi, tol=1e-10):
             d = a + _GOLDEN * (b - a)
             fd = f(d)
     return 0.5 * (a + b)
-
-
-def bisect_reference(pred, lo, hi):
-    """Predicate bisection with one scalar probe per step, at most 200 halvings."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
 
 
 class Recorder:

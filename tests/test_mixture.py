@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bisect_reference
 from frontierkit import (
     AffineFrontier,
-    CutoffFrontier,
     EmptySupport,
     PiecewiseLinearFrontier,
     QuadraticFrontier,
@@ -21,7 +21,6 @@ from frontierkit.mixture import (
     mixture_value,
     verify_mixture_regularity,
 )
-from frontierkit.roots import bisect_predicate
 
 
 def quad_pair():
@@ -37,14 +36,14 @@ class TestMixtureValue:
         oracle = brute_force_mixture_value(quad_pair(), 2.0)
         assert abs(val - 0.0) < 1e-10
         assert abs(oracle - 0.0) < 1e-5
-        assert np.allclose(alloc.values, [1.0, 3.0], atol=1e-8)
+        assert np.allclose(alloc, [1.0, 3.0], atol=1e-8)
 
     def test_quad_pair_at_one_hits_boundary(self):
         val, alloc = mixture_value(quad_pair(), 1.0)
         oracle = brute_force_mixture_value(quad_pair(), 1.0)
         assert abs(val - (-1.0)) < 1e-10
         assert abs(val - oracle) < 1e-5
-        assert np.allclose(alloc.values, [0.0, 2.0], atol=1e-8)
+        assert np.allclose(alloc, [0.0, 2.0], atol=1e-8)
 
     def test_single_member_degenerate(self):
         f = QuadraticFrontier(-1.0, 2.0, -1.0)
@@ -52,7 +51,7 @@ class TestMixtureValue:
         for u in (0.0, 0.7, 2.5):
             val, alloc = mixture_value(dist, u)
             assert abs(val - f.value(u)) < 1e-12
-            assert abs(alloc.values[0] - u) < 1e-12
+            assert abs(alloc[0] - u) < 1e-12
 
     def test_quad_pair_closed_form(self):
         # equalization gives F1(u) = -(u-2)^2 for u >= 1
@@ -65,7 +64,7 @@ class TestMixtureValue:
         dist = quad_pair()
         for u in np.linspace(0.0, 5.0, 21):
             _, alloc = mixture_value(dist, float(u))
-            assert abs(alloc.expectation(dist.probs) - u) < 1e-10
+            assert abs(dist.probs @ alloc - u) < 1e-10
 
     def test_empty_support(self):
         with pytest.raises(EmptySupport):
@@ -75,9 +74,9 @@ class TestMixtureValue:
         f = PiecewiseLinearFrontier([0.0, 1.0, 3.0], [0.0, 1.0, 1.0])
         dist = FrontierDistribution([(f, 0.5), (f, 0.5)])
         _, alloc = mixture_value(dist, 2.0)
-        assert abs(alloc.expectation(dist.probs) - 2.0) < 1e-10
+        assert abs(dist.probs @ alloc - 2.0) < 1e-10
         # ties broken by support order: first member filled first
-        assert alloc.values[0] >= alloc.values[1] - 1e-9
+        assert alloc[0] >= alloc[1] - 1e-9
 
     @pytest.mark.parametrize(
         "make",
@@ -101,8 +100,8 @@ class TestMixtureValue:
         steep, flat = make()
         dist = FrontierDistribution([(steep, 0.5), (flat, 0.5)])
         val, alloc = mixture_value(dist, u)
-        assert alloc.expectation(dist.probs) == pytest.approx(u, abs=1e-12)
-        assert alloc.values == pytest.approx(expected_values, abs=1e-12)
+        assert dist.probs @ alloc == pytest.approx(u, abs=1e-12)
+        assert alloc == pytest.approx(expected_values, abs=1e-12)
         assert val == pytest.approx(expected_value, abs=1e-12)
 
 
@@ -161,7 +160,7 @@ class TestRandomizedAgainstBruteForce:
         dist = FrontierDistribution([(QuadraticFrontier(*c), p) for c, p in zip(coeffs, probs)])
         u = 0.6051519806461108
         val, alloc = mixture_value(dist, u)
-        assert alloc.values[0] == 0.0
+        assert alloc[0] == 0.0
         assert abs(val - brute_force_mixture_value(dist, u)) < 1e-12
 
     def test_oracle_rejects_non_quadratic_members(self):
@@ -196,8 +195,8 @@ def test_water_filling_matches_the_exact_oracle(members, u):
     val, alloc = mixture_value(dist, u)
     oracle = brute_force_mixture_value(dist, u)
     assert abs(val - oracle) <= 1e-12 * max(1.0, abs(oracle))
-    assert abs(alloc.expectation(dist.probs) - u) <= 1e-10
-    assert np.all(alloc.values >= 0.0)
+    assert abs(dist.probs @ alloc - u) <= 1e-10
+    assert np.all(alloc >= 0.0)
 
 
 class TestRegularityReport:
@@ -206,9 +205,8 @@ class TestRegularityReport:
         assert rep.overall_pass
 
     def test_cutoff_usc(self):
-        base = QuadraticFrontier(-1.0, 2.0, -1.0)
-        cut_a = CutoffFrontier(base, 2.0)
-        cut_b = CutoffFrontier(QuadraticFrontier(-9.0, 6.0, -1.0), 3.5)
+        cut_a = QuadraticFrontier(-1.0, 2.0, -1.0, domain=(0.0, 2.0))
+        cut_b = QuadraticFrontier(-9.0, 6.0, -1.0, domain=(0.0, 3.5))
         dist = FrontierDistribution([(cut_a, 0.5), (cut_b, 0.5)])
         rep = verify_mixture_regularity(dist, np.linspace(0.0, 2.7, 12))
         assert rep["usc-upper"].passed
@@ -227,7 +225,7 @@ class TestRegularityReport:
 def bisected_level(T, u, lo, hi, t_lo, t_hi):
     """The reference level search: `mixture_value`'s bisection on ``T > u``
     before it interpolated."""
-    return bisect_predicate(lambda eta: T(eta) > u, lo, hi)
+    return bisect_reference(lambda eta: T(eta) > u, lo, hi)
 
 
 def solve_with(search, dist, u):
@@ -241,7 +239,7 @@ def solve_with(search, dist, u):
 
     with mock.patch.object(mixture, "interpolated_switch", spy):
         value, alloc = mixture_value(dist, u)
-    return [[x.hex() for x in b] for b in brackets], value.hex(), [float(x).hex() for x in alloc.values]
+    return [[x.hex() for x in b] for b in brackets], value.hex(), [float(x).hex() for x in alloc]
 
 
 def quadratic(peak, log_curv, height):
@@ -268,8 +266,13 @@ _MEMBER = st.one_of(
         _QUARTERS,
         st.lists(st.integers(1, 8), min_size=3, max_size=3),
     ),
-    st.builds(lambda f, dy: f.shifted(dy), _QUADRATIC, st.floats(-1.0, 1.0)),
-    st.builds(CutoffFrontier, _QUADRATIC, st.floats(0.5, 4.0)),
+    # raised by dy, and cut off at a bounded domain's upper end
+    st.builds(
+        lambda f, dy: QuadraticFrontier(f.coeffs[0] + dy, *f.coeffs[1:]), _QUADRATIC, st.floats(-1.0, 1.0)
+    ),
+    st.builds(
+        lambda f, cut: QuadraticFrontier(*f.coeffs, domain=(0.0, cut)), _QUADRATIC, st.floats(0.5, 4.0)
+    ),
 )
 
 
@@ -282,10 +285,11 @@ _MEMBER = st.one_of(
 def test_level_search_lands_on_the_bisected_level(members, where, t):
     """The interpolating level search against the bisection it replaced.
 
-    Families of one to five quadratic, affine, piecewise-linear, shifted and
-    cutoff members, with weights down to ``10**-6`` (a quadratic whose peak
-    is below 0 sits at its floor), at ``u`` on either end of the feasible
-    totals, within 1e-10 outside them, at the mixture peak and inside.
+    Families of one to five quadratic (some on a bounded domain), affine and
+    piecewise-linear members, with weights down to ``10**-6`` (a quadratic
+    whose peak is below 0 sits at its floor), at ``u`` on either end of the
+    feasible totals, within 1e-10 outside them, at the mixture peak and
+    inside.
     """
     weights = np.array([10.0**lw for _, lw in members])
     dist = FrontierDistribution(list(zip([f for f, _ in members], weights / weights.sum())))
@@ -309,7 +313,7 @@ def test_level_near_zero_falls_back_to_bisection():
     # 20 * 2**-140 of 0, where bisection's 200 halvings stop short of
     # adjacent floats: the search must hand over to it
     dist = FrontierDistribution([(QuadraticFrontier(0.0, 0.0, -1.0), 1.0)])
-    with mock.patch.object(roots, "bisect_predicate", wraps=roots.bisect_predicate) as fallback:
+    with mock.patch.object(roots, "bisect_predicate_array", wraps=roots.bisect_predicate_array) as fallback:
         got = solve_with(mixture.interpolated_switch, dist, 0.0)
     assert fallback.call_count == 1
     assert got == solve_with(bisected_level, dist, 0.0)

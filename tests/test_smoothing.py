@@ -73,13 +73,22 @@ class TestAveragedDerivative:
         params = SmoothingParams(n=8, delta=0.05, gamma=0.1, zeta=0.2, eps=0.09)
         with pytest.raises(DomainError):
             averaged_right_derivative(f, 0.68, params)
+        # one window of an array that leaves the domain rejects the call
+        with pytest.raises(DomainError, match=r"window \[0.68"):
+            averaged_right_derivative(f, np.array([0.1, 0.68, 0.2]), params)
 
     def test_matches_smoothed_frontier_derivative(self, tech_and_pairs):
         tech, pairs = tech_and_pairs
         pair = pairs[0]
-        for u in core_grid(tech, pair.params.n, 7):
+        us = core_grid(tech, pair.params.n, 7)
+        for u in us:
             direct = averaged_right_derivative(tech.f0, float(u), pair.params)
             assert pair.f0n.right_deriv(float(u)) == pytest.approx(direct, abs=1e-9)
+        # an array is the scalar calls, bit for bit
+        np.testing.assert_array_equal(
+            averaged_right_derivative(tech.f0, us, pair.params),
+            [averaged_right_derivative(tech.f0, float(u), pair.params) for u in us],
+        )
 
 
 class TestParams:

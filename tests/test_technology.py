@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from conftest import assert_batched_equals_scalar
 from frontierkit import (
     AffineFrontier,
     CallableFrontier,
-    CutoffFrontier,
     DivergenceViolation,
     DomainError,
     Frontier,
@@ -206,8 +206,6 @@ class TestOneSidedDerivatives:
             (AffineFrontier(0.2, 0.6, domain=(0.0, 0.5)), np.linspace(0.0, 0.5, 11)),
             (kinked, np.concatenate([kinked.xs, np.nextafter(0.5, [0.0, 1.0]), np.linspace(0.0, 0.7, 15)])),
             (saddle, np.concatenate([[0.0, 1.0, 2.0], h, 2.0 - h])),
-            (CutoffFrontier(quad, 0.8), np.linspace(0.0, 0.8, 17)),
-            (quad.shifted(0.3), np.linspace(0.0, 3.0, 31)),
             (default_tech.f0, np.linspace(0.0, 1.0, 21)),
             (default_tech.f1, np.linspace(0.0, 1.0, 21)),
         ]
@@ -234,14 +232,7 @@ class TestArgmaxLinear:
     """``argmax_linear`` overrides against the base-class bisection, and peaks."""
 
     def test_overrides_match_the_base_bisection(self):
-        quad = QuadraticFrontier(-9.0, 6.0, -1.0)
-        cases = [
-            quad,
-            QuadraticFrontier(0.3, 2.5, -0.7, domain=(0.2, 4.0)),
-            CutoffFrontier(quad, 2.0),
-            CutoffFrontier(quad, 4.0),
-            quad.shifted(0.3),
-        ]
+        cases = [QuadraticFrontier(-9.0, 6.0, -1.0), QuadraticFrontier(0.3, 2.5, -0.7, domain=(0.2, 4.0))]
         # eta = 6 puts the tilted vertex at 0, eta = -2 at 4; [2, 2] is a point
         etas = np.linspace(-4.0, 9.0, 53).tolist() + [6.0, -2.0]
         for f in cases:
@@ -309,17 +300,12 @@ class TestArgmaxLinear:
                 quad = QuadraticFrontier(a, b, c, domain=domain)
                 expected = min(max(-b / (2.0 * c), domain[0]), domain[1])
                 assert quad.peak == expected and math.copysign(1.0, quad.peak) == math.copysign(1.0, expected)
-                cutoff = float(rng.uniform(0.2, 4.0))
-                if cutoff > domain[0]:
-                    assert CutoffFrontier(quad, cutoff).peak == min(quad.peak, cutoff)
 
             xs = np.cumsum(rng.uniform(0.1, 1.0, 6)) - 0.5
             slopes = np.sort(rng.uniform(-3.0, 3.0, 5))[::-1]
             ys = rng.normal() + np.concatenate([[0.0], np.cumsum(slopes * np.diff(xs))])
             pl = PiecewiseLinearFrontier(xs, ys)
             assert pl.peak == xs[np.argmax(ys)]
-            cutoff = float(rng.uniform(xs[0] + 0.1, xs[-1]))
-            assert CutoffFrontier(pl, cutoff).peak == min(pl.peak, cutoff)
 
             slope = float(rng.choice([-1.0, 0.0, 1.0]) * rng.uniform(0.0, 2.0))
             affine = AffineFrontier(a, slope, domain=(lo, hi))
@@ -393,14 +379,26 @@ class TestVerifyUiAssumptions:
         assert "skipped" in rep["gap-derivative-negative"].note
 
 
+    def test_peak_identity_is_bounded_in_solver_steps(self, default_tech):
+        # u0 = 6.05e9: the residual 3.43e-7 is 0.36 ulp(u0), under 16 steps
+        # of the u0 and u1 solves but over an absolute 1e-8
+        prims = MoralHazardPrimitives(
+            lam=0.03745174282380609,
+            w=3.3142072380841694,
+            phi=PowerUtility(0.8771797576704402),
+            kappa=PowerCost(5.142785381305769),
+        )
+        tech = make_moral_hazard_technology(prims)
+        check = verify_ui_assumptions(tech, [tech.u0])["peak-identity"]
+        assert check.passed and 1e-8 < check.worst_violation <= 16.0 * math.ulp(tech.u0)
+        # at u0 = 0.5 a step is 1e-12, so a u1 off by 1e-10 fails
+        off = dataclasses.replace(default_tech, u1=default_tech.u1 + 1e-10)
+        assert not verify_ui_assumptions(off, [off.u0])["peak-identity"].passed
+
+
 def test_divergence_violation():
-    prims = MoralHazardPrimitives(
-        lam=1.0,
-        w=1.0,
-        phi=PowerUtility(0.5),
-        kappa=PowerCost(2.0),
-        divergence_grid_L=1e-6,  # tiny grid makes the check fail
-    )
+    # the marginal effort cost at L = 1e6 stays below twice the wage
+    prims = MoralHazardPrimitives(lam=1.0, w=5.0, phi=PowerUtility(0.95), kappa=PowerCost(1.05))
     with pytest.raises(DivergenceViolation):
         make_moral_hazard_technology(prims)
 
