@@ -60,8 +60,8 @@ from .variational import (
 
 EXPORTS = ("frontiers", "mechanism", "residuals", "smoothing")
 
-#: most rows a curve on the u-grid may have: at the post-breakthrough
-#: frontier's derivative cost, more would run for minutes
+#: most rows a curve on the u-grid, or cells the time grid, may have: at the
+#: post-breakthrough frontier's derivative cost, more would run for minutes
 MAX_GRID_ROWS = 100_000
 
 _DEFAULT_CONFIG = {
@@ -508,6 +508,35 @@ def _curve_grid(u0: float, step: float) -> np.ndarray:
     return np.arange(0.0, stop, step)
 
 
+def _time_grid(horizon: float, step: float, rate: float) -> TimeGrid:
+    """The time grid of ``--horizon`` and ``--grid-step``, or a config error
+    naming both where `TimeGrid` refuses them or they exceed `MAX_GRID_ROWS`."""
+    try:
+        grid = TimeGrid(horizon=horizon, step=step, r=rate)
+    except (ValueError, ArithmeticError):
+        grid = None
+    if grid is None or not 1 <= grid.n_cells <= MAX_GRID_ROWS:
+        raise ConfigError(
+            f"`--grid-step` {step:g} must divide `--horizon` {horizon:g} into 1 to {MAX_GRID_ROWS} cells"
+        )
+    return grid
+
+
+def _smooth_pairs(tech: Technology, ns, source: str) -> list:
+    """The smoothed pairs at levels ``ns``, or a config error naming ``source``
+    for a level below `smallest_level` or one the construction cannot smooth."""
+    least = smallest_level(tech)
+    if not ns or min(ns) < least:
+        raise ConfigError(f"{source} needs levels of {least} or more, so that 1/n < (u0 - u1)/3")
+    pairs = []
+    for n in ns:
+        try:
+            pairs.append(build_smooth_pair(tech, SmoothingParams.auto(tech, n)))
+        except ParamsOutOfRange as exc:
+            raise ConfigError(f"{source} level {n} cannot be smoothed for this config: {exc}") from exc
+    return pairs
+
+
 def _write_smoothing_csv(out: Path, pair, us: np.ndarray) -> Path:
     f0n, f1n = pair.f0n, pair.f1n
     rows = zip(us, f0n.value(us), f1n.value(us), f0n.deriv(us, "right"), f1n.deriv(us, "right"))
@@ -539,9 +568,8 @@ def export_curves(
         )
         return [_write_csv(out / "frontiers.csv", "u,F0,F1,F0_left,F0_right,F1_left,F1_right", rows)]
 
-    grid = TimeGrid(horizon=horizon, step=grid_step, r=cfg.rate)
-
     if what == "mechanism":
+        grid = _time_grid(horizon, grid_step, cfg.rate)
         T = deadline_for_promise(0.5 * tech.u0, tech, grid)
         m = make_deadline_mechanism(T, tech, grid)
         x0 = np.append(m.x0, m.x0_tail)
@@ -561,10 +589,8 @@ def export_curves(
 
     if what == "smoothing":
         us = _curve_grid(tech.u0, grid_step)
-        return [
-            _write_smoothing_csv(out, build_smooth_pair(tech, SmoothingParams.auto(tech, n)), us)
-            for n in (16, 32, 64)
-        ]
+        pairs = _smooth_pairs(tech, (16, 32, 64), "`export --what smoothing` (levels 16, 32, 64)")
+        return [_write_smoothing_csv(out, pair, us) for pair in pairs]
 
     raise ConfigError(f"unknown export {what!r}; choose one of {', '.join(EXPORTS)}")
 
@@ -587,7 +613,7 @@ def _cmd_frontier(cfg: InstanceConfig, args) -> int:
 
 def _cmd_solve_deadline(cfg: InstanceConfig, args) -> int:
     tech = cfg.technology()
-    grid = TimeGrid(horizon=args.horizon, step=args.grid_step, r=cfg.rate)
+    grid = _time_grid(args.horizon, args.grid_step, cfg.rate)
     T = deadline_for_promise(args.promise, tech, grid)
     print(f"T = {'inf' if math.isinf(T) else format(T, '.12g')}")
     m = make_deadline_mechanism(T, tech, grid)
@@ -598,7 +624,8 @@ def _cmd_solve_deadline(cfg: InstanceConfig, args) -> int:
 
 
 def _cmd_verify(cfg: InstanceConfig, args) -> int:
-    grid = TimeGrid(horizon=args.horizon, step=args.grid_step, r=cfg.rate)
+    # only the no-delay suite runs on the time grid
+    grid = _time_grid(args.horizon, args.grid_step, cfg.rate) if args.suite == "no-delay" else None
     rep = run_suite(cfg, args.suite, seed=args.seed, trials=args.trials, grid=grid)
     print(rep.render())
     if args.out:
@@ -614,15 +641,7 @@ def _cmd_smooth(cfg: InstanceConfig, args) -> int:
         ns = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"--n-list must be comma-separated integers: {exc}") from exc
-    least = smallest_level(tech)
-    if not ns or min(ns) < least:
-        raise ConfigError(f"`--n-list` needs levels of {least} or more, so that 1/n < (u0 - u1)/3")
-    pairs = []
-    for n in ns:
-        try:
-            pairs.append(build_smooth_pair(tech, SmoothingParams.auto(tech, n)))
-        except ParamsOutOfRange as exc:
-            raise ConfigError(f"`--n-list` level {n} cannot be smoothed for this config: {exc}") from exc
+    pairs = _smooth_pairs(tech, ns, "`--n-list`")
     us = _curve_grid(tech.u0, args.grid_step)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)

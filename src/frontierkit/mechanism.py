@@ -87,26 +87,29 @@ class BreakthroughDistribution(MeasureOnTime):
 # mechanisms
 
 
-def _promise_edges(edges: np.ndarray, x0: np.ndarray, r: float, x0_tail: float):
-    """Continuation promises at cell edges by exact backward discounting."""
-    n = len(x0)
-    X = np.empty(n + 1)
-    X[n] = x0_tail  # constant flow forever delivers itself
-    decay = np.exp(-r * np.diff(edges))
-    for k in range(n - 1, -1, -1):
-        X[k] = (1.0 - decay[k]) * x0[k] + decay[k] * X[k + 1]
-    return X
+def _promise_edges(edges: np.ndarray, x0, r: float, x0_tail) -> np.ndarray:
+    """Continuation promises at cell edges by exact backward discounting, for
+    one flow path (``x0`` per cell, one tail) or one per row of ``x0`` (a
+    tail each). The steps run on Python floats, which round as numpy's
+    float64 does and cost less per step than an array of a few rows."""
+    decay = np.exp(-r * np.diff(edges)).tolist()[::-1]
+    rows = []
+    for path, tail in zip(np.atleast_2d(x0).tolist(), np.atleast_1d(x0_tail).tolist()):
+        X = [tail]  # constant flow forever delivers itself
+        for d, x in zip(decay, path[::-1]):
+            X.append((1.0 - d) * x + d * X[-1])
+        rows.append(X[::-1])
+    return np.array(rows).reshape(np.shape(x0)[:-1] + (len(decay) + 1,))
 
 
 class _GridTimes:
     """Times on a mechanism grid (``edges`` at rate ``r``): each time's cell,
     whether it lies at or past the horizon and, on first use, the discount
-    ``e^{-r(edges[k+1] - t)}`` from it to the end of its cell."""
+    ``e^{-r(edges[k+1] - t)}`` from it to the end of its cell (or ``placed``)."""
 
-    def __init__(self, edges: np.ndarray, r: float, t: np.ndarray):
+    def __init__(self, edges: np.ndarray, r: float, t: np.ndarray, placed=None):
         self.edges, self.r, self.t = edges, r, t
-        self.cell = cell_index(edges, t)
-        self.beyond = t >= edges[-1]
+        self.cell, self.beyond = (cell_index(edges, t), t >= edges[-1]) if placed is None else placed
 
     @cached_property
     def to_edge(self) -> np.ndarray:
@@ -174,13 +177,13 @@ class Mechanism:
         out = self._X1_on(_GridTimes(self.edges, self.r, np.asarray(t, dtype=float)))
         return out if np.ndim(out) else float(out)
 
-    def _X1_on(self, at: _GridTimes):
-        if self.u1 is not None:
-            return np.maximum(self._X0_on(at), self.u1)
-        if self.X1_cells is not None:
+    def _X1_on(self, at: _GridTimes, X0=None):
+        """X1 at ``at``; ``X0``, if given, is X0 there."""
+        if self.u1 is None and self.X1_cells is not None:
             tail = self.X1_tail if self.X1_tail is not None else self.x0_tail
             return np.where(at.beyond, tail, self.X1_cells[at.cell])
-        return self._X0_on(at)
+        X0 = self._X0_on(at) if X0 is None else X0
+        return X0 if self.u1 is None else np.maximum(X0, self.u1)
 
     @property
     def no_delay_form(self) -> bool:
@@ -309,28 +312,20 @@ class _PayoffPlan:
         share a plan."""
         return m.r == self.at.r and np.array_equal(m.edges, self.at.edges)
 
-
-def _expect_with_tail(plan: _PayoffPlan, f1_on, point_fn, tail_coeffs):
-    """``E_G[h(tau)]`` for ``h`` smooth between the plan's knots and
-    affine-in-``e^{-r tau}`` beyond ``T_max``.
-
-    ``f1_on(plan.at)`` gives the F1 values h needs. One call, so one effort
-    solve, covers the quadrature nodes, the atoms and, for G's tail, a time
-    past the last knot, where it is a constant ``F1c``. ``point_fn(F1t)``
-    evaluates h at the nodes from them; ``tail_coeffs(F1c)`` is ``(a, b, r)``
-    with ``h(t) = a + b e^{-r t}`` for ``t >= T_max``, integrated in closed
-    form against the exponential tail.
-    """
-    F1 = f1_on(plan.at)
-    total = plan.quad.expect_values(point_fn(F1[: plan.quad.nodes.size]))
-    G = plan.quad.G
-    if G.tail_mass > 0:
-        T = plan.T_max
-        rem = G.tail_mass * math.exp(-G.tail_rate * (T - G.tail_start))
-        a, b, r = tail_coeffs(float(F1[-1]))
-        g = G.tail_rate
-        total += rem * (a + b * math.exp(-r * T) * g / (g + r))
-    return total
+    def expect(self, rows: np.ndarray, tail) -> list[float]:
+        """``E_G[h(tau)]`` for each row of h at the nodes, h smooth between the
+        plan's knots. If G has a tail, ``tail()`` gives arrays ``a, b`` (one
+        entry per row) with ``h(t) = a + b e^{-rt}`` from ``T_max`` on, which
+        is integrated in closed form; the last time of ``at`` lies there."""
+        totals = [self.quad.expect_values(h) for h in rows]
+        G = self.quad.G
+        if G.tail_mass > 0:
+            T, r, g = self.T_max, self.at.r, G.tail_rate
+            rem = G.tail_mass * math.exp(-g * (T - G.tail_start))
+            a, b = tail()
+            beyond = rem * (a + b * math.exp(-r * T) * g / (g + r))
+            totals = [x + y for x, y in zip(totals, beyond.tolist())]
+        return totals
 
 
 def payoff(m: Mechanism, tech: Technology, G: BreakthroughDistribution) -> float:
@@ -339,40 +334,54 @@ def payoff(m: Mechanism, tech: Technology, G: BreakthroughDistribution) -> float
     ``E_G[ r int_0^tau e^{-rt} F0(x0_t) dt + e^{-r tau} F1(X1_tau) ]`` with
     atoms and the exponential tail integrated in closed form and the density
     pieces by per-cell Gauss-Legendre (the integrand is smooth between the
-    merged knots). ``tech.f1.value`` is called once (see `_expect_with_tail`).
+    merged knots). ``tech.f1.value`` is called once (see `_payoffs`).
     """
-    return _payoff(m, tech, _PayoffPlan(m, G))
+    return _payoffs([m], tech, _PayoffPlan(m, G))[0]
 
 
-def _payoff(m: Mechanism, tech: Technology, plan: _PayoffPlan) -> float:
-    r = m.r
-    F0x = np.asarray(tech.f0.value(m.x0), dtype=float)
-    F0tail = float(tech.f0.value(m.x0_tail))
-    if not (np.all(np.isfinite(F0x)) and np.isfinite(F0tail)):
+def _payoffs(mechs, tech: Technology, plan: _PayoffPlan) -> list[float]:
+    """`payoff` of each path in ``mechs``, all on ``plan``'s grid, as the rows
+    of one array pass: one F0 call, one promise recursion for the paths not
+    cached yet and one ``tech.f1.value`` call, so one effort solve. Every
+    step is elementwise or runs along a row, so each row has the bits of its
+    path alone."""
+    at, n, r = plan.at, plan.quad.nodes.size, plan.at.r
+    x0 = np.array([m.x0 for m in mechs])
+    x0_tails = np.array([[m.x0_tail] for m in mechs])
+    F0 = np.asarray(tech.f0.value(np.hstack([x0, x0_tails])), dtype=float)
+    if not np.all(np.isfinite(F0)):
         raise NonFiniteValue("F0 is -inf somewhere on the flow path's range")
+    F0x, F0tail = F0[:, :-1], F0[:, -1:]
 
-    exp_edges = np.exp(-r * m.edges)
-    A_edges = np.concatenate([[0.0], np.cumsum(F0x * (exp_edges[:-1] - exp_edges[1:]))])
-    n, disc = plan.quad.nodes.size, plan.disc
+    exp_edges = np.exp(-r * at.edges)
+    A = np.hstack([np.zeros((len(mechs), 1)), np.cumsum(F0x * (exp_edges[:-1] - exp_edges[1:]), axis=1)])
 
-    def point_fn(F1t):
-        k = plan.at.cell[:n]
-        inner = A_edges[k] + F0x[k] * (exp_edges[k] - disc)
-        beyond = A_edges[-1] + F0tail * (exp_edges[-1] - disc)
-        vals = np.where(plan.at.beyond[:n], beyond, inner) + disc * F1t
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteValue("F1 is -inf somewhere on the promise path's range")
-        return vals
+    todo = [m for m in mechs if "X0_edges" not in vars(m)]
+    if todo:
+        rows = _promise_edges(at.edges, [m.x0 for m in todo], r, [m.x0_tail for m in todo])
+        for m, row in zip(todo, rows):
+            m.X0_edges = row
+    Xe = np.array([m.X0_edges for m in mechs])
+    k = at.cell
+    X0 = np.where(at.beyond, x0_tails, x0[:, k] + (Xe[:, k + 1] - x0[:, k]) * at.to_edge)
+    F1 = tech.f1.value(np.array([m._X1_on(at, X0=row) for m, row in zip(mechs, X0)]))
 
-    def tail_coeffs(F1c):
+    disc, k = plan.disc, k[:n]
+    inner = A[:, k] + F0x[:, k] * (exp_edges[k] - disc)
+    beyond = A[:, -1:] + F0tail * (exp_edges[-1] - disc)
+    vals = np.where(at.beyond[:n], beyond, inner) + disc * F1[:, :n]
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteValue("F1 is -inf somewhere on the promise path's range")
+
+    def tail():
         # beyond T = T_max, which is past the horizon: A(t) = A(T) + F0tail
         # (e^{-rT} - e^{-rt}) and X1 constant, so h(t) = [A(T) + F0tail
         # e^{-rT}] + [F1(X1c) - F0tail] e^{-rt}
-        A_T = float(A_edges[-1] + F0tail * (exp_edges[-1] - plan.tail_disc))
-        return A_T + F0tail * math.exp(-r * plan.T_max), F1c - F0tail, r
+        f0c = F0tail[:, 0]
+        A_T = A[:, -1] + f0c * (exp_edges[-1] - plan.tail_disc)
+        return A_T + f0c * math.exp(-r * plan.T_max), F1[:, -1] - f0c
 
-    f1_on = lambda at: tech.f1.value(m._X1_on(at))
-    return _expect_with_tail(plan, f1_on, point_fn, tail_coeffs)
+    return plan.expect(vals, tail)
 
 
 def _require_affine_f0(tech: Technology) -> tuple[float, float]:
@@ -401,18 +410,12 @@ def payoff_affine_rewrite(
         raise PreconditionViolation("G must have no mass at time 0")
     r = m.r
     plan = _PayoffPlan(m, G)
-    f1_on = lambda at: tech.f1.value(np.maximum(m._X0_on(at), m.u1))
-
-    def point_fn(F1t):
-        t = plan.quad.nodes
-        return np.exp(-r * t) * (F1t - tech.f0.value(m.X0_at(t)))
-
-    def tail_coeffs(F1c):
-        # X0 is x0_tail from the horizon on, and T_max is past it
-        return 0.0, F1c - float(tech.f0.value(m.x0_tail)), r
-
-    head = float(tech.f0.value(m.X0_edges[0]))
-    return head + _expect_with_tail(plan, f1_on, point_fn, tail_coeffs)
+    t = plan.quad.nodes
+    F1 = tech.f1.value(np.maximum(m._X0_on(plan.at), m.u1))
+    # X0 is x0_tail from the horizon on, and T_max is past it
+    tail = lambda: (0.0, F1[-1:] - tech.f0.value(m.x0_tail))
+    total = plan.expect([np.exp(-r * t) * (F1[: t.size] - tech.f0.value(m.X0_at(t)))], tail)
+    return float(tech.f0.value(m.X0_edges[0])) + total[0]
 
 
 def pi_G(x0_mech: Mechanism, tech: Technology, G: BreakthroughDistribution) -> float:
@@ -428,17 +431,19 @@ def _pinned_payoffs(mechs, tech: Technology, G: BreakthroughDistribution) -> lis
     """`pi_G` of each flow path in ``mechs``, in order.
 
     With the promise pinned to X0 there are no crossing knots, so the payoff
-    plan depends on the grid and G alone: consecutive paths on one grid, such
-    as a finite-difference sweep, share one plan, which lives for this call.
+    plan depends on the grid and G alone: a run of consecutive paths on one
+    grid, such as a finite-difference sweep, shares one plan, which lives for
+    this call, and is evaluated as the rows of one `_payoffs` pass.
     """
-    plan, out = None, []
+    out, run, plan = [], [], None
     for m in mechs:
         if m.u1 is not None or m.X1_cells is not None or m.X1_tail is not None:
             m = _with_promise(m, u1=None, X1_cells=None, X1_tail=None)
         if plan is None or not plan.serves(m):
-            plan = _PayoffPlan(m, G)
-        out.append(_payoff(m, tech, plan))
-    return out
+            out += _payoffs(run, tech, plan) if run else []
+            run, plan = [], _PayoffPlan(m, G)
+        run.append(m)
+    return out + (_payoffs(run, tech, plan) if run else [])
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,12 @@ Quadrature rules, shared by `mechanism` and `variational`:
   tail start), so each integrand is smooth on each cell (`integral`).
 - Running integrals ``t -> int_0^t`` add the whole cells before ``t`` to a
   fresh 16-node rule on the partial cell ``[edge, t]`` (`cumulative`).
-- Expectations add atoms exactly to the density integral (`expect`,
-  `cumulative_against`).
-- A `NodePlan` holds what an expectation on one edge set needs of ``G``
-  (the nodes, then the atoms, G's density at the nodes and the half-widths),
-  so that many integrands share one build: `mechanism` builds one per
-  payoff, and one for every `pi_G` of a finite-difference sweep or a
-  concavity probe, as those share a grid and ``G``.
+- Expectations add atoms exactly to the density integral. A `NodePlan` holds
+  what an expectation on one edge set needs of ``G`` (the nodes, then the
+  atoms, G's density at the nodes and the half-widths), so that many
+  integrands share one build: `mechanism` builds one per payoff or run of
+  `pi_G` on one grid, and `variational` one per check, whose running
+  integrals apply `cumulative`'s rule at the plan's nodes (`NodePlan.running`).
 - An improper horizon is truncated ``37 / r`` past the last knot, where
   ``e^{-rt}`` is below machine scale, and the far region is subdivided at the
   decay scale ``2 / max(r, decay)`` (`integration_edges`). Where the
@@ -30,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -214,16 +214,20 @@ def integral(fn, edges: np.ndarray) -> float:
     return float(np.sum(_cell_integrals(fn, edges))) if len(edges) >= 2 else 0.0
 
 
+def _partial_cells(edges: np.ndarray, t: np.ndarray):
+    """Each time's cell ``k``, the half-width of ``[edges[k], t]`` and its 16 GL nodes."""
+    k = cell_index(edges, t)
+    h = 0.5 * (t - edges[k])
+    m = 0.5 * (t + edges[k])
+    return k, h, m[:, None] + h[:, None] * _GL_NODES[None, :]
+
+
 def cumulative(fn, edges: np.ndarray):
     """Callable ``t -> int_0^t fn``, exact to GL accuracy per piece."""
     cum_edges = np.concatenate([[0.0], np.cumsum(_cell_integrals(fn, edges))])
 
     def cum(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        k = cell_index(edges, t)
-        h = 0.5 * (t - edges[k])
-        m = 0.5 * (t + edges[k])
-        nodes = m[:, None] + h[:, None] * _GL_NODES[None, :]
+        k, h, nodes = _partial_cells(edges, np.atleast_1d(np.asarray(t, dtype=float)))
         part = h * (np.asarray(fn(nodes.ravel()), dtype=float).reshape(nodes.shape) @ _GL_WEIGHTS)
         return cum_edges[k] + part
 
@@ -237,10 +241,12 @@ class NodePlan:
     ``nodes`` holds the `gl_nodes` of every cell, flattened, then G's atom
     times; ``pdf`` is G's density at the GL nodes and ``half`` the cells'
     half-widths. `expect_values` reduces h at the nodes with `integral`'s
-    per-cell ``@ _GL_WEIGHTS`` and sum, so it is `expect` bit for bit.
+    per-cell ``@ _GL_WEIGHTS`` and sum, and `running` applies `cumulative`'s
+    rule at the nodes.
     """
 
     G: MeasureOnTime
+    edges: np.ndarray
     nodes: np.ndarray
     pdf: np.ndarray
     half: np.ndarray
@@ -249,36 +255,45 @@ class NodePlan:
     def build(cls, G: MeasureOnTime, edges: np.ndarray) -> "NodePlan":
         gl = gl_nodes(edges).ravel()
         nodes = np.concatenate([gl, [t for t, _ in G.atoms]])
-        return cls(G, nodes, G.pdf(gl), 0.5 * np.diff(edges))
+        return cls(G, edges, nodes, G.pdf(gl), 0.5 * np.diff(edges))
+
+    @cached_property
+    def partial(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`_partial_cells` of the nodes, built on first use."""
+        return _partial_cells(self.edges, self.nodes)
+
+    def on_grid(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``cell_index(grid, t)`` and ``t >= grid[-1]`` at each node and its
+        inner nodes, from its cell's left edge, for ``grid`` within `edges`."""
+        starts, cell = self.edges[:-1], self.partial[0]
+        return cell_index(grid, starts)[cell], (starts >= grid[-1])[cell]
+
+    def _per_cell(self, vals: np.ndarray) -> np.ndarray:
+        return self.half * (vals.reshape(-1, _GL_NODES.size) @ _GL_WEIGHTS)
+
+    def integrate(self, vals: np.ndarray) -> float:
+        """``int f dt`` over the edges from ``vals``, f at the GL nodes."""
+        return float(np.sum(self._per_cell(vals)))
 
     def expect_values(self, hs: np.ndarray) -> float:
         """``int h dG`` from ``hs``, the values of h at `nodes`."""
         n = self.pdf.size
-        vals = (self.pdf * hs[:n]).reshape(-1, _GL_NODES.size)
-        total = float(np.sum(self.half * (vals @ _GL_WEIGHTS)))
+        total = self.integrate(self.pdf * hs[:n])
         for (_, mass), h in zip(self.G.atoms, hs[n:].tolist()):
             total += mass * h
         return total
 
+    def running(self, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+        """``int_0^t f`` at every node ``t`` from f at the GL nodes (``outer``)
+        and the inner nodes (``inner``). Each atom row is reduced on its own,
+        as `cumulative` meets an atom alone: a matrix product's bits can
+        change with its row count."""
+        cell, reach, _ = self.partial
+        cum = np.concatenate([[0.0], np.cumsum(self._per_cell(outer))])
+        rows, n = inner.reshape(-1, _GL_NODES.size), self.pdf.size
+        parts = [rows[:n] @ _GL_WEIGHTS] + [rows[i : i + 1] @ _GL_WEIGHTS for i in range(n, len(rows))]
+        return cum[cell] + reach * np.concatenate(parts)
 
-def expect(G: MeasureOnTime, h, edges: np.ndarray) -> float:
-    """``int h dG`` with the density (incl. tail) on ``edges`` plus atoms. ``h``
-    gets all nodes in one call and each atom alone, as a matrix-product row
-    reduction (like `cumulative`'s) can change bits with the row count."""
-    plan = NodePlan.build(G, edges)
-    calls = [plan.nodes[: plan.pdf.size]] + [np.array([t]) for t, _ in G.atoms]
-    return plan.expect_values(np.concatenate([np.asarray(h(t), dtype=float) for t in calls]))
-
-
-def cumulative_against(h, G: MeasureOnTime, edges: np.ndarray):
-    """Callable ``t -> int_[0,t] h dG`` (atoms included up to and at t)."""
-    dens_cum = cumulative(lambda t: h(t) * G.pdf(t), edges)
-
-    def cum(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = dens_cum(t)
-        for s, mass in G.atoms:
-            out = out + np.where(t >= s, mass * float(h(np.array([s]))[0]), 0.0)
-        return out
-
-    return cum
+    def expect_running(self, fn) -> float:
+        """``int (int_0^t fn) dG(t)``, with ``fn`` called on each node set."""
+        return self.expect_values(self.running(fn(self.nodes[: self.pdf.size]), fn(self.partial[2].ravel())))

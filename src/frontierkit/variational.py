@@ -5,7 +5,8 @@ residual, the closed-form Gateaux (directional) derivative with its
 finite-difference oracle, the integrability bounds that make the Euler
 equation meaningful at an infinite horizon, and a strict-concavity probe.
 
-Measures and integrals follow the rules of `frontierkit.quadrature`.
+Measures and integrals follow the rules of `frontierkit.quadrature`: each
+expectation check builds one `NodePlan`, running integrals included.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ import numpy as np
 
 from .errors import InvalidProfile, NonConvergent, PreconditionViolation
 from .frontiers import directional_deriv
-from .mechanism import BreakthroughDistribution, Mechanism, _pinned_payoffs
+from .mechanism import BreakthroughDistribution, Mechanism, _GridTimes, _pinned_payoffs
 from .quadrature import (
     MeasureOnTime,
+    NodePlan,
     cumulative,
-    cumulative_against,
-    expect,
     integral,
     integration_edges,
     step_value,
@@ -105,7 +105,6 @@ class SupergradientProfile:
             phi1_cells=d1(m.X0_at(0.5 * (m.edges[:-1] + m.edges[1:]))),
             phi0_tail=float(d0(m.x0_tail)),
             phi1_tail=float(d1(m.x0_tail)),
-            phi0_fn=lambda t: d0(m.x0_at(t)),
             phi1_fn=lambda t: d1(m.X0_at(t)),
         )
 
@@ -174,18 +173,14 @@ def integrability_bounds(
     probe promise ``probe_u``.
     """
     r = m.r
-    edges = integration_edges(G, r, m.edges)
-    Phi = cumulative(lambda t: r * np.exp(-r * t) * prof.phi0(t), edges)
-    e_phi = expect(G, Phi, edges)
-    e_abs1 = expect(G, lambda t: np.abs(prof.phi1(t)), edges)
-
-    psi0_cum = cumulative(
-        lambda t: r * np.exp(-r * t) * directional_deriv(tech.f0, m.x0_at(t), probe_u), edges
+    plan = NodePlan.build(G, integration_edges(G, r, m.edges))
+    t = plan.nodes
+    e_phi = plan.expect_running(lambda s: r * np.exp(-r * s) * prof.phi0(s))
+    e_abs1 = plan.expect_values(np.abs(prof.phi1(t)))
+    psi0 = plan.expect_running(
+        lambda s: r * np.exp(-r * s) * directional_deriv(tech.f0, m.x0_at(s), probe_u)
     )
-    psi0 = expect(G, psi0_cum, edges)
-    psi1 = expect(
-        G, lambda t: np.exp(-r * t) * directional_deriv(tech.f1, m.X0_at(t), probe_u), edges
-    )
+    psi1 = plan.expect_values(np.exp(-r * t) * directional_deriv(tech.f1, m.X0_at(t), probe_u))
 
     slack = e_abs1 - e_phi
     return IntegrabilityReport(
@@ -200,14 +195,12 @@ def integrability_bounds(
 
 def warmup_identity(G: BreakthroughDistribution, r: float) -> float:
     """``E_G[ r int_0^tau e^{-rt} / (1 - G(t)) dt ]``; equals 1 for atom-free G."""
-    edges = integration_edges(G, r)
 
     def integrand(t):
         sf = G.sf(t)
         return r * np.exp(-r * t) / np.where(sf > 0, sf, np.nan)
 
-    cum = cumulative(integrand, edges)
-    return expect(G, cum, edges)
+    return NodePlan.build(G, integration_edges(G, r)).expect_running(integrand)
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +208,9 @@ def warmup_identity(G: BreakthroughDistribution, r: float) -> float:
 
 
 def _align(m: Mechanism, m_dag: Mechanism) -> tuple[Mechanism, Mechanism]:
-    if len(m.edges) == len(m_dag.edges) and np.allclose(m.edges, m_dag.edges):
+    if np.array_equal(m.edges, m_dag.edges):
         return m, m_dag
-    a = m.with_knots(m_dag.edges)
-    b = m_dag.with_knots(m.edges)
-    return a, b
+    return m.with_knots(m_dag.edges), m_dag.with_knots(m.edges)
 
 
 def gateaux_closed_form(
@@ -237,6 +228,11 @@ def gateaux_closed_form(
     profile with the true directional derivatives along the paths. The
     corrections vanish when the profile equals the exact derivatives on a
     smooth instance.
+
+    Each factor is evaluated once on each node set of one `NodePlan`: its
+    nodes and the inner nodes of its running integrals. The integration
+    edges contain both grids, so the flows and F0's directional derivative
+    are evaluated once per integration cell and gathered.
     """
     m, m_dag = _align(m, m_dag)
     flags = prof.validity_flags(m, tech)
@@ -245,27 +241,32 @@ def gateaux_closed_form(
         raise InvalidProfile("profile is not a supergradient where G(t) < 1")
 
     r = m.r
-    edges = integration_edges(G, r, [*m.edges, *m_dag.edges])
-    dx = lambda t: m_dag.x0_at(t) - m.x0_at(t)
+    plan = NodePlan.build(G, integration_edges(G, r, [*m.edges, *m_dag.edges]))
+    n, t = plan.pdf.size, plan.nodes
+    cell, _, inner = plan.partial
+    ti, cell_in = inner.ravel(), np.repeat(cell, inner.shape[1])
 
-    term_b = integral(
-        lambda t: r * np.exp(-r * t) * G.sf(t) * prof.phi0(t) * dx(t), edges
-    )
-    cum1 = cumulative_against(prof.phi1, G, edges)
-    term_c = integral(lambda t: r * np.exp(-r * t) * cum1(t) * dx(t), edges)
+    x, x_dag = m.x0_at(plan.edges[:-1]), m_dag.x0_at(plan.edges[:-1])
+    dx_c, dd0_c = x_dag - x, directional_deriv(tech.f0, x, x_dag)
+    dx, dd0 = dx_c[cell[:n]], dd0_c[cell[:n]]
+    E, E_in = np.exp(-r * t), np.exp(-r * ti)
+    phi0, phi0_in = prof.phi0(t), prof.phi0(ti)
+    phi1, phi1_in = prof.phi1(t), prof.phi1(ti)
 
-    def corr0_density(t):
-        x, x_dag = m.x0_at(t), m_dag.x0_at(t)
-        gap = directional_deriv(tech.f0, x, x_dag) - prof.phi0(t)
-        return r * np.exp(-r * t) * gap * (x_dag - x)
+    rE = r * E[:n]
+    term_b = plan.integrate(rE * G.sf(t[:n]) * phi0[:n] * dx)
+    cum1 = plan.running(phi1[:n] * plan.pdf, phi1_in * G.pdf(ti))[:n]
+    for (s, mass), p1 in zip(G.atoms, phi1[n:].tolist()):
+        cum1 = cum1 + np.where(t[:n] >= s, mass * p1, 0.0)
+    term_c = plan.integrate(rE * cum1 * dx)
 
-    def corr1_value(t):
-        X, X_dag = m.X0_at(t), m_dag.X0_at(t)
-        gap = directional_deriv(tech.f1, X, X_dag) - prof.phi1(t)
-        return np.exp(-r * t) * gap * (X_dag - X)
+    dens0 = rE * (dd0 - phi0[:n]) * dx
+    dens0_in = r * E_in * (dd0_c[cell_in] - phi0_in) * dx_c[cell_in]
+    corr0 = plan.expect_values(plan.running(dens0, dens0_in))
 
-    corr0 = expect(G, cumulative(corr0_density, edges), edges)
-    corr1 = expect(G, corr1_value, edges)
+    X = m._X0_on(_GridTimes(m.edges, r, t, plan.on_grid(m.edges)))
+    X_dag = m_dag._X0_on(_GridTimes(m_dag.edges, r, t, plan.on_grid(m_dag.edges)))
+    corr1 = plan.expect_values(E * (directional_deriv(tech.f1, X, X_dag) - phi1) * (X_dag - X))
     if return_terms:
         return {
             "survival": term_b,

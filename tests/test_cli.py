@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 import warnings
 from pathlib import Path
@@ -231,6 +232,81 @@ def test_no_delay_on_the_config_box_exits_0_or_2_and_names_the_key(tmp_path_fact
     else:
         assert err.startswith("config error:") and err.count("\n") == 1, err
         assert re.search(r"`[a-z.]+`", err), err
+
+
+class TestTimeGridOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["export", "--what", "mechanism"],
+            ["solve-deadline", "--promise", "0.2"],
+            ["verify", "no-delay", "--trials", "2"],
+        ],
+    )
+    def test_step_that_does_not_divide_the_horizon_is_config_error(self, tmp_path, argv):
+        # used to exit 3 with "horizon must be an integer number of steps"
+        rc, err = run_quietly([*argv, "--grid-step", "0.07", "--out", str(tmp_path)])
+        assert rc == 2
+        assert err.startswith("config error:") and "`--grid-step`" in err and "`--horizon`" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["export", "--what", "smoothing"], ["verify", "gateaux", "--trials", "2"]]
+    )
+    def test_commands_off_the_time_grid_do_not_build_it(self, tmp_path, argv):
+        rc, err = run_quietly([*argv, "--grid-step", "0.07", "--out", str(tmp_path)])
+        assert (rc, err) == (0, "")
+
+    def test_export_smoothing_needs_the_least_level(self, tmp_path):
+        # lambda 5 gives u0 = 0.1, least level 31; this used to exit 3 with
+        # "n=16 too small"
+        path = tmp_path / "lam5.yaml"
+        path.write_text("lambda: 5.0\n")
+        rc, err = run_quietly(["export", "--what", "smoothing", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert err == (
+            "config error: `export --what smoothing` (levels 16, 32, 64) needs levels of 31 or more, "
+            "so that 1/n < (u0 - u1)/3\n"
+        )
+        assert not list(tmp_path.glob("*.csv"))
+
+
+_STEPS = st.one_of(st.floats(0.01, 2.0), st.sampled_from([0.07, 0.0, -0.05, 1e-9, math.inf, math.nan]))
+_HORIZONS = st.one_of(st.floats(0.05, 20.0), st.sampled_from([6.0, 0.0, -1.0, math.inf, math.nan]))
+
+
+@st.composite
+def _grid_options(draw):
+    """``(--grid-step, --horizon)``: half the finite steps get a horizon that
+    is a whole number of them."""
+    step = draw(_STEPS)
+    if math.isfinite(step) and step > 0.0 and draw(st.booleans()):
+        return step, step * draw(st.integers(1, 200))
+    return step, draw(_HORIZONS)
+
+
+@pytest.mark.parametrize(
+    "argv, examples",
+    [
+        (["export", "--what", "mechanism"], 50),
+        (["solve-deadline", "--promise", "0.2"], 50),
+        (["export", "--what", "smoothing"], 15),
+    ],
+)
+def test_grid_options_exit_0_or_2_and_name_the_key(tmp_path_factory, argv, examples):
+    @given(options=_grid_options())
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    def check(options):
+        step, horizon = options
+        out = tmp_path_factory.mktemp("grid")
+        rc, err = run_quietly([*argv, "--grid-step", repr(step), "--horizon", repr(horizon), "--out", str(out)])
+        assert rc in (0, 2), err
+        if rc == 0:
+            assert err == ""
+        else:
+            assert err.startswith("config error:") and err.count("\n") == 1, err
+            assert "`--grid-step`" in err, err
+
+    check()
 
 
 class TestSuites:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import bisect_reference
 from frontierkit import BreakthroughDistribution, MeasureOnTime
-from frontierkit.quadrature import cell_index, cumulative, integral, step_value
+from frontierkit.quadrature import NodePlan, cell_index, cumulative, integral, integration_edges, step_value
 from frontierkit.variational import stieltjes_ibp
 
 
@@ -188,6 +188,50 @@ class TestCellLookup:
         cum = cumulative(np.exp, edges)
         t = np.array([0.0, 0.2, 1.0, 2.75, 3.0])
         assert np.allclose(cum(t), np.expm1(t), rtol=0, atol=1e-13)
+
+
+def plan_case(seed: int, ulp_off: bool):
+    """A random grid and a G with atoms on, near and between its edges, and
+    with ``ulp_off`` a G knot one ulp past a grid edge (a one-ulp cell)."""
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.0, float(rng.uniform(0.5, 4.0)), int(rng.integers(2, 12)))
+    atoms = [float(grid[int(rng.integers(0, len(grid)))]), float(rng.uniform(0.0, 1.5 * grid[-1]))]
+    if ulp_off:
+        atoms.append(float(np.nextafter(grid[int(rng.integers(1, len(grid)))], np.inf)))
+    w = rng.dirichlet(np.ones(len(atoms) + 2))
+    G = BreakthroughDistribution(
+        atoms=tuple(zip(atoms, w[:-2].tolist())),
+        density_edges=np.array([0.0, 0.9]),
+        density_values=np.array([w[-2] / 0.9]),
+        tail_rate=float(rng.uniform(0.5, 2.0)),
+        tail_mass=float(1.0 - w[:-1].sum()),
+        tail_start=0.9,
+    )
+    return grid, G, NodePlan.build(G, integration_edges(G, float(rng.uniform(0.5, 2.0)), grid))
+
+
+class TestNodePlan:
+    @given(seed=st.integers(0, 2**32 - 1), ulp_off=st.booleans())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_placement_is_cell_index(self, seed, ulp_off):
+        grid, G, plan = plan_case(seed, ulp_off)
+        cell, beyond = plan.on_grid(grid)
+        assert np.array_equal(cell, cell_index(grid, plan.nodes))
+        assert np.array_equal(beyond, plan.nodes >= grid[-1])
+        inner = plan.partial[2]
+        assert np.array_equal(np.repeat(cell, inner.shape[1]), cell_index(grid, inner.ravel()))
+        assert np.array_equal(np.repeat(beyond, inner.shape[1]), inner.ravel() >= grid[-1])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_running_is_cumulative_at_the_nodes(self, seed):
+        # the GL nodes in one call, each atom alone, as an expectation meets them
+        grid, G, plan = plan_case(seed, ulp_off=seed % 2 == 1)
+        fn = lambda t: np.exp(-0.7 * t) * np.cos(3.0 * t)
+        n = plan.pdf.size
+        cum = cumulative(fn, plan.edges)
+        want = np.concatenate([cum(plan.nodes[:n])] + [cum(np.array([s])) for s, _ in G.atoms])
+        got = plan.running(fn(plan.nodes[:n]), fn(plan.partial[2].ravel()))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestBisectPredicate:

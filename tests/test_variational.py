@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import frontierkit
 from frontierkit import (
@@ -15,7 +17,8 @@ from frontierkit import (
     QuadraticFrontier,
     Technology,
 )
-from frontierkit import mechanism
+from frontierkit import mechanism, technology
+from frontierkit.quadrature import NodePlan
 from frontierkit.mechanism import BreakthroughDistribution, Mechanism, TimeGrid
 from frontierkit.variational import (
     MeasureOnTime,
@@ -462,6 +465,101 @@ class TestPayoffPlan:
         ]
         # three for the sweep (the grid changes twice), three for pi_G
         assert len(plans) == 6
+
+
+class TestSweepRows:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.integers(0, 4),
+        moral_hazard=st.booleans(),
+        n_paths=st.integers(1, 7),
+        r=st.sampled_from([1.0, 2.0, 0.7]),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_rows_are_each_path_on_its_own_bit_for_bit(self, default_tech, seed, kind, moral_hazard, n_paths, r):
+        # kinds 2 and 3 put atoms in G, inside a cell and at 0
+        rng = np.random.default_rng(seed)
+        tech = default_tech if moral_hazard else quad_tech()
+        grid = TimeGrid(horizon=2.0, step=0.25, r=r)
+        paths = [random_mechanism(rng, grid, 0.05 * tech.u0, 0.9 * tech.u0) for _ in range(n_paths)]
+        G = pinned_G(rng, kind)
+        rows = mechanism._pinned_payoffs(paths, tech, G)
+        alone = [mechanism.pi_G(p, tech, G) for p in paths]
+        assert [x.hex() for x in rows] == [x.hex() for x in alone]
+
+    def test_one_effort_solve_per_moral_hazard_sweep(self, default_tech, monkeypatch):
+        calls = []
+        solve = technology.effort_star_array
+        monkeypatch.setattr(technology, "effort_star_array", lambda p, u: calls.append(1) or solve(p, u))
+        rng = np.random.default_rng(11)
+        lo, hi = 0.05 * default_tech.u0, 0.9 * default_tech.u0
+        m, m_dag = random_mechanism(rng, lo=lo, hi=hi), random_mechanism(rng, lo=lo, hi=hi)
+        gateaux_fd(m, m_dag, default_tech, mixed_G())
+        assert len(calls) == 1
+
+
+class TestNodePlanPerCheck:
+    @pytest.fixture
+    def plans(self, monkeypatch):
+        built = []
+        build = NodePlan.build.__func__
+
+        def counting(cls, G, edges):
+            plan = build(cls, G, edges)
+            built.append(weakref.ref(plan))
+            return plan
+
+        monkeypatch.setattr(NodePlan, "build", classmethod(counting))
+        return built
+
+    def check_one_plan_not_kept(self, plans):
+        assert len(plans) == 1
+        gc.collect()
+        assert plans[0]() is None
+
+    def test_one_plan_per_closed_form(self, plans):
+        rng = np.random.default_rng(8)
+        tech = quad_tech()
+        m, m_dag = random_mechanism(rng), random_mechanism(rng, TimeGrid(horizon=2.0, step=0.5, r=1.0))
+        prof = SupergradientProfile.exact(m, tech)
+        gateaux_closed_form(m, m_dag, prof, tech, pinned_G(rng, 2), return_terms=True)
+        self.check_one_plan_not_kept(plans)
+
+    def test_one_plan_per_integrability_check(self, plans):
+        rng = np.random.default_rng(9)
+        tech, m = quad_tech(), random_mechanism(rng)
+        integrability_bounds(SupergradientProfile.exact(m, tech), pinned_G(rng, 2), m, tech, 0.3)
+        self.check_one_plan_not_kept(plans)
+
+    def test_one_plan_per_warmup_identity(self, plans):
+        warmup_identity(pinned_G(np.random.default_rng(10), 2), r=1.0)
+        self.check_one_plan_not_kept(plans)
+
+
+def test_exact_phi0_is_the_derivative_along_the_flow(default_tech):
+    # phi0 reads its cells, where it used to evaluate d0(x0_at(t)) per point
+    rng = np.random.default_rng(12)
+    for tech in (quad_tech(), default_tech):
+        m = random_mechanism(rng, lo=0.05 * tech.u0, hi=0.9 * tech.u0)
+        t = np.concatenate([rng.uniform(0.0, 3.0, 200), m.edges, [2.0, 2.5, 1e6]])
+        prof = SupergradientProfile.exact(m, tech)
+        want = tech.f0.deriv(m.x0_at(t), "right")
+        assert prof.phi0(t).tobytes() == want.tobytes()
+
+
+def test_grids_one_ulp_apart_are_aligned(default_tech):
+    # the closed form gathers the flows by cell, so grids that are only close
+    # must be refined to one grid first
+    rng = np.random.default_rng(13)
+    tech = quad_tech()
+    m = random_mechanism(rng)
+    edges = m.edges.copy()
+    edges[1:-1] = np.nextafter(edges[1:-1], np.inf)
+    m_dag = Mechanism(edges=edges, x0=rng.uniform(0.05, 0.45, len(edges) - 1), r=m.r, x0_tail=0.3)
+    G = mixed_G(0.8)
+    closed = gateaux_closed_form(m, m_dag, SupergradientProfile.exact(m, tech), tech, G)
+    fd = gateaux_fd(m, m_dag, tech, G)
+    assert abs(closed - fd) / max(abs(fd), 1e-6) < 1e-6
 
 
 def test_package_has_no_np_vectorize():
