@@ -325,7 +325,6 @@ def _exact_euler_profile(perturb: float = 0.0) -> SupergradientProfile:
     n = len(edges) - 1
     return SupergradientProfile(
         edges=edges,
-        phi0_cells=np.zeros(n),
         phi1_cells=-np.ones(n),
         phi1_tail=-1.0,
         phi0_fn=lambda t: (1.0 + perturb) * np.expm1(t),
@@ -513,9 +512,9 @@ def _time_grid(horizon: float, step: float, rate: float) -> TimeGrid:
     naming both where `TimeGrid` refuses them or they exceed `MAX_GRID_ROWS`."""
     try:
         grid = TimeGrid(horizon=horizon, step=step, r=rate)
-    except (ValueError, ArithmeticError):
+    except ValueError:
         grid = None
-    if grid is None or not 1 <= grid.n_cells <= MAX_GRID_ROWS:
+    if grid is None or grid.n_cells > MAX_GRID_ROWS:
         raise ConfigError(
             f"`--grid-step` {step:g} must divide `--horizon` {horizon:g} into 1 to {MAX_GRID_ROWS} cells"
         )

@@ -12,6 +12,7 @@ verdict.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,14 +77,36 @@ def shared_supergradient_interval(tech: Technology, u: float) -> tuple[float, fl
     return lo, hi
 
 
-def _probe_window(u_bar: float, eps: float, lo: float, hi: float):
-    """Sample points strictly left and right of ``u_bar`` within ``eps``."""
-    left_lo = max(lo, u_bar - eps)
-    right_hi = min(hi, u_bar + eps)
+def _windows(psi, u_bar: float, lo: float, hi: float):
+    """Each probe window, largest ``eps`` first: its points strictly left and
+    right of ``u_bar`` within ``eps`` and ``psi`` on both, in one call made
+    when the window is reached."""
     n = PROBE_POINTS_PER_SIDE
-    left = np.linspace(left_lo, u_bar, n + 1)[:-1] if left_lo < u_bar else np.array([])
-    right = np.linspace(u_bar, right_hi, n + 1)[1:] if right_hi > u_bar else np.array([])
-    return left, right
+    for eps in PROBE_EPSILONS:
+        left_lo, right_hi = max(lo, u_bar - eps), min(hi, u_bar + eps)
+        left = np.linspace(left_lo, u_bar, n + 1)[:-1] if left_lo < u_bar else np.array([])
+        right = np.linspace(u_bar, right_hi, n + 1)[1:] if right_hi > u_bar else np.array([])
+        yield eps, left, right, np.asarray(psi(np.concatenate([left, right])), dtype=float)
+
+
+def _saddle_verdict(center: float, windows) -> tuple[bool, dict]:
+    """`is_saddle`'s decision on the probe ``windows`` around a point where
+    ``psi`` is ``center``."""
+    witness: dict = {"epsilons": [], "flat_quotients": [], "resolution": PROBE_EPSILONS[-1]}
+    for eps, left, right, vals in windows:
+        if left.size == 0 or right.size == 0:
+            return False, witness
+        lv, rv = vals[: left.size], vals[left.size :]
+        quot = np.abs(rv[None, :] - lv[:, None]) / (right[None, :] - left[:, None])
+        flat = float(quot.min())
+        not_max = bool(np.any(vals > center + STRICT_TOL))
+        not_min = bool(np.any(vals < center - STRICT_TOL))
+        witness["epsilons"].append(eps)
+        witness["flat_quotients"].append(flat)
+        if not (flat < eps and not_max and not_min):
+            return False, witness
+    witness["note"] = f"supported at resolution {PROBE_EPSILONS[-1]:g}"
+    return True, witness
 
 
 def is_saddle(psi, u_bar: float, domain: tuple[float, float] = (0.0, np.inf)) -> tuple[bool, dict]:
@@ -98,25 +121,7 @@ def is_saddle(psi, u_bar: float, domain: tuple[float, float] = (0.0, np.inf)) ->
     """
     if u_bar <= 0:
         raise ValueError("the probe point must be positive")
-    lo, hi = domain
-    center = float(psi(u_bar))
-    witness: dict = {"epsilons": [], "flat_quotients": [], "resolution": PROBE_EPSILONS[-1]}
-    for eps in PROBE_EPSILONS:
-        left, right = _probe_window(u_bar, eps, lo, hi)
-        if left.size == 0 or right.size == 0:
-            return False, witness
-        vals = np.asarray(psi(np.concatenate([left, right])), dtype=float)
-        lv, rv = vals[: left.size], vals[left.size :]
-        quot = np.abs(rv[None, :] - lv[:, None]) / (right[None, :] - left[:, None])
-        flat = float(quot.min())
-        not_max = bool(np.any(vals > center + STRICT_TOL))
-        not_min = bool(np.any(vals < center - STRICT_TOL))
-        witness["epsilons"].append(eps)
-        witness["flat_quotients"].append(flat)
-        if not (flat < eps and not_max and not_min):
-            return False, witness
-    witness["note"] = f"supported at resolution {PROBE_EPSILONS[-1]:g}"
-    return True, witness
+    return _saddle_verdict(float(psi(u_bar)), _windows(psi, u_bar, *domain))
 
 
 def classify_u_star(tech: Technology) -> GapClassification:
@@ -140,13 +145,12 @@ def classify_u_star(tech: Technology) -> GapClassification:
 
     lo = max(tech.f0.domain[0], tech.f1.domain[0])
     hi = min(tech.f0.domain[1], tech.f1.domain[1])
-    psi = tech.gap
-    center = float(psi(u))
+    # the local-max test and the saddle test read one evaluation of each window
+    center = float(tech.gap(u))
+    for_max, for_saddle = itertools.tee(_windows(tech.gap, u, lo, hi))
     is_local_max = True
     plateau = False
-    for eps in PROBE_EPSILONS:
-        left, right = _probe_window(u, eps, lo, hi)
-        vals = np.asarray(psi(np.concatenate([left, right])), dtype=float)
+    for _, _, _, vals in for_max:
         if np.any(vals > center + STRICT_TOL):
             is_local_max = False
             break
@@ -156,7 +160,7 @@ def classify_u_star(tech: Technology) -> GapClassification:
             witness.notes.append("LocalMax-weak (plateau detected)")
         return GapClassification(GapKind.LOCAL_MAX, witness)
 
-    saddle, probe = is_saddle(psi, u, domain=(lo, hi))
+    saddle, probe = _saddle_verdict(center, for_saddle)
     if saddle:
         witness.notes.append(probe.get("note", ""))
         return GapClassification(GapKind.SADDLE, witness)

@@ -31,11 +31,11 @@ class TimeGrid:
     r: float
 
     def __post_init__(self):
-        if self.horizon <= 0 or self.step <= 0 or self.r <= 0:
-            raise ValueError("horizon, step and r must be positive")
+        if not all(0.0 < v < math.inf for v in (self.horizon, self.step, self.r)):
+            raise ValueError("horizon, step and r must be positive and finite")
         count = self.horizon / self.step
-        if abs(count - round(count)) > 1e-9:
-            raise ValueError("horizon must be an integer number of steps")
+        if not 0.5 <= count < math.inf or abs(count - round(count)) > 1e-9:
+            raise ValueError("horizon must be a whole number of steps, at least one")
 
     @property
     def n_cells(self) -> int:
@@ -105,11 +105,20 @@ def _promise_edges(edges: np.ndarray, x0, r: float, x0_tail) -> np.ndarray:
 class _GridTimes:
     """Times on a mechanism grid (``edges`` at rate ``r``): each time's cell,
     whether it lies at or past the horizon and, on first use, the discount
-    ``e^{-r(edges[k+1] - t)}`` from it to the end of its cell (or ``placed``)."""
+    ``e^{-r(edges[k+1] - t)}`` from it to the end of its cell."""
 
-    def __init__(self, edges: np.ndarray, r: float, t: np.ndarray, placed=None):
+    def __init__(self, edges: np.ndarray, r: float, t: np.ndarray):
         self.edges, self.r, self.t = edges, r, t
-        self.cell, self.beyond = (cell_index(edges, t), t >= edges[-1]) if placed is None else placed
+        self.cell, self.beyond = cell_index(edges, t), t >= edges[-1]
+
+    def X0(self, x0: np.ndarray, X0_edges: np.ndarray, x0_tail):
+        """X0 at the times from the flow ``x0`` per cell, the promises at the
+        edges and the flow's tail, for one path or one per row (a tail each,
+        as a column). Elementwise, so a row has the bits of its path alone."""
+        # ``a.T[k].T`` gathers along the last axis, ``a[k]`` for one path and
+        # ``a[:, k]`` for rows, on numpy's fast gather (``a[..., k]`` is not)
+        x, X_end = x0.T[self.cell].T, X0_edges.T[self.cell + 1].T
+        return np.where(self.beyond, x0_tail, x + (X_end - x) * self.to_edge)
 
     @cached_property
     def to_edge(self) -> np.ndarray:
@@ -168,9 +177,7 @@ class Mechanism:
         return out if out.ndim else float(out)
 
     def _X0_on(self, at: _GridTimes):
-        k = at.cell
-        inner = self.x0[k] + (self.X0_edges[k + 1] - self.x0[k]) * at.to_edge
-        return np.where(at.beyond, self.x0_tail, inner)
+        return at.X0(self.x0, self.X0_edges, self.x0_tail)
 
     def X1_at(self, t):
         """Post-breakthrough promise at arbitrary times."""
@@ -361,12 +368,10 @@ def _payoffs(mechs, tech: Technology, plan: _PayoffPlan) -> list[float]:
         rows = _promise_edges(at.edges, [m.x0 for m in todo], r, [m.x0_tail for m in todo])
         for m, row in zip(todo, rows):
             m.X0_edges = row
-    Xe = np.array([m.X0_edges for m in mechs])
-    k = at.cell
-    X0 = np.where(at.beyond, x0_tails, x0[:, k] + (Xe[:, k + 1] - x0[:, k]) * at.to_edge)
+    X0 = at.X0(x0, np.array([m.X0_edges for m in mechs]), x0_tails)
     F1 = tech.f1.value(np.array([m._X1_on(at, X0=row) for m, row in zip(mechs, X0)]))
 
-    disc, k = plan.disc, k[:n]
+    disc, k = plan.disc, at.cell[:n]
     inner = A[:, k] + F0x[:, k] * (exp_edges[k] - disc)
     beyond = A[:, -1:] + F0tail * (exp_edges[-1] - disc)
     vals = np.where(at.beyond[:n], beyond, inner) + disc * F1[:, :n]

@@ -9,7 +9,8 @@ Quadrature rules, shared by `mechanism` and `variational`:
 
 - Smooth pieces are integrated by 16-node Gauss-Legendre per cell of an edge
   set that contains every knot (grid edges, atoms, density breakpoints, the
-  tail start), so each integrand is smooth on each cell (`integral`).
+  tail start), so each integrand is smooth on each cell
+  (`NodePlan.integrate`).
 - Running integrals ``t -> int_0^t`` add the whole cells before ``t`` to a
   fresh 16-node rule on the partial cell ``[edge, t]`` (`cumulative`).
 - Expectations add atoms exactly to the density integral. A `NodePlan` holds
@@ -202,18 +203,6 @@ def gl_nodes(edges: np.ndarray) -> np.ndarray:
     return mid[:, None] + half[:, None] * _GL_NODES[None, :]
 
 
-def _cell_integrals(fn, edges: np.ndarray) -> np.ndarray:
-    """Integral of ``fn`` over each cell of ``edges``."""
-    ts = gl_nodes(edges)
-    vals = np.asarray(fn(ts.ravel()), dtype=float).reshape(ts.shape)
-    return 0.5 * np.diff(edges) * (vals @ _GL_WEIGHTS)
-
-
-def integral(fn, edges: np.ndarray) -> float:
-    """Integral of ``fn`` over ``[edges[0], edges[-1]]``."""
-    return float(np.sum(_cell_integrals(fn, edges))) if len(edges) >= 2 else 0.0
-
-
 def _partial_cells(edges: np.ndarray, t: np.ndarray):
     """Each time's cell ``k``, the half-width of ``[edges[k], t]`` and its 16 GL nodes."""
     k = cell_index(edges, t)
@@ -224,7 +213,9 @@ def _partial_cells(edges: np.ndarray, t: np.ndarray):
 
 def cumulative(fn, edges: np.ndarray):
     """Callable ``t -> int_0^t fn``, exact to GL accuracy per piece."""
-    cum_edges = np.concatenate([[0.0], np.cumsum(_cell_integrals(fn, edges))])
+    ts = gl_nodes(edges)
+    vals = np.asarray(fn(ts.ravel()), dtype=float).reshape(ts.shape)
+    cum_edges = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(edges) * (vals @ _GL_WEIGHTS))])
 
     def cum(t):
         k, h, nodes = _partial_cells(edges, np.atleast_1d(np.asarray(t, dtype=float)))
@@ -240,9 +231,9 @@ class NodePlan:
 
     ``nodes`` holds the `gl_nodes` of every cell, flattened, then G's atom
     times; ``pdf`` is G's density at the GL nodes and ``half`` the cells'
-    half-widths. `expect_values` reduces h at the nodes with `integral`'s
-    per-cell ``@ _GL_WEIGHTS`` and sum, and `running` applies `cumulative`'s
-    rule at the nodes.
+    half-widths. `integrate` reduces a function at the GL nodes cell by cell
+    with ``@ _GL_WEIGHTS`` and sums the cells, `expect_values` adds G's atoms
+    to that, and `running` applies `cumulative`'s rule at the nodes.
     """
 
     G: MeasureOnTime
@@ -261,12 +252,6 @@ class NodePlan:
     def partial(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`_partial_cells` of the nodes, built on first use."""
         return _partial_cells(self.edges, self.nodes)
-
-    def on_grid(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``cell_index(grid, t)`` and ``t >= grid[-1]`` at each node and its
-        inner nodes, from its cell's left edge, for ``grid`` within `edges`."""
-        starts, cell = self.edges[:-1], self.partial[0]
-        return cell_index(grid, starts)[cell], (starts >= grid[-1])[cell]
 
     def _per_cell(self, vals: np.ndarray) -> np.ndarray:
         return self.half * (vals.reshape(-1, _GL_NODES.size) @ _GL_WEIGHTS)

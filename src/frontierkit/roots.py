@@ -26,21 +26,24 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 #: ``2**LOOKAHEAD - 1`` points those steps can probe
 LOOKAHEAD = 6
 
+#: the bracket `expand_bracket` starts from
+BRACKET_LO, BRACKET_HI = 1e-12, 1.0
+
 # `interpolated_switch`: rounding steps it probes past an interpolated point,
 # and the probes it may spend beyond bisection's count
 _NUDGE_ULPS = 4
 _SLACK = 4
 
 
-def expand_bracket(
-    f: Callable[[float], float], lo: float = 1e-12, hi: float = 1.0
-) -> tuple[float, float]:
-    """Expand ``[lo, hi]`` geometrically until ``f`` changes sign on it.
+def expand_bracket(f: Callable[[float], float]) -> tuple[float, float]:
+    """Expand ``[BRACKET_LO, BRACKET_HI]`` geometrically until ``f`` changes
+    sign on it.
 
     The lower endpoint is halved toward zero and the upper endpoint doubled,
     at most 200 times, which covers both increasing and decreasing monotone
     objectives.
     """
+    lo, hi = BRACKET_LO, BRACKET_HI
     flo, fhi = f(lo), f(hi)
     for _ in range(200):
         if flo == 0.0:
@@ -83,14 +86,9 @@ def bisect(
     return 0.5 * (lo + hi)
 
 
-def solve_monotone(
-    f: Callable[[float], float],
-    lo: float = 1e-12,
-    hi: float = 1.0,
-    tol: float = 1e-12,
-) -> float:
+def solve_monotone(f: Callable[[float], float], tol: float = 1e-12) -> float:
     """Bracket-expand and bisect in one call."""
-    a, b = expand_bracket(f, lo, hi)
+    a, b = expand_bracket(f)
     if a == b:
         return a
     return bisect(f, a, b, tol=tol)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -240,7 +240,6 @@ class SmoothedPair:
     u0_n: float
     u1_n: float
     u_star_n: float
-    source: Technology = field(repr=False)
 
     def gap(self, u):
         return self.f1n.value(u) - self.f0n.value(u)
@@ -342,7 +341,7 @@ def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair
 
     return SmoothedPair(
         f0n=f0n, f1n=f1n, params=params,
-        u0_n=f0n.peak, u1_n=u1_n, u_star_n=u_star_n, source=tech,
+        u0_n=f0n.peak, u1_n=u1_n, u_star_n=u_star_n,
     )
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DivergenceViolation, InadmissiblePrimitives, UnresolvablePeaks
 from .frontiers import INF, Frontier, ParametricFrontier, gap_argmax, midpoint_concavity_slack
 from .report import VerificationReport
-from .roots import bisect, solve_monotone
+from .roots import BRACKET_HI, BRACKET_LO, bisect, solve_monotone
 
 #: ``phi'(phi_inv(u))`` divides by zero at 0 and, for small exponents,
 #: overflows to +inf near 0; every solve that evaluates it handles those
@@ -37,15 +37,10 @@ _DIVERGENCE_FACTOR = 2.0
 class PowerUtility:
     """Utility of consumption ``phi(c) = c**a`` with ``0 < a < 1``."""
 
-    kind = "power"
-
     def __init__(self, exponent: float):
         if not 0.0 < exponent < 1.0:
             raise ValueError("utility exponent must lie in (0, 1)")
         self.a = float(exponent)
-
-    def phi(self, c):
-        return np.power(c, self.a)
 
     def phi_inv(self, u):
         return np.power(u, 1.0 / self.a)
@@ -59,8 +54,6 @@ class PowerUtility:
 
 class PowerCost:
     """Effort cost ``kappa(L) = L**b`` with ``b > 1``."""
-
-    kind = "power"
 
     def __init__(self, exponent: float):
         if exponent <= 1.0:
@@ -125,7 +118,7 @@ def effort_star(prims: MoralHazardPrimitives, u: float) -> float:
     Solved to the machine-precision limit so that the FOC residual in scaled
     form stays below 1e-10.
     """
-    return solve_monotone(lambda L: _foc_gap(prims, u, L), lo=1e-12, hi=1.0, tol=0.0)
+    return solve_monotone(lambda L: _foc_gap(prims, u, L), tol=0.0)
 
 
 @_quiet
@@ -210,14 +203,12 @@ def make_frontier_f0(prims: MoralHazardPrimitives) -> Frontier:
     # reaches it only within 199 doublings of its bracket [1e-12, 1]
     a = p.phi.a
     log2_u0 = a / (1.0 - a) * math.log2(a / p.lam)
-    if not math.log2(1e-12) - 199.0 < log2_u0 < 199.0:
+    if not math.log2(BRACKET_LO) - 199.0 < log2_u0 < math.log2(BRACKET_HI) + 199.0:
         raise UnresolvablePeaks(
             f"`lambda` and `phi.exponent` put u0 = (a/lambda)**(a/(1-a)) = 2**{log2_u0:.6g}, "
             f"beyond the reach [1e-12 * 2**-199, 2**199] of the peak solve"
         )
-    u0 = _quiet(solve_monotone)(
-        lambda u: float(p.phi.phi_prime_at_inv(u)) - p.lam, lo=1e-12, hi=1.0
-    )
+    u0 = _quiet(solve_monotone)(lambda u: float(p.phi.phi_prime_at_inv(u)) - p.lam)
     return ParametricFrontier(
         lambda u: u - p.lam * p.phi.phi_inv(u),
         _quiet(lambda u: 1.0 - p.lam / p.phi.phi_prime_at_inv(u)),

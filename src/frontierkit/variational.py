@@ -17,16 +17,8 @@ import numpy as np
 
 from .errors import InvalidProfile, NonConvergent, PreconditionViolation
 from .frontiers import directional_deriv
-from .mechanism import BreakthroughDistribution, Mechanism, _GridTimes, _pinned_payoffs
-from .quadrature import (
-    MeasureOnTime,
-    NodePlan,
-    cumulative,
-    integral,
-    integration_edges,
-    step_value,
-    subdivide,
-)
+from .mechanism import BreakthroughDistribution, Mechanism, _pinned_payoffs
+from .quadrature import MeasureOnTime, NodePlan, cumulative, integration_edges, step_value, subdivide
 from .technology import Technology
 
 # ---------------------------------------------------------------------------
@@ -49,13 +41,15 @@ def stieltjes_ibp(nu: MeasureOnTime, L0: float, l, T: float):
     )
     L_cum = cumulative(l, edges)
     L = lambda t: L0 + L_cum(t)
+    plan = NodePlan.build(nu, edges)
+    t = plan.nodes[: plan.pdf.size]
 
-    lhs = integral(lambda t: nu.pdf(t) * L(t), edges)
+    lhs = plan.integrate(plan.pdf * L(t))
     lhs += sum(m * float(L(np.array([s]))[0]) for s, m in nu.atoms if s <= T)
 
     LT = float(L(np.array([T]))[0])
     rhs = LT * float(nu.mass_upto(np.array([T]))[0])
-    rhs -= integral(lambda t: nu.mass_upto(t) * np.asarray(l(t), dtype=float), edges)
+    rhs -= plan.integrate(nu.mass_upto(t) * np.asarray(l(t), dtype=float))
     return lhs, rhs
 
 
@@ -69,16 +63,21 @@ class SupergradientProfile:
 
     Per-cell constant values (with tail constants beyond the horizon) are the
     canonical representation; optional callables override them for smooth
-    exact-derivative profiles.
+    exact-derivative profiles, which then leave the cells unset.
     """
 
     edges: np.ndarray
-    phi0_cells: np.ndarray
-    phi1_cells: np.ndarray
+    phi0_cells: np.ndarray | None = None
+    phi1_cells: np.ndarray | None = None
     phi0_tail: float = 0.0
     phi1_tail: float = 0.0
     phi0_fn: object | None = None
     phi1_fn: object | None = None
+
+    def __post_init__(self):
+        for cells, fn in ((self.phi0_cells, self.phi0_fn), (self.phi1_cells, self.phi1_fn)):
+            if cells is None and fn is None:
+                raise ValueError("phi0 and phi1 each need per-cell values or a callable")
 
     def phi0(self, t):
         if self.phi0_fn is not None:
@@ -102,9 +101,7 @@ class SupergradientProfile:
         return cls(
             edges=m.edges,
             phi0_cells=d0(m.x0),
-            phi1_cells=d1(m.X0_at(0.5 * (m.edges[:-1] + m.edges[1:]))),
             phi0_tail=float(d0(m.x0_tail)),
-            phi1_tail=float(d1(m.x0_tail)),
             phi1_fn=lambda t: d1(m.X0_at(t)),
         )
 
@@ -126,16 +123,14 @@ class SupergradientProfile:
 # Euler residual and integrability
 
 
-def euler_residual(
-    prof: SupergradientProfile, G: BreakthroughDistribution, edges=None
-) -> np.ndarray:
+def euler_residual(prof: SupergradientProfile, G: BreakthroughDistribution) -> np.ndarray:
     """``[1 - G(t_k)] phi0(t_k) + int_[0, t_k] phi1 dG`` at the grid points.
 
     Cells where ``G(t) >= 1`` are excluded (the Euler equation is vacuous
     there). Exact at grid points for per-cell-constant ``phi1``: cell masses
     come from CDF differences, which also capture atoms inside cells.
     """
-    edges = prof.edges if edges is None else np.asarray(edges, dtype=float)
+    edges = prof.edges
     mids = 0.5 * (edges[:-1] + edges[1:])
     phi1_mid = prof.phi1(mids)
     cdf_vals = G.cdf(edges)
@@ -264,8 +259,7 @@ def gateaux_closed_form(
     dens0_in = r * E_in * (dd0_c[cell_in] - phi0_in) * dx_c[cell_in]
     corr0 = plan.expect_values(plan.running(dens0, dens0_in))
 
-    X = m._X0_on(_GridTimes(m.edges, r, t, plan.on_grid(m.edges)))
-    X_dag = m_dag._X0_on(_GridTimes(m_dag.edges, r, t, plan.on_grid(m_dag.edges)))
+    X, X_dag = m.X0_at(t), m_dag.X0_at(t)
     corr1 = plan.expect_values(E * (directional_deriv(tech.f1, X, X_dag) - phi1) * (X_dag - X))
     if return_terms:
         return {

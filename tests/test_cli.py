@@ -249,6 +249,12 @@ class TestTimeGridOptions:
         assert rc == 2
         assert err.startswith("config error:") and "`--grid-step`" in err and "`--horizon`" in err
 
+    @pytest.mark.parametrize("step", ["inf", "1e-300"])
+    def test_non_finite_or_overflowing_grid_is_config_error(self, step):
+        rc, err = run_quietly(["solve-deadline", "--promise", "0.2", "--grid-step", step])
+        assert rc == 2
+        assert err.startswith("config error:") and "`--grid-step`" in err
+
     @pytest.mark.parametrize(
         "argv", [["export", "--what", "smoothing"], ["verify", "gateaux", "--trials", "2"]]
     )
@@ -316,6 +322,17 @@ class TestSuites:
     def test_fast_suites_pass(self, suite, capsys):
         assert main(["verify", suite, "--trials", "4"]) == 0
         assert "overall: PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "suite, trials", [("saddle", 1000), ("ibp", 1000), ("euler", 1000), ("gateaux", 100)]
+    )
+    def test_suite_stdout_is_pinned(self, capsys, suite, trials):
+        # byte for byte: guards the gap classifier's probe windows, the
+        # Stieltjes identity's quadrature and the closed form's node placement
+        expected = (Path(__file__).parent / "data" / f"verify_{suite}_{trials}.txt").read_text()
+        assert main(["verify", suite, "--trials", str(trials)]) == 0
+        out, err = capsys.readouterr()
+        assert out == expected and err == ""
 
     def test_mixture_suite_at_its_default_trials(self, capsys):
         # the stdout of `verify mixture` before its level search interpolated

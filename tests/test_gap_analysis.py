@@ -10,6 +10,7 @@ from frontierkit import (
     UStarAtOrigin,
 )
 from frontierkit.gap_analysis import (
+    PROBE_EPSILONS,
     GapKind,
     classify_u_star,
     is_saddle,
@@ -115,6 +116,14 @@ class TestClassifyUStar:
     def test_saddle(self):
         cls = classify_u_star(saddle_tech())
         assert cls.kind is GapKind.SADDLE
+
+    def test_one_gap_call_at_u_star_and_one_per_window(self):
+        # the local-max and saddle tests share one evaluation of each window
+        tech = saddle_tech()
+        calls, gap = [], tech.gap
+        tech.gap = lambda u: calls.append(np.size(u)) or gap(u)
+        assert classify_u_star(tech).kind is GapKind.SADDLE
+        assert len(calls) == 1 + len(PROBE_EPSILONS) == 4
 
     def test_kinds_mutually_exclusive(self):
         kinds = {

@@ -92,6 +92,15 @@ def test_bisection_is_the_one_step_search_bit_for_bit(monkeypatch, depth):
                 assert np.all((lo < f.points) & (f.points < hi))
 
 
+def test_bisect_returns_exact_zeros_and_rejects_a_same_sign_bracket():
+    f = lambda x: x - 1.0
+    assert roots.bisect(f, 1.0, 3.0) == 1.0  # at lo
+    assert roots.bisect(f, -1.0, 1.0) == 1.0  # at hi
+    assert roots.bisect(f, 0.0, 2.0) == 1.0  # at the first midpoint
+    with pytest.raises(fk.RootBracketFailure, match="same sign"):
+        roots.bisect(f, 2.0, 3.0)
+
+
 def test_bisection_stops_after_200_halvings():
     probed = []
     lo, hi = bisect_reference(lambda x: probed.append(x) or x < 0.0, -1.0, 1.0)

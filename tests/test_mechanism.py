@@ -44,6 +44,26 @@ def quad_tech():
     return Technology(f0=f0, f1=f1, u0=0.5, u1=0.25, u_star=0.0)
 
 
+class TestTimeGrid:
+    @pytest.mark.parametrize(
+        "horizon, step, r",
+        [
+            (6.0, math.inf, 1.0),  # no cells
+            (1.0, 1e12, 1.0),  # within 1e-9 of zero steps: no cells either
+            (math.inf, 0.05, 1.0),  # horizon / step is inf
+            (1e300, 1e-300, 1.0),  # horizon / step overflows
+            (6.0, 0.05, math.inf),
+            (math.nan, 0.05, 1.0),
+        ],
+    )
+    def test_non_finite_or_empty_grid_is_a_value_error(self, horizon, step, r):
+        with pytest.raises(ValueError):
+            TimeGrid(horizon=horizon, step=step, r=r)
+
+    def test_one_cell_grid(self):
+        assert TimeGrid(horizon=2.0, step=2.0, r=1.0).edges.tolist() == [0.0, 2.0]
+
+
 class TestPromisedUtility:
     def test_constant_paths_are_fixed_points(self):
         n = GRID.n_cells

@@ -9,6 +9,7 @@ from conftest import bisect_reference
 from frontierkit import (
     AffineFrontier,
     EmptySupport,
+    ParametricFrontier,
     PiecewiseLinearFrontier,
     QuadraticFrontier,
     mixture,
@@ -65,6 +66,16 @@ class TestMixtureValue:
         for u in np.linspace(0.0, 5.0, 21):
             _, alloc = mixture_value(dist, float(u))
             assert abs(dist.probs @ alloc - u) < 1e-10
+
+    def test_negative_promise_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            mixture_value(quad_pair(), -0.1)
+
+    def test_infinite_slope_at_the_floor_rejected(self):
+        # sqrt is vertical at its floor 0, so no finite level brackets the search
+        root = ParametricFrontier(np.sqrt, lambda u: 0.5 / np.sqrt(u), domain=(0.0, 4.0), peak=4.0)
+        with np.errstate(divide="ignore"), pytest.raises(ValueError, match="finite slopes"):
+            mixture_value(FrontierDistribution([(root, 1.0)]), 1.0)
 
     def test_empty_support(self):
         with pytest.raises(EmptySupport):

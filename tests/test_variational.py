@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import frontierkit
 from frontierkit import (
+    InvalidProfile,
     PiecewiseLinearFrontier,
     PreconditionViolation,
     QuadraticFrontier,
@@ -154,6 +155,12 @@ class TestEulerResidual:
         split = 2 * euler_residual(mk(a0, a1), G) + 3 * euler_residual(mk(b0, b1), G)
         assert np.allclose(combo, split, atol=1e-12)
 
+    def test_profile_needs_cells_or_a_callable_for_each_path(self):
+        with pytest.raises(ValueError, match="per-cell values or a callable"):
+            SupergradientProfile(edges=GRID.edges, phi0_cells=np.zeros(GRID.n_cells))
+        with pytest.raises(ValueError, match="per-cell values or a callable"):
+            SupergradientProfile(edges=GRID.edges, phi1_fn=np.zeros_like)
+
 
 class TestIntegrability:
     def test_construct_and_check_bound(self):
@@ -265,6 +272,15 @@ class TestGateaux:
             quots.append((pi_G(blend, tech, G) - base) / a)
         assert all(q2 >= q1 - 1e-12 for q1, q2 in zip(quots[:-1], quots[1:]))
 
+    def test_profile_off_the_supergradients_is_rejected(self):
+        tech = quad_tech()
+        rng = np.random.default_rng(4)
+        m, m_dag = random_mechanism(rng), random_mechanism(rng)
+        prof = SupergradientProfile.exact(m, tech)
+        prof.phi0_cells = prof.phi0_cells + 0.1
+        with pytest.raises(InvalidProfile, match="not a supergradient"):
+            gateaux_closed_form(m, m_dag, prof, tech, mixed_G())
+
     def test_kinked_supergradient_direction(self):
         # kinked F0 at u = 0.3; the flow sits exactly on the kink
         f0 = PiecewiseLinearFrontier([0.0, 0.3, 0.6], [0.0, 0.24, 0.3])
@@ -323,6 +339,12 @@ class TestStrictConcavity:
             m_dag = replace(m, x0=np.clip(m.x0 + scale * d, 0.0, 0.5))
             gaps.append(strict_concavity_probe(m, m_dag, 0.5, tech, G)[0])
         assert gaps[0] > gaps[1] > gaps[2] > 0
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, -0.5, 1.5])
+    def test_blend_weight_outside_the_open_unit_interval_rejected(self, lam):
+        m = Mechanism.from_grid(GRID, np.full(GRID.n_cells, 0.25))
+        with pytest.raises(ValueError, match="lam must lie strictly"):
+            strict_concavity_probe(m, m, lam, quad_tech(), BreakthroughDistribution.exponential(1.0))
 
     def test_bounded_support_rejected(self):
         tech = quad_tech()
@@ -545,6 +567,19 @@ def test_exact_phi0_is_the_derivative_along_the_flow(default_tech):
         prof = SupergradientProfile.exact(m, tech)
         want = tech.f0.deriv(m.x0_at(t), "right")
         assert prof.phi0(t).tobytes() == want.tobytes()
+
+
+def test_exact_profile_makes_no_effort_solve(default_tech, monkeypatch):
+    # phi1 is read through phi1_fn only, so the profile holds no per-cell F1
+    # slopes, each of which would cost a scalar effort solve
+    calls = []
+    for name in ("effort_star", "effort_star_array"):
+        solve = getattr(technology, name)
+        monkeypatch.setattr(technology, name, lambda p, u, solve=solve: calls.append(u) or solve(p, u))
+    m = random_mechanism(np.random.default_rng(14), lo=0.05 * default_tech.u0, hi=0.9 * default_tech.u0)
+    assert m.edges.size == 9
+    SupergradientProfile.exact(m, default_tech)
+    assert calls == []
 
 
 def test_grids_one_ulp_apart_are_aligned(default_tech):
