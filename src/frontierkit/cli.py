@@ -613,7 +613,10 @@ def _cmd_frontier(cfg: InstanceConfig, args) -> int:
 def _cmd_solve_deadline(cfg: InstanceConfig, args) -> int:
     tech = cfg.technology()
     grid = _time_grid(args.horizon, args.grid_step, cfg.rate)
-    T = deadline_for_promise(args.promise, tech, grid)
+    try:
+        T = deadline_for_promise(args.promise, tech, grid)
+    except ValueError as exc:
+        raise ConfigError(f"`--promise` must lie in [0, u0]: {exc}") from exc
     print(f"T = {'inf' if math.isinf(T) else format(T, '.12g')}")
     m = make_deadline_mechanism(T, tech, grid)
     for rate in (0.5, 1.0, 2.0):

@@ -2,7 +2,8 @@
 
 All first-order conditions in this library are strictly monotone in the
 unknown, so bisection with geometric bracket expansion is globally safe.
-Root solves probe one point per step. The frontier searches,
+Root solves probe one point per step; `speculate` runs such a search with
+its points evaluated in array calls, bit for bit. The frontier searches,
 `golden_section_max` and `bisect_predicate_array`, take array oracles and
 look ahead: one oracle call covers their next `LOOKAHEAD` steps (see
 `_lookahead`). `interpolated_switch` gives `bisect_predicate_array`'s bracket
@@ -92,6 +93,65 @@ def solve_monotone(f: Callable[[float], float], tol: float = 1e-12) -> float:
     if a == b:
         return a
     return bisect(f, a, b, tol=tol)
+
+
+def speculate(search: Callable, f: Callable[[np.ndarray], np.ndarray], guess: float):
+    """What the one-point search ``search(f)`` returns, with ``f`` evaluated
+    in array calls.
+
+    Each pass runs ``search(g)``. The stand-in ``g`` answers a point already
+    evaluated with its value, and any other point with the prediction
+    ``x - guess`` (right where ``f`` increases through its root at
+    ``guess``), recording that point. One ``f`` call then evaluates the
+    recorded points, and the guess moves to the secant root of the tightest
+    bracket of real values. A pass that records no point ran on real values
+    only, so its result, or its exception, is the one-point search's. An
+    exception in a pass that recorded points is dropped with its predictions.
+    Any guess gives that result; a good one saves passes. Each pass follows
+    the real path at least one point further, so the loop ends.
+
+    ``f`` must be elementwise, give each element the bits of a one-point call,
+    and be safe at points the one-point search never reaches: a predicted
+    pass can probe them.
+    """
+    known: dict[float, float] = {}
+    while True:
+        asked: dict[float, None] = {}
+
+        def g(x):
+            fx = known.get(x)
+            if fx is None:
+                asked[x] = None
+                return x - guess
+            return fx
+
+        try:
+            out = search(g)
+        except Exception:
+            if not asked:
+                raise
+        else:
+            if not asked:
+                return out
+        known.update(zip(asked, f(np.array(list(asked))).tolist()))
+        guess = _secant_root(known)
+
+
+def _secant_root(known: dict[float, float]) -> float:
+    """Root estimate of an increasing function from its values ``known``: the
+    secant root of the tightest sign-change bracket, kept in the bracket (its
+    midpoint where the secant is NaN), or ``±inf`` while no value on one side
+    has its sign."""
+    lo = hi = None
+    for x, fx in known.items():
+        if fx < 0.0 and (lo is None or x > lo):
+            lo, flo = x, fx
+        elif fx > 0.0 and (hi is None or x < hi):
+            hi, fhi = x, fx
+    if lo is None or hi is None:
+        return -math.inf if lo is None else math.inf
+    x = lo - flo * ((hi - lo) / (fhi - flo))
+    return min(max(x, lo), hi) if x == x else 0.5 * (lo + hi)
 
 
 def interpolated_switch(

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DivergenceViolation, InadmissiblePrimitives, UnresolvablePeaks
 from .frontiers import INF, Frontier, ParametricFrontier, gap_argmax, midpoint_concavity_slack
 from .report import VerificationReport
-from .roots import BRACKET_HI, BRACKET_LO, bisect, solve_monotone
+from .roots import BRACKET_HI, BRACKET_LO, bisect, solve_monotone, speculate
 
 #: ``phi'(phi_inv(u))`` divides by zero at 0 and, for small exponents,
 #: overflows to +inf near 0; every solve that evaluates it handles those
@@ -32,6 +32,16 @@ _quiet = np.errstate(divide="ignore", over="ignore")
 # cost must exceed ``_DIVERGENCE_FACTOR`` times the wage
 _DIVERGENCE_L = 1e6
 _DIVERGENCE_FACTOR = 2.0
+
+# `_effort_guess`: Newton steps on the log-FOC
+_NEWTON_STEPS = 6
+
+# `effort_star_array` tests for repeated midpoints from this halving on
+# (counted from 0). A bracket starts at least 1 wide and lies in [0, hi], so
+# after k halvings it is about 2**-k * hi wide, more than the float spacing
+# below hi (at most 2**-52 * hi) while k < 52: no midpoint repeats sooner.
+# Steps past a fixed point change nothing, so the test only saves time.
+_FIRST_REPEAT = 47
 
 
 class PowerUtility:
@@ -116,9 +126,41 @@ def effort_star(prims: MoralHazardPrimitives, u: float) -> float:
     """Unique positive effort solving the inner first-order condition.
 
     Solved to the machine-precision limit so that the FOC residual in scaled
-    form stays below 1e-10.
+    form stays below 1e-10: `solve_monotone` at ``tol=0``, one point per
+    step. `speculate` replays that search on the FOC's array values, so one
+    solve costs about one array call of the FOC: the result is the one-point
+    search's bit for bit, whatever `_effort_guess` predicts.
     """
-    return solve_monotone(lambda L: _foc_gap(prims, u, L), tol=0.0)
+    return speculate(
+        lambda g: solve_monotone(g, tol=0.0), lambda L: _foc_gap(prims, u, L), _effort_guess(prims, u)
+    )
+
+
+def _effort_guess(prims: MoralHazardPrimitives, u: float) -> float:
+    """The effort root estimated by Newton steps in ``y = log L`` on the
+    log-FOC ``h(y) = log(b/(a*w)) + (b-1)*y + (1/a-1)*log(u + e^{b*y})``.
+
+    ``h`` increases with slope between ``b - 1`` and ``b/a - 1``. It lies
+    above both of its asymptotes, at ``u = 0`` and at ``L = 0``, so the
+    smaller of their roots is at or above the root, where the steps start.
+    Python `math` can differ from numpy in the last bit, which is fine here:
+    only `speculate`'s pass count depends on the guess.
+    """
+    a, b = prims.phi.a, prims.kappa.b
+    d = 1.0 / a - 1.0
+    try:
+        c = math.log(b / (a * prims.w))
+        lu = math.log(u) if u > 0.0 else -INF
+        y = min(-c / (b - 1.0 + d * b), -(c + d * lu) / (b - 1.0))
+        for _ in range(_NEWTON_STEPS):
+            by = b * y
+            t = math.exp(-abs(by - lu))
+            share = 1.0 / (1.0 + t) if by >= lu else t / (1.0 + t)  # e^{by} / (u + e^{by})
+            h = c + (b - 1.0) * y + d * (max(by, lu) + math.log1p(t))
+            y -= h / (b - 1.0 + d * b * share)
+        return math.exp(y)
+    except (ArithmeticError, ValueError):
+        return 1.0
 
 
 @_quiet
@@ -144,12 +186,12 @@ def effort_star_array(prims: MoralHazardPrimitives, u) -> np.ndarray:
             break
         hi[bad] *= 2.0
     mid = 0.5 * (lo + hi)
-    for _ in range(90):
+    for step in range(90):
         up = _foc_gap(prims, u, mid) < 0.0
         lo = np.where(up, mid, lo)
         hi = np.where(up, hi, mid)
         prev, mid = mid, 0.5 * (lo + hi)
-        if not np.count_nonzero(mid != prev):
+        if step >= _FIRST_REPEAT and not np.count_nonzero(mid != prev):
             # Each midpoint repeated, so it is an end of its bracket: the next
             # step either keeps the bracket or collapses it onto that midpoint,
             # and every later step changes nothing. ``mid`` is already the
@@ -191,7 +233,8 @@ class _PostBreakthroughFrontier(ParametricFrontier):
     def _deriv(self, u):
         # envelope theorem: only the direct u-dependence matters. The effort
         # comes from the scalar solve, one point at a time, because
-        # `effort_star_array` differs from it in the last bits
+        # `effort_star_array` differs from it in the last bits; each point
+        # costs about one array call of the FOC (see `effort_star`)
         p = self._prims
         L = np.reshape([effort_star(p, x) for x in np.ravel(u).tolist()], np.shape(u))
         return 1.0 - p.lam / p.phi.phi_prime_at_inv(u + p.kappa.kappa(L))

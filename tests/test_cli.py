@@ -219,6 +219,23 @@ def run_quietly(argv):
     return rc, err.getvalue()
 
 
+def run_on_config(tmp_path_factory, config, argv):
+    """Run ``argv`` on ``config``; it must exit 0 with empty stderr, or exit 2
+    with one line that names a key. (The no-delay test below keeps its own
+    copy: a derandomized Hypothesis test draws its examples from a seed
+    hashed from its source.)"""
+    out = tmp_path_factory.mktemp("box")
+    path = out / "config.yaml"
+    path.write_text(yaml.safe_dump(config))
+    rc, err = run_quietly([*argv, "--config", str(path), "--out", str(out)])
+    assert rc in (0, 2), err
+    if rc == 0:
+        assert err == ""
+    else:
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert re.search(r"`[-a-z.]+`", err), err
+
+
 @given(config=_BOX)
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_no_delay_on_the_config_box_exits_0_or_2_and_names_the_key(tmp_path_factory, config):
@@ -232,6 +249,27 @@ def test_no_delay_on_the_config_box_exits_0_or_2_and_names_the_key(tmp_path_fact
     else:
         assert err.startswith("config error:") and err.count("\n") == 1, err
         assert re.search(r"`[a-z.]+`", err), err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "ui-assns"],
+        ["verify", "saddle", "--trials", "3"],
+        ["export", "--what", "frontiers"],
+        ["solve-deadline", "--promise", "0.2"],
+    ],
+    ids=["verify-ui-assns", "verify-saddle", "export-frontiers", "solve-deadline"],
+)
+def test_commands_on_the_config_box_exit_0_or_2_and_name_the_key(tmp_path_factory, argv):
+    # the scalar effort solve runs in the peak identity, the derivative checks
+    # and the per-row F1 slopes; 0.2 lies above u0 on much of the box
+    @given(config=_BOX)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def check(config):
+        run_on_config(tmp_path_factory, config, argv)
+
+    check()
 
 
 class TestTimeGridOptions:
@@ -376,9 +414,19 @@ class TestSolveDeadline:
         assert out.startswith("T = ")
         assert out.count("payoff") == 3
 
-    def test_promise_beyond_reach_is_compute_error(self, capsys):
-        assert main(["solve-deadline", "--promise", "0.6"]) == 3
-        assert "compute error" in capsys.readouterr().err
+    @pytest.mark.parametrize("promise", ["0.6", "5", "-0.1", "nan", "inf", "-inf"])
+    def test_promise_outside_0_u0_is_config_error(self, capsys, promise):
+        # used to exit 3 with "compute error: promise ... outside [0, u0=...]"
+        assert main(["solve-deadline", f"--promise={promise}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "`--promise`" in err and "[0, u0]" in err
+
+    def test_promise_above_a_small_u0_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        path.write_text("lambda: 5.0\n")
+        assert main(["solve-deadline", "--promise", "0.2", "--config", str(path)]) == 2
+        assert "`--promise` must lie in [0, u0]: promise 0.2 outside [0, u0=0.1]" in capsys.readouterr().err
 
 
 class TestExport:
