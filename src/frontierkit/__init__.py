@@ -47,7 +47,6 @@ from .mechanism import (
     payoff,
     payoff_affine_rewrite,
     pi_G,
-    promised_utility,
 )
 from .mixture import (
     FrontierDistribution,

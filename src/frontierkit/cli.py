@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from .mechanism import (
     payoff,
 )
 from .mixture import FrontierDistribution, mixture_value, verify_mixture_regularity
-from .quadrature import MeasureOnTime
+from .quadrature import MeasureOnTime, step_value
 from .report import VerificationReport
 from .smoothing import SmoothingParams, build_sequence, build_smooth_pair, smallest_level, verify_monster
 from .technology import (
@@ -286,6 +286,10 @@ def _suite_saddle(cfg, rng, trials, grid) -> VerificationReport:
 def _suite_no_delay(cfg, rng, trials, grid) -> VerificationReport:
     rep = VerificationReport("no-delay")
     tech = cfg.technology()
+
+    def gain(m, G):
+        return payoff(no_delay_improve(m, tech), tech, G) - payoff(m, tech, G)
+
     worst_gain, strict_seen = math.inf, 0
     for k in range(trials):
         # the raw draw has its post-breakthrough promise glued to the flow
@@ -295,18 +299,25 @@ def _suite_no_delay(cfg, rng, trials, grid) -> VerificationReport:
             G = BreakthroughDistribution.exponential(float(rng.uniform(0.3, 2.0)))
         else:
             G = _mixed_G(float(rng.uniform(0.5, 1.5)))
-        gain = payoff(no_delay_improve(m, tech), tech, G) - payoff(m, tech, G)
-        worst_gain = min(worst_gain, gain)
-        strict_seen += gain > 1e-9
+        g = gain(m, G)
+        worst_gain, strict_seen = min(worst_gain, g), strict_seen + (g > 1e-9)
+    # at a corner (u1 = 0) max(X0, u1) = X0, so no improvement can be strict
+    corner = tech.u1 == 0.0
+    note = "not applicable (corner)" if corner else f"{strict_seen} strict"
+    if not corner and not strict_seen:
+        # the draws keep X0 above a small u1; a deadline flow's X0 falls to 0
+        # after its deadline, where Exp(1) has mass, so lifting it must gain
+        T = deadline_for_promise(0.5 * tech.u0, tech, grid)
+        deadline = replace(make_deadline_mechanism(T, tech, grid), u1=None)
+        g = gain(deadline, BreakthroughDistribution.exponential(1.0))
+        worst_gain, strict_seen = min(worst_gain, g), g > 1e-9
+        note += f", deadline witness gain {g:.3g}"
     rep.add(
         "no-delay-never-decreases",
         worst_gain > -1e-10,
         worst_violation=max(0.0, -worst_gain),
         note=f"{trials} trials",
     )
-    # at a corner (u1 = 0) max(X0, u1) = X0, so no improvement can be strict
-    corner = tech.u1 == 0.0
-    note = "not applicable (corner)" if corner else f"{strict_seen} strict"
     rep.add("no-delay-strict-sometimes", corner or strict_seen > 0, note=note)
 
     affine = _affine_tech()
@@ -322,12 +333,11 @@ def _suite_no_delay(cfg, rng, trials, grid) -> VerificationReport:
 def _exact_euler_profile(perturb: float = 0.0) -> SupergradientProfile:
     # G = Exp(1), phi1 = -1, phi0(t) = G/(1-G) = e^t - 1 solves the equation
     edges = np.linspace(0.0, 4.0, 41)
-    n = len(edges) - 1
+    cells = -np.ones(len(edges) - 1)
     return SupergradientProfile(
         edges=edges,
-        phi1_cells=-np.ones(n),
-        phi1_tail=-1.0,
-        phi0_fn=lambda t: (1.0 + perturb) * np.expm1(t),
+        phi0=lambda t: (1.0 + perturb) * np.expm1(t),
+        phi1=lambda t: step_value(edges, cells, -1.0, t),
     )
 
 
@@ -588,7 +598,13 @@ def export_curves(
 
     if what == "smoothing":
         us = _curve_grid(tech.u0, grid_step)
-        pairs = _smooth_pairs(tech, (16, 32, 64), "`export --what smoothing` (levels 16, 32, 64)")
+        try:
+            pairs = _smooth_pairs(tech, (16, 32, 64), "`export --what smoothing` (levels 16, 32, 64)")
+        except ConfigError as exc:
+            raise ConfigError(
+                f"{exc}; `lambda`, `w`, `phi.exponent` and `kappa.exponent` set u0 - u1, "
+                "and `smooth --n-list` builds other levels"
+            ) from exc
         return [_write_smoothing_csv(out, pair, us) for pair in pairs]
 
     raise ConfigError(f"unknown export {what!r}; choose one of {', '.join(EXPORTS)}")

@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
+from .quadrature import cell_index
 from .roots import bisect_predicate_array, golden_section_max
 
 INF = math.inf
@@ -222,10 +223,9 @@ class PiecewiseLinearFrontier(Frontier):
         return np.interp(us, self.xs, self.ys)
 
     def _derivs(self, u, side):
-        # segment index i such that u lies in [xs[i], xs[i+1]]; at a kink the
-        # left side takes the segment below it, the right side the one above
-        i = np.searchsorted(self.xs, u, side=side) - 1
-        return self.slopes[np.clip(i, 0, len(self.slopes) - 1)]
+        # at a kink the left side takes the segment below it, the right side
+        # the one above
+        return self.slopes[cell_index(self.xs, u, side)]
 
     def argmax_linear(self, eta, lo=None, hi=None, largest=False):
         # the first breakpoint whose right slope is <= eta, or the last whose

@@ -205,11 +205,6 @@ class Mechanism:
         return replace(self, edges=edges, x0=self.x0[k], X1_cells=X1_cells)
 
 
-def promised_utility(x0, grid: TimeGrid, x0_tail: float = 0.0) -> np.ndarray:
-    """Continuation-promise path at the grid edges for a per-cell flow path."""
-    return _promise_edges(grid.edges, np.asarray(x0, dtype=float), grid.r, x0_tail)
-
-
 def make_deadline_mechanism(T: float, tech: Technology, grid: TimeGrid) -> Mechanism:
     """Flow ``u0`` until the deadline, zero after; no-delay promise form."""
     return _deadline_from_edges(T, tech, grid.edges, grid.r)

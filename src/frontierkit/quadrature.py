@@ -41,10 +41,11 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # cell lookup
 
 
-def cell_index(edges: np.ndarray, t) -> np.ndarray:
+def cell_index(edges: np.ndarray, t, side: str = "right") -> np.ndarray:
     """Index of the cell ``[edges[k], edges[k+1])`` holding ``t``, clipped to
-    the first and last cell."""
-    k = np.searchsorted(edges, t, side="right") - 1
+    the first and last cell. With ``side="left"`` the cells are
+    ``(edges[k], edges[k+1]]``: an edge belongs to the cell below it."""
+    k = np.searchsorted(edges, t, side=side) - 1
     # np.minimum/np.maximum give np.clip's integers without its Python wrapper
     return np.minimum(np.maximum(k, 0), len(edges) - 2)
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import DomainError, ParamsOutOfRange
 from .frontiers import INF, Frontier, gap_argmax, midpoint_concavity_slack
+from .quadrature import cell_index
 from .report import VerificationReport
 from .technology import Technology
 
@@ -200,19 +201,19 @@ class _PiecewiseFrontier(Frontier):
         self.pieces = pieces
         self.domain = (pieces[0].lo, pieces[-1].hi)
         self.knots = tuple(p.lo for p in pieces[1:])
-        self._his = np.array([p.hi for p in pieces])
+        self._edges = np.array([pieces[0].lo, *(p.hi for p in pieces)])
         if peak is not None:
             self._peak = float(peak)
 
     def _dispatch(self, u, what: str, side: str = "left"):
         """Piece ``what`` ('val' or 'der') at in-domain ``u``, in the shape of ``u``.
 
-        A join belongs to the piece on its ``side``: a point goes to the first
-        piece whose ``hi`` it does not exceed ("left") or that exceeds it
-        ("right"). Batch pieces get all their points in one call.
+        A join belongs to the piece on its ``side``: the piece below it
+        ("left") or above it ("right"). Batch pieces get all their points in
+        one call.
         """
         us = np.atleast_1d(np.asarray(u, dtype=float))
-        idx = np.minimum(np.searchsorted(self._his, us, side=side), len(self.pieces) - 1)
+        idx = cell_index(self._edges, us, side)
         out = np.empty_like(us)
         for i in set(idx.tolist()):
             piece = self.pieces[i]

@@ -12,6 +12,7 @@ expectation check builds one `NodePlan`, running integrals included.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -59,35 +60,15 @@ def stieltjes_ibp(nu: MeasureOnTime, L0: float, l, T: float):
 
 @dataclass
 class SupergradientProfile:
-    """Supergradient paths for F0 along x and F1 along X, per grid cell.
+    """Supergradient paths ``phi0_t`` of F0 along x and ``phi1_t`` of F1
+    along X, each a function of an array of times, on the grid ``edges``.
 
-    Per-cell constant values (with tail constants beyond the horizon) are the
-    canonical representation; optional callables override them for smooth
-    exact-derivative profiles, which then leave the cells unset.
+    A per-cell path is ``lambda t: step_value(edges, cells, tail, t)``.
     """
 
     edges: np.ndarray
-    phi0_cells: np.ndarray | None = None
-    phi1_cells: np.ndarray | None = None
-    phi0_tail: float = 0.0
-    phi1_tail: float = 0.0
-    phi0_fn: object | None = None
-    phi1_fn: object | None = None
-
-    def __post_init__(self):
-        for cells, fn in ((self.phi0_cells, self.phi0_fn), (self.phi1_cells, self.phi1_fn)):
-            if cells is None and fn is None:
-                raise ValueError("phi0 and phi1 each need per-cell values or a callable")
-
-    def phi0(self, t):
-        if self.phi0_fn is not None:
-            return np.asarray(self.phi0_fn(np.asarray(t, dtype=float)), dtype=float)
-        return step_value(self.edges, self.phi0_cells, self.phi0_tail, t)
-
-    def phi1(self, t):
-        if self.phi1_fn is not None:
-            return np.asarray(self.phi1_fn(np.asarray(t, dtype=float)), dtype=float)
-        return step_value(self.edges, self.phi1_cells, self.phi1_tail, t)
+    phi0: Callable[[np.ndarray], np.ndarray]
+    phi1: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
     def exact(cls, m: Mechanism, tech: Technology) -> "SupergradientProfile":
@@ -97,12 +78,11 @@ class SupergradientProfile:
         continuation promise continuously.
         """
         d0 = lambda u: tech.f0.deriv(u, "right")
-        d1 = lambda u: tech.f1.deriv(u, "right")
+        cells, tail = d0(m.x0), float(d0(m.x0_tail))
         return cls(
             edges=m.edges,
-            phi0_cells=d0(m.x0),
-            phi0_tail=float(d0(m.x0_tail)),
-            phi1_fn=lambda t: d1(m.X0_at(t)),
+            phi0=lambda t: step_value(m.edges, cells, tail, t),
+            phi1=lambda t: tech.f1.deriv(m.X0_at(t), "right"),
         )
 
     def validity_flags(self, m: Mechanism, tech: Technology) -> np.ndarray:

@@ -29,6 +29,7 @@ from frontierkit.mechanism import (
     payoff_affine_rewrite,
 )
 from frontierkit.mixture import FrontierDistribution, mixture_value
+from frontierkit.quadrature import step_value
 from frontierkit.smoothing import build_sequence
 from frontierkit.technology import effort_star, verify_ui_assumptions
 from frontierkit.variational import (
@@ -271,13 +272,11 @@ def test_07_gateaux():
 
 def test_08_euler():
     edges = np.linspace(0.0, 4.0, 41)
-    n = len(edges) - 1
+    cells = -np.ones(len(edges) - 1)
     prof = SupergradientProfile(
         edges=edges,
-        phi0_cells=np.zeros(n),
-        phi1_cells=-np.ones(n),
-        phi1_tail=-1.0,
-        phi0_fn=lambda t: np.expm1(t),
+        phi0=np.expm1,
+        phi1=lambda t: step_value(edges, cells, -1.0, t),
     )
     G = BreakthroughDistribution.exponential(1.0)
     worst = float(np.nanmax(np.abs(euler_residual(prof, G))))

@@ -12,12 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from frontierkit import cli
 from frontierkit.cli import export_curves, load_config, main, run_suite
-from frontierkit.errors import ConfigError
+from frontierkit.errors import ConfigError, FrontierKitError
 
 
 class TestConfig:
@@ -251,6 +251,38 @@ def test_no_delay_on_the_config_box_exits_0_or_2_and_names_the_key(tmp_path_fact
         assert re.search(r"`[a-z.]+`", err), err
 
 
+def _interior(config) -> bool:
+    """Whether ``config`` builds a technology whose u1 is interior (u1 > 0)."""
+    cfg = cli.InstanceConfig(
+        config["lambda"], config["w"], config["phi"]["exponent"], config["kappa"]["exponent"], config["rate"]
+    )
+    try:
+        return cfg.technology().u1 > 0.0
+    except FrontierKitError:
+        return False
+
+
+# u1 is small against u0: the random flows keep X0 above it, so only the
+# deadline witness gains strictly
+_SMALL_U1 = {
+    "lambda": 1.5,
+    "w": 1.5,
+    "phi": {"kind": "power", "exponent": 0.125},
+    "kappa": {"kind": "power", "exponent": 3.0},
+    "rate": 1.0,
+}
+
+
+@given(config=_BOX.filter(_interior))
+@example(config=_SMALL_U1)
+@settings(
+    max_examples=30, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.filter_too_much]
+)
+def test_no_delay_on_the_interior_box_exits_0_or_2_and_names_the_key(tmp_path_factory, config):
+    # at an interior u1 the improvement must be strict somewhere
+    run_on_config(tmp_path_factory, config, ["verify", "no-delay", "--trials", "20"])
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -258,8 +290,23 @@ def test_no_delay_on_the_config_box_exits_0_or_2_and_names_the_key(tmp_path_fact
         ["verify", "saddle", "--trials", "3"],
         ["export", "--what", "frontiers"],
         ["solve-deadline", "--promise", "0.2"],
+        ["smooth"],
+        ["export", "--what", "smoothing"],
+        ["export", "--what", "mechanism"],
+        ["export", "--what", "residuals"],
+        ["frontier"],
     ],
-    ids=["verify-ui-assns", "verify-saddle", "export-frontiers", "solve-deadline"],
+    ids=[
+        "verify-ui-assns",
+        "verify-saddle",
+        "export-frontiers",
+        "solve-deadline",
+        "smooth",
+        "export-smoothing",
+        "export-mechanism",
+        "export-residuals",
+        "frontier",
+    ],
 )
 def test_commands_on_the_config_box_exit_0_or_2_and_name_the_key(tmp_path_factory, argv):
     # the scalar effort solve runs in the peak identity, the derivative checks
@@ -309,9 +356,25 @@ class TestTimeGridOptions:
         assert rc == 2
         assert err == (
             "config error: `export --what smoothing` (levels 16, 32, 64) needs levels of 31 or more, "
-            "so that 1/n < (u0 - u1)/3\n"
+            "so that 1/n < (u0 - u1)/3; `lambda`, `w`, `phi.exponent` and `kappa.exponent` set "
+            "u0 - u1, and `smooth --n-list` builds other levels\n"
         )
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_export_smoothing_level_it_cannot_smooth_names_the_keys(self, tmp_path):
+        # every level passes 1/n < (u0 - u1)/3, but F0 no longer rises at u0 - 2/16
+        path = tmp_path / "flat.yaml"
+        path.write_text(
+            "lambda: 0.5311829644122512\nw: 14.822339651503583\n"
+            "phi: {kind: power, exponent: 0.9244385721021992}\n"
+            "kappa: {kind: power, exponent: 2.4630528824886135}\n"
+        )
+        rc, err = run_quietly(["export", "--what", "smoothing", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert err.startswith("config error: `export --what smoothing` (levels 16, 32, 64) level 16 cannot")
+        for key in ("`lambda`", "`w`", "`phi.exponent`", "`kappa.exponent`", "`smooth --n-list`"):
+            assert key in err
+        assert err.count("\n") == 1 and not list(tmp_path.glob("*.csv"))
 
 
 _STEPS = st.one_of(st.floats(0.01, 2.0), st.sampled_from([0.07, 0.0, -0.05, 1e-9, math.inf, math.nan]))
@@ -362,7 +425,17 @@ class TestSuites:
         assert "overall: PASS" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "suite, trials", [("saddle", 1000), ("ibp", 1000), ("euler", 1000), ("gateaux", 100)]
+        "suite, trials",
+        [
+            ("saddle", 1000),
+            ("ibp", 1000),
+            ("euler", 1000),
+            ("gateaux", 100),
+            ("ui-assns", 1000),
+            ("concavity", 1000),
+            ("no-delay", 100),
+            ("smoothing", 1000),
+        ],
     )
     def test_suite_stdout_is_pinned(self, capsys, suite, trials):
         # byte for byte: guards the gap classifier's probe windows, the
@@ -371,6 +444,27 @@ class TestSuites:
         assert main(["verify", suite, "--trials", str(trials)]) == 0
         out, err = capsys.readouterr()
         assert out == expected and err == ""
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [(["frontier"], "frontier"), (["solve-deadline", "--promise", "0.2"], "solve_deadline_0.2")],
+        ids=["frontier", "solve-deadline"],
+    )
+    def test_command_stdout_is_pinned(self, capsys, argv, name):
+        expected = (Path(__file__).parent / "data" / f"{name}.txt").read_text()
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == expected and err == ""
+
+    def test_smooth_stdout_and_report_are_pinned(self, tmp_path, monkeypatch, capsys):
+        # the stored stdout names its CSV files under the relative directory o
+        data = Path(__file__).parent / "data"
+        monkeypatch.chdir(tmp_path)
+        assert main(["smooth", "--out", "o"]) == 0
+        out, err = capsys.readouterr()
+        assert out == (data / "smooth.txt").read_text() and err == ""
+        report = (tmp_path / "o" / "smoothing_report.txt").read_text()
+        assert report == (data / "smoothing_report.txt").read_text()
 
     def test_mixture_suite_at_its_default_trials(self, capsys):
         # the stdout of `verify mixture` before its level search interpolated

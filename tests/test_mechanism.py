@@ -24,7 +24,6 @@ from frontierkit.mechanism import (
     payoff,
     payoff_affine_rewrite,
     pi_G,
-    promised_utility,
 )
 
 GRID = TimeGrid(horizon=6.0, step=0.05, r=1.0)
@@ -67,9 +66,9 @@ class TestTimeGrid:
 class TestPromisedUtility:
     def test_constant_paths_are_fixed_points(self):
         n = GRID.n_cells
-        X = promised_utility(np.full(n, 0.5), GRID, x0_tail=0.5)
+        X = Mechanism.from_grid(GRID, np.full(n, 0.5), x0_tail=0.5).X0_edges
         assert np.allclose(X, 0.5, atol=1e-12)
-        X = promised_utility(np.zeros(n), GRID)
+        X = Mechanism.from_grid(GRID, np.zeros(n)).X0_edges
         assert np.allclose(X, 0.0, atol=1e-14)
 
     def test_deadline_path_closed_form(self, default_tech):
@@ -87,13 +86,10 @@ class TestPromisedUtility:
         n = GRID.n_cells
         x = rng.uniform(0.0, 0.5, n)
         y = rng.uniform(0.0, 0.5, n)
-        Xx = promised_utility(x, GRID)
-        Xy = promised_utility(y, GRID)
-        assert np.allclose(
-            promised_utility(0.3 * x + 0.7 * y, GRID), 0.3 * Xx + 0.7 * Xy, atol=1e-12
-        )
-        hi = np.maximum(x, y)
-        assert np.all(promised_utility(hi, GRID) >= np.maximum(Xx, Xy) - 1e-12)
+        X0_edges = lambda x0: Mechanism.from_grid(GRID, x0).X0_edges
+        Xx, Xy = X0_edges(x), X0_edges(y)
+        assert np.allclose(X0_edges(0.3 * x + 0.7 * y), 0.3 * Xx + 0.7 * Xy, atol=1e-12)
+        assert np.all(X0_edges(np.maximum(x, y)) >= np.maximum(Xx, Xy) - 1e-12)
 
     def test_continuity_across_cells(self):
         rng = np.random.default_rng(4)

@@ -1,6 +1,8 @@
 """The time axis: measures, cell lookup, Gauss-Legendre rules, bisection."""
 
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bisect_reference
-from frontierkit import BreakthroughDistribution, MeasureOnTime
+import frontierkit
+from frontierkit import BreakthroughDistribution, MeasureOnTime, PiecewiseLinearFrontier
 from frontierkit.quadrature import NodePlan, cell_index, cumulative, integration_edges, step_value
 from frontierkit.variational import stieltjes_ibp
 
@@ -177,6 +180,22 @@ class TestCellLookup:
         edges = np.array([0.0, 1.0, 2.0, 4.0])
         t = np.array([-1.0, 0.0, 0.5, 1.0, 3.9, 4.0, 9.0])
         assert cell_index(edges, t).tolist() == [0, 0, 0, 1, 2, 2, 2]
+        # with side="left" an edge belongs to the cell below it
+        assert cell_index(edges, t, side="left").tolist() == [0, 0, 0, 0, 2, 2, 2]
+
+    def test_searchsorted_occurs_only_in_cell_index(self):
+        # one cell lookup: every other module calls cell_index
+        src = Path(frontierkit.__file__).parent
+        counts = {p.name: p.read_text().count("searchsorted") for p in sorted(src.rglob("*.py"))}
+        assert {name: n for name, n in counts.items() if n} == {"quadrature.py": 1}
+        assert "np.searchsorted(" in inspect.getsource(cell_index)
+
+    def test_piecewise_linear_kinks_take_the_slope_on_their_side(self):
+        f = PiecewiseLinearFrontier([0.0, 1.0, 2.0, 4.0], [0.0, 2.0, 3.0, 3.0])
+        us = np.array([0.5, 1.0, 1.5, 2.0, 3.0])
+        assert f.deriv(us, "left").tolist() == [2.0, 2.0, 1.0, 1.0, 0.0]
+        assert f.deriv(us, "right").tolist() == [2.0, 1.0, 1.0, 0.0, 0.0]
+        assert [f.left_deriv(1.0), f.right_deriv(1.0)] == [2.0, 1.0]
 
     def test_step_value_switches_to_tail_at_last_edge(self):
         edges = np.array([0.0, 1.0, 2.0])

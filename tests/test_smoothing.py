@@ -314,6 +314,23 @@ def test_a_broken_join_fails_the_model_assumptions():
         assert not rep["model-assumptions-n16"].passed
 
 
+@pytest.mark.parametrize("tech", [quad_tech(), kinked_tech()], ids=["quadratic", "kinked"])
+def test_a_join_belongs_to_the_piece_on_the_side_read(tech):
+    # each piece's slope is replaced by its index, which the dispatch returns
+    pair = build_smooth_pair(tech, SmoothingParams.auto(tech, 16))
+    for f in (pair.f0n, pair.f1n):
+        marked = f
+        for i in range(len(f.pieces)):
+            marked = with_piece(marked, i, der=lambda u, i=i: 0.0 * u + i)
+        joins = np.array(f.knots)
+        inside = np.array([0.5 * (p.lo + p.hi) if np.isfinite(p.hi) else p.lo + 1.0 for p in f.pieces])
+        below = np.arange(len(joins), dtype=float)
+        assert marked._derivs(joins, "left").tolist() == below.tolist()
+        assert marked._derivs(joins, "right").tolist() == (below + 1.0).tolist()
+        for side in ("left", "right"):
+            assert marked._derivs(inside, side).tolist() == list(range(len(f.pieces)))
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_slopes_inside_a_piece_fail_the_uniform_bounds(bad):
     tech = quad_tech()

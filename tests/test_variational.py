@@ -3,6 +3,7 @@ import json
 import math
 import re
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from frontierkit import (
     Technology,
 )
 from frontierkit import mechanism, technology
-from frontierkit.quadrature import NodePlan
+from frontierkit.quadrature import NodePlan, step_value
 from frontierkit.mechanism import BreakthroughDistribution, Mechanism, TimeGrid
 from frontierkit.variational import (
     MeasureOnTime,
@@ -34,6 +35,25 @@ from frontierkit.variational import (
 )
 
 GRID = TimeGrid(horizon=2.0, step=0.25, r=1.0)
+
+
+def cell_profile(edges, phi0_cells, phi1_cells, phi0_tail=0.0, phi1_tail=0.0):
+    """A profile constant on each cell of ``edges``, with tails past the last edge."""
+    return SupergradientProfile(
+        edges=edges,
+        phi0=lambda t: step_value(edges, phi0_cells, phi0_tail, t),
+        phi1=lambda t: step_value(edges, phi1_cells, phi1_tail, t),
+    )
+
+
+def exact_euler_profile(edges):
+    # G = Exp(1), phi1 = -1, phi0(t) = G/(1-G) = e^t - 1 solves the equation
+    n = len(edges) - 1
+    return SupergradientProfile(
+        edges=edges,
+        phi0=np.expm1,
+        phi1=lambda t: step_value(edges, -np.ones(n), -1.0, t),
+    )
 
 
 def quad_tech():
@@ -102,40 +122,23 @@ class TestStieltjesIBP:
 
 class TestEulerResidual:
     def test_zero_profile(self):
-        prof = SupergradientProfile(
-            edges=GRID.edges,
-            phi0_cells=np.zeros(GRID.n_cells),
-            phi1_cells=np.zeros(GRID.n_cells),
-        )
+        prof = cell_profile(GRID.edges, np.zeros(GRID.n_cells), np.zeros(GRID.n_cells))
         res = euler_residual(prof, BreakthroughDistribution.exponential(1.0))
         assert np.allclose(res, 0.0, atol=0)
 
     def test_construct_and_check_exponential(self):
-        # G = Exp(1), phi1 = -1, phi0(t) = G/(1-G) = e^t - 1 solves the equation
-        edges = np.linspace(0.0, 4.0, 41)
-        n = len(edges) - 1
-        prof = SupergradientProfile(
-            edges=edges,
-            phi0_cells=np.zeros(n),
-            phi1_cells=-np.ones(n),
-            phi1_tail=-1.0,
-            phi0_fn=lambda t: np.expm1(t),
-        )
+        prof = exact_euler_profile(np.linspace(0.0, 4.0, 41))
         res = euler_residual(prof, BreakthroughDistribution.exponential(1.0))
         assert np.nanmax(np.abs(res)) < 1e-9
 
     def test_single_cell_perturbation_is_local_and_exact(self):
         G = BreakthroughDistribution.exponential(1.0)
         edges, n = GRID.edges, GRID.n_cells
-        base = SupergradientProfile(
-            edges=edges, phi0_cells=np.zeros(n), phi1_cells=np.zeros(n)
-        )
+        base = cell_profile(edges, np.zeros(n), np.zeros(n))
         eps, j = 0.01, 3
         bumped_cells = np.zeros(n)
         bumped_cells[j] = eps
-        bumped = SupergradientProfile(
-            edges=edges, phi0_cells=bumped_cells, phi1_cells=np.zeros(n)
-        )
+        bumped = cell_profile(edges, bumped_cells, np.zeros(n))
         delta = euler_residual(bumped, G) - euler_residual(base, G)
         expected = np.zeros(n + 1)
         expected[j] = eps * G.sf(float(edges[j]))  # cell value read at its left edge
@@ -145,21 +148,18 @@ class TestEulerResidual:
         G = mixed_G()
         rng = np.random.default_rng(9)
         edges, n = GRID.edges, GRID.n_cells
-        mk = lambda p0, p1: SupergradientProfile(
-            edges=edges, phi0_cells=p0, phi1_cells=p1,
-            phi0_tail=float(p0[-1]), phi1_tail=float(p1[-1]),
-        )
+        mk = lambda p0, p1: cell_profile(edges, p0, p1, float(p0[-1]), float(p1[-1]))
         a0, a1 = rng.normal(size=n), rng.normal(size=n)
         b0, b1 = rng.normal(size=n), rng.normal(size=n)
         combo = euler_residual(mk(2 * a0 + 3 * b0, 2 * a1 + 3 * b1), G)
         split = 2 * euler_residual(mk(a0, a1), G) + 3 * euler_residual(mk(b0, b1), G)
         assert np.allclose(combo, split, atol=1e-12)
 
-    def test_profile_needs_cells_or_a_callable_for_each_path(self):
-        with pytest.raises(ValueError, match="per-cell values or a callable"):
-            SupergradientProfile(edges=GRID.edges, phi0_cells=np.zeros(GRID.n_cells))
-        with pytest.raises(ValueError, match="per-cell values or a callable"):
-            SupergradientProfile(edges=GRID.edges, phi1_fn=np.zeros_like)
+    def test_profile_needs_both_paths(self):
+        with pytest.raises(TypeError, match="phi1"):
+            SupergradientProfile(edges=GRID.edges, phi0=np.zeros_like)
+        with pytest.raises(TypeError, match="phi0"):
+            SupergradientProfile(edges=GRID.edges, phi1=np.zeros_like)
 
 
 class TestIntegrability:
@@ -167,15 +167,7 @@ class TestIntegrability:
         r = 2.0
         grid = TimeGrid(horizon=2.0, step=0.25, r=r)
         m = Mechanism.from_grid(grid, np.full(grid.n_cells, 0.3), x0_tail=0.3)
-        edges = np.linspace(0.0, 6.0, 61)
-        n = len(edges) - 1
-        prof = SupergradientProfile(
-            edges=edges,
-            phi0_cells=np.zeros(n),
-            phi1_cells=-np.ones(n),
-            phi1_tail=-1.0,
-            phi0_fn=lambda t: np.expm1(t),
-        )
+        prof = exact_euler_profile(np.linspace(0.0, 6.0, 61))
         G = BreakthroughDistribution.exponential(1.0)
         rep = integrability_bounds(prof, G, m, quad_tech(), probe_u=0.4)
         assert rep.phi1_abs_expectation == pytest.approx(1.0, abs=1e-8)
@@ -185,10 +177,7 @@ class TestIntegrability:
     def test_zero_phi0(self):
         m = Mechanism.from_grid(GRID, np.full(GRID.n_cells, 0.3))
         n = GRID.n_cells
-        prof = SupergradientProfile(
-            edges=GRID.edges, phi0_cells=np.zeros(n), phi1_cells=np.full(n, -0.5),
-            phi1_tail=-0.5,
-        )
+        prof = cell_profile(GRID.edges, np.zeros(n), np.full(n, -0.5), phi1_tail=-0.5)
         rep = integrability_bounds(
             prof, BreakthroughDistribution.exponential(1.0), m, quad_tech(), 0.4
         )
@@ -276,8 +265,8 @@ class TestGateaux:
         tech = quad_tech()
         rng = np.random.default_rng(4)
         m, m_dag = random_mechanism(rng), random_mechanism(rng)
-        prof = SupergradientProfile.exact(m, tech)
-        prof.phi0_cells = prof.phi0_cells + 0.1
+        exact = SupergradientProfile.exact(m, tech)
+        prof = replace(exact, phi0=lambda t: exact.phi0(t) + 0.1)
         with pytest.raises(InvalidProfile, match="not a supergradient"):
             gateaux_closed_form(m, m_dag, prof, tech, mixed_G())
 
@@ -290,10 +279,10 @@ class TestGateaux:
         m = Mechanism.from_grid(GRID, np.full(n, 0.3), x0_tail=0.3)
         m_dag = Mechanism.from_grid(GRID, np.full(n, 0.5), x0_tail=0.5)
         # any slope in [0.2, 0.8] is a valid supergradient at the kink
-        prof = SupergradientProfile(
-            edges=GRID.edges,
-            phi0_cells=np.full(n, 0.5),
-            phi1_cells=np.array(
+        prof = cell_profile(
+            GRID.edges,
+            np.full(n, 0.5),
+            np.array(
                 [tech.f1.right_deriv(float(u)) for u in
                  m.X0_at(0.5 * (GRID.edges[:-1] + GRID.edges[1:]))]
             ),
@@ -570,7 +559,7 @@ def test_exact_phi0_is_the_derivative_along_the_flow(default_tech):
 
 
 def test_exact_profile_makes_no_effort_solve(default_tech, monkeypatch):
-    # phi1 is read through phi1_fn only, so the profile holds no per-cell F1
+    # phi1 is read through F1's slope at X0_at(t) only, so the profile holds no per-cell F1
     # slopes, each of which would cost a scalar effort solve
     calls = []
     for name in ("effort_star", "effort_star_array"):
