@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from .mechanism import (
     BreakthroughDistribution,
     Mechanism,
     TimeGrid,
+    _pinned,
     deadline_for_promise,
     dominance_check,
     make_deadline_mechanism,
@@ -308,7 +309,7 @@ def _suite_no_delay(cfg, rng, trials, grid) -> VerificationReport:
         # the draws keep X0 above a small u1; a deadline flow's X0 falls to 0
         # after its deadline, where Exp(1) has mass, so lifting it must gain
         T = deadline_for_promise(0.5 * tech.u0, tech, grid)
-        deadline = replace(make_deadline_mechanism(T, tech, grid), u1=None)
+        deadline = _pinned(make_deadline_mechanism(T, tech, grid))
         g = gain(deadline, BreakthroughDistribution.exponential(1.0))
         worst_gain, strict_seen = min(worst_gain, g), g > 1e-9
         note += f", deadline witness gain {g:.3g}"

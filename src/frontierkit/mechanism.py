@@ -57,7 +57,7 @@ class BreakthroughDistribution(MeasureOnTime):
 
     def __post_init__(self):
         super().__post_init__()
-        if abs(self.total_mass() - 1.0) > 1e-12:
+        if not abs(self.total_mass() - 1.0) <= 1e-12:
             raise ValueError(f"total mass {self.total_mass()!r} is not 1")
 
     @staticmethod
@@ -148,6 +148,8 @@ class Mechanism:
         self.x0 = np.asarray(self.x0, dtype=float)
         if len(self.x0) != len(self.edges) - 1:
             raise ValueError("need one flow value per grid cell")
+        if not 0.0 < self.r < math.inf:
+            raise ValueError("r must be positive and finite")
         if np.any(np.diff(self.edges) <= 0):
             raise ValueError("edges must be strictly increasing")
         if self.X1_cells is not None:
@@ -205,15 +207,12 @@ class Mechanism:
         return replace(self, edges=edges, x0=self.x0[k], X1_cells=X1_cells)
 
 
-def make_deadline_mechanism(T: float, tech: Technology, grid: TimeGrid) -> Mechanism:
-    """Flow ``u0`` until the deadline, zero after; no-delay promise form."""
-    return _deadline_from_edges(T, tech, grid.edges, grid.r)
-
-
-def _deadline_from_edges(T: float, tech: Technology, edges, r: float) -> Mechanism:
-    edges = np.asarray(edges, dtype=float)
+def make_deadline_mechanism(T: float, tech: Technology, grid: TimeGrid | Mechanism) -> Mechanism:
+    """Flow ``u0`` until the deadline, zero after; no-delay promise form. Reads
+    only ``grid.edges`` and ``grid.r``, so a `Mechanism` serves as its grid."""
     if T < 0:
         raise ValueError("deadline must be nonnegative")
+    edges, r = grid.edges, grid.r
     if math.isinf(T):
         x0 = np.full(len(edges) - 1, tech.u0)
         return Mechanism(edges=edges, x0=x0, r=r, x0_tail=tech.u0, u1=tech.u1)
@@ -223,7 +222,7 @@ def _deadline_from_edges(T: float, tech: Technology, edges, r: float) -> Mechani
     return Mechanism(edges=edges, x0=x0, r=r, x0_tail=0.0, u1=tech.u1)
 
 
-def deadline_for_promise(v: float, tech: Technology, grid: TimeGrid) -> float:
+def deadline_for_promise(v: float, tech: Technology, grid: TimeGrid | Mechanism) -> float:
     """The deadline whose mechanism delivers initial promise ``v``.
 
     Inverts ``v = u0 * (1 - e^{-rT})``; ``v = u0`` maps to an infinite
@@ -244,6 +243,13 @@ def _with_promise(m: Mechanism, **promise) -> Mechanism:
     if "X0_edges" in vars(m):
         out.X0_edges = m.X0_edges
     return out
+
+
+def _pinned(m: Mechanism) -> Mechanism:
+    """``m`` with its promise pinned to its own continuation, ``X1 = X0``."""
+    if m.u1 is None and m.X1_cells is None and m.X1_tail is None:
+        return m
+    return _with_promise(m, u1=None, X1_cells=None, X1_tail=None)
 
 
 def no_delay_improve(m: Mechanism, tech: Technology) -> Mechanism:
@@ -285,9 +291,9 @@ def _crossing_knots(m: Mechanism, level: float) -> list[float]:
 class _PayoffPlan:
     """What the payoff quadrature of ``m`` needs of its grid and ``G``.
 
-    ``quad`` holds the nodes of ``E_G`` on ``[0, T_max]``, up to the last
-    structural time, split at m's edges, where X0 crosses ``u1`` and at G's
-    knots.
+    ``quad`` holds the nodes of ``E_G`` on ``[0, T_max]``, split at the
+    knots: m's edges, where X0 crosses ``u1`` and G's knots, the last of
+    which is ``T_max``.
     ``at`` places the F1 evaluation times on the grid: the nodes and, for
     G's tail, ``T_max + 1``. ``disc`` is ``e^{-rt}`` at the nodes and
     ``tail_disc`` is ``e^{-r T_max}``. Each comes from the expression, and
@@ -296,23 +302,14 @@ class _PayoffPlan:
     """
 
     def __init__(self, m: Mechanism, G: BreakthroughDistribution):
-        knots = list(m.edges) + _crossing_knots(m, m.u1)
-        self.T_max = T_max = G.finite_cutoff(extra=max(knots))
-        edges = np.unique(
-            np.concatenate([[0.0, T_max], np.asarray(knots + list(G.knots))])
-        )
-        edges = edges[(edges >= 0.0) & (edges <= T_max)]
-        self.quad = NodePlan.build(G, edges)
+        knots = [*m.edges, *_crossing_knots(m, m.u1), *G.knots]
+        self.T_max = T_max = max(knots)
+        edges = np.unique(np.concatenate([[0.0], knots]))
+        self.quad = NodePlan.build(G, edges[edges >= 0.0])
         times = np.concatenate([self.quad.nodes, [T_max + 1.0] if G.tail_mass > 0 else []])
         self.at = _GridTimes(m.edges, m.r, times)
         self.disc = np.exp(-m.r * self.quad.nodes)
         self.tail_disc = float(np.exp(-m.r * np.array([T_max]))[0])
-
-    def serves(self, m: Mechanism) -> bool:
-        """Whether ``m`` is on this plan's grid. Crossing knots are not
-        compared: only paths with the promise pinned to X0, which have none,
-        share a plan."""
-        return m.r == self.at.r and np.array_equal(m.edges, self.at.edges)
 
     def expect(self, rows: np.ndarray, tail) -> list[float]:
         """``E_G[h(tau)]`` for each row of h at the nodes, h smooth between the
@@ -338,15 +335,22 @@ def payoff(m: Mechanism, tech: Technology, G: BreakthroughDistribution) -> float
     pieces by per-cell Gauss-Legendre (the integrand is smooth between the
     merged knots). ``tech.f1.value`` is called once (see `_payoffs`).
     """
-    return _payoffs([m], tech, _PayoffPlan(m, G))[0]
+    return _payoffs([m], tech, G)[0]
 
 
-def _payoffs(mechs, tech: Technology, plan: _PayoffPlan) -> list[float]:
-    """`payoff` of each path in ``mechs``, all on ``plan``'s grid, as the rows
-    of one array pass: one F0 call, one promise recursion for the paths not
-    cached yet and one ``tech.f1.value`` call, so one effort solve. Every
-    step is elementwise or runs along a row, so each row has the bits of its
-    path alone."""
+def _payoffs(mechs, tech: Technology, G: BreakthroughDistribution) -> list[float]:
+    """`payoff` of each path in ``mechs``, as the rows of one array pass on
+    the one `_PayoffPlan` of ``mechs[0]``: one F0 call, one promise recursion
+    for the paths not cached yet and one ``tech.f1.value`` call, so one
+    effort solve. Every step is elementwise or runs along a row, so each row
+    has the bits of its path alone. The plan splits at the first path's
+    edges and at its crossings of ``u1``, so several paths must share one
+    grid and rate and have no ``u1``."""
+    plan = _PayoffPlan(mechs[0], G)
+    if len(mechs) > 1 and any(
+        m.u1 is not None or m.r != plan.at.r or not np.array_equal(m.edges, plan.at.edges) for m in mechs
+    ):
+        raise ValueError("the paths of one payoff pass need one grid and rate, and no u1")
     at, n, r = plan.at, plan.quad.nodes.size, plan.at.r
     x0 = np.array([m.x0 for m in mechs])
     x0_tails = np.array([[m.x0_tail] for m in mechs])
@@ -424,26 +428,7 @@ def pi_G(x0_mech: Mechanism, tech: Technology, G: BreakthroughDistribution) -> f
     This is the objective whose concavity and Gateaux derivative the
     variational checks exercise: ``X = X0`` (no separate promise choice).
     """
-    return _pinned_payoffs([x0_mech], tech, G)[0]
-
-
-def _pinned_payoffs(mechs, tech: Technology, G: BreakthroughDistribution) -> list[float]:
-    """`pi_G` of each flow path in ``mechs``, in order.
-
-    With the promise pinned to X0 there are no crossing knots, so the payoff
-    plan depends on the grid and G alone: a run of consecutive paths on one
-    grid, such as a finite-difference sweep, shares one plan, which lives for
-    this call, and is evaluated as the rows of one `_payoffs` pass.
-    """
-    out, run, plan = [], [], None
-    for m in mechs:
-        if m.u1 is not None or m.X1_cells is not None or m.X1_tail is not None:
-            m = _with_promise(m, u1=None, X1_cells=None, X1_tail=None)
-        if plan is None or not plan.serves(m):
-            out += _payoffs(run, tech, plan) if run else []
-            run, plan = [], _PayoffPlan(m, G)
-        run.append(m)
-    return out + (_payoffs(run, tech, plan) if run else [])
+    return payoff(_pinned(x0_mech), tech, G)
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +458,11 @@ def dominance_check(m: Mechanism, tech: Technology, G_family) -> "VerificationRe
 
     rep = VerificationReport("no-delay")
     _require_affine_f0(tech)
-    if not m.no_delay_form or np.any(m.x0 > tech.u0 + 1e-12):
+    if not m.no_delay_form or np.any(m.x0 > tech.u0 + 1e-12) or m.x0_tail > tech.u0 + 1e-12:
         raise PreconditionViolation("mechanism must be normalized first")
 
     v = float(m.X0_edges[0])
-    T = -math.log1p(-min(v / tech.u0, 1.0 - 1e-15)) / m.r if v < tech.u0 else INF
-    twin = _deadline_from_edges(T, tech, m.edges, m.r)
+    twin = make_deadline_mechanism(deadline_for_promise(v, tech, m), tech, m)
 
     rep.add(
         "same-initial-promise",

@@ -41,7 +41,7 @@ class FrontierDistribution:
         probs = np.array([p for _, p in self.support], dtype=float)
         if np.any(probs <= 0):
             raise ValueError("probabilities must be strictly positive")
-        if abs(probs.sum() - 1.0) > _PROB_TOL:
+        if not abs(probs.sum() - 1.0) <= _PROB_TOL:  # NaN fails
             raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
 
     @property

@@ -16,9 +16,10 @@ Quadrature rules, shared by `mechanism` and `variational`:
 - Expectations add atoms exactly to the density integral. A `NodePlan` holds
   what an expectation on one edge set needs of ``G`` (the nodes, then the
   atoms, G's density at the nodes and the half-widths), so that many
-  integrands share one build: `mechanism` builds one per payoff or run of
-  `pi_G` on one grid, and `variational` one per check, whose running
-  integrals apply `cumulative`'s rule at the plan's nodes (`NodePlan.running`).
+  integrands share one build: `mechanism` builds one per payoff pass (one
+  path, or the rows of a sweep on one grid), and `variational` one per
+  check, whose running integrals apply `cumulative`'s rule at the plan's
+  nodes (`NodePlan.running`).
 - An improper horizon is truncated ``37 / r`` past the last knot, where
   ``e^{-rt}`` is below machine scale, and the far region is subdivided at the
   decay scale ``2 / max(r, decay)`` (`integration_edges`). Where the
@@ -79,20 +80,24 @@ class MeasureOnTime:
     tail_start: float = 0.0
 
     def __post_init__(self):
+        # each bound is written so that NaN fails it
         for t, m in self.atoms:
-            if t < 0 or m < 0:
-                raise ValueError("atoms need nonnegative times and masses")
+            if not (0.0 <= t < math.inf and 0.0 <= m < math.inf):
+                raise ValueError("atoms need finite nonnegative times and masses")
         if (self.density_edges is None) != (self.density_values is None):
             raise ValueError("density edges and values must come together")
         if self.density_edges is not None:
             e = np.asarray(self.density_edges, dtype=float)
             v = np.asarray(self.density_values, dtype=float)
-            if len(e) != len(v) + 1 or np.any(np.diff(e) <= 0) or np.any(v < 0):
+            finite = np.all(np.isfinite(e)) and np.all(np.isfinite(v))
+            if len(e) != len(v) + 1 or not (finite and np.all(np.diff(e) > 0) and np.all(v >= 0)):
                 raise ValueError("malformed piecewise-constant density")
             object.__setattr__(self, "density_edges", e)
             object.__setattr__(self, "density_values", v)
             if self.tail_mass > 0 and self.tail_start < e[-1]:
                 raise ValueError("tail must start at or after the last density edge")
+        if not all(map(math.isfinite, (self.tail_mass, self.tail_rate, self.tail_start))):
+            raise ValueError("tail mass, rate and start must be finite")
         if self.tail_mass > 0 and self.tail_rate <= 0:
             raise ValueError("tail rate must be positive")
 
@@ -166,13 +171,6 @@ class MeasureOnTime:
         if self.tail_mass > 0:
             ks.append(self.tail_start)
         return tuple(sorted(set(ks)))
-
-    def finite_cutoff(self, extra: float = 0.0) -> float:
-        """Last structural time; beyond it only the analytic tail remains."""
-        times = [extra, self.tail_start] + [t for t, _ in self.atoms]
-        if self.density_edges is not None:
-            times.append(float(self.density_edges[-1]))
-        return max(times)
 
 
 # ---------------------------------------------------------------------------

@@ -104,15 +104,18 @@ def speculate(search: Callable, f: Callable[[np.ndarray], np.ndarray], guess: fl
     ``x - guess`` (right where ``f`` increases through its root at
     ``guess``), recording that point. One ``f`` call then evaluates the
     recorded points, and the guess moves to the secant root of the tightest
-    bracket of real values. A pass that records no point ran on real values
-    only, so its result, or its exception, is the one-point search's. An
-    exception in a pass that recorded points is dropped with its predictions.
-    Any guess gives that result; a good one saves passes. Each pass follows
-    the real path at least one point further, so the loop ends.
+    bracket of real values. A predicted pass that returns has converged on
+    the guess, and the real path mostly ends within a few floats of it, so
+    the call also evaluates the guess and the 2 floats on either side. A pass
+    that records no point ran on real values only, so its result, or its
+    exception, is the one-point search's. An exception in a pass that
+    recorded points is dropped with its predictions. Any guess gives that
+    result; a good one saves passes. Each pass follows the real path at
+    least one point further, so the loop ends.
 
     ``f`` must be elementwise, give each element the bits of a one-point call,
     and be safe at points the one-point search never reaches: a predicted
-    pass can probe them.
+    pass, and the floats around a guess it converged on, can probe them.
     """
     known: dict[float, float] = {}
     while True:
@@ -133,6 +136,10 @@ def speculate(search: Callable, f: Callable[[np.ndarray], np.ndarray], guess: fl
         else:
             if not asked:
                 return out
+            near = [guess]
+            for _ in range(2):
+                near = [math.nextafter(near[0], -math.inf), *near, math.nextafter(near[-1], math.inf)]
+            asked.update(dict.fromkeys(near))
         known.update(zip(asked, f(np.array(list(asked))).tolist()))
         guess = _secant_root(known)
 

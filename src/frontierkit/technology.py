@@ -66,8 +66,8 @@ class PowerCost:
     """Effort cost ``kappa(L) = L**b`` with ``b > 1``."""
 
     def __init__(self, exponent: float):
-        if exponent <= 1.0:
-            raise ValueError("cost exponent must exceed 1")
+        if not 1.0 < exponent < math.inf:
+            raise ValueError("cost exponent must be finite and exceed 1")
         self.b = float(exponent)
 
     def kappa(self, L):
@@ -87,10 +87,10 @@ class MoralHazardPrimitives:
     kappa: PowerCost
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.w <= 0:
-            raise ValueError("w must be positive")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite")
+        if not 0.0 < self.w < math.inf:
+            raise ValueError("w must be positive and finite")
 
     @_quiet
     def validate(self) -> None:

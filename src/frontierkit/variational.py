@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidProfile, NonConvergent, PreconditionViolation
 from .frontiers import directional_deriv
-from .mechanism import BreakthroughDistribution, Mechanism, _pinned_payoffs
+from .mechanism import BreakthroughDistribution, Mechanism, _payoffs, _pinned
 from .quadrature import MeasureOnTime, NodePlan, cumulative, integration_edges, step_value, subdivide
 from .technology import Technology
 
@@ -269,7 +269,7 @@ def gateaux_fd(
     nonincreasing in alpha, so the last three are extrapolated to alpha = 0.
     All the payoffs share one grid, so they share one payoff plan.
     """
-    m, m_dag = _align(m, m_dag)
+    m, m_dag = (_pinned(p) for p in _align(m, m_dag))
     blends = [
         replace(
             m,
@@ -278,7 +278,7 @@ def gateaux_fd(
         )
         for a in FD_ALPHAS
     ]
-    base, *vals = _pinned_payoffs([m, *blends], tech, G)
+    base, *vals = _payoffs([m, *blends], tech, G)
     quots = [(a, (v - base) / a) for a, v in zip(FD_ALPHAS, vals)]
     diffs = [abs(q2 - q1) for (_, q1), (_, q2) in zip(quots[:-1], quots[1:])]
     if diffs[-1] > 10.0 * diffs[0] + 1e-6:
@@ -316,7 +316,7 @@ def strict_concavity_probe(
         raise ValueError("lam must lie strictly between 0 and 1")
     if G.tail_mass <= 0.0:
         raise PreconditionViolation("G must have an unbounded (exponential) tail")
-    m, m_dag = _align(m, m_dag)
+    m, m_dag = (_pinned(p) for p in _align(m, m_dag))
     valid = bool(
         np.max(np.abs(m.x0 - m_dag.x0)) > 1e-12
         or abs(m.x0_tail - m_dag.x0_tail) > 1e-12
@@ -326,6 +326,6 @@ def strict_concavity_probe(
         x0=lam * m.x0 + (1 - lam) * m_dag.x0,
         x0_tail=lam * m.x0_tail + (1 - lam) * m_dag.x0_tail,
     )
-    at_blend, at_m, at_dag = _pinned_payoffs([blend, m, m_dag], tech, G)
+    at_blend, at_m, at_dag = _payoffs([blend, m, m_dag], tech, G)
     gap = at_blend - (lam * at_m + (1 - lam) * at_dag)
     return gap, valid

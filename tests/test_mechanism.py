@@ -1,9 +1,12 @@
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import frontierkit
 from frontierkit import (
     AffineFrontier,
     NonFiniteValue,
@@ -408,6 +411,12 @@ def two_step_mechanism(tech, grid):
     return Mechanism.from_grid(grid, x0, u1=tech.u1)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf, 0.0])
+def test_mechanism_rate_must_be_positive_and_finite(r):
+    with pytest.raises(ValueError, match="r must"):
+        Mechanism(edges=[0.0, 1.0], x0=[0.1], r=r)
+
+
 class TestDominance:
     def test_two_step_strict_under_atom(self):
         tech = affine_tech()
@@ -453,3 +462,23 @@ class TestDominance:
             dominance_check(m, tech, [])
         m2 = normalize(m, tech)
         assert m2.no_delay_form
+
+    def test_a_tail_flow_above_u0_is_not_normalized(self):
+        tech = affine_tech()
+        m = Mechanism.from_grid(GRID, np.full(GRID.n_cells, 0.3), x0_tail=0.8, u1=tech.u1)
+        with pytest.raises(PreconditionViolation, match="normalized"):
+            dominance_check(m, tech, [BreakthroughDistribution.exponential(1.0)])
+        assert dominance_check(normalize(m, tech), tech, [BreakthroughDistribution.exponential(1.0)]).overall_pass
+
+
+class TestOnePayoffBody:
+    def test_payoff_plans_are_built_only_by_the_payoff_pass_and_the_rewrite(self):
+        src = Path(frontierkit.__file__).parent
+        counts = {p.name: p.read_text().count("_PayoffPlan(") for p in sorted(src.rglob("*.py"))}
+        assert {name: n for name, n in counts.items() if n} == {"mechanism.py": 2}
+        assert "_PayoffPlan(" in inspect.getsource(mechanism._payoffs)
+        assert "_PayoffPlan(" in inspect.getsource(mechanism.payoff_affine_rewrite)
+
+    def test_one_deadline_inversion(self):
+        assert Path(mechanism.__file__).read_text().count("log1p") == 1
+        assert "log1p" in inspect.getsource(mechanism.deadline_for_promise)

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -76,6 +77,12 @@ class TestMixtureValue:
         root = ParametricFrontier(np.sqrt, lambda u: 0.5 / np.sqrt(u), domain=(0.0, 4.0), peak=4.0)
         with np.errstate(divide="ignore"), pytest.raises(ValueError, match="finite slopes"):
             mixture_value(FrontierDistribution([(root, 1.0)]), 1.0)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_non_finite_probability_is_rejected(self, p):
+        f = QuadraticFrontier(-1.0, 2.0, -1.0)
+        with pytest.raises(ValueError, match="probabilities"):
+            FrontierDistribution([(f, 0.5), (f, p)])
 
     def test_empty_support(self):
         with pytest.raises(EmptySupport):

@@ -130,10 +130,9 @@ class TestMeasureOnTime:
         plan = NodePlan.build(nu, edges)
         assert plan.integrate(plan.pdf) == pytest.approx(0.4 * 0.5 + 0.8 + 0.6, abs=1e-12)
 
-    def test_knots_and_cutoff(self):
+    def test_knots(self):
         nu = full_measure()
         assert nu.knots == (0.0, 0.5, 0.7, 1.5, 2.0, 2.5)
-        assert nu.finite_cutoff() == 2.5
 
     def test_tail_before_density_end_is_rejected(self):
         with pytest.raises(ValueError, match="tail must start"):
@@ -143,6 +142,38 @@ class TestMeasureOnTime:
                 tail_mass=0.5,
                 tail_start=0.5,
             )
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_atom_time_is_rejected(self, t):
+        with pytest.raises(ValueError, match="atoms need"):
+            MeasureOnTime(atoms=((t, 0.5),))
+
+    @pytest.mark.parametrize("mass", [math.nan, math.inf])
+    def test_non_finite_atom_mass_is_rejected(self, mass):
+        with pytest.raises(ValueError, match="atoms need"):
+            MeasureOnTime(atoms=((1.0, mass),))
+
+    @pytest.mark.parametrize("edge", [math.nan, math.inf])
+    def test_non_finite_density_edge_is_rejected(self, edge):
+        with pytest.raises(ValueError, match="malformed"):
+            MeasureOnTime(density_edges=np.array([0.0, 1.0, edge]), density_values=np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_density_value_is_rejected(self, value):
+        with pytest.raises(ValueError, match="malformed"):
+            MeasureOnTime(density_edges=np.array([0.0, 1.0, 2.0]), density_values=np.array([0.5, value]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["tail_mass", "tail_rate", "tail_start"])
+    def test_non_finite_tail_is_rejected(self, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MeasureOnTime(**{"tail_rate": 1.0, "tail_mass": 0.5, "tail_start": 1.0, field: bad})
+
+    @pytest.mark.parametrize("atom", [(1.0, math.nan), (math.nan, 1.0)])
+    def test_non_finite_distribution_atom_is_rejected(self, atom):
+        # payoff and pi_G returned NaN, or raised "F1 is -inf", on these
+        with pytest.raises(ValueError):
+            BreakthroughDistribution(atoms=(atom,))
 
     def test_distribution_is_a_unit_mass_measure(self):
         G = BreakthroughDistribution.exponential(2.0)

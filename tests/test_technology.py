@@ -26,6 +26,8 @@ from frontierkit import (
     midpoint_concavity_slack,
     verify_ui_assumptions,
 )
+from frontierkit import technology
+from frontierkit.roots import solve_monotone
 from frontierkit.technology import effort_star_array
 
 
@@ -115,6 +117,28 @@ class TestEffortStar:
             - float(prims.kappa.kappa_prime(L))
         )
         assert residual < 1e-10
+
+    def test_most_default_solves_take_one_foc_call(self, default_prims, default_tech, monkeypatch):
+        # the first FOC call holds the guess and the 2 floats on either side
+        calls = []  # FOC calls per solve
+        replay = technology.speculate
+
+        def counting(search, f, guess):
+            calls.append(0)
+
+            def counted(L):
+                calls[-1] += 1
+                return f(L)
+
+            return replay(search, counted, guess)
+
+        monkeypatch.setattr(technology, "speculate", counting)
+        us = np.linspace(0.0, 3.0 * default_tech.u0, 400).tolist()
+        got = [effort_star(default_prims, u) for u in us]
+        with np.errstate(divide="ignore", over="ignore"):
+            want = [solve_monotone(lambda L: technology._foc_gap(default_prims, u, L), tol=0.0) for u in us]
+        assert [L.hex() for L in got] == [L.hex() for L in want]
+        assert calls.count(1) >= 0.9 * len(us)
 
     def test_vectorized_matches_scalar(self, default_prims):
         us = np.linspace(0.0, 2.0, 17)
@@ -394,6 +418,20 @@ class TestVerifyUiAssumptions:
         # at u0 = 0.5 a step is 1e-12, so a u1 off by 1e-10 fails
         off = dataclasses.replace(default_tech, u1=default_tech.u1 + 1e-10)
         assert not verify_ui_assumptions(off, [off.u0])["peak-identity"].passed
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["lam", "w"])
+def test_non_finite_primitives_are_rejected(field, bad):
+    kw = {"lam": 1.0, "w": 1.0, field: bad}
+    with pytest.raises(ValueError, match=f"{field} must"):
+        MoralHazardPrimitives(**kw, phi=PowerUtility(0.5), kappa=PowerCost(2.0))
+
+
+@pytest.mark.parametrize("b", [math.nan, math.inf])
+def test_non_finite_cost_exponent_is_rejected(b):
+    with pytest.raises(ValueError, match="cost exponent"):
+        PowerCost(b)
 
 
 def test_divergence_violation():

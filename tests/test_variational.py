@@ -466,16 +466,16 @@ class TestPayoffPlan:
         strict_concavity_probe(m, m_dag, 0.3, quad_tech(), mixed_G(1.2))
         self.check_one_plan_not_kept(plans)
 
-    def test_a_path_on_another_grid_gets_its_own_plan(self, plans):
+    def test_a_pass_over_paths_on_two_grids_raises(self):
+        # the pass builds one plan, from its first path
         rng = np.random.default_rng(7)
         tech, G = quad_tech(), mixed_G()
         coarse = random_mechanism(rng, TimeGrid(horizon=2.0, step=0.5, r=1.0))
-        paths = [random_mechanism(rng), coarse, random_mechanism(rng)]
-        assert mechanism._pinned_payoffs(paths, tech, G) == [
-            mechanism.pi_G(p, tech, G) for p in paths
-        ]
-        # three for the sweep (the grid changes twice), three for pi_G
-        assert len(plans) == 6
+        other_rate = random_mechanism(rng, TimeGrid(horizon=2.0, step=0.25, r=2.0))
+        no_delay = replace(random_mechanism(rng), u1=0.2)
+        for odd in (coarse, other_rate, no_delay):
+            with pytest.raises(ValueError, match="one grid and rate"):
+                mechanism._payoffs([random_mechanism(rng), odd], tech, G)
 
 
 class TestSweepRows:
@@ -494,7 +494,7 @@ class TestSweepRows:
         grid = TimeGrid(horizon=2.0, step=0.25, r=r)
         paths = [random_mechanism(rng, grid, 0.05 * tech.u0, 0.9 * tech.u0) for _ in range(n_paths)]
         G = pinned_G(rng, kind)
-        rows = mechanism._pinned_payoffs(paths, tech, G)
+        rows = mechanism._payoffs([mechanism._pinned(p) for p in paths], tech, G)
         alone = [mechanism.pi_G(p, tech, G) for p in paths]
         assert [x.hex() for x in rows] == [x.hex() for x in alone]
 
