@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -130,9 +131,9 @@ class Mechanism:
     """Flow path per cell plus a post-breakthrough promise convention.
 
     ``u1`` set means the no-delay form ``X1_t = max(X0_t, u1)``; otherwise
-    ``X1_cells``/``X1_tail`` give an explicit per-cell promise, and if both
-    are absent ``X1 = X0`` (the minimal promise allowed by the pointwise
-    incentive surrogate ``X1 >= X0``).
+    ``X1``, a function of an array of times, constant from the horizon on, is
+    an explicit promise, and if it is absent ``X1 = X0`` (the minimal promise
+    allowed by the pointwise incentive surrogate ``X1 >= X0``).
     """
 
     edges: np.ndarray
@@ -140,22 +141,19 @@ class Mechanism:
     r: float
     x0_tail: float = 0.0
     u1: float | None = None
-    X1_cells: np.ndarray | None = None
-    X1_tail: float | None = None
+    X1: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=float)
         self.x0 = np.asarray(self.x0, dtype=float)
         if len(self.x0) != len(self.edges) - 1:
             raise ValueError("need one flow value per grid cell")
+        if not (np.isfinite(self.x0).all() and math.isfinite(self.x0_tail)):
+            raise ValueError("flow path x0 and x0_tail must be finite")
         if not 0.0 < self.r < math.inf:
             raise ValueError("r must be positive and finite")
         if np.any(np.diff(self.edges) <= 0):
             raise ValueError("edges must be strictly increasing")
-        if self.X1_cells is not None:
-            self.X1_cells = np.asarray(self.X1_cells, dtype=float)
-            if len(self.X1_cells) != len(self.x0):
-                raise ValueError("need one post-breakthrough promise per cell")
 
     @classmethod
     def from_grid(cls, grid: TimeGrid, x0, **kw) -> "Mechanism":
@@ -188,9 +186,8 @@ class Mechanism:
 
     def _X1_on(self, at: _GridTimes, X0=None):
         """X1 at ``at``; ``X0``, if given, is X0 there."""
-        if self.u1 is None and self.X1_cells is not None:
-            tail = self.X1_tail if self.X1_tail is not None else self.x0_tail
-            return np.where(at.beyond, tail, self.X1_cells[at.cell])
+        if self.u1 is None and self.X1 is not None:
+            return self.X1(at.t)
         X0 = self._X0_on(at) if X0 is None else X0
         return X0 if self.u1 is None else np.maximum(X0, self.u1)
 
@@ -203,8 +200,7 @@ class Mechanism:
         extra = [k for k in knots if 0.0 < k < self.horizon]
         edges = np.unique(np.concatenate([self.edges, np.asarray(extra, dtype=float)]))
         k = cell_index(self.edges, edges[:-1])
-        X1_cells = None if self.X1_cells is None else self.X1_cells[k]
-        return replace(self, edges=edges, x0=self.x0[k], X1_cells=X1_cells)
+        return replace(self, edges=edges, x0=self.x0[k])
 
 
 def make_deadline_mechanism(T: float, tech: Technology, grid: TimeGrid | Mechanism) -> Mechanism:
@@ -247,14 +243,14 @@ def _with_promise(m: Mechanism, **promise) -> Mechanism:
 
 def _pinned(m: Mechanism) -> Mechanism:
     """``m`` with its promise pinned to its own continuation, ``X1 = X0``."""
-    if m.u1 is None and m.X1_cells is None and m.X1_tail is None:
+    if m.u1 is None and m.X1 is None:
         return m
-    return _with_promise(m, u1=None, X1_cells=None, X1_tail=None)
+    return _with_promise(m, u1=None, X1=None)
 
 
 def no_delay_improve(m: Mechanism, tech: Technology) -> Mechanism:
     """Replace the post-breakthrough promise with ``max(X0, u1)``."""
-    return _with_promise(m, u1=tech.u1, X1_cells=None, X1_tail=None)
+    return _with_promise(m, u1=tech.u1, X1=None)
 
 
 def normalize(m: Mechanism, tech: Technology) -> Mechanism:

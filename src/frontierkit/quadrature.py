@@ -12,14 +12,13 @@ Quadrature rules, shared by `mechanism` and `variational`:
   tail start), so each integrand is smooth on each cell
   (`NodePlan.integrate`).
 - Running integrals ``t -> int_0^t`` add the whole cells before ``t`` to a
-  fresh 16-node rule on the partial cell ``[edge, t]`` (`cumulative`).
+  fresh 16-node rule on the partial cell ``[edge, t]`` (`NodePlan.running`).
 - Expectations add atoms exactly to the density integral. A `NodePlan` holds
   what an expectation on one edge set needs of ``G`` (the nodes, then the
   atoms, G's density at the nodes and the half-widths), so that many
   integrands share one build: `mechanism` builds one per payoff pass (one
   path, or the rows of a sweep on one grid), and `variational` one per
-  check, whose running integrals apply `cumulative`'s rule at the plan's
-  nodes (`NodePlan.running`).
+  check, running integrals included.
 - An improper horizon is truncated ``37 / r`` past the last knot, where
   ``e^{-rt}`` is below machine scale, and the far region is subdivided at the
   decay scale ``2 / max(r, decay)`` (`integration_edges`). Where the
@@ -98,6 +97,8 @@ class MeasureOnTime:
                 raise ValueError("tail must start at or after the last density edge")
         if not all(map(math.isfinite, (self.tail_mass, self.tail_rate, self.tail_start))):
             raise ValueError("tail mass, rate and start must be finite")
+        if self.tail_mass < 0:
+            raise ValueError("tail mass must be nonnegative")
         if self.tail_mass > 0 and self.tail_rate <= 0:
             raise ValueError("tail rate must be positive")
 
@@ -133,21 +134,6 @@ class MeasureOnTime:
             args = -self.tail_rate * np.fmax(0.0, flat - self.tail_start)
             mass += [self.tail_mass * math.exp(a) for a in args.tolist()]
         return mass.reshape(ts.shape) if ts.ndim else float(mass[0])
-
-    def mass_upto(self, t):
-        """``nu([0, t])`` (atoms at exactly t included)."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for s, m in self.atoms:
-            out = out + np.where(t >= s, m, 0.0)
-        if self.density_edges is not None:
-            e, v = self.density_edges, self.density_values
-            widths = np.clip(t[..., None], e[:-1], e[1:]) - e[:-1]
-            out = out + widths @ v
-        if self.tail_mass > 0:
-            elapsed = np.maximum(0.0, t - self.tail_start)
-            out = out - self.tail_mass * np.expm1(-self.tail_rate * elapsed)
-        return out
 
     def pdf(self, t):
         """Density (piecewise-constant pieces plus the exponential tail)."""
@@ -210,20 +196,6 @@ def _partial_cells(edges: np.ndarray, t: np.ndarray):
     return k, h, m[:, None] + h[:, None] * _GL_NODES[None, :]
 
 
-def cumulative(fn, edges: np.ndarray):
-    """Callable ``t -> int_0^t fn``, exact to GL accuracy per piece."""
-    ts = gl_nodes(edges)
-    vals = np.asarray(fn(ts.ravel()), dtype=float).reshape(ts.shape)
-    cum_edges = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(edges) * (vals @ _GL_WEIGHTS))])
-
-    def cum(t):
-        k, h, nodes = _partial_cells(edges, np.atleast_1d(np.asarray(t, dtype=float)))
-        part = h * (np.asarray(fn(nodes.ravel()), dtype=float).reshape(nodes.shape) @ _GL_WEIGHTS)
-        return cum_edges[k] + part
-
-    return cum
-
-
 @dataclass(frozen=True)
 class NodePlan:
     """The nodes of ``int h dG`` on ``edges``, built once for any number of ``h``.
@@ -232,7 +204,7 @@ class NodePlan:
     times; ``pdf`` is G's density at the GL nodes and ``half`` the cells'
     half-widths. `integrate` reduces a function at the GL nodes cell by cell
     with ``@ _GL_WEIGHTS`` and sums the cells, `expect_values` adds G's atoms
-    to that, and `running` applies `cumulative`'s rule at the nodes.
+    to that, and `running` gives the running integral at every node.
     """
 
     G: MeasureOnTime
@@ -270,8 +242,8 @@ class NodePlan:
     def running(self, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
         """``int_0^t f`` at every node ``t`` from f at the GL nodes (``outer``)
         and the inner nodes (``inner``). Each atom row is reduced on its own,
-        as `cumulative` meets an atom alone: a matrix product's bits can
-        change with its row count."""
+        so an atom gets the bits of a running integral taken at its time
+        alone: a matrix product's bits can change with its row count."""
         cell, reach, _ = self.partial
         cum = np.concatenate([[0.0], np.cumsum(self._per_cell(outer))])
         rows, n = inner.reshape(-1, _GL_NODES.size), self.pdf.size

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidProfile, NonConvergent, PreconditionViolation
 from .frontiers import directional_deriv
 from .mechanism import BreakthroughDistribution, Mechanism, _payoffs, _pinned
-from .quadrature import MeasureOnTime, NodePlan, cumulative, integration_edges, step_value, subdivide
+from .quadrature import MeasureOnTime, NodePlan, integration_edges, step_value, subdivide
 from .technology import Technology
 
 # ---------------------------------------------------------------------------
@@ -30,8 +30,8 @@ def stieltjes_ibp(nu: MeasureOnTime, L0: float, l, T: float):
     """Both sides of ``int_[0,T] L dnu = L(T) nu([0,T]) - int_0^T nu([0,t]) l(t) dt``.
 
     ``l`` is the density of the absolutely continuous ``L`` (so ``L(t) = L0 +
-    int_0^t l``); the two sides are computed independently and returned as a
-    pair for comparison.
+    int_0^t l``); each side is computed by its own formula on one `NodePlan`,
+    and the two are returned as a pair for comparison.
     """
     knots = sorted({0.0, T} | set(nu.knots))
     knots = [k for k in knots if 0.0 <= k <= T]
@@ -40,17 +40,19 @@ def stieltjes_ibp(nu: MeasureOnTime, L0: float, l, T: float):
         if len(knots) > 1
         else np.array([0.0, T])
     )
-    L_cum = cumulative(l, edges)
-    L = lambda t: L0 + L_cum(t)
     plan = NodePlan.build(nu, edges)
     t = plan.nodes[: plan.pdf.size]
+    l_t = np.asarray(l(t), dtype=float)
+    # L at the GL nodes, then at every atom: those past T are dropped below
+    L = L0 + plan.running(l_t, np.asarray(l(plan.partial[2].ravel()), dtype=float))
 
-    lhs = plan.integrate(plan.pdf * L(t))
-    lhs += sum(m * float(L(np.array([s]))[0]) for s, m in nu.atoms if s <= T)
+    lhs = plan.integrate(plan.pdf * L[: t.size])
+    lhs += sum(m * L_s for (s, m), L_s in zip(nu.atoms, L[t.size :].tolist()) if s <= T)
 
-    LT = float(L(np.array([T]))[0])
-    rhs = LT * float(nu.mass_upto(np.array([T]))[0])
-    rhs -= plan.integrate(nu.mass_upto(t) * np.asarray(l(t), dtype=float))
+    # nu([0, t]) = nu - nu((t, inf)), which counts an atom at t
+    total = nu.total_mass()
+    rhs = (L0 + plan.integrate(l_t)) * (total - nu.sf(T))
+    rhs -= plan.integrate((total - nu.sf(t)) * l_t)
     return lhs, rhs
 
 

@@ -1,5 +1,7 @@
 import inspect
 import math
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,7 @@ from frontierkit.mechanism import (
     payoff_affine_rewrite,
     pi_G,
 )
+from frontierkit.quadrature import step_value
 
 GRID = TimeGrid(horizon=6.0, step=0.05, r=1.0)
 
@@ -100,6 +103,16 @@ class TestPromisedUtility:
         for t in GRID.edges[1:-1][:10]:
             below = m.X0_at(t - 1e-10)
             assert m.X0_at(t) == pytest.approx(below, abs=1e-8)
+
+    def test_with_knots_keeps_an_explicit_promise(self):
+        n = GRID.n_cells
+        cells = np.random.default_rng(8).uniform(0.1, 0.5, n)
+        X1 = lambda t: step_value(GRID.edges, cells, 0.45, t)
+        m = Mechanism.from_grid(GRID, np.full(n, 0.3), x0_tail=0.3, X1=X1)
+        fine = m.with_knots([0.123, 1.0 + 1e-3, 5.525, 9.0])
+        assert len(fine.edges) == len(m.edges) + 3
+        ts = np.concatenate([fine.edges, np.linspace(0.0, 8.0, 97)])
+        assert fine.X1_at(ts).tobytes() == m.X1_at(ts).tobytes() == X1(ts).tobytes()
 
 
 class TestDeadlineMechanism:
@@ -287,9 +300,8 @@ class TestNoDelayImprove:
     def test_strict_gain_above_promise(self, default_tech):
         # X1 = u0 = 0.5 > X0 = 0.3 > u1 = 0.25 at the atom
         n = GRID.n_cells
-        m = Mechanism.from_grid(
-            GRID, np.full(n, 0.3), x0_tail=0.3, X1_cells=np.full(n, 0.5), X1_tail=0.5
-        )
+        X1 = lambda t: step_value(GRID.edges, np.full(n, 0.5), 0.5, t)
+        m = Mechanism.from_grid(GRID, np.full(n, 0.3), x0_tail=0.3, X1=X1)
         G = BreakthroughDistribution.point_mass(1.0)
         before = payoff(m, default_tech, G)
         after = payoff(no_delay_improve(m, default_tech), default_tech, G)
@@ -302,7 +314,8 @@ class TestNoDelayImprove:
     def test_strict_gain_below_peak(self, default_tech):
         # X0 = 0 <= u1 and X1 = 0: the improvement moves X1 to the peak u1
         n = GRID.n_cells
-        m = Mechanism.from_grid(GRID, np.zeros(n), X1_cells=np.zeros(n), X1_tail=0.0)
+        X1 = lambda t: step_value(GRID.edges, np.zeros(n), 0.0, t)
+        m = Mechanism.from_grid(GRID, np.zeros(n), X1=X1)
         G = BreakthroughDistribution.point_mass(1.0)
         before = payoff(m, default_tech, G)
         after = payoff(no_delay_improve(m, default_tech), default_tech, G)
@@ -322,11 +335,9 @@ class TestNoDelayImprove:
             x0 = rng.uniform(0.0, 0.5, n)
             m = Mechanism.from_grid(grid, x0, x0_tail=float(rng.uniform(0, 0.5)))
             cell_sup = np.maximum(m.X0_edges[:-1], m.X0_edges[1:])
-            X1 = cell_sup + rng.uniform(0.0, 0.3, n)
-            m = Mechanism.from_grid(
-                grid, x0, x0_tail=m.x0_tail, X1_cells=X1,
-                X1_tail=max(m.x0_tail, float(rng.uniform(0, 0.6))),
-            )
+            cells = cell_sup + rng.uniform(0.0, 0.3, n)
+            X1 = partial(step_value, grid.edges, cells, max(m.x0_tail, float(rng.uniform(0, 0.6))))
+            m = Mechanism.from_grid(grid, x0, x0_tail=m.x0_tail, X1=X1)
             t_atom = float(rng.uniform(0.0, 3.0))
             G = BreakthroughDistribution(
                 atoms=((t_atom, 0.4),), tail_rate=1.0, tail_mass=0.6, tail_start=0.0
@@ -415,6 +426,17 @@ def two_step_mechanism(tech, grid):
 def test_mechanism_rate_must_be_positive_and_finite(r):
     with pytest.raises(ValueError, match="r must"):
         Mechanism(edges=[0.0, 1.0], x0=[0.1], r=r)
+
+
+@pytest.mark.parametrize("cell, tail", [(math.nan, 0.1), (math.inf, 0.1), (0.1, math.nan), (0.1, -math.inf)])
+def test_mechanism_flow_must_be_finite(cell, tail):
+    # payoff raised "F0 is -inf", naming the frontier, on these
+    x0 = np.full(GRID.n_cells, 0.1)
+    x0[7] = cell
+    with pytest.raises(ValueError, match="x0 and x0_tail"):
+        Mechanism.from_grid(GRID, x0, x0_tail=tail)
+    with pytest.raises(ValueError, match="x0 and x0_tail"):
+        replace(Mechanism.from_grid(GRID, np.full(GRID.n_cells, 0.1)), x0=x0, x0_tail=tail)
 
 
 class TestDominance:

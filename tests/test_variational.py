@@ -96,6 +96,15 @@ class TestStieltjesIBP:
         assert lhs == pytest.approx(1.7 * mass, abs=1e-12)
         assert rhs == pytest.approx(1.7 * mass, abs=1e-12)
 
+    def test_an_atom_at_T_counts_once_and_one_past_T_not_at_all(self):
+        a, b, c, L0, T = 0.4, -0.3, 0.25, 0.7, 1.5
+        L = lambda t: L0 + a * t + b * t * t / 2 + c * t**3 / 3
+        nu = MeasureOnTime(atoms=((0.5, 0.3), (T, 0.4), (T + 0.75, 0.9)))
+        lhs, rhs = stieltjes_ibp(nu, L0, lambda t: a + b * t + c * t * t, T)
+        exact = 0.3 * L(0.5) + 0.4 * L(T)
+        assert lhs == pytest.approx(exact, abs=1e-12)
+        assert rhs == pytest.approx(exact, abs=1e-12)
+
     def test_randomized_identity(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
