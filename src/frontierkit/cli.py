@@ -547,6 +547,20 @@ def _smooth_pairs(tech: Technology, ns, source: str) -> list:
     return pairs
 
 
+def _write_frontiers_csv(out: Path, tech: Technology, us: np.ndarray) -> Path:
+    f0, f1 = tech.f0, tech.f1
+    rows = zip(
+        us,
+        f0.value(us),
+        f1.value(us),
+        f0.deriv(us, "left"),
+        f0.deriv(us, "right"),
+        f1.deriv(us, "left"),
+        f1.deriv(us, "right"),
+    )
+    return _write_csv(out / "frontiers.csv", "u,F0,F1,F0_left,F0_right,F1_left,F1_right", rows)
+
+
 def _write_smoothing_csv(out: Path, pair, us: np.ndarray) -> Path:
     f0n, f1n = pair.f0n, pair.f1n
     rows = zip(us, f0n.value(us), f1n.value(us), f0n.deriv(us, "right"), f1n.deriv(us, "right"))
@@ -565,18 +579,7 @@ def export_curves(
     tech = cfg.technology()
 
     if what == "frontiers":
-        us = _curve_grid(tech.u0, grid_step)
-        f0, f1 = tech.f0, tech.f1
-        rows = zip(
-            us,
-            f0.value(us),
-            f1.value(us),
-            f0.deriv(us, "left"),
-            f0.deriv(us, "right"),
-            f1.deriv(us, "left"),
-            f1.deriv(us, "right"),
-        )
-        return [_write_csv(out / "frontiers.csv", "u,F0,F1,F0_left,F0_right,F1_left,F1_right", rows)]
+        return [_write_frontiers_csv(out, tech, _curve_grid(tech.u0, grid_step))]
 
     if what == "mechanism":
         grid = _time_grid(horizon, grid_step, cfg.rate)
@@ -622,8 +625,9 @@ def _cmd_frontier(cfg: InstanceConfig, args) -> int:
     print(f"u_star = {tech.u_star:.12g}")
     print(f"L_star(u1) = {effort_star(tech.prims, tech.u1):.12g}")
     if args.out:
-        for path in export_curves(cfg, "frontiers", args.out, grid_step=args.grid_step):
-            print(f"wrote {path}")
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        print(f"wrote {_write_frontiers_csv(out, tech, _curve_grid(tech.u0, args.grid_step))}")
     return 0
 
 

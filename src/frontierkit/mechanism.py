@@ -11,7 +11,7 @@ mass; the quadrature rules are those of `frontierkit.quadrature`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -77,30 +77,19 @@ class BreakthroughDistribution(MeasureOnTime):
             density_values=np.array([1.0 / (b - a)]),
         )
 
-    def cdf(self, t):
-        """P(tau <= t) at a time or an array of times (a float for a scalar)."""
-        t = np.asarray(t, dtype=float)
-        out = np.where(t < 0, 0.0, 1.0 - self.sf(t))
-        return out if out.ndim else float(out)
-
 
 # ---------------------------------------------------------------------------
 # mechanisms
 
 
-def _promise_edges(edges: np.ndarray, x0, r: float, x0_tail) -> np.ndarray:
-    """Continuation promises at cell edges by exact backward discounting, for
-    one flow path (``x0`` per cell, one tail) or one per row of ``x0`` (a
-    tail each). The steps run on Python floats, which round as numpy's
-    float64 does and cost less per step than an array of a few rows."""
-    decay = np.exp(-r * np.diff(edges)).tolist()[::-1]
-    rows = []
-    for path, tail in zip(np.atleast_2d(x0).tolist(), np.atleast_1d(x0_tail).tolist()):
-        X = [tail]  # constant flow forever delivers itself
-        for d, x in zip(decay, path[::-1]):
-            X.append((1.0 - d) * x + d * X[-1])
-        rows.append(X[::-1])
-    return np.array(rows).reshape(np.shape(x0)[:-1] + (len(decay) + 1,))
+def _promise_edges(edges: np.ndarray, x0: np.ndarray, r: float, x0_tail: float) -> np.ndarray:
+    """Continuation promises at cell edges by exact backward discounting of
+    one flow path. The steps run on Python floats, which round as numpy's
+    float64 does and cost less per step than numpy scalars."""
+    X = [float(x0_tail)]  # constant flow forever delivers itself
+    for d, x in zip(np.exp(-r * np.diff(edges)).tolist()[::-1], x0.tolist()[::-1]):
+        X.append((1.0 - d) * x + d * X[-1])
+    return np.array(X[::-1])
 
 
 class _GridTimes:
@@ -126,14 +115,15 @@ class _GridTimes:
         return np.exp(-self.r * (self.edges[self.cell + 1] - self.t))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mechanism:
-    """Flow path per cell plus a post-breakthrough promise convention.
+    """Flow path per cell plus a post-breakthrough promise convention, frozen.
 
     ``u1`` set means the no-delay form ``X1_t = max(X0_t, u1)``; otherwise
     ``X1``, a function of an array of times, constant from the horizon on, is
     an explicit promise, and if it is absent ``X1 = X0`` (the minimal promise
-    allowed by the pointwise incentive surrogate ``X1 >= X0``).
+    allowed by the pointwise incentive surrogate ``X1 >= X0``). The promise
+    ``X0_edges`` at the edges depends on the flow alone; construction sets it.
     """
 
     edges: np.ndarray
@@ -142,18 +132,22 @@ class Mechanism:
     x0_tail: float = 0.0
     u1: float | None = None
     X1: Callable[[np.ndarray], np.ndarray] | None = None
+    X0_edges: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.edges = np.asarray(self.edges, dtype=float)
-        self.x0 = np.asarray(self.x0, dtype=float)
+        object.__setattr__(self, "edges", np.asarray(self.edges, dtype=float))
+        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         if len(self.x0) != len(self.edges) - 1:
             raise ValueError("need one flow value per grid cell")
         if not (np.isfinite(self.x0).all() and math.isfinite(self.x0_tail)):
             raise ValueError("flow path x0 and x0_tail must be finite")
+        if self.u1 is not None and not math.isfinite(self.u1):
+            raise ValueError(f"u1 must be finite, got {self.u1!r}")
         if not 0.0 < self.r < math.inf:
             raise ValueError("r must be positive and finite")
         if np.any(np.diff(self.edges) <= 0):
             raise ValueError("edges must be strictly increasing")
+        object.__setattr__(self, "X0_edges", _promise_edges(self.edges, self.x0, self.r, self.x0_tail))
 
     @classmethod
     def from_grid(cls, grid: TimeGrid, x0, **kw) -> "Mechanism":
@@ -162,10 +156,6 @@ class Mechanism:
     @property
     def horizon(self) -> float:
         return float(self.edges[-1])
-
-    @cached_property
-    def X0_edges(self) -> np.ndarray:
-        return _promise_edges(self.edges, self.x0, self.r, self.x0_tail)
 
     def x0_at(self, t):
         """Flow utility at arbitrary times (cell lookup, tail beyond horizon)."""
@@ -190,10 +180,6 @@ class Mechanism:
             return self.X1(at.t)
         X0 = self._X0_on(at) if X0 is None else X0
         return X0 if self.u1 is None else np.maximum(X0, self.u1)
-
-    @property
-    def no_delay_form(self) -> bool:
-        return self.u1 is not None
 
     def with_knots(self, knots) -> "Mechanism":
         """The same mechanism on a refined edge set including ``knots``."""
@@ -232,25 +218,16 @@ def deadline_for_promise(v: float, tech: Technology, grid: TimeGrid | Mechanism)
     return -math.log1p(-frac) / grid.r
 
 
-def _with_promise(m: Mechanism, **promise) -> Mechanism:
-    """``m`` with another post-breakthrough promise; the flow path is kept, and
-    so is its cached ``X0_edges``, which `dataclasses.replace` would drop."""
-    out = replace(m, **promise)
-    if "X0_edges" in vars(m):
-        out.X0_edges = m.X0_edges
-    return out
-
-
 def _pinned(m: Mechanism) -> Mechanism:
     """``m`` with its promise pinned to its own continuation, ``X1 = X0``."""
     if m.u1 is None and m.X1 is None:
         return m
-    return _with_promise(m, u1=None, X1=None)
+    return replace(m, u1=None, X1=None)
 
 
 def no_delay_improve(m: Mechanism, tech: Technology) -> Mechanism:
     """Replace the post-breakthrough promise with ``max(X0, u1)``."""
-    return _with_promise(m, u1=tech.u1, X1=None)
+    return replace(m, u1=tech.u1, X1=None)
 
 
 def normalize(m: Mechanism, tech: Technology) -> Mechanism:
@@ -316,7 +293,7 @@ class _PayoffPlan:
         G = self.quad.G
         if G.tail_mass > 0:
             T, r, g = self.T_max, self.at.r, G.tail_rate
-            rem = G.tail_mass * math.exp(-g * (T - G.tail_start))
+            rem = G.sf(T)
             a, b = tail()
             beyond = rem * (a + b * math.exp(-r * T) * g / (g + r))
             totals = [x + y for x, y in zip(totals, beyond.tolist())]
@@ -336,12 +313,11 @@ def payoff(m: Mechanism, tech: Technology, G: BreakthroughDistribution) -> float
 
 def _payoffs(mechs, tech: Technology, G: BreakthroughDistribution) -> list[float]:
     """`payoff` of each path in ``mechs``, as the rows of one array pass on
-    the one `_PayoffPlan` of ``mechs[0]``: one F0 call, one promise recursion
-    for the paths not cached yet and one ``tech.f1.value`` call, so one
-    effort solve. Every step is elementwise or runs along a row, so each row
-    has the bits of its path alone. The plan splits at the first path's
-    edges and at its crossings of ``u1``, so several paths must share one
-    grid and rate and have no ``u1``."""
+    the one `_PayoffPlan` of ``mechs[0]``: one F0 call and one
+    ``tech.f1.value`` call, so one effort solve. Every step is elementwise
+    or runs along a row, so each row has the bits of its path alone. The
+    plan splits at the first path's edges and at its crossings of ``u1``, so
+    several paths must share one grid and rate and have no ``u1``."""
     plan = _PayoffPlan(mechs[0], G)
     if len(mechs) > 1 and any(
         m.u1 is not None or m.r != plan.at.r or not np.array_equal(m.edges, plan.at.edges) for m in mechs
@@ -358,11 +334,6 @@ def _payoffs(mechs, tech: Technology, G: BreakthroughDistribution) -> list[float
     exp_edges = np.exp(-r * at.edges)
     A = np.hstack([np.zeros((len(mechs), 1)), np.cumsum(F0x * (exp_edges[:-1] - exp_edges[1:]), axis=1)])
 
-    todo = [m for m in mechs if "X0_edges" not in vars(m)]
-    if todo:
-        rows = _promise_edges(at.edges, [m.x0 for m in todo], r, [m.x0_tail for m in todo])
-        for m, row in zip(todo, rows):
-            m.X0_edges = row
     X0 = at.X0(x0, np.array([m.X0_edges for m in mechs]), x0_tails)
     F1 = tech.f1.value(np.array([m._X1_on(at, X0=row) for m, row in zip(mechs, X0)]))
 
@@ -404,7 +375,7 @@ def payoff_affine_rewrite(
     G has no mass at 0; here ``phi(u) = F1(max(u, u1)) - F0(u)``.
     """
     _require_affine_f0(tech)
-    if not m.no_delay_form:
+    if m.u1 is None:
         raise PreconditionViolation("mechanism must be in no-delay form")
     if any(t == 0.0 and mass > 0.0 for t, mass in G.atoms):
         raise PreconditionViolation("G must have no mass at time 0")
@@ -435,7 +406,7 @@ def _mass_on_region(G: BreakthroughDistribution, in_region, probes) -> float:
     """Approximate G-mass of ``{t : in_region(t)}`` at the probe resolution."""
     mass = sum(m for t, m in G.atoms if in_region(np.array([t]))[0])
     flags = in_region(probes)
-    cell_masses = np.diff(G.cdf(probes))[flags[:-1] & flags[1:]]
+    cell_masses = np.diff(1.0 - G.sf(probes))[flags[:-1] & flags[1:]]
     mass = sum(cell_masses.tolist(), mass)
     if G.tail_mass > 0 and flags[-1]:
         mass += G.sf(float(probes[-1]))
@@ -454,7 +425,7 @@ def dominance_check(m: Mechanism, tech: Technology, G_family) -> "VerificationRe
 
     rep = VerificationReport("no-delay")
     _require_affine_f0(tech)
-    if not m.no_delay_form or np.any(m.x0 > tech.u0 + 1e-12) or m.x0_tail > tech.u0 + 1e-12:
+    if m.u1 is None or np.any(m.x0 > tech.u0 + 1e-12) or m.x0_tail > tech.u0 + 1e-12:
         raise PreconditionViolation("mechanism must be normalized first")
 
     v = float(m.X0_edges[0])

@@ -220,9 +220,9 @@ class Technology:
 class _PostBreakthroughFrontier(ParametricFrontier):
     """F1 with the effort problem solved pointwise (vectorized bisection)."""
 
-    def __init__(self, prims: MoralHazardPrimitives):
+    def __init__(self, prims: MoralHazardPrimitives, peak: float):
         self._prims = prims
-        super().__init__(self._val, self._deriv, domain=(0.0, INF))
+        super().__init__(self._val, self._deriv, domain=(0.0, INF), peak=peak)
 
     def _val(self, us):
         p = self._prims
@@ -265,7 +265,6 @@ def make_moral_hazard_technology(prims: MoralHazardPrimitives) -> Technology:
     prims.validate()
     f0 = make_frontier_f0(prims)
     u0 = f0.peak
-    f1 = _PostBreakthroughFrontier(prims)
 
     @_quiet
     def u1_foc(u: float) -> float:
@@ -305,8 +304,7 @@ def make_moral_hazard_technology(prims: MoralHazardPrimitives) -> Technology:
             f"u1 = 0) by {abs(miss):.3g}, more than 1024 solver steps of {resolution:.3g}, "
             f"so the peaks are not resolved"
         )
-    f1._peak = u1
-
+    f1 = _PostBreakthroughFrontier(prims, u1)
     u_star = _checked_gap_argmax(f0, f1, gap_argmax(f0, f1, u0), u0)
     return Technology(f0=f0, f1=f1, u0=u0, u1=u1, u_star=u_star, prims=prims)
 

@@ -110,16 +110,15 @@ def euler_residual(prof: SupergradientProfile, G: BreakthroughDistribution) -> n
 
     Cells where ``G(t) >= 1`` are excluded (the Euler equation is vacuous
     there). Exact at grid points for per-cell-constant ``phi1``: cell masses
-    come from CDF differences, which also capture atoms inside cells.
+    come from differences of ``1 - sf``, atoms inside cells included.
     """
     edges = prof.edges
     mids = 0.5 * (edges[:-1] + edges[1:])
     phi1_mid = prof.phi1(mids)
-    cdf_vals = G.cdf(edges)
-    cum = np.concatenate([[0.0], np.cumsum(phi1_mid * np.diff(cdf_vals))])
+    sf_vals = G.sf(edges)
+    cum = np.concatenate([[0.0], np.cumsum(phi1_mid * np.diff(1.0 - sf_vals))])
     # an atom exactly at 0 belongs to [0, t_k] for every k
     atom0 = sum(m * float(prof.phi1(np.array([0.0]))[0]) for s, m in G.atoms if s == 0.0)
-    sf_vals = G.sf(edges)
     phi0_vals = np.asarray(prof.phi0(edges), dtype=float)
     out = np.where(sf_vals > 0.0, sf_vals * phi0_vals + cum + atom0, np.nan)
     return out

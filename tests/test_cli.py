@@ -561,6 +561,18 @@ class TestExport:
         monkeypatch.setattr(cli, "MAX_GRID_ROWS", 10)
         assert main(["export", "--what", "frontiers", "--out", str(tmp_path)]) == 2
 
+    def test_frontier_out_builds_the_technology_once(self, tmp_path, monkeypatch, capsys):
+        builds = []
+        build = cli.InstanceConfig.technology
+        monkeypatch.setattr(cli.InstanceConfig, "technology", lambda cfg: builds.append(1) or build(cfg))
+        assert main(["frontier", "--out", str(tmp_path)]) == 0
+        assert len(builds) == 1
+        out, err = capsys.readouterr()
+        pinned = (Path(__file__).parent / "data" / "frontier.txt").read_text()
+        assert out == pinned + f"wrote {tmp_path / 'frontiers.csv'}\n" and err == ""
+        digests = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "csv_digests.json").read_text())
+        assert hashlib.sha256((tmp_path / "frontiers.csv").read_bytes()).hexdigest() == digests["frontiers.csv"]
+
     def test_default_exports_match_benchmark_digests(self, tmp_path):
         digests = Path(__file__).resolve().parents[1] / "perfbench" / "csv_digests.json"
         expected = json.loads(digests.read_text())

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 from dataclasses import replace
@@ -266,18 +267,27 @@ class TestSingleF1Batch:
             payoff_affine_rewrite(m, tech, G)
             assert len(effort_calls) == 1
 
-    def test_one_promise_edge_solve_per_flow_path(self, default_tech, monkeypatch):
-        # no_delay_improve and pi_G keep the flow path, so they keep its X0_edges
-        calls = []
-        solve = mechanism._promise_edges
+    def test_one_promise_edge_solve_per_mechanism_built(self, default_tech, monkeypatch):
+        # X0_edges is computed by the constructor, replace included, and by
+        # nothing that evaluates a mechanism
+        calls, builds = [], []
+        solve, init = mechanism._promise_edges, Mechanism.__post_init__
         monkeypatch.setattr(mechanism, "_promise_edges", lambda *a: calls.append(1) or solve(*a))
+        monkeypatch.setattr(Mechanism, "__post_init__", lambda m: builds.append(1) or init(m))
         for G in SINGLE_BATCH_GS.values():
-            m = _flow_path(default_tech, 0)
             calls.clear()
+            builds.clear()
+            m = _flow_path(default_tech, 0)
+            assert len(calls) == len(builds) == 1
+            improved = no_delay_improve(m, default_tech)
+            assert len(calls) == len(builds) == 2
             payoff(m, default_tech, G)
-            payoff(no_delay_improve(m, default_tech), default_tech, G)
+            payoff(improved, default_tech, G)
+            mechanism._payoffs([m, replace(m, x0_tail=0.1)], default_tech, G)
             pi_G(m, default_tech, G)
-            assert len(calls) == 1
+            assert len(calls) == len(builds) == 3
+            pi_G(improved, default_tech, G)  # pins the promise: one more build
+            assert len(calls) == len(builds) == 4
 
     @pytest.mark.parametrize("seed", sorted(PINNED_PAYOFFS))
     def test_payoffs_are_unchanged_bit_for_bit(self, default_tech, seed):
@@ -428,6 +438,22 @@ def test_mechanism_rate_must_be_positive_and_finite(r):
         Mechanism(edges=[0.0, 1.0], x0=[0.1], r=r)
 
 
+@pytest.mark.parametrize("u1", [math.nan, math.inf, -math.inf])
+def test_mechanism_promise_level_must_be_finite(u1):
+    # payoff raised "F1 is -inf", naming the frontier, on these
+    with pytest.raises(ValueError, match="u1"):
+        Mechanism.from_grid(GRID, np.full(GRID.n_cells, 0.1), u1=u1)
+    with pytest.raises(ValueError, match="u1"):
+        replace(Mechanism.from_grid(GRID, np.full(GRID.n_cells, 0.1)), u1=u1)
+
+
+@pytest.mark.parametrize("name", ["edges", "x0", "r", "x0_tail", "u1", "X1", "X0_edges"])
+def test_mechanism_is_frozen(name):
+    m = Mechanism.from_grid(GRID, np.full(GRID.n_cells, 0.1), u1=0.2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(m, name, getattr(m, name))
+
+
 @pytest.mark.parametrize("cell, tail", [(math.nan, 0.1), (math.inf, 0.1), (0.1, math.nan), (0.1, -math.inf)])
 def test_mechanism_flow_must_be_finite(cell, tail):
     # payoff raised "F0 is -inf", naming the frontier, on these
@@ -483,7 +509,7 @@ class TestDominance:
         with pytest.raises(PreconditionViolation):
             dominance_check(m, tech, [])
         m2 = normalize(m, tech)
-        assert m2.no_delay_form
+        assert m2.u1 is not None
 
     def test_a_tail_flow_above_u0_is_not_normalized(self):
         tech = affine_tech()

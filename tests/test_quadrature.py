@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import bisect_reference
 import frontierkit
 from frontierkit import BreakthroughDistribution, MeasureOnTime, PiecewiseLinearFrontier
+from frontierkit.mechanism import Mechanism
 from frontierkit.quadrature import (
     _GL_WEIGHTS,
     NodePlan,
@@ -68,24 +69,25 @@ def sf_reference(nu, t: float) -> float:
 
 
 class TestMeasureOnTime:
-    def test_array_sf_and_cdf_are_the_scalar_values_bit_for_bit(self):
+    def test_array_sf_is_the_scalar_value_bit_for_bit(self):
         # many density pieces, where a 2-D matmul would differ from the 1-D dots
         fine = MeasureOnTime(
             density_edges=np.linspace(0.0, 3.0, 13),
             density_values=np.random.default_rng(5).uniform(0.1, 1.0, 12),
         )
         G = unit_distribution()
-        for nu, accessor in ((full_measure(), "sf"), (fine, "sf"), (G, "sf"), (G, "cdf")):
-            fn = getattr(nu, accessor)
+        for nu in (full_measure(), fine, G):
             ts = probe_times(nu)
-            scalar = np.array([fn(float(t)) for t in ts])
+            scalar = np.array([nu.sf(float(t)) for t in ts])
             ref = np.array([sf_reference(nu, float(t)) for t in ts])
-            if accessor == "cdf":
-                ref = np.where(ts < 0, 0.0, 1.0 - ref)
             np.testing.assert_array_equal(scalar, ref)
-            assert all(type(fn(float(t))) is float for t in ts[:3])
-            np.testing.assert_array_equal(fn(ts), scalar)
-            np.testing.assert_array_equal(fn(ts[:, None]), scalar[:, None])
+            assert all(type(nu.sf(float(t))) is float for t in ts[:3])
+            np.testing.assert_array_equal(nu.sf(ts), scalar)
+            np.testing.assert_array_equal(nu.sf(ts[:, None]), scalar[:, None])
+        # the distribution function is 1 - sf: nondecreasing, in [0, 1] on [0, inf)
+        ts = np.sort(probe_times(G))
+        dist = 1.0 - G.sf(ts[ts >= 0.0])
+        assert np.all(np.diff(dist) >= 0.0) and 0.0 <= dist[0] and dist[-1] <= 1.0
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(
@@ -181,7 +183,7 @@ class TestMeasureOnTime:
     def test_distribution_is_a_unit_mass_measure(self):
         G = BreakthroughDistribution.exponential(2.0)
         assert isinstance(G, MeasureOnTime)
-        assert G.cdf(1.0) == pytest.approx(-math.expm1(-2.0), abs=1e-15)
+        assert 1.0 - G.sf(1.0) == pytest.approx(-math.expm1(-2.0), abs=1e-15)
         with pytest.raises(ValueError, match="total mass"):
             BreakthroughDistribution(atoms=((1.0, 0.5),))
 
@@ -295,9 +297,17 @@ class TestNodePlan:
     def test_one_running_integral_rule_and_one_distribution_function(self):
         # NodePlan.running and MeasureOnTime.sf: no module defines another
         src = Path(frontierkit.__file__).parent
-        pattern = re.compile(r"def (cumulative|mass_upto)\b")
-        defined = {p.name: pattern.findall(p.read_text()) for p in sorted(src.rglob("*.py"))}
+        texts = {p.name: p.read_text() for p in sorted(src.rglob("*.py"))}
+        pattern = re.compile(r"def (cumulative|mass_upto|cdf)\b")
+        defined = {name: pattern.findall(text) for name, text in texts.items()}
         assert {name: found for name, found in defined.items() if found} == {}
+        # a mechanism's promise is set by its constructor, a frontier's peak
+        # by its own class
+        promise = re.compile(r"\.X0_edges\s*=(?!=)|setattr\w*\([^,]+,\s*[\"']X0_edges[\"']")
+        assert sum(len(promise.findall(text)) for text in texts.values()) == 1
+        assert promise.search(inspect.getsource(Mechanism.__post_init__))
+        peak = re.compile(r"\._peak\s*=(?!=)")
+        assert sorted(name for name, text in texts.items() if peak.search(text)) == ["frontiers.py", "smoothing.py"]
 
 
 class TestBisectPredicate:

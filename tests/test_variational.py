@@ -595,9 +595,31 @@ def test_grids_one_ulp_apart_are_aligned(default_tech):
     assert abs(closed - fd) / max(abs(fd), 1e-6) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda m, m_dag, tech, G: mechanism.payoff(m, tech, G),
+        lambda m, m_dag, tech, G: mechanism.pi_G(m, tech, G),
+        gateaux_fd,
+        lambda m, m_dag, tech, G: strict_concavity_probe(m, m_dag, 0.5, tech, G),
+    ],
+    ids=["payoff", "pi_G", "gateaux_fd", "strict_concavity_probe"],
+)
+def test_evaluation_leaves_its_mechanisms_unchanged(evaluate):
+    # the promise at the edges comes from construction; no caller writes it
+    rng = np.random.default_rng(17)
+    tech = quad_tech()
+    m, m_dag = random_mechanism(rng), random_mechanism(rng)
+    before = [dict(vars(p)) for p in (m, m_dag)]
+    evaluate(m, m_dag, tech, mixed_G(0.8))
+    for p, was in zip((m, m_dag), before):
+        assert vars(p).keys() == was.keys()
+        assert all(vars(p)[k] is v for k, v in was.items())
+
+
 def test_package_has_no_np_vectorize():
-    # np.vectorize is a Python loop over points; survival, cdf and the
-    # frontier derivatives take arrays instead
+    # np.vectorize is a Python loop over points; survival and the frontier
+    # derivatives take arrays instead
     src = Path(frontierkit.__file__).parent
     pattern = re.compile(r"\b(?:np|numpy)\.vectorize\b|\bvectorize\s*\(")
     offenders = [p.name for p in sorted(src.rglob("*.py")) if pattern.search(p.read_text())]
