@@ -354,9 +354,7 @@ def _suite_euler(cfg, rng, trials, grid) -> VerificationReport:
 
     grid = TimeGrid(horizon=2.0, step=0.25, r=2.0)
     m = Mechanism.from_grid(grid, np.full(grid.n_cells, 0.3), x0_tail=0.3)
-    bounds = integrability_bounds(
-        _exact_euler_profile(), BreakthroughDistribution.exponential(1.0), m, _quad_tech(), probe_u=0.4
-    )
+    bounds = integrability_bounds(_exact_euler_profile(), BreakthroughDistribution.exponential(1.0), m)
     rep.add("integrability-bound", bounds.bound_holds and bounds.slack > 0, note=f"slack={bounds.slack:.3g}")
     return rep
 
@@ -484,6 +482,10 @@ def run_suite(
 ) -> VerificationReport:
     if suite not in _SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose one of {', '.join(SUITES)}")
+    if trials < 1:
+        raise ConfigError(f"`--trials` must be at least 1, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"`--seed` must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     grid = grid or TimeGrid(horizon=6.0, step=0.05, r=cfg.rate)
     return _SUITES[suite](cfg, rng, trials, grid)

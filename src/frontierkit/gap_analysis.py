@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,13 +41,11 @@ class GapKind(enum.Enum):
 class GapWitness:
     """One-sided slopes at the probed point and the shared supergradients."""
 
-    u: float
     f0_left: float
     f0_right: float
     f1_left: float
     f1_right: float
     shared_interval: tuple[float, float]
-    notes: list[str] = field(default_factory=list)
 
     @property
     def psi_left(self) -> float:
@@ -89,35 +87,30 @@ def _windows(psi, u_bar: float, lo: float, hi: float):
         yield eps, left, right, np.asarray(psi(np.concatenate([left, right])), dtype=float)
 
 
-def _saddle_verdict(center: float, windows) -> tuple[bool, dict]:
+def _saddle_verdict(center: float, windows) -> bool:
     """`is_saddle`'s decision on the probe ``windows`` around a point where
     ``psi`` is ``center``."""
-    witness: dict = {"epsilons": [], "flat_quotients": [], "resolution": PROBE_EPSILONS[-1]}
     for eps, left, right, vals in windows:
         if left.size == 0 or right.size == 0:
-            return False, witness
+            return False
         lv, rv = vals[: left.size], vals[left.size :]
         quot = np.abs(rv[None, :] - lv[:, None]) / (right[None, :] - left[:, None])
-        flat = float(quot.min())
-        not_max = bool(np.any(vals > center + STRICT_TOL))
-        not_min = bool(np.any(vals < center - STRICT_TOL))
-        witness["epsilons"].append(eps)
-        witness["flat_quotients"].append(flat)
-        if not (flat < eps and not_max and not_min):
-            return False, witness
-    witness["note"] = f"supported at resolution {PROBE_EPSILONS[-1]:g}"
-    return True, witness
+        not_max = np.any(vals > center + STRICT_TOL)
+        not_min = np.any(vals < center - STRICT_TOL)
+        if not (quot.min() < eps and not_max and not_min):
+            return False
+    return True
 
 
-def is_saddle(psi, u_bar: float, domain: tuple[float, float] = (0.0, np.inf)) -> tuple[bool, dict]:
+def is_saddle(psi, u_bar: float, domain: tuple[float, float] = (0.0, np.inf)) -> bool:
     """Saddle probe for a function ``psi`` at ``u_bar``; ``psi`` takes a
     scalar or an array of points.
 
     True iff, for every probe radius ``eps``, (a) some straddling pair
     ``u < u_bar < u'`` within ``eps`` has ``|psi(u') - psi(u)|/(u' - u) < eps``
     and (b) the local-max and local-min probes both fail inside the window.
-    A finite grid can support but never prove the verdict, so the witness
-    records the finest resolution reached.
+    A finite grid can support but never prove the verdict: it holds down to
+    the finest radius, ``PROBE_EPSILONS[-1]``.
     """
     if u_bar <= 0:
         raise ValueError("the probe point must be positive")
@@ -135,7 +128,6 @@ def classify_u_star(tech: Technology) -> GapClassification:
         raise UStarAtOrigin("gap argmax sits at the origin; trichotomy undefined")
 
     witness = GapWitness(
-        u=u,
         f0_left=tech.f0.left_deriv(u),
         f0_right=tech.f0.right_deriv(u),
         f1_left=tech.f1.left_deriv(u),
@@ -148,30 +140,8 @@ def classify_u_star(tech: Technology) -> GapClassification:
     # the local-max test and the saddle test read one evaluation of each window
     center = float(tech.gap(u))
     for_max, for_saddle = itertools.tee(_windows(tech.gap, u, lo, hi))
-    is_local_max = True
-    plateau = False
-    for _, _, _, vals in for_max:
-        if np.any(vals > center + STRICT_TOL):
-            is_local_max = False
-            break
-        plateau = plateau or bool(np.any(np.abs(vals - center) <= STRICT_TOL))
-    if is_local_max:
-        if plateau:
-            witness.notes.append("LocalMax-weak (plateau detected)")
+    if not any(np.any(vals > center + STRICT_TOL) for *_, vals in for_max):
         return GapClassification(GapKind.LOCAL_MAX, witness)
-
-    saddle, probe = _saddle_verdict(center, for_saddle)
-    if saddle:
-        witness.notes.append(probe.get("note", ""))
+    if _saddle_verdict(center, for_saddle):
         return GapClassification(GapKind.SADDLE, witness)
-
-    # mutual kink: the proof's chain of one-sided slopes must hold
-    s_lo, s_hi = witness.shared_interval
-    chain = (
-        witness.f1_right < witness.f0_right
-        and s_lo <= s_hi
-        and witness.f1_left < witness.f0_left
-    )
-    if not chain:
-        witness.notes.append("mutual-kink chain inequalities violated")
     return GapClassification(GapKind.MUTUAL_KINK, witness)

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import NonFiniteValue, PreconditionViolation
 from .frontiers import INF
 from .quadrature import MeasureOnTime, NodePlan, cell_index, step_value
+from .report import VerificationReport
 from .technology import Technology
 
 
@@ -355,15 +356,14 @@ def _payoffs(mechs, tech: Technology, G: BreakthroughDistribution) -> list[float
     return plan.expect(vals, tail)
 
 
-def _require_affine_f0(tech: Technology) -> tuple[float, float]:
-    """Return (intercept, slope) of F0 on [0, u0] or raise."""
+def _require_affine_f0(tech: Technology) -> None:
+    """Raise unless F0 is affine on [0, u0]."""
     us = np.linspace(0.0, tech.u0, 9)
     vals = np.asarray(tech.f0.value(us), dtype=float)
     slope = (vals[-1] - vals[0]) / (us[-1] - us[0])
     fit = vals[0] + slope * (us - us[0])
     if np.max(np.abs(vals - fit)) > 1e-9:
         raise PreconditionViolation("F0 is not affine on [0, u0]")
-    return float(vals[0] - slope * us[0]), float(slope)
 
 
 def payoff_affine_rewrite(
@@ -382,10 +382,11 @@ def payoff_affine_rewrite(
     r = m.r
     plan = _PayoffPlan(m, G)
     t = plan.quad.nodes
-    F1 = tech.f1.value(np.maximum(m._X0_on(plan.at), m.u1))
+    X0 = m._X0_on(plan.at)
+    F1 = tech.f1.value(np.maximum(X0, m.u1))
     # X0 is x0_tail from the horizon on, and T_max is past it
     tail = lambda: (0.0, F1[-1:] - tech.f0.value(m.x0_tail))
-    total = plan.expect([np.exp(-r * t) * (F1[: t.size] - tech.f0.value(m.X0_at(t)))], tail)
+    total = plan.expect([np.exp(-r * t) * (F1[: t.size] - tech.f0.value(X0[: t.size]))], tail)
     return float(tech.f0.value(m.X0_edges[0])) + total[0]
 
 
@@ -413,7 +414,7 @@ def _mass_on_region(G: BreakthroughDistribution, in_region, probes) -> float:
     return float(mass)
 
 
-def dominance_check(m: Mechanism, tech: Technology, G_family) -> "VerificationReport":
+def dominance_check(m: Mechanism, tech: Technology, G_family) -> VerificationReport:
     """Compare a normalized mechanism against its deadline twin.
 
     The twin delivers the same initial promise; with affine F0 its
@@ -421,8 +422,6 @@ def dominance_check(m: Mechanism, tech: Technology, G_family) -> "VerificationRe
     weakly higher for every G, strictly when G puts mass where the paths
     differ.
     """
-    from .report import VerificationReport
-
     rep = VerificationReport("no-delay")
     _require_affine_f0(tech)
     if m.u1 is None or np.any(m.x0 > tech.u0 + 1e-12) or m.x0_tail > tech.u0 + 1e-12:

@@ -249,7 +249,7 @@ class SmoothedPair:
 def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair:
     """Construct one smoothing level of the pair with all extensions attached."""
     params.validate_for(tech)
-    n, delta, gamma, zeta = params.n, params.delta, params.gamma, params.zeta
+    n, zeta = params.n, params.zeta
     if _core_error(tech, params) > params.eps:
         raise ParamsOutOfRange("core deviation exceeds the eps budget")
 

@@ -128,8 +128,6 @@ def euler_residual(prof: SupergradientProfile, G: BreakthroughDistribution) -> n
 class IntegrabilityReport:
     capital_phi_expectation: float
     phi1_abs_expectation: float
-    psi0_expectation: float
-    psi1_expectation: float
     bound_holds: bool
     slack: float
 
@@ -138,32 +136,21 @@ def integrability_bounds(
     prof: SupergradientProfile,
     G: BreakthroughDistribution,
     m: Mechanism,
-    tech: Technology,
-    probe_u: float,
 ) -> IntegrabilityReport:
     """Expectations behind the Euler equation's integrability argument.
 
     ``Phi(t) = r int_0^t e^{-rs} phi0(s) ds`` must be G-integrable with
     ``E_G Phi(tau) <= E_G |phi1(tau)|`` whenever the Euler residual vanishes.
-    Also reports the discounted one-sided-derivative accumulations toward a
-    probe promise ``probe_u``.
+    ``m`` gives the rate ``r`` and the grid the expectations split at.
     """
     r = m.r
     plan = NodePlan.build(G, integration_edges(G, r, m.edges))
-    t = plan.nodes
     e_phi = plan.expect_running(lambda s: r * np.exp(-r * s) * prof.phi0(s))
-    e_abs1 = plan.expect_values(np.abs(prof.phi1(t)))
-    psi0 = plan.expect_running(
-        lambda s: r * np.exp(-r * s) * directional_deriv(tech.f0, m.x0_at(s), probe_u)
-    )
-    psi1 = plan.expect_values(np.exp(-r * t) * directional_deriv(tech.f1, m.X0_at(t), probe_u))
-
+    e_abs1 = plan.expect_values(np.abs(prof.phi1(plan.nodes)))
     slack = e_abs1 - e_phi
     return IntegrabilityReport(
         capital_phi_expectation=e_phi,
         phi1_abs_expectation=e_abs1,
-        psi0_expectation=psi0,
-        psi1_expectation=psi1,
         bound_holds=slack > -1e-8,
         slack=slack,
     )

@@ -284,7 +284,7 @@ def test_08_euler():
 
     grid = TimeGrid(horizon=2.0, step=0.25, r=2.0)
     m = Mechanism.from_grid(grid, np.full(grid.n_cells, 0.3), x0_tail=0.3)
-    bounds = integrability_bounds(prof, G, m, _quad_tech(), probe_u=0.4)
+    bounds = integrability_bounds(prof, G, m)
     ok &= bounds.bound_holds and bounds.slack > 0
 
     warm = max(

@@ -494,6 +494,19 @@ class TestSuites:
         with pytest.raises(ConfigError):
             run_suite(load_config(None), "nope")
 
+    @pytest.mark.parametrize("suite", ["concavity", "mixture"])
+    @pytest.mark.parametrize(
+        "flag, value", [("--trials", "0"), ("--trials", "-3"), ("--seed", "-1")]
+    )
+    def test_no_trials_or_a_negative_seed_is_config_error(self, capsys, suite, flag, value):
+        # a suite run on no trials would pass on no evidence, and numpy's own
+        # refusal of a negative seed names no flag
+        assert main(["verify", suite, flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"`{flag}`" in err and value in err
+
     def test_reports_deterministic_for_fixed_seed(self):
         cfg = load_config(None)
         a = run_suite(cfg, "ibp", seed=7, trials=5).render()

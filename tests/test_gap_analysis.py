@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from frontierkit import (
 from frontierkit.gap_analysis import (
     PROBE_EPSILONS,
     GapKind,
+    GapWitness,
     classify_u_star,
     is_saddle,
     shared_supergradient_interval,
@@ -76,22 +79,19 @@ class TestSharedSupergradientInterval:
 
 
 class TestIsSaddle:
+    # the verdict is a bool: ``is True`` and ``is False`` hold for no other value
     def test_cubic_is_saddle(self):
-        ok, witness = is_saddle(lambda u: -((u - 1.0) ** 3), 1.0)
-        assert ok
+        assert is_saddle(lambda u: -((u - 1.0) ** 3), 1.0) is True
         # symmetric pairs at distance delta give quotient delta^2 -> 0
         for delta in (1e-1, 1e-2, 1e-3):
             quot = abs(-(delta**3) - delta**3) / (2 * delta)
             assert quot == pytest.approx(delta**2)
-        assert witness["note"].startswith("supported at resolution")
 
     def test_quadratic_local_max_is_not(self):
-        ok, _ = is_saddle(lambda u: -((u - 1.0) ** 2), 1.0)
-        assert not ok
+        assert is_saddle(lambda u: -((u - 1.0) ** 2), 1.0) is False
 
     def test_abs_local_min_is_not(self):
-        ok, _ = is_saddle(lambda u: abs(u - 1.0), 1.0)
-        assert not ok
+        assert is_saddle(lambda u: abs(u - 1.0), 1.0) is False
 
     def test_requires_positive_point(self):
         with pytest.raises(ValueError):
@@ -108,6 +108,10 @@ class TestClassifyUStar:
         assert w.shared_interval[0] <= w.shared_interval[1]
         assert w.shared_interval[1] <= w.f1_left < w.f0_left
         assert w.psi_left < 0 and w.psi_right < 0
+
+    def test_witness_holds_the_slopes_and_the_shared_interval_only(self):
+        names = [f.name for f in dataclasses.fields(GapWitness)]
+        assert names == ["f0_left", "f0_right", "f1_left", "f1_right", "shared_interval"]
 
     def test_local_max(self):
         cls = classify_u_star(local_max_tech())

@@ -411,6 +411,21 @@ class TestAffineRewrite:
         expected = float(tech.f0.value(0.5)) + (1.0 / 2.0) * phi_u0  # E e^{-r tau}
         assert payoff_affine_rewrite(m, tech, G) == pytest.approx(expected, abs=1e-9)
 
+    def test_nodes_are_placed_on_the_grid_once(self, monkeypatch):
+        built = []
+        init = mechanism._GridTimes.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(mechanism._GridTimes, "__init__", counting)
+        tech = affine_tech()
+        m = make_deadline_mechanism(1.0, tech, GRID)
+        built.clear()
+        payoff_affine_rewrite(m, tech, BreakthroughDistribution.exponential(0.8))
+        assert len(built) == 1
+
     def test_atom_at_zero_rejected(self):
         tech = affine_tech()
         m = make_deadline_mechanism(1.0, tech, GRID)

@@ -239,6 +239,21 @@ class TestRegularityReport:
         )
         assert rep.overall_pass
 
+    def test_usc_probes_only_the_three_points_it_reads(self):
+        # 9 grid values, 36 midpoints, the peak, and the lower boundary with
+        # its three nearest probes; the upper side is unbounded
+        with mock.patch.object(mixture, "mixture_value", wraps=mixture.mixture_value) as spy:
+            rep = verify_mixture_regularity(quad_pair(), np.linspace(1.0, 3.0, 9))
+        assert spy.call_count == 50
+        assert rep.render() == (
+            "suite: mixture\n"
+            "[PASS] midpoint-concavity\n"
+            "[PASS] unique-peak\n"
+            "[PASS] usc-lower  worst=1.364e-12\n"
+            "[PASS] usc-upper  (unbounded side)\n"
+            "overall: PASS"
+        )
+
 
 def bisected_level(T, u, lo, hi, t_lo, t_hi):
     """The reference level search: `mixture_value`'s bisection on ``T > u``
