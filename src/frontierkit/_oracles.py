@@ -18,17 +18,17 @@ def brute_force_mixture_value(dist, u: float) -> float:
     """Exact mixture value at expectation ``u`` for quadratic members.
 
     At an optimum each member ``a + b*x + c*x**2`` sits at its floor
-    ``max(0, domain lo)``, at its ceiling ``min(cap, domain hi)`` (the cap of
-    `mixture_value`, ``max(10*(1 + max peak), 2u + 1)``), or is free, and the
-    free members share one slope ``eta``: ``x = (eta - b) / (2c)``,
-    with ``eta`` fixed by the expectation constraint. Every one of the
+    ``max(0, domain lo)``, at its ceiling ``min(cap, domain hi)``, or is
+    free, and the free members share one slope ``eta``: ``x = (eta - b) /
+    (2c)``, with ``eta`` fixed by the expectation constraint. The cap
+    ``max(2u + 1, u / min p)`` holds every feasible allocation. Every one of the
     ``3**k`` assignments gives at most one allocation; the optimum is among
     them, so the best feasible one is the mixture value (``-inf`` if none is).
     """
     members, probs = dist.members, dist.probs
     if not all(isinstance(f, QuadraticFrontier) for f in members):
         raise TypeError("the exact mixture oracle needs quadratic members")
-    cap = max(10.0 * (1.0 + max(f.peak for f in members)), 2.0 * u + 1.0)
+    cap = max(2.0 * u + 1.0, u / float(probs.min()))
     a, b, c = np.array([f.coeffs for f in members]).T
     lo = np.array([max(0.0, f.domain[0]) for f in members])
     hi = np.array([min(cap, f.domain[1]) for f in members])

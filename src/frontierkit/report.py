@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 @dataclass
@@ -41,6 +41,10 @@ class VerificationReport:
         self.checks.append(
             Check(check_id, bool(passed), float(worst_violation), location, note)
         )
+
+    def extend(self, prefix: str, sub: VerificationReport) -> None:
+        """Add every check of ``sub``, its id prefixed with ``prefix``."""
+        self.checks += [replace(c, check_id=prefix + c.check_id) for c in sub.checks]
 
     @property
     def overall_pass(self) -> bool:

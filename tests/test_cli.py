@@ -55,6 +55,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="phi.exponent"):
             load_config(str(path))
 
+    def test_unknown_key_is_config_error_naming_it(self, tmp_path, capsys):
+        # YAML keys may be ints, bools or null: the first in string order is named
+        cases = [
+            ("lamda: 3.0", "lamda"),
+            ("phi: {exponent: 0.5, expo: 3}", "phi.expo"),
+            ("kappa: {kind: power, exponent: 2.0, shape: 1}", "kappa.shape"),
+            ("lambda: 1.0\ntrue: 1\nnull: 2\n7: 3", "7"),
+            ("phi: {exponent: 0.5, false: 1, null: 2}", "phi.False"),
+        ]
+        path = tmp_path / "typo.yaml"
+        for text, key in cases:
+            path.write_text(text + "\n")
+            assert main(["frontier", "--config", str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert f"unknown key `{key}`" in err
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/conf.yaml")

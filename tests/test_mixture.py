@@ -19,6 +19,7 @@ from frontierkit import (
 from frontierkit._oracles import brute_force_mixture_value
 from frontierkit.mixture import (
     FrontierDistribution,
+    mixture_domain,
     mixture_peak,
     mixture_value,
     verify_mixture_regularity,
@@ -123,6 +124,76 @@ class TestMixtureValue:
         assert val == pytest.approx(expected_value, abs=1e-12)
 
 
+class _PeakRaises(QuadraticFrontier):
+    @property
+    def peak(self):
+        raise AssertionError("a member's peak was read")
+
+
+class TestAllocationBox:
+    """The box ``max(2u + 1, u / min p)`` holds every allocation with
+    expectation ``u``, whatever the members' peaks."""
+
+    def test_a_flat_member_of_small_weight_takes_most_of_the_promise(self):
+        # -(x-1)**2 at 0.99 and -0.001*(x-1)**2 at 0.01: equal slopes give
+        # x2 - 1 = 1000*(x1 - 1), and 0.99*x1 + 0.01*x2 = 10 gives x1 = 19.99/10.99
+        dist = FrontierDistribution(
+            [(QuadraticFrontier(-1.0, 2.0, -1.0), 0.99), (QuadraticFrontier(-0.001, 0.002, -0.001), 0.01)]
+        )
+        x1 = 19.99 / 10.99
+        x2 = 1.0 + 1000.0 * (x1 - 1.0)
+        val, alloc = mixture_value(dist, 10.0)
+        assert val == -7.370336669699727
+        assert val == pytest.approx(-(0.99 * (x1 - 1.0) ** 2 + 0.01 * 0.001 * (x2 - 1.0) ** 2), rel=1e-13)
+        assert alloc == pytest.approx([x1, x2], rel=1e-12)
+        assert brute_force_mixture_value(dist, 10.0) == pytest.approx(val, rel=1e-13)
+
+    def test_bounded_members_with_a_small_weight_on_the_wide_one(self):
+        # the first member is capped at 0.1, so the second holds (0.5 - 0.099) / 0.01
+        narrow = QuadraticFrontier(0.0, 1.0, -1.0, domain=(0.0, 0.1))
+        wide = QuadraticFrontier(0.0, 1.0, -1.0, domain=(0.0, 1000.0))
+        dist = FrontierDistribution([(narrow, 0.99), (wide, 0.01)])
+        val, alloc = mixture_value(dist, 0.5)
+        assert val == pytest.approx(-15.59, rel=1e-13)
+        assert alloc == pytest.approx([0.1, 40.1], rel=1e-12)
+        assert brute_force_mixture_value(dist, 0.5) == pytest.approx(val, rel=1e-13)
+
+    def test_the_domain_is_read_off_the_members_without_solving(self):
+        narrow = QuadraticFrontier(0.0, 1.0, -1.0, domain=(0.0, 0.1))
+        wide = QuadraticFrontier(0.0, 1.0, -1.0, domain=(0.0, 1000.0))
+        dist = FrontierDistribution([(narrow, 0.99), (wide, 0.01)])
+        with mock.patch.object(mixture, "mixture_value", side_effect=AssertionError("solved")):
+            assert mixture_domain(dist) == (0.0, 10.099)
+        # and the value is finite on it, -inf past it
+        assert np.isfinite(mixture_value(dist, 10.099)[0])
+        assert mixture_value(dist, 10.1)[0] == -np.inf
+
+    def test_a_member_without_a_peak(self):
+        # log(1 + x) rises for ever; with -(x-1)**2, equal slopes and
+        # x1 + x2 = 4 give x1 = 1 + 1.5*sqrt(2)
+        dist = FrontierDistribution(
+            [(ParametricFrontier(np.log1p, lambda u: 1.0 / (1.0 + u)), 0.5), (QuadraticFrontier(-1.0, 2.0, -1.0), 0.5)]
+        )
+        x1 = 1.0 + 1.5 * math.sqrt(2.0)
+        val, alloc = mixture_value(dist, 2.0)
+        assert val == 0.7007274789988418
+        assert val == pytest.approx(0.5 * (math.log1p(x1) - (3.0 - x1) ** 2), rel=1e-13)
+        assert alloc == pytest.approx([x1, 4.0 - x1], rel=1e-12)
+
+    def test_neither_solver_reads_a_peak(self):
+        dist = FrontierDistribution([(_PeakRaises(-1.0, 2.0, -1.0), 0.3), (_PeakRaises(-9.0, 6.0, -1.0), 0.7)])
+        for u in (0.0, 1.0, 2.6, 40.0):
+            val, _ = mixture_value(dist, u)
+            assert val == pytest.approx(brute_force_mixture_value(dist, u), rel=1e-12)
+
+    def test_infeasible_promise_returns_the_floors(self):
+        # the cap at u = 0.1 is 1.2, below the member's floor 5
+        dist = FrontierDistribution([(QuadraticFrontier(0.0, 1.0, -1.0, domain=(5.0, 9.0)), 1.0)])
+        val, alloc = mixture_value(dist, 0.1)
+        assert val == -np.inf
+        assert alloc.tolist() == [5.0]
+
+
 class TestMixturePeak:
     def test_quad_pair(self):
         assert abs(mixture_peak(quad_pair()) - 2.0) < 1e-12
@@ -215,6 +286,50 @@ def test_water_filling_matches_the_exact_oracle(members, u):
     assert abs(val - oracle) <= 1e-12 * max(1.0, abs(oracle))
     assert abs(dist.probs @ alloc - u) <= 1e-10
     assert np.all(alloc >= 0.0)
+
+
+def active_set_value(dist, u):
+    """Mixture value of quadratics ``a + b*x + c*x**2`` on ``[0, inf)`` from
+    their KKT conditions, independent of `mixture_value` and the oracle.
+
+    At the level ``eta`` each member takes ``max(0, (b - eta) / (-2c))``, so
+    the members enter in decreasing order of ``b``; the level of the first
+    active set whose level is at least the next ``b`` meets ``u``."""
+    a, b, c = np.array([f.coeffs for f in dist.members]).T
+    probs = dist.probs
+    rate = probs / (-2.0 * c)  # the expectation's fall per unit rise of eta
+    order = np.argsort(-b)
+    for m in range(1, b.size + 1):
+        active = order[:m]
+        eta = (rate[active] @ b[active] - u) / rate[active].sum()
+        if m == b.size or eta >= b[order[m]]:
+            break
+    x = np.maximum(0.0, (b - eta) / (-2.0 * c))
+    return float(probs @ (a + b * x + c * x * x)), x
+
+
+@given(
+    members=st.lists(
+        st.tuples(st.floats(-1.0, 3.0), st.floats(-3.0, 0.3), st.floats(0.0, 1.0), st.floats(-3.0, 0.0)),
+        min_size=1,
+        max_size=5,
+    ),
+    u=st.floats(0.0, 30.0),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_water_filling_matches_the_active_set_solution(members, u):
+    """Unbounded quadratic families with weights down to ``10**-3`` and ``u``
+    up to 30, where a flat member of small weight can hold far more than
+    ``u`` or any member's peak."""
+    weights = np.array([10.0**lw for *_, lw in members])
+    dist = FrontierDistribution(
+        [(quadratic(peak, lc, h), w) for (peak, lc, h, _), w in zip(members, weights / weights.sum())]
+    )
+    val, alloc = mixture_value(dist, u)
+    ref, ref_alloc = active_set_value(dist, u)
+    assert val == pytest.approx(ref, rel=1e-10, abs=1e-10)
+    assert alloc == pytest.approx(ref_alloc, rel=1e-6, abs=1e-6)
+    assert abs(dist.probs @ alloc - u) <= 1e-10 * max(1.0, u)
 
 
 class TestRegularityReport:
@@ -321,15 +436,15 @@ def test_level_search_lands_on_the_bisected_level(members, where, t):
     Families of one to five quadratic (some on a bounded domain), affine and
     piecewise-linear members, with weights down to ``10**-6`` (a quadratic
     whose peak is below 0 sits at its floor), at ``u`` on either end of the
-    feasible totals, within 1e-10 outside them, at the mixture peak and
-    inside.
+    mixture's domain, within 1e-10 outside them, at the mixture peak and
+    inside. An unbounded domain's upper end is taken 8 above its lower end,
+    past every member's peak.
     """
     weights = np.array([10.0**lw for _, lw in members])
     dist = FrontierDistribution(list(zip([f for f, _ in members], weights / weights.sum())))
-    probs, fs = dist.probs, dist.members
-    cap = 10.0 * (1.0 + max(f.peak for f in fs))
-    lo_total = float(probs @ [max(0.0, f.domain[0]) for f in fs])
-    hi_total = float(probs @ [min(cap, f.domain[1]) for f in fs])
+    lo_total, hi_total = mixture_domain(dist)
+    if math.isinf(hi_total):
+        hi_total = lo_total + 8.0
     u = {
         "lo": lo_total,
         "hi": hi_total,
