@@ -273,28 +273,43 @@ def directional_deriv(f: Frontier, a, b):
 def gap_argmax(f0: Frontier, f1: Frontier, hi: float) -> float:
     """Argmax of ``f1 - f0`` on ``[0, hi]`` for a technology or a smoothed pair:
     the best of 601 even grid points, then golden section at ``tol=1e-12``
-    between the grid points two steps either side of it."""
+    between the grid points two steps either side of it.
+
+    Where the grid peaks at its first point ``us[0] = 0``, the gap at the
+    first three points lies within 1 of 0, and ``f1.right_deriv(0) <=
+    f0.left_deriv(us[2]) - 1e-9``, the result is exactly 0.0, with no golden
+    section: by concavity ``f1(u) <= f1(0) + f1'(0+) u`` and ``f0(u) >= f0(0)
+    + f0'(us[2]-) u`` on the golden bracket ``[0, us[2]]``, so there the gap
+    is at most ``gap(0)`` and 0 is its argmax. A smoothed pair's gap rises
+    from 0, so it never takes this branch.
+    """
     gap = lambda u: f1.value(u) - f0.value(u)
     us = np.linspace(0.0, hi, 601)
-    i = int(np.argmax(gap(us)))
+    gaps = gap(us)
+    i = int(np.argmax(gaps))
+    if (
+        i == 0
+        and np.all(np.abs(gaps[:3]) <= 1.0)
+        and f1.right_deriv(0.0) <= f0.left_deriv(float(us[2])) - 1e-9
+    ):
+        return 0.0
     return golden_section_max(gap, float(us[max(0, i - 2)]), float(us[min(600, i + 2)]), tol=1e-12)
 
 
 def midpoint_concavity_slack(f: Frontier, us: Sequence[float]) -> float:
     """Worst midpoint-concavity slack over all pairs of sample points.
 
-    Returns ``min over pairs of value(mid) - (value(u)+value(v))/2``; a
-    concave function yields a nonnegative result up to rounding.
+    Returns ``min over pairs of value(mid) - (value(u)+value(v))/2`` over the
+    pairs whose two values are finite; a concave function yields a
+    nonnegative result up to rounding. The points and all midpoints go to
+    ``f`` in one ``value`` call.
     """
     us = np.asarray(list(us), dtype=float)
-    if us.size == 0:
-        return INF
-    vals = np.atleast_1d(np.asarray(f.value(us), dtype=float))
-    finite = np.isfinite(vals)
-    us, vals = us[finite], vals[finite]
-    if us.size < 2:
-        return INF
     iu, iv = np.triu_indices(us.size, k=1)
-    mids = 0.5 * (us[iu] + us[iv])
-    mid_vals = np.atleast_1d(np.asarray(f.value(mids), dtype=float))
-    return float(np.min(mid_vals - 0.5 * (vals[iu] + vals[iv])))
+    vals = np.atleast_1d(np.asarray(f.value(np.concatenate([us, 0.5 * (us[iu] + us[iv])])), dtype=float))
+    vals, mid_vals = vals[: us.size], vals[us.size :]
+    finite = np.isfinite(vals[iu]) & np.isfinite(vals[iv])
+    if not finite.any():
+        return INF
+    slack = mid_vals - 0.5 * (vals[iu] + vals[iv])
+    return float(np.min(slack[finite]))

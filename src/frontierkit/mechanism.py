@@ -23,6 +23,9 @@ from .quadrature import MeasureOnTime, NodePlan, cell_index, step_value
 from .report import VerificationReport
 from .technology import Technology
 
+#: `Mechanism` checks an explicit ``X1`` at these multiples of the horizon
+_TAIL_PROBES = np.array([1.0, 1.5, 2.0, 10.0, 1e3])
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -148,6 +151,11 @@ class Mechanism:
             raise ValueError("r must be positive and finite")
         if np.any(np.diff(self.edges) <= 0):
             raise ValueError("edges must be strictly increasing")
+        if self.X1 is not None:
+            # the payoff integrates the tail in closed form from one value of X1
+            tail = np.asarray(self.X1(self.horizon * _TAIL_PROBES), dtype=float)
+            if not np.all(tail == tail[0]):
+                raise ValueError(f"X1 must be constant from the horizon on, got {tail.tolist()}")
         object.__setattr__(self, "X0_edges", _promise_edges(self.edges, self.x0, self.r, self.x0_tail))
 
     @classmethod

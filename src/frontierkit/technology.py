@@ -36,6 +36,12 @@ _DIVERGENCE_FACTOR = 2.0
 # `_effort_guess`: Newton steps on the log-FOC
 _NEWTON_STEPS = 6
 
+# `_u1_condition`: its guards' distance from the identity's u1, in solver
+# steps (1e-12 or the float spacing at u0), and the margin their values must
+# clear, per unit of ``lam / a``
+_U1_WINDOW = 2048.0
+_U1_MARGIN = 2.0**-40
+
 # `effort_star_array` tests for repeated midpoints from this halving on
 # (counted from 0). A bracket starts at least 1 wide and lies in [0, hi], so
 # after k halvings it is about 2**-k * hi wide, more than the float spacing
@@ -210,8 +216,8 @@ class Technology:
     u1: float
     u_star: float
     prims: MoralHazardPrimitives | None = field(default=None, repr=False)
-    #: smoothing's core errors by their inputs (see `smoothing._core_error`)
-    _core_errors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: smoothing's cores and their errors by their inputs (see `smoothing._cores`)
+    _smoothing_cores: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def gap(self, u):
         return self.f1.value(u) - self.f0.value(u)
@@ -261,7 +267,12 @@ def make_frontier_f0(prims: MoralHazardPrimitives) -> Frontier:
 
 
 def make_moral_hazard_technology(prims: MoralHazardPrimitives) -> Technology:
-    """Build both frontiers and solve for ``u0``, ``u1`` and the gap argmax."""
+    """Build both frontiers and solve for ``u0``, ``u1`` and the gap argmax.
+
+    The ``u1`` bisection runs on `_u1_condition`, and ``u* = 0`` usually comes
+    from `gap_argmax`'s certificate: each gives the plain search's bits with
+    fewer effort solves.
+    """
     prims.validate()
     f0 = make_frontier_f0(prims)
     u0 = f0.peak
@@ -288,10 +299,13 @@ def make_moral_hazard_technology(prims: MoralHazardPrimitives) -> Technology:
             f"or the float spacing at u0 = {u0:.6g}), so u1 cannot be told apart from u0"
         )
     # corner first: the FOC holds with inequality at u1 = 0
-    if u1_foc(0.0) <= 0.0:
+    at_zero = u1_foc(0.0)
+    if at_zero <= 0.0:
         u1 = 0.0
     else:
-        u1 = bisect(u1_foc, 0.0, u0, tol=1e-12)
+        # the guards sit `_U1_WINDOW` steps either side of the identity's u1
+        d, tau = _U1_WINDOW * resolution, _U1_MARGIN * prims.lam / prims.phi.a
+        u1 = bisect(_u1_condition(u1_foc, at_zero, u0, u0 - gap, d, tau), 0.0, u0, tol=1e-12)
     # the solved peaks must meet that identity. In random scans of a wide
     # box, admissible instances miss it by at most about 16 steps; a tiny
     # `phi.exponent` (1e-8 and below at the other defaults) puts phi_inv's
@@ -309,6 +323,32 @@ def make_moral_hazard_technology(prims: MoralHazardPrimitives) -> Technology:
     return Technology(f0=f0, f1=f1, u0=u0, u1=u1, u_star=u_star, prims=prims)
 
 
+def _u1_condition(u1_foc, at_zero: float, u0: float, est: float, d: float, tau: float):
+    """A stand-in for ``u1_foc``, strictly decreasing on ``[0, u0]``, with its
+    sign and zeros at every point: `bisect` reads nothing else, so it takes the
+    same steps and returns the same bits.
+
+    The guards ``est -+ d`` straddle ``est``, the identity's u1; the build
+    refuses a u1 more than 1024 steps off it, so `_U1_WINDOW` = 2048 steps
+    hold every u1 it accepts. Where ``u1_foc`` exceeds ``tau`` at the lower
+    guard and lies below ``-tau`` at the upper one, every point left (right)
+    of the window has the lower (upper) guard's sign, and the stand-in returns
+    that guard's value there: only the bisection's last 13 or so steps solve
+    the effort problem. ``tau = 2**-40 lam/a`` is 2**12 times the condition's
+    rounding at the root, where one float of ``v = u + kappa(L) = u0`` moves
+    ``a v**(1 - 1/a)`` by about ``lam/a * 2**-52``; at a tiny ``phi.exponent``
+    that rounding is a staircase that is not monotone, and the guards fail.
+    Otherwise, or where a guard leaves ``(0, u0)``, the stand-in is ``u1_foc``
+    with ``at_zero``, its value at 0, reused.
+    """
+    lo, hi = est - d, est + d
+    if 0.0 < lo and hi < u0:
+        f_lo, f_hi = u1_foc(lo), u1_foc(hi)
+        if f_lo > tau and f_hi < -tau:
+            return lambda u: f_lo if u < lo else f_hi if u > hi else u1_foc(u)
+    return lambda u: at_zero if u == 0.0 else u1_foc(u)
+
+
 def _checked_gap_argmax(f0: Frontier, f1: Frontier, cand: float, u_hi: float) -> float:
     """Trust step for ``cand``, the `gap_argmax` of ``F1 - F0`` on ``[0, u_hi]``:
     returns ``0.0``, ``u_hi`` or ``cand``.
@@ -320,8 +360,12 @@ def _checked_gap_argmax(f0: Frontier, f1: Frontier, cand: float, u_hi: float) ->
     nonincreasing on ``[0, u0]`` (``gap-derivative-negative`` in ``verify
     ui-assns``): there ``u_star`` does not depend on where the search probes.
     Smoothed pairs skip this step; at a corner (``u1 = 0``) their argmax can
-    fail it.
+    fail it. A ``cand`` of exactly 0.0 comes from `gap_argmax`'s certificate
+    and is returned without evaluating F1: golden section would have ended
+    within 1e-12 of 0, where this step returns 0.0.
     """
+    if cand == 0.0:
+        return 0.0
     ends = np.array([0.0, cand, u_hi])
     g0, g_cand, g_hi = (f1.value(ends) - f0.value(ends)).tolist()
     if g0 >= g_cand - 1e-12:

@@ -194,6 +194,46 @@ def test_technology_trust_step_returns_an_end_or_the_candidate():
         technology._checked_gap_argmax(f0, f1, 0.8 * cand, 0.5)
 
 
+def grid_and_golden(f0, f1, hi):
+    """`gap_argmax` without its certificate: golden section around the grid's best."""
+    gap = lambda u: float(f1.value(u)) - float(f0.value(u))
+    us = np.linspace(0.0, hi, 601)
+    i = int(np.argmax(f1.value(us) - f0.value(us)))
+    return golden_reference(gap, float(us[max(0, i - 2)]), float(us[min(600, i + 2)]), tol=1e-12)
+
+
+def test_gap_argmax_certifies_the_origin_without_golden_section(monkeypatch):
+    golden = []
+    search = frontiers.golden_section_max
+    monkeypatch.setattr(frontiers, "golden_section_max", lambda *a, **k: golden.append(a) or search(*a, **k))
+    f0, _ = interior_peak_pair()
+    # the falling pair of the trust-step test: gap 1 - 2u, slopes -1 and 1 - 2 us[2]
+    falling = fk.QuadraticFrontier(1.0, -1.0, -1.0)
+    assert fk.gap_argmax(f0, falling, 0.5) == 0.0 and not golden
+    # golden section would have landed within its tolerance of 0, which the
+    # trust step turns into 0 as well
+    assert 0.0 < grid_and_golden(f0, falling, 0.5) < 1e-12
+    assert technology._checked_gap_argmax(f0, falling, 0.0, 0.5) == 0.0
+
+
+@pytest.mark.parametrize(
+    "f1",
+    [
+        interior_peak_pair()[1],
+        fk.QuadraticFrontier(1.0, 3.0, -1.0),  # rising: the grid peaks at the upper end
+        fk.QuadraticFrontier(0.0, 1.0, -2.0),  # gap -u^2: peaks at 0, but flat there
+        fk.QuadraticFrontier(6.0, -1.0, -1.0),  # peaks at 0 and falls, but gap(0) = 6
+    ],
+)
+def test_gap_argmax_outside_the_certificate_is_golden_section(monkeypatch, f1):
+    golden = []
+    search = frontiers.golden_section_max
+    monkeypatch.setattr(frontiers, "golden_section_max", lambda *a, **k: golden.append(a) or search(*a, **k))
+    f0, _ = interior_peak_pair()
+    assert fk.gap_argmax(f0, f1, 0.5) == grid_and_golden(f0, f1, 0.5)
+    assert len(golden) == 1
+
+
 def test_both_builders_call_the_one_gap_argmax(monkeypatch, default_prims):
     assert technology.gap_argmax is smoothing.gap_argmax is frontiers.gap_argmax
     his = []

@@ -462,6 +462,26 @@ def test_mechanism_promise_level_must_be_finite(u1):
         replace(Mechanism.from_grid(GRID, np.full(GRID.n_cells, 0.1)), u1=u1)
 
 
+@pytest.mark.parametrize(
+    "X1",
+    [
+        lambda t: 0.3 + 0.01 * np.maximum(t - GRID.horizon, 0.0),  # rises past the horizon
+        lambda t: np.where(t < 20.0, 0.4, 0.3),  # steps down well past it
+        lambda t: np.where(t >= GRID.horizon, np.nan, 0.3),  # no value from the horizon on
+    ],
+)
+def test_mechanism_explicit_promise_must_be_constant_from_the_horizon(X1):
+    # the payoff takes the tail from one value of X1, so it came out wrong
+    x0 = np.full(GRID.n_cells, 0.1)
+    with pytest.raises(ValueError, match="X1 must be constant from the horizon"):
+        Mechanism.from_grid(GRID, x0, X1=X1)
+    with pytest.raises(ValueError, match="X1"):
+        replace(Mechanism.from_grid(GRID, x0), X1=X1)
+    # constant from the horizon on, whatever it does before
+    steps = partial(step_value, GRID.edges, np.linspace(0.2, 0.4, GRID.n_cells), 0.35)
+    assert Mechanism.from_grid(GRID, x0, X1=steps).X1_at(GRID.horizon + 5.0) == 0.35
+
+
 @pytest.mark.parametrize("name", ["edges", "x0", "r", "x0_tail", "u1", "X1", "X0_edges"])
 def test_mechanism_is_frozen(name):
     m = Mechanism.from_grid(GRID, np.full(GRID.n_cells, 0.1), u1=0.2)

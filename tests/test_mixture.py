@@ -369,6 +369,19 @@ class TestRegularityReport:
             "overall: PASS"
         )
 
+    def test_a_member_without_a_peak_leaves_unique_peak_not_applicable(self):
+        # log(1 + x) rises for ever, so the mixture has no peak to check; the
+        # other checks run as for any family
+        log1p = ParametricFrontier(np.log1p, lambda u: 1.0 / (1.0 + u))
+        for support in ([(log1p, 0.5), (QuadraticFrontier(-1.0, 2.0, -1.0), 0.5)],
+                        [(QuadraticFrontier(-1.0, 2.0, -1.0), 0.25), (log1p, 0.75)]):
+            rep = verify_mixture_regularity(FrontierDistribution(support), np.linspace(1.0, 3.0, 9))
+            member = [f for f, _ in support].index(log1p)
+            assert rep["unique-peak"].passed
+            assert rep["unique-peak"].note == f"not applicable: member {member} has no peak"
+            assert rep["midpoint-concavity"].passed and rep["usc-lower"].passed
+            assert rep.overall_pass
+
 
 def bisected_level(T, u, lo, hi, t_lo, t_hi):
     """The reference level search: `mixture_value`'s bisection on ``T > u``

@@ -271,7 +271,7 @@ class TestBatchedEvaluation:
     def test_core_windows_straddling_a_kink(self):
         f = PiecewiseLinearFrontier([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
         params = SmoothingParams(n=8, delta=0.1, gamma=1e-9, zeta=0.02, eps=0.009)
-        core = _Core(f, params, anchor=0.5, shift=0.01)
+        core = _Core(f, params, anchor=0.5)
         # two windows hold the kink inside, one ends and one starts on it
         us = np.array([0.3, 0.9, 0.95, 1.0 - 1e-12, 1.0, 1.05, 1.5])
         np.testing.assert_array_equal(core.value(us), [core.value(float(u)) for u in us])
