@@ -296,20 +296,24 @@ def gap_argmax(f0: Frontier, f1: Frontier, hi: float) -> float:
     return golden_section_max(gap, float(us[max(0, i - 2)]), float(us[min(600, i + 2)]), tol=1e-12)
 
 
-def midpoint_concavity_slack(f: Frontier, us: Sequence[float]) -> float:
-    """Worst midpoint-concavity slack over all pairs of sample points.
-
-    Returns ``min over pairs of value(mid) - (value(u)+value(v))/2`` over the
-    pairs whose two values are finite; a concave function yields a
-    nonnegative result up to rounding. The points and all midpoints go to
-    ``f`` in one ``value`` call.
-    """
+def midpoint_concavity_plan(us: Sequence[float]):
+    """The points ``us`` and the midpoints of all their pairs, and the rule
+    from a frontier's values there to its worst midpoint-concavity slack: the
+    ``min over pairs of value(mid) - (value(u)+value(v))/2`` over the pairs
+    whose two values are finite. A concave function yields a nonnegative
+    result up to rounding."""
     us = np.asarray(list(us), dtype=float)
     iu, iv = np.triu_indices(us.size, k=1)
-    vals = np.atleast_1d(np.asarray(f.value(np.concatenate([us, 0.5 * (us[iu] + us[iv])])), dtype=float))
-    vals, mid_vals = vals[: us.size], vals[us.size :]
-    finite = np.isfinite(vals[iu]) & np.isfinite(vals[iv])
-    if not finite.any():
-        return INF
-    slack = mid_vals - 0.5 * (vals[iu] + vals[iv])
-    return float(np.min(slack[finite]))
+    def slack(vals):
+        vals, mid_vals = vals[: us.size], vals[us.size :]
+        finite = np.isfinite(vals[iu]) & np.isfinite(vals[iv])
+        return float(np.min((mid_vals - 0.5 * (vals[iu] + vals[iv]))[finite])) if finite.any() else INF
+
+    return np.concatenate([us, 0.5 * (us[iu] + us[iv])]), slack
+
+
+def midpoint_concavity_slack(f: Frontier, us: Sequence[float]) -> float:
+    """Worst midpoint-concavity slack of ``f`` over all pairs of the sample
+    points ``us`` (see `midpoint_concavity_plan`), from one ``value`` call."""
+    points, slack = midpoint_concavity_plan(us)
+    return slack(np.atleast_1d(np.asarray(f.value(points), dtype=float)))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParamsOutOfRange
-from .frontiers import INF, Frontier, gap_argmax, midpoint_concavity_slack
+from .frontiers import INF, Frontier, gap_argmax, midpoint_concavity_plan
 from .quadrature import cell_index
 from .report import VerificationReport
 from .technology import Technology
@@ -90,23 +90,40 @@ def smallest_level(tech: Technology) -> int:
     return next(n for n in itertools.count(max(2, math.floor(1.0 / need) - 1)) if 1.0 / n < need)
 
 
-def _window_integral(f: Frontier, u, delta: float):
-    """``int_u^{u+delta} f`` for one window start ``u`` or an array of them.
-
-    Each window is split at the source's knots inside it and every stretch
-    gets GL-8, which is exact per linear piece and accurate per smooth one.
-    The nodes of all windows go to ``f`` in one ``value`` call.
-    """
-    starts = np.atleast_1d(np.asarray(u, dtype=float)).tolist()
-    cuts = [[a, *(k for k in f.knots if a < k < a + delta), a + delta] for a in starts]
-    lo = np.array([c for cs in cuts for c in cs[:-1]])
-    hi = np.array([c for cs in cuts for c in cs[1:]])
+def _window_plan(f: Frontier, starts: np.ndarray, delta: float):
+    """GL-8 nodes of the windows ``[a, a + delta]``, ``a`` in ``starts``, each
+    split at the source's knots inside it (exact per linear piece, accurate per
+    smooth one), and the rule from the values there to the windows' integrals."""
+    ends = starts + delta
+    knots = np.asarray(f.knots, dtype=float)
+    cuts = np.column_stack([starts, np.broadcast_to(knots, (starts.size, knots.size)), ends])
+    keep = np.pad((knots > starts[:, None]) & (knots < ends[:, None]), ((0, 0), (1, 1)), constant_values=True)
+    lo, hi = cuts[:, :-1][keep[:, :-1]], cuts[:, 1:][keep[:, 1:]]
     half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
-    vals = np.reshape(f.value((mid[:, None] + half[:, None] * _GL8_NODES).ravel()), (-1, 8))
-    # each window's stretches are added left to right
-    parts = iter([h * float(np.dot(_GL8_WEIGHTS, row)) for h, row in zip(half.tolist(), vals)])
-    totals = [sum(next(parts) for _ in cs[1:]) for cs in cuts]
-    return totals[0] if np.ndim(u) == 0 else np.array(totals)
+    def integrals(vals):
+        parts = np.zeros(keep[:, 1:].shape)
+        parts[keep[:, 1:]] = half * np.vecdot(np.reshape(vals, (-1, 8)), _GL8_WEIGHTS)
+        # each window's stretches added left to right from +0.0, so no total is -0.0
+        return sum(parts.T, 0.0)
+
+    return (mid[:, None] + half[:, None] * _GL8_NODES).ravel(), integrals
+
+
+def _slope_plan(f: Frontier, us: np.ndarray, params: SmoothingParams):
+    """`averaged_right_derivative`'s window ends at ``us``, and the rule from the values there."""
+    lo, hi = f.domain
+    outside = (us < lo) | (us + params.delta > hi)
+    if outside.any():
+        a = float(us[outside][0])
+        raise DomainError(f"window [{a:g}, {a + params.delta:g}] leaves the domain")
+    slopes = lambda vals: (vals[: us.size] - vals[us.size :]) / params.delta - params.gamma * us
+    return np.concatenate([us + params.delta, us]), slopes
+
+
+def _evaluate(f: Frontier, *plans):
+    """The result of each ``(points, rule)`` plan, from one ``f.value`` call."""
+    vals = f.value(np.concatenate([points for points, _ in plans]))
+    return [rule(v) for (_, rule), v in zip(plans, np.split(vals, np.cumsum([p.size for p, _ in plans])[:-1]))]
 
 
 def averaged_right_derivative(f: Frontier, u, params: SmoothingParams):
@@ -117,38 +134,31 @@ def averaged_right_derivative(f: Frontier, u, params: SmoothingParams):
     ``F^+`` exactly for concave ``f``. Both ends of every window go to ``f``
     in one ``value`` call.
     """
-    us = np.atleast_1d(np.asarray(u, dtype=float))
-    ends = np.concatenate([us + params.delta, us])
-    lo, hi = f.domain
-    outside = (us < lo) | (ends[: us.size] > hi)
-    if outside.any():
-        a = float(us[outside][0])
-        raise DomainError(f"window [{a:g}, {a + params.delta:g}] leaves the domain")
-    vals = f.value(ends)
-    out = (vals[: us.size] - vals[us.size :]) / params.delta - params.gamma * us
+    (out,) = _evaluate(f, _slope_plan(f, np.atleast_1d(np.asarray(u, dtype=float)), params))
     return float(out[0]) if np.ndim(u) == 0 else out
 
 
 class _Core:
-    """Windowed-average smoother of one source frontier on ``I_n``.
+    """Windowed-average smoother of one source frontier on ``I_n``, through
+    ``F_anchor`` at ``anchor``, whose window integral is ``H_anchor``. ``value`` and
+    ``deriv`` take a scalar or an array, for one ``f.value`` call; `ends` gives both for one."""
 
-    ``value`` and ``deriv`` take a scalar or an array of points; an array
-    costs one ``f.value`` call.
-    """
-
-    def __init__(self, f: Frontier, params: SmoothingParams, anchor: float):
-        self.f, self.p = f, params
-        self.anchor = anchor
-        self._H_anchor = _window_integral(f, anchor, params.delta)
-        self._F_anchor = float(f.value(anchor))
+    def __init__(self, f: Frontier, params: SmoothingParams, anchor: float, H_anchor: float, F_anchor: float):
+        self.f, self.p, self.anchor, self._H_anchor, self._F_anchor = f, params, anchor, H_anchor, F_anchor
 
     def deriv(self, u):
         return averaged_right_derivative(self.f, u, self.p)
 
     def value(self, u):
-        p = self.p
-        h = _window_integral(self.f, u, p.delta)
-        a = self.anchor
+        (h,) = _evaluate(self.f, _window_plan(self.f, np.atleast_1d(np.asarray(u, dtype=float)), self.p.delta))
+        return self._from_integral(u, float(h[0]) if np.ndim(u) == 0 else h)
+
+    def ends(self, us: np.ndarray) -> tuple[list, list]:
+        slopes, h = _evaluate(self.f, _slope_plan(self.f, us, self.p), _window_plan(self.f, us, self.p.delta))
+        return slopes.tolist(), self._from_integral(us, h).tolist()
+
+    def _from_integral(self, u, h):
+        p, a = self.p, self.anchor
         return self._F_anchor + (h - self._H_anchor) / p.delta - p.gamma * 0.5 * (u * u - a * a)
 
 
@@ -176,9 +186,14 @@ def _core_deviation(tech: Technology, params: SmoothingParams) -> tuple[float, _
     it can never pass an accuracy budget.
     """
     n = params.n
-    cores = [_Core(f, params, tech.u_star + 1.0 / n) for f in (tech.f0, tech.f1)]
-    us = np.linspace(1.0 / n, tech.u0 - 2.0 / n, 33)
-    dev = np.concatenate([np.abs(c.value(us) - c.f.value(us)) for c in cores])
+    anchor, us = tech.u_star + 1.0 / n, np.linspace(1.0 / n, tech.u0 - 2.0 / n, 33)
+    points = np.append(anchor, us)  # their windows and values, one source call per core
+    cores, dev = [], []
+    for f in (tech.f0, tech.f1):
+        h, vals = _evaluate(f, _window_plan(f, points, params.delta), (points, lambda v: v))
+        cores.append(_Core(f, params, anchor, float(h[0]), float(vals[0])))
+        dev.append(np.abs(cores[-1]._from_integral(us, h[1:]) - vals[1:]))
+    dev = np.concatenate(dev)
     return (float(np.max(dev)) if np.all(np.isfinite(dev)) else INF), *cores
 
 
@@ -188,10 +203,9 @@ class _Piece:
     hi: float
     val: object
     der: object
-    #: ``val`` and ``der`` take arrays (the core). The closed-form pieces run
-    #: per point: the exponential ones use ``math.exp``, which ``np.exp`` does
-    #: not match bit for bit
-    batch: bool = False
+    #: ``val`` and ``der`` take arrays. The exponential pieces run per point
+    #: instead: they use ``math.exp``, which ``np.exp`` does not match bit for bit
+    batch: bool = True
 
 
 class _PiecewiseFrontier(Frontier):
@@ -256,12 +270,9 @@ def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair
 
     u0 = tech.u0
     b, B = 1.0 / n, u0 - 2.0 / n
-    # F1_n's core is core1 raised by zeta, added last
-    value1 = lambda u: core1.value(u) + zeta
-
-    ends = np.array([b, B])
-    (d_b0, d_B0), (d_b1, d_B1) = core0.deriv(ends).tolist(), core1.deriv(ends).tolist()
-    (V_b0, V_B0), (V_b1, V_B1) = core0.value(ends).tolist(), value1(ends).tolist()
+    (d_b0, d_B0), (V_b0, V_B0) = core0.ends(np.array([b, B]))
+    (d_b1, d_B1), (V_b1, V_B1) = core1.ends(np.array([b, B]))
+    V_b1, V_B1 = V_b1 + zeta, V_B1 + zeta
     if d_B0 <= 0.0:
         raise ParamsOutOfRange("pre-breakthrough frontier must still rise at u0-2/n")
     if d_B1 - 1.5 / n >= 0.0:
@@ -280,8 +291,9 @@ def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair
             lambda u, d=d, c=c: d + c * (b - u),
         )
 
-    core_piece0 = _Piece(b, B, core0.value, core0.deriv, batch=True)
-    core_piece1 = _Piece(b, B, value1, core1.deriv, batch=True)
+    core_piece0 = _Piece(b, B, core0.value, core0.deriv)
+    # F1_n's core is core1 raised by zeta, added last
+    core_piece1 = _Piece(b, B, lambda u: core1.value(u) + zeta, core1.deriv)
 
     # right extension of F1: derivative glides down to its clamp d_B1 - 1/n
     m1 = d_B1 - 1.0 / n
@@ -289,6 +301,7 @@ def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair
         B, INF,
         lambda u: V_B1 + m1 * (u - B) + (d_B1 - m1) * (1 - math.exp(-n * (u - B))) / n,
         lambda u: m1 + (d_B1 - m1) * math.exp(-n * (u - B)),
+        batch=False,
     )
 
     # right extension of F0 in three pieces: rise to a peak at p = u0 - 1/(2n),
@@ -317,6 +330,7 @@ def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair
         + m0_lim * (u - u_m)
         + (m0_mid - m0_lim) * (1 - math.exp(-n * (u - u_m))) / n,
         lambda u: m0_lim + (m0_mid - m0_lim) * math.exp(-n * (u - u_m)),
+        batch=False,
     )
 
     f0n = _PiecewiseFrontier([quad_piece(V_b0, d_b0, c0), core_piece0, rise, fall, glide], peak=p)
@@ -372,23 +386,35 @@ def verify_monster(tech: Technology, sequence: list[SmoothedPair]) -> Verificati
     """Certify the approximation properties of a built smoothing sequence."""
     rep = VerificationReport("smoothing")
     u0, u1, u_star = tech.u0, tech.u1, tech.u_star
+    concavity_points, slack = midpoint_concavity_plan(np.linspace(0.0, u0, 33))
+    # (c)'s two grids, and (d)'s probe points at the largest level
+    grids = np.concatenate([np.linspace(1e-9, 0.5 * u0, 33), np.linspace(0.5 * u0, u0, 33)])
+    largest = max(sequence, key=lambda pr: pr.params.n)
+    half = 0.5 * largest.params.delta
+    us = np.array([0.4 * u0, 0.6 * u0, *(k for f in (tech.f0, tech.f1) for k in f.knots if 0 < k < u0)])
+    us = us[us - half > 0]  # each window straddles its probe point
+    bounds, sandwich = [], []
 
     for pair in sequence:
         n = pair.params.n
-        grid = np.linspace(0.0, u0, 33)
-
-        slack0 = midpoint_concavity_slack(pair.f0n, grid)
-        slack1 = midpoint_concavity_slack(pair.f1n, grid)
+        fronts = (pair.f0n, pair.f1n)
+        vals = [f.value(concavity_points) for f in fronts]
+        ordered = bool(np.min(vals[1][:33] - vals[0][:33]) > 0)
+        # one right-side call per front: (c)'s grids, the joins and, at the largest level, (d)'s starts
+        probes = us - half if pair is largest else us[:0]
+        rights = [f.deriv(np.concatenate([grids, f.knots, probes]), "right") for f in fronts]
+        bounds += [d[:66] for d in rights]
+        if pair is largest:
+            sandwich = [d[d.size - us.size :] for d in rights]
         # each piece is C1, so the pair is C1 if the two sides agree at every
         # join (a NaN fails); uniform-derivative-bounds catches other non-finite slopes
         c1_ok = all(
-            bool(np.all(np.abs(f.deriv(f.knots, "left") - f.deriv(f.knots, "right")) < 1e-9))
-            for f in (pair.f0n, pair.f1n)
+            bool(np.all(np.abs(f.deriv(f.knots, "left") - d[66 : 66 + len(f.knots)]) < 1e-9))
+            for f, d in zip(fronts, rights)
         )
-        ordered = bool(np.min(pair.f1n.value(grid) - pair.f0n.value(grid)) > 0)
         rep.add(
             f"model-assumptions-n{n}",
-            slack0 > 0 and slack1 > 0 and c1_ok and ordered and pair.u1_n < pair.u0_n,
+            slack(vals[0]) > 0 and slack(vals[1]) > 0 and c1_ok and ordered and pair.u1_n < pair.u0_n,
         )
 
         peaks_ok = (
@@ -400,10 +426,7 @@ def verify_monster(tech: Technology, sequence: list[SmoothedPair]) -> Verificati
 
     # (c) uniform derivative bounds across the sequence; np.min and np.max
     # keep a NaN, which then fails the finiteness test
-    u_lo_probe = 0.5 * u0
-    fronts = [f for pair in sequence for f in (pair.f0n, pair.f1n)]
-    below = float(np.min([f.deriv(np.linspace(1e-9, u_lo_probe, 33), "right") for f in fronts]))
-    above = float(np.max([f.deriv(np.linspace(u_lo_probe, u0, 33), "right") for f in fronts]))
+    below, above = float(np.min([d[:33] for d in bounds])), float(np.max([d[33:] for d in bounds]))
     rep.add(
         "uniform-derivative-bounds",
         math.isfinite(below) and math.isfinite(above),
@@ -411,16 +434,9 @@ def verify_monster(tech: Technology, sequence: list[SmoothedPair]) -> Verificati
     )
 
     # (d) derivative limits along convergent probes sandwich into [F^+, F^-]
-    largest = max(sequence, key=lambda pr: pr.params.n)
-    n, half = largest.params.n, 0.5 * largest.params.delta
-    probe_points = [0.4 * u0, 0.6 * u0]
-    probe_points.extend(k for k in tech.f0.knots if 0 < k < u0)
-    probe_points.extend(k for k in tech.f1.knots if 0 < k < u0)
-    us = np.array(probe_points)
-    us = us[us - half > 0]  # each window straddles its probe point
+    n = largest.params.n
     ok_d, worst = True, 0.0
-    for f_n, f_src in ((largest.f0n, tech.f0), (largest.f1n, tech.f1)):
-        d = f_n.deriv(us - half, "right")
+    for d, f_src in zip(sandwich, (tech.f0, tech.f1)):
         lo_lim = f_src.deriv(us, "right") - 2.0 / n - 2.0 * largest.params.gamma
         hi_lim = f_src.deriv(us, "left") + 2.0 / n
         inside = (lo_lim <= d) & (d <= hi_lim)

@@ -483,6 +483,14 @@ class TestSuites:
         report = (tmp_path / "o" / "smoothing_report.txt").read_text()
         assert report == (data / "smoothing_report.txt").read_text()
 
+    def test_smooth_csvs_match_benchmark_digests(self, tmp_path, monkeypatch):
+        digests = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "csv_digests.json").read_text())
+        monkeypatch.chdir(tmp_path)
+        assert main(["smooth", "--out", "o"]) == 0
+        for n in (16, 32, 64):
+            name = f"smoothing_n{n}.csv"
+            assert hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest() == digests[name]
+
     def test_mixture_suite_at_its_default_trials(self, capsys):
         # the stdout of `verify mixture` before its level search interpolated
         expected = (Path(__file__).parent / "data" / "verify_mixture_1000.txt").read_text()

@@ -20,7 +20,8 @@ from frontierkit.smoothing import (
     _Core,
     _core_error,
     _StrictFixFrontier,
-    _window_integral,
+    _evaluate,
+    _window_plan,
     averaged_right_derivative,
     build_sequence,
     build_smooth_pair,
@@ -271,7 +272,8 @@ class TestBatchedEvaluation:
     def test_core_windows_straddling_a_kink(self):
         f = PiecewiseLinearFrontier([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
         params = SmoothingParams(n=8, delta=0.1, gamma=1e-9, zeta=0.02, eps=0.009)
-        core = _Core(f, params, anchor=0.5)
+        (h_anchor,) = _evaluate(f, _window_plan(f, np.array([0.5]), params.delta))
+        core = _Core(f, params, 0.5, float(h_anchor[0]), f.value(0.5))
         # two windows hold the kink inside, one ends and one starts on it
         us = np.array([0.3, 0.9, 0.95, 1.0 - 1e-12, 1.0, 1.05, 1.5])
         np.testing.assert_array_equal(core.value(us), [core.value(float(u)) for u in us])
@@ -279,7 +281,8 @@ class TestBatchedEvaluation:
         # split at the kink, GL-8 integrates each linear stretch exactly
         antideriv = lambda x: np.where(x <= 1.0, 0.5 * x * x, 2.0 * x - 0.5 * x * x - 1.0)
         exact = antideriv(us + params.delta) - antideriv(us)
-        np.testing.assert_allclose(_window_integral(f, us, params.delta), exact, rtol=0, atol=1e-15)
+        (h,) = _evaluate(f, _window_plan(f, us, params.delta))
+        np.testing.assert_allclose(h, exact, rtol=0, atol=1e-15)
 
 
 def test_nan_derivative_fails_the_uniform_bounds(default_tech):
@@ -381,3 +384,21 @@ def test_effort_solves_per_level_are_batched(default_tech, monkeypatch):
     assert verify_monster(default_tech, [pair]).overall_pass
     # one call per point set, not one per point or window
     assert 0 < len(calls) <= 200
+
+
+def test_array_effort_calls_per_stage(default_prims, monkeypatch):
+    # each smoothing step evaluates F1 in one array pass: `auto`'s core error
+    # in one, the build's end probes in one per core, the certificate in three
+    # (concavity grid, left joins, everything right-sided)
+    calls = []
+    solve = technology.effort_star_array
+    monkeypatch.setattr(technology, "effort_star_array", lambda prims, u: calls.append(np.size(u)) or solve(prims, u))
+    tech = technology.make_moral_hazard_technology(default_prims)
+    del calls[:]
+    params = SmoothingParams.auto(tech, 16)
+    assert len(calls) == 1
+    pair = build_smooth_pair(tech, params)
+    assert len(calls) <= 1 + 13
+    del calls[:]
+    assert verify_monster(tech, [pair]).overall_pass
+    assert len(calls) <= 3
