@@ -2,7 +2,8 @@
 
 The command line maps them to exit codes: `ConfigError` and its subclasses
 exit 2, among them `InadmissiblePrimitives` (primitives that fail
-`MoralHazardPrimitives.validate`) and `UnresolvablePeaks` (``u0`` beyond the
+`MoralHazardPrimitives.validate`, or whose ``phi_inv`` overflows just above
+``u0``) and `UnresolvablePeaks` (``u0`` beyond the
 peak solver's reach, ``u1`` too close to ``u0``, or solved peaks off the
 identity ``u0 - u1 = kappa(L1)``). Every other
 `FrontierKitError`, like a `ValueError` or `ArithmeticError`, exits 3; so
@@ -60,7 +61,8 @@ class ConfigError(FrontierKitError):
 
 
 class InadmissiblePrimitives(ConfigError, DivergenceViolation):
-    """The configured primitives fail the model's shape conditions (exit 2)."""
+    """The configured primitives fail the model's shape conditions, or put the
+    frontiers past the float range just above ``u0`` (exit 2)."""
 
 
 class UnresolvablePeaks(ConfigError):

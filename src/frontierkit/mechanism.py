@@ -86,6 +86,11 @@ class BreakthroughDistribution(MeasureOnTime):
 # mechanisms
 
 
+def _check_u1(u1: float | None) -> None:
+    if u1 is not None and not math.isfinite(u1):
+        raise ValueError(f"u1 must be finite, got {u1!r}")
+
+
 def _promise_edges(edges: np.ndarray, x0: np.ndarray, r: float, x0_tail: float) -> np.ndarray:
     """Continuation promises at cell edges by exact backward discounting of
     one flow path. The steps run on Python floats, which round as numpy's
@@ -145,8 +150,7 @@ class Mechanism:
             raise ValueError("need one flow value per grid cell")
         if not (np.isfinite(self.x0).all() and math.isfinite(self.x0_tail)):
             raise ValueError("flow path x0 and x0_tail must be finite")
-        if self.u1 is not None and not math.isfinite(self.u1):
-            raise ValueError(f"u1 must be finite, got {self.u1!r}")
+        _check_u1(self.u1)
         if not 0.0 < self.r < math.inf:
             raise ValueError("r must be positive and finite")
         if np.any(np.diff(self.edges) <= 0):
@@ -190,6 +194,15 @@ class Mechanism:
         X0 = self._X0_on(at) if X0 is None else X0
         return X0 if self.u1 is None else np.maximum(X0, self.u1)
 
+    def _with_promise(self, u1: float | None) -> "Mechanism":
+        """This flow with the promise ``max(X0, u1)``, or ``X0`` for ``u1``
+        None. The flow, and so its checks and ``X0_edges``, carry over, which
+        `replace` would redo."""
+        _check_u1(u1)
+        out = object.__new__(Mechanism)
+        out.__dict__.update(vars(self), u1=u1, X1=None)
+        return out
+
     def with_knots(self, knots) -> "Mechanism":
         """The same mechanism on a refined edge set including ``knots``."""
         extra = [k for k in knots if 0.0 < k < self.horizon]
@@ -231,12 +244,12 @@ def _pinned(m: Mechanism) -> Mechanism:
     """``m`` with its promise pinned to its own continuation, ``X1 = X0``."""
     if m.u1 is None and m.X1 is None:
         return m
-    return replace(m, u1=None, X1=None)
+    return m._with_promise(None)
 
 
 def no_delay_improve(m: Mechanism, tech: Technology) -> Mechanism:
     """Replace the post-breakthrough promise with ``max(X0, u1)``."""
-    return replace(m, u1=tech.u1, X1=None)
+    return m._with_promise(tech.u1)
 
 
 def normalize(m: Mechanism, tech: Technology) -> Mechanism:

@@ -33,6 +33,9 @@ _quiet = np.errstate(divide="ignore", over="ignore")
 _DIVERGENCE_L = 1e6
 _DIVERGENCE_FACTOR = 2.0
 
+# `make_frontier_f0`: the log of the largest float
+_LN_DBL_MAX = math.log(np.finfo(float).max)
+
 # `_effort_guess`: Newton steps on the log-FOC
 _NEWTON_STEPS = 6
 
@@ -121,10 +124,17 @@ class MoralHazardPrimitives:
             )
 
 
-def _foc_gap(prims: MoralHazardPrimitives, u: float, L: float) -> float:
-    """``kappa'(L)/phi'(phi_inv(u + kappa(L))) - w``; strictly increasing in L."""
-    denom = prims.phi.phi_prime_at_inv(u + prims.kappa.kappa(L))
-    return prims.kappa.kappa_prime(L) / denom - prims.w
+def _foc_ratio(prims: MoralHazardPrimitives):
+    """The FOC's right side ``(u, L) -> kappa'(L)/phi'(phi_inv(u + kappa(L)))``,
+    strictly increasing in L, with the primitives' constants read once.
+
+    Each power is the one `PowerUtility` and `PowerCost` compute, so the
+    ratio has their bits. ``kappa_prime`` stays a call: the benchmark tracer
+    counts FOC evaluations by its elements.
+    """
+    a, b, kappa_prime = prims.phi.a, prims.kappa.b, prims.kappa.kappa_prime
+    e, power = 1.0 - 1.0 / a, np.power
+    return lambda u, L: kappa_prime(L) / (a * power(u + power(L, b), e))
 
 
 @_quiet
@@ -137,9 +147,8 @@ def effort_star(prims: MoralHazardPrimitives, u: float) -> float:
     solve costs about one array call of the FOC: the result is the one-point
     search's bit for bit, whatever `_effort_guess` predicts.
     """
-    return speculate(
-        lambda g: solve_monotone(g, tol=0.0), lambda L: _foc_gap(prims, u, L), _effort_guess(prims, u)
-    )
+    ratio, w = _foc_ratio(prims), prims.w
+    return speculate(lambda g: solve_monotone(g, tol=0.0), lambda L: ratio(u, L) - w, _effort_guess(prims, u))
 
 
 def _effort_guess(prims: MoralHazardPrimitives, u: float) -> float:
@@ -180,20 +189,24 @@ def effort_star_array(prims: MoralHazardPrimitives, u) -> np.ndarray:
     the last bits, since that one brackets and stops differently.
 
     An element's steps are its own and the loop ends only once no midpoint
-    moves, so the solve runs on the distinct inputs and scatters them back.
+    moves, so the solve runs on the distinct inputs and scatters them back;
+    any subset of the inputs gets the same bits. ``ratio < w`` is the FOC
+    gap's ``ratio - w < 0.0``: a finite difference rounds to 0 only where the
+    two are equal, and both tests are false at +inf and NaN.
     """
     u, back = np.unique(np.atleast_1d(np.asarray(u, dtype=float)), return_inverse=True)
+    ratio, w = _foc_ratio(prims), prims.w
     lo = np.full_like(u, 1e-14)
     hi = np.ones_like(u)
     # expand upper bracket elementwise until the FOC gap turns positive
     for _ in range(200):
-        bad = _foc_gap(prims, u, hi) < 0.0
+        bad = ratio(u, hi) < w
         if not np.any(bad):
             break
         hi[bad] *= 2.0
     mid = 0.5 * (lo + hi)
     for step in range(90):
-        up = _foc_gap(prims, u, mid) < 0.0
+        up = ratio(u, mid) < w
         lo = np.where(up, mid, lo)
         hi = np.where(up, hi, mid)
         prev, mid = mid, 0.5 * (lo + hi)
@@ -224,15 +237,38 @@ class Technology:
 
 
 class _PostBreakthroughFrontier(ParametricFrontier):
-    """F1 with the effort problem solved pointwise (vectorized bisection)."""
+    """F1 with the effort problem solved pointwise (vectorized bisection).
+
+    The value path remembers its last solve: the distinct inputs of its
+    latest call, their efforts and the ``(phi.a, kappa.b, w)`` they were
+    solved under. A call reuses the inputs that equal one of those and
+    solves only the rest, so a payoff pair sharing most of its promises
+    solves most of them once. `effort_star_array` solves each input on its
+    own, so the reused efforts are the bits a fresh solve gives. The
+    derivative path never reads or writes them: its scalar solve can differ
+    in the last bits.
+    """
 
     def __init__(self, prims: MoralHazardPrimitives, peak: float):
         self._prims = prims
+        self._last = None
         super().__init__(self._val, self._deriv, domain=(0.0, INF), peak=peak)
 
     def _val(self, us):
         p = self._prims
-        L = effort_star_array(p, us)
+        key = (p.phi.a, p.kappa.b, p.w)  # the primitives are mutable
+        u, back = np.unique(us, return_inverse=True)
+        last = self._last
+        if last is None or last[0] != key:
+            L = effort_star_array(p, u)
+        else:
+            _, i, j = np.intersect1d(last[1], u, assume_unique=True, return_indices=True)
+            L, miss = np.empty_like(u), np.ones(u.shape, dtype=bool)
+            L[j], miss[j] = last[2][i], False
+            if j.size < u.size:
+                L[miss] = effort_star_array(p, u[miss])
+        self._last = (key, u, L)
+        L = L[back]
         return us + p.lam * (p.w * L - p.phi.phi_inv(us + p.kappa.kappa(L)))
 
     @_quiet
@@ -258,6 +294,14 @@ def make_frontier_f0(prims: MoralHazardPrimitives) -> Frontier:
             f"beyond the reach [1e-12 * 2**-199, 2**199] of the peak solve"
         )
     u0 = _quiet(solve_monotone)(lambda u: float(p.phi.phi_prime_at_inv(u)) - p.lam)
+    # phi_inv(v) = v**(1/a) is finite only while ln(v)/a < ln(DBL_MAX), and F0
+    # and F1 are -inf past that; both are evaluated up to about 2 u0
+    reach = math.log(2.0 * u0) / a
+    if not reach < _LN_DBL_MAX:
+        raise InadmissiblePrimitives(
+            f"`phi.exponent` = {a:.6g} makes phi_inv(v) = v**(1/a) overflow by v = 2 u0 = {2.0 * u0:.6g}: "
+            f"ln(v)/a = {reach:.6g} reaches ln(DBL_MAX) = {_LN_DBL_MAX:.6g}, so F0 and F1 are -inf just above u0"
+        )
     return ParametricFrontier(
         lambda u: u - p.lam * p.phi.phi_inv(u),
         _quiet(lambda u: 1.0 - p.lam / p.phi.phi_prime_at_inv(u)),
@@ -415,6 +459,21 @@ def verify_ui_assumptions(tech: Technology, grid) -> VerificationReport:
     )
 
     rep.add("u-star-at-origin", abs(tech.u_star) < 1e-8, worst_violation=abs(tech.u_star))
+
+    if tech.prims is None or not grid:
+        note = "not applicable (no effort problem)" if tech.prims is None else "vacuous"
+        rep.add("effort-foc-residual", True, note=note)
+    else:
+        # both solvers' scaled FOC residual |w phi'(phi_inv(u + kappa(L))) -
+        # kappa'(L)|, through the primitives' own methods, against the 1e-10
+        # that `effort_star` promises; NaN fails
+        p = tech.prims
+        at = np.array(grid + grid)
+        L = np.concatenate([effort_star_array(p, grid), [effort_star(p, u) for u in grid]])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            res = np.abs(p.w * p.phi.phi_prime_at_inv(at + p.kappa.kappa(L)) - p.kappa.kappa_prime(L))
+        i = int(np.argmax(res))
+        rep.add("effort-foc-residual", res[i] <= 1e-10, worst_violation=float(res[i]), location=f"u={at[i]:g}")
 
     if tech.u1 > 0.0 and tech.prims is not None:
         L1 = effort_star(tech.prims, tech.u1)

@@ -36,6 +36,12 @@ def corner_tech(corner_prims):
     return make_moral_hazard_technology(corner_prims)
 
 
+def foc_gap(prims, u, L):
+    """The effort FOC gap ``kappa'(L)/phi'(phi_inv(u + kappa(L))) - w`` from
+    the primitives' own methods: the reference for the solvers' FOC."""
+    return prims.kappa.kappa_prime(L) / prims.phi.phi_prime_at_inv(u + prims.kappa.kappa(L)) - prims.w
+
+
 def bisect_reference(pred, lo, hi):
     """Predicate bisection with one scalar probe per step, at most 200 halvings."""
     for _ in range(200):

@@ -72,8 +72,9 @@ CONFIGS = (
     + wide_configs(200, 20261020)
     # the CLI's tiny `phi.exponent` cases, whose u1 condition is rounding
     + [(1.0, 1.0, a, 2.0) for a in (1e-7, 1e-8, 1e-12, 1e-16, 1e-17, 1e-20, 1e-300)]
-    # built, with u0 - u1 below the guards' half-width: the effort solve has no
-    # bracket just above u0, where an upper guard would fall
+    # u0 - u1 below the guards' half-width: the effort solve has no bracket
+    # just above u0, where an upper guard would fall. phi_inv overflows there
+    # too, so the build now refuses all three
     + [
         (0.017543434968738916, 1.4857360146665404, 5.043791355166327e-12, 1.2138866499101868),
         (0.006752754450929283, 0.09450124486106361, 3.4283322095622814e-15, 1.5086077665510969),

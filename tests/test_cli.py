@@ -110,6 +110,24 @@ class TestExitCodes:
         for key in ("lambda", "w", "phi.exponent", "kappa.exponent"):
             assert f"`{key}`" in err
 
+    @pytest.mark.parametrize("argv", [["frontier"], ["verify", "ui-assns"]])
+    def test_frontiers_overflowing_just_above_u0_is_exit_2(self, tmp_path, capsys, argv):
+        # u0 = 0.99999999989, but phi_inv overflows from about 1 + 3.6e-9 on:
+        # this was built, with F0 and F1 -inf at every point above about 1.0
+        path = tmp_path / "overflow.yaml"
+        path.write_text(
+            "lambda: 0.017543434968738916\nw: 1.4857360146665404\n"
+            "phi: {kind: power, exponent: 5.043791355166327e-12}\n"
+            "kappa: {kind: power, exponent: 1.2138866499101868}\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert "`phi.exponent`" in err and "overflow" in err
+
     @pytest.mark.parametrize("exponent", ["1.0e-16", "1.0e-17", "1.0e-20", "1.0e-300"])
     def test_tiny_phi_exponent_is_exit_2(self, tmp_path, capsys, exponent):
         # phi_inv's rounding reaches the u1 condition: these used to print

@@ -16,6 +16,7 @@ from frontierkit import (
     PreconditionViolation,
     QuadraticFrontier,
     Technology,
+    make_moral_hazard_technology,
 )
 from frontierkit import mechanism, technology
 from frontierkit.mechanism import (
@@ -237,39 +238,53 @@ PINNED_PAYOFFS = {
 
 
 class TestSingleF1Batch:
+    """Effort solves per payoff, each on a Technology of its own: F1 keeps its
+    last call's efforts, so a shared one would carry other tests' solves."""
+
     @pytest.fixture
-    def effort_calls(self, monkeypatch):
-        calls = []
-        solve = technology.effort_star_array
-
-        def counted(prims, u):
-            calls.append(np.size(u))
-            return solve(prims, u)
-
-        monkeypatch.setattr(technology, "effort_star_array", counted)
-        return calls
+    def counted(self, default_prims, monkeypatch):
+        """A fresh Technology, the distinct inputs of each of its F1 value
+        calls from here on, and the points of each effort solve."""
+        tech = make_moral_hazard_technology(default_prims)
+        inputs, solves = [], []
+        value, solve = tech.f1.value, technology.effort_star_array
+        monkeypatch.setattr(tech.f1, "value", lambda u: inputs.append(np.unique(u)) or value(u))
+        monkeypatch.setattr(technology, "effort_star_array", lambda p, u: solves.append(np.size(u)) or solve(p, u))
+        return tech, inputs, solves
 
     @pytest.mark.parametrize("family", sorted(SINGLE_BATCH_GS))
-    def test_one_effort_solve_per_payoff(self, default_tech, effort_calls, family):
+    def test_one_effort_solve_per_payoff(self, counted, family):
+        # the pair solves each distinct promise once: the improved payoff
+        # solves only the promises the first one did not
+        tech, inputs, solves = counted
         G = SINGLE_BATCH_GS[family]
-        m = _flow_path(default_tech, 0)
-        for mech in (m, no_delay_improve(m, default_tech)):
-            effort_calls.clear()
-            payoff(mech, default_tech, G)
-            assert len(effort_calls) == 1
+        m = _flow_path(tech, 0)
+        payoff(m, tech, G)
+        assert len(inputs) == 1 and solves == [inputs[0].size]
+        payoff(no_delay_improve(m, tech), tech, G)
+        new = np.setdiff1d(inputs[1], inputs[0]).size
+        assert 0 < new < inputs[1].size
+        assert solves == [inputs[0].size, new]
 
-    def test_one_effort_solve_per_affine_rewrite(self, default_tech, effort_calls):
-        f0 = AffineFrontier(0.1, 0.6, domain=(0.0, default_tech.u0))
-        tech = Technology(f0=f0, f1=default_tech.f1, u0=default_tech.u0, u1=default_tech.u1, u_star=0.0)
+    def test_one_effort_solve_per_affine_rewrite(self, counted):
+        # the three Gs' knots are grid edges, so all three place the same
+        # nodes: the first G solves every promise there, the second none, and
+        # the atoms' G only the one new promise at its atoms' times
+        tech, inputs, solves = counted
+        f0 = AffineFrontier(0.1, 0.6, domain=(0.0, tech.u0))
+        tech = Technology(f0=f0, f1=tech.f1, u0=tech.u0, u1=tech.u1, u_star=0.0)
         m = normalize(_flow_path(tech, 1), tech)
         for G in SINGLE_BATCH_GS.values():
-            effort_calls.clear()
             payoff_affine_rewrite(m, tech, G)
-            assert len(effort_calls) == 1
+        assert list(SINGLE_BATCH_GS) == ["exponential", "mixed", "atoms"]
+        assert [x.size for x in inputs] == [978, 978, 979]
+        assert np.array_equal(inputs[1], inputs[0]) and np.setdiff1d(inputs[2], inputs[1]).size == 1
+        assert solves == [978, 1]
 
     def test_one_promise_edge_solve_per_mechanism_built(self, default_tech, monkeypatch):
         # X0_edges is computed by the constructor, replace included, and by
-        # nothing that evaluates a mechanism
+        # nothing that evaluates a mechanism; a copy that changes only the
+        # promise carries it over
         calls, builds = [], []
         solve, init = mechanism._promise_edges, Mechanism.__post_init__
         monkeypatch.setattr(mechanism, "_promise_edges", lambda *a: calls.append(1) or solve(*a))
@@ -280,14 +295,14 @@ class TestSingleF1Batch:
             m = _flow_path(default_tech, 0)
             assert len(calls) == len(builds) == 1
             improved = no_delay_improve(m, default_tech)
-            assert len(calls) == len(builds) == 2
+            assert improved.X0_edges is m.X0_edges
             payoff(m, default_tech, G)
             payoff(improved, default_tech, G)
-            mechanism._payoffs([m, replace(m, x0_tail=0.1)], default_tech, G)
             pi_G(m, default_tech, G)
-            assert len(calls) == len(builds) == 3
-            pi_G(improved, default_tech, G)  # pins the promise: one more build
-            assert len(calls) == len(builds) == 4
+            pi_G(improved, default_tech, G)
+            assert len(calls) == len(builds) == 1
+            mechanism._payoffs([m, replace(m, x0_tail=0.1)], default_tech, G)
+            assert len(calls) == len(builds) == 2
 
     @pytest.mark.parametrize("seed", sorted(PINNED_PAYOFFS))
     def test_payoffs_are_unchanged_bit_for_bit(self, default_tech, seed):
@@ -480,6 +495,44 @@ def test_mechanism_explicit_promise_must_be_constant_from_the_horizon(X1):
     # constant from the horizon on, whatever it does before
     steps = partial(step_value, GRID.edges, np.linspace(0.2, 0.4, GRID.n_cells), 0.35)
     assert Mechanism.from_grid(GRID, x0, X1=steps).X1_at(GRID.horizon + 5.0) == 0.35
+
+
+class TestPromiseCopies:
+    """`no_delay_improve` and `_pinned` change only the promise, so they carry
+    the flow's ``X0_edges`` over; every other copy recomputes it."""
+
+    @staticmethod
+    def assert_same(a, b):
+        for name in ("edges", "x0", "X0_edges"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert (a.r, a.x0_tail, a.u1, a.X1) == (b.r, b.x0_tail, b.u1, b.X1)
+
+    def test_promise_copies_are_replace_bit_for_bit(self, default_tech):
+        m = _flow_path(default_tech, 3)
+        X1 = partial(step_value, GRID.edges, np.linspace(0.3, 0.45, GRID.n_cells), 0.45)
+        G = SINGLE_BATCH_GS["atoms"]
+        for src in (m, replace(m, u1=0.1), replace(m, X1=X1)):
+            for copy, u1 in ((no_delay_improve(src, default_tech), default_tech.u1), (mechanism._pinned(src), None)):
+                ref = replace(src, u1=u1, X1=None)
+                assert copy.X0_edges is src.X0_edges
+                self.assert_same(copy, ref)
+                assert payoff(copy, default_tech, G) == payoff(ref, default_tech, G)
+        nan_u1 = Technology(f0=default_tech.f0, f1=default_tech.f1, u0=default_tech.u0, u1=math.nan, u_star=0.0)
+        with pytest.raises(ValueError, match="u1 must be finite"):
+            no_delay_improve(m, nan_u1)
+
+    def test_flow_changes_recompute_the_promise(self, default_tech):
+        m = no_delay_improve(Mechanism.from_grid(GRID, np.linspace(0.0, 0.8, GRID.n_cells), x0_tail=0.7), default_tech)
+        fresh = lambda c: Mechanism(edges=c.edges, x0=c.x0, r=c.r, x0_tail=c.x0_tail, u1=c.u1)
+        for copy in (
+            normalize(m, default_tech),
+            m.with_knots([0.123, 2.5]),
+            replace(m, x0_tail=0.2),
+            replace(m, r=2.0),
+            replace(m, edges=2.0 * m.edges),
+        ):
+            assert copy.X0_edges.tobytes() != m.X0_edges.tobytes()
+            self.assert_same(copy, fresh(copy))
 
 
 @pytest.mark.parametrize("name", ["edges", "x0", "r", "x0_tail", "u1", "X1", "X0_edges"])

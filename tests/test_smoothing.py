@@ -371,7 +371,9 @@ def test_nan_inside_a_window_fails_the_budget():
         SmoothingParams.auto(nan_strip_tech(0.199, 0.2), 8)
 
 
-def test_effort_solves_per_level_are_batched(default_tech, monkeypatch):
+def test_effort_solves_per_level_are_batched(default_prims, monkeypatch):
+    # a Technology of its own, whose F1 remembers no other test's solves
+    tech = technology.make_moral_hazard_technology(default_prims)
     calls = []
     solve = technology.effort_star_array
 
@@ -380,8 +382,8 @@ def test_effort_solves_per_level_are_batched(default_tech, monkeypatch):
         return solve(prims, u)
 
     monkeypatch.setattr(technology, "effort_star_array", counted)
-    pair = build_smooth_pair(default_tech, SmoothingParams.auto(default_tech, 16))
-    assert verify_monster(default_tech, [pair]).overall_pass
+    pair = build_smooth_pair(tech, SmoothingParams.auto(tech, 16))
+    assert verify_monster(tech, [pair]).overall_pass
     # one call per point set, not one per point or window
     assert 0 < len(calls) <= 200
 

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import foc_gap
 
 from frontierkit import technology
 from frontierkit.errors import RootBracketFailure
 from frontierkit.roots import bisect, solve_monotone, speculate
-from frontierkit.technology import MoralHazardPrimitives, PowerCost, PowerUtility, _foc_gap, effort_star
+from frontierkit.technology import MoralHazardPrimitives, PowerCost, PowerUtility, effort_star
 
 
 def search(g):
@@ -30,7 +31,7 @@ def outcome(run):
 def effort_reference(prims, u):
     """The one-point effort solve: `solve_monotone` on the FOC, one point per step."""
     with np.errstate(divide="ignore", over="ignore"):
-        return solve_monotone(lambda L: _foc_gap(prims, u, L), tol=0.0)
+        return solve_monotone(lambda L: foc_gap(prims, u, L), tol=0.0)
 
 
 # (phi.exponent, kappa.exponent, w): the default, the corner and sets across
@@ -115,8 +116,13 @@ def test_an_exception_in_a_predicted_pass_does_not_escape():
 def test_effort_star_makes_few_foc_calls(monkeypatch, default_prims, default_tech):
     # the one-point solve makes about 57 FOC calls
     calls = []
-    foc = technology._foc_gap
-    monkeypatch.setattr(technology, "_foc_gap", lambda p, u, L: calls.append(np.size(L)) or foc(p, u, L))
+    build = technology._foc_ratio
+
+    def counted(prims):
+        ratio = build(prims)
+        return lambda u, L: calls.append(np.size(L)) or ratio(u, L)
+
+    monkeypatch.setattr(technology, "_foc_ratio", counted)
     for u in [0.0, default_tech.u1, default_tech.u0, *np.linspace(0.0, 2.0, 201).tolist()]:
         calls.clear()
         effort_star(default_prims, u)

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import assert_batched_equals_scalar
+from conftest import assert_batched_equals_scalar, foc_gap
 from frontierkit import (
     AffineFrontier,
     CallableFrontier,
     DivergenceViolation,
     DomainError,
     Frontier,
+    InadmissiblePrimitives,
     MoralHazardPrimitives,
     PiecewiseLinearFrontier,
     PowerCost,
@@ -82,6 +83,24 @@ class TestDefaultInstancePeaks:
         assert int(np.argmax(vals)) == 0
 
 
+def ninety_step_bisection(prims, u):
+    """The array solve's reference: bracket [1e-14, 1], the upper end doubled
+    until the FOC gap turns nonnegative, then exactly 90 halvings."""
+    gap = lambda L: foc_gap(prims, u, L)
+    lo, hi = np.full_like(u, 1e-14), np.ones_like(u)
+    with np.errstate(divide="ignore", over="ignore"):
+        for _ in range(200):
+            short = gap(hi) < 0.0
+            if not short.any():
+                break
+            hi[short] *= 2.0
+        for _ in range(90):
+            mid = 0.5 * (lo + hi)
+            up = gap(mid) < 0.0
+            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 class TestEffortStar:
     def test_w4_closed_form(self, corner_prims):
         # 4 L^3 = 4 has root 1
@@ -136,7 +155,7 @@ class TestEffortStar:
         us = np.linspace(0.0, 3.0 * default_tech.u0, 400).tolist()
         got = [effort_star(default_prims, u) for u in us]
         with np.errstate(divide="ignore", over="ignore"):
-            want = [solve_monotone(lambda L: technology._foc_gap(default_prims, u, L), tol=0.0) for u in us]
+            want = [solve_monotone(lambda L: foc_gap(default_prims, u, L), tol=0.0) for u in us]
         assert [L.hex() for L in got] == [L.hex() for L in want]
         assert calls.count(1) >= 0.9 * len(us)
 
@@ -150,31 +169,26 @@ class TestEffortStar:
     def test_array_solve_is_the_90_step_bisection_bit_for_bit(self, a, b, w):
         prims = MoralHazardPrimitives(lam=1.0, w=w, phi=PowerUtility(a), kappa=PowerCost(b))
         tech = make_moral_hazard_technology(prims)
-
-        def reference(u):
-            # bracket [1e-14, 1], upper end doubled until the gap turns
-            # nonnegative, then exactly 90 halvings
-            gap = lambda L: prims.kappa.kappa_prime(L) / prims.phi.phi_prime_at_inv(
-                u + prims.kappa.kappa(L)
-            ) - prims.w
-            lo, hi = np.full_like(u, 1e-14), np.ones_like(u)
-            for _ in range(200):
-                short = gap(hi) < 0.0
-                if not short.any():
-                    break
-                hi[short] *= 2.0
-            for _ in range(90):
-                mid = 0.5 * (lo + hi)
-                up = gap(mid) < 0.0
-                lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-            return 0.5 * (lo + hi)
-
         special = np.array([0.0, 1e-12, tech.u1, tech.u0, 2.0])
         rng = np.random.default_rng(7)
         batches = [special[i : i + 1] for i in range(special.size)]
         batches += [np.concatenate([special, rng.uniform(0.0, 5.0, size - special.size)]) for size in (8, 4224)]
         for us in batches:
-            np.testing.assert_array_equal(effort_star_array(prims, us), reference(us))
+            np.testing.assert_array_equal(effort_star_array(prims, us), ninety_step_bisection(prims, us))
+
+    def test_both_solvers_keep_the_method_foc_bits_on_random_primitives(self):
+        # the solvers' FOC reads the primitives' constants once; the
+        # references evaluate it through their methods
+        rng = np.random.default_rng(20261019)
+        special = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-12, 1.0]
+        for _ in range(12):
+            a, b, w = rng.uniform(0.05, 0.95), rng.uniform(1.05, 6.0), 10.0 ** rng.uniform(-1.5, 1.5)
+            prims = MoralHazardPrimitives(lam=1.0, w=w, phi=PowerUtility(a), kappa=PowerCost(b))
+            us = np.concatenate([special, rng.uniform(0.0, 5.0, 200), np.exp(rng.uniform(-27.6, 9.2, 200))])
+            np.testing.assert_array_equal(effort_star_array(prims, us), ninety_step_bisection(prims, us))
+            with np.errstate(divide="ignore", over="ignore"):
+                want = [solve_monotone(lambda L: foc_gap(prims, u, L), tol=0.0) for u in us[:12].tolist()]
+            assert [effort_star(prims, u).hex() for u in us[:12].tolist()] == [L.hex() for L in want]
 
     def test_array_solve_does_not_depend_on_the_batch(self, default_prims, default_tech):
         # repeats, as max(X0, u1) makes them, are solved once and scattered back
@@ -188,6 +202,104 @@ class TestEffortStar:
         np.testing.assert_array_equal(alone, solved[:50])
         unique, first = np.unique(us, return_index=True)
         np.testing.assert_array_equal(effort_star_array(default_prims, unique), solved[first])
+
+
+def fresh_f1(prims):
+    """An F1 on ``prims`` that has solved nothing yet."""
+    return technology._PostBreakthroughFrontier(prims, 0.0)
+
+
+class TestValueMemo:
+    """F1's value path keeps its last call's efforts: a warm F1 must give a
+    fresh one's bits on every call, and solve only the points its last call
+    did not."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = technology.effort_star_array
+        monkeypatch.setattr(technology, "effort_star_array", lambda p, u: calls.append(np.size(u)) or solve(p, u))
+        return calls
+
+    @staticmethod
+    def prims():
+        return MoralHazardPrimitives(lam=1.0, w=1.0, phi=PowerUtility(0.5), kappa=PowerCost(2.0))
+
+    @staticmethod
+    def check(f, prims, us, solves):
+        """``f.value(us)`` against a fresh F1's, bit for bit; returns it, with
+        ``solves`` holding the effort solves of ``f``'s call alone."""
+        us = np.asarray(us, dtype=float)
+        want = np.atleast_1d(fresh_f1(prims).value(us))
+        solves.clear()
+        got = np.atleast_1d(f.value(us))
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+        return got
+
+    def test_calls_against_the_last(self, solves):
+        rng = np.random.default_rng(24)
+        prims = self.prims()
+        f = fresh_f1(prims)
+        base = np.concatenate([[0.0, 0.25, 0.5, 0.5], rng.uniform(0.0, 2.0, 200)])
+        other = rng.uniform(0.0, 2.0, 50)
+        # (call, distinct points it must solve)
+        calls = [
+            (base, 203),
+            (base[::-1], 0),  # identical
+            (np.concatenate([base, other]), 50),  # superset
+            (base[::3], 0),  # subset
+            (other[:20], 20),  # disjoint from the last call
+            (base[:10], 9),
+            (np.array([]), 0),  # empty
+            (base[:10], 9),  # the empty call was the last
+        ]
+        for us, new in calls:
+            self.check(f, prims, us, solves)
+            assert solves == ([new] if new else [])
+
+    def test_signed_zeros_and_points_outside_the_domain(self, solves):
+        prims = self.prims()
+        f = fresh_f1(prims)
+        # -0.0 equals 0.0, and both solve alike: u enters only as u + kappa(L)
+        for us, new in (([0.0, 0.3], 2), ([-0.0, 0.3], 0), ([0.0, -0.0], 0), ([-0.0], 0), ([0.0], 0)):
+            got = self.check(f, prims, us, solves)
+            assert solves == ([new] if new else [])
+            assert got[0] == float(fresh_f1(prims).value(0.0))
+        outside = [-1.0, -5e-324, math.nan, -math.inf, 0.3, 5.0, 0.3]
+        for us, new in ((outside, 2), (outside[::-1], 0), ([0.3, 5.0], 0)):
+            self.check(f, prims, us, solves)
+            assert solves == ([new] if new else [])
+        assert np.all(f.value(np.array(outside[:4])) == -math.inf)
+
+    @pytest.mark.parametrize("field", ["phi.a", "kappa.b", "w", "lam"])
+    def test_mutated_primitives(self, solves, field):
+        rng = np.random.default_rng(25)
+        prims = self.prims()
+        f = fresh_f1(prims)
+        us = rng.uniform(0.0, 1.0, 40)
+        self.check(f, prims, us, solves)
+        owner, attr = (prims, field) if "." not in field else (getattr(prims, field.split(".")[0]), field[-1])
+        old = getattr(owner, attr)
+        setattr(owner, attr, old * 1.1)
+        self.check(f, prims, us, solves)
+        # lam does not enter the effort problem
+        assert solves == ([] if field == "lam" else [40])
+        setattr(owner, attr, old)
+        self.check(f, prims, us, solves)
+        assert solves == ([] if field == "lam" else [40])
+
+    def test_the_derivative_path_neither_reads_nor_writes_it(self, solves, monkeypatch):
+        prims = self.prims()
+        f = fresh_f1(prims)
+        us = np.linspace(0.1, 1.0, 7)
+        f.value(us)
+        scalar = []
+        solve = technology.effort_star
+        monkeypatch.setattr(technology, "effort_star", lambda p, u: scalar.append(u) or solve(p, u))
+        np.testing.assert_array_equal(f.deriv(us, "right"), fresh_f1(prims).deriv(us, "right"))
+        assert len(scalar) == 2 * us.size
+        self.check(f, prims, us, solves)
+        assert solves == []
 
 
 class TestOneSidedDerivatives:
@@ -397,6 +509,20 @@ class TestVerifyUiAssumptions:
         check = verify_ui_assumptions(tech, np.linspace(0.0, 1.0, 11))["gap-derivative-negative"]
         assert check.passed and check.location == "u=0" and check.worst_violation == 0.0
 
+    def test_effort_foc_residual(self, default_tech, corner_tech, monkeypatch):
+        grid = np.linspace(0.0, default_tech.u0, 200)
+        for tech in (default_tech, corner_tech):
+            check = verify_ui_assumptions(tech, grid)["effort-foc-residual"]
+            assert check.passed and 0.0 < check.worst_violation <= 1e-15
+        quad = Technology(f0=default_tech.f0, f1=QuadraticFrontier(0.0, 1.0, -1.0), u0=0.5, u1=0.25, u_star=0.0)
+        assert verify_ui_assumptions(quad, grid)["effort-foc-residual"].note == "not applicable (no effort problem)"
+        # each solver is checked: one off by a relative 1e-9, or NaN, fails
+        for name, off in (("effort_star_array", lambda L: L * (1.0 + 1e-9)), ("effort_star", lambda L: math.nan)):
+            with monkeypatch.context() as m:
+                solve = getattr(technology, name)
+                m.setattr(technology, name, lambda p, u: off(solve(p, u)))
+                assert not verify_ui_assumptions(default_tech, grid)["effort-foc-residual"].passed
+
     def test_degenerate_grid(self, default_tech):
         rep = verify_ui_assumptions(default_tech, [default_tech.u0])
         assert rep.overall_pass
@@ -432,6 +558,25 @@ def test_non_finite_primitives_are_rejected(field, bad):
 def test_non_finite_cost_exponent_is_rejected(b):
     with pytest.raises(ValueError, match="cost exponent"):
         PowerCost(b)
+
+
+def test_frontiers_overflowing_just_above_u0_are_refused(monkeypatch):
+    # u0 = 0.99999999989, but phi_inv(v) = v**(1/a) overflows from about
+    # v = 1 + 3.6e-9 on, so F0 and F1 were -inf just above u0; the build
+    # refuses it from u0 and a alone, before any effort solve
+    def no_solve(*args):
+        raise AssertionError("the refusal needs no effort solve")
+
+    monkeypatch.setattr(technology, "effort_star", no_solve)
+    monkeypatch.setattr(technology, "effort_star_array", no_solve)
+    prims = MoralHazardPrimitives(
+        lam=0.017543434968738916,
+        w=1.4857360146665404,
+        phi=PowerUtility(5.043791355166327e-12),
+        kappa=PowerCost(1.2138866499101868),
+    )
+    with pytest.raises(InadmissiblePrimitives, match="`phi.exponent` = 5.04379e-12 makes phi_inv"):
+        make_moral_hazard_technology(prims)
 
 
 def test_divergence_violation():

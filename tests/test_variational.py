@@ -510,15 +510,19 @@ class TestSweepRows:
         alone = [mechanism.pi_G(p, tech, G) for p in paths]
         assert [x.hex() for x in rows] == [x.hex() for x in alone]
 
-    def test_one_effort_solve_per_moral_hazard_sweep(self, default_tech, monkeypatch):
-        calls = []
-        solve = technology.effort_star_array
-        monkeypatch.setattr(technology, "effort_star_array", lambda p, u: calls.append(1) or solve(p, u))
+    def test_one_effort_solve_per_moral_hazard_sweep(self, default_prims, monkeypatch):
+        # a Technology of its own: F1 keeps its last call's efforts, so a
+        # shared one would carry other tests' solves
+        tech = technology.make_moral_hazard_technology(default_prims)
+        inputs, calls = [], []
+        value, solve = tech.f1.value, technology.effort_star_array
+        monkeypatch.setattr(tech.f1, "value", lambda u: inputs.append(np.unique(u)) or value(u))
+        monkeypatch.setattr(technology, "effort_star_array", lambda p, u: calls.append(np.size(u)) or solve(p, u))
         rng = np.random.default_rng(11)
-        lo, hi = 0.05 * default_tech.u0, 0.9 * default_tech.u0
+        lo, hi = 0.05 * tech.u0, 0.9 * tech.u0
         m, m_dag = random_mechanism(rng, lo=lo, hi=hi), random_mechanism(rng, lo=lo, hi=hi)
-        gateaux_fd(m, m_dag, default_tech, mixed_G())
-        assert len(calls) == 1
+        gateaux_fd(m, m_dag, tech, mixed_G())
+        assert len(inputs) == 1 and calls == [inputs[0].size]
 
 
 class TestNodePlanPerCheck:
