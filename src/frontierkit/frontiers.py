@@ -281,7 +281,8 @@ def gap_argmax(f0: Frontier, f1: Frontier, hi: float) -> float:
     section: by concavity ``f1(u) <= f1(0) + f1'(0+) u`` and ``f0(u) >= f0(0)
     + f0'(us[2]-) u`` on the golden bracket ``[0, us[2]]``, so there the gap
     is at most ``gap(0)`` and 0 is its argmax. A smoothed pair's gap rises
-    from 0, so it never takes this branch.
+    from 0, so it never takes this branch. Callers need not single the 0.0
+    out: it is the argmax, as any other result is.
     """
     gap = lambda u: f1.value(u) - f0.value(u)
     us = np.linspace(0.0, hi, 601)

@@ -76,7 +76,7 @@ class SmoothingParams:
         for _ in range(40):
             params = cls(n=n, delta=delta, gamma=gamma, zeta=zeta, eps=eps)
             params.validate_for(tech)
-            if _core_error(tech, params) <= 0.95 * eps:
+            if _core_deviation(tech, params)[0] <= 0.95 * eps:
                 return params
             delta *= 0.5
             gamma *= 0.5
@@ -162,25 +162,11 @@ class _Core:
         return self._F_anchor + (h - self._H_anchor) / p.delta - p.gamma * 0.5 * (u * u - a * a)
 
 
-def _cores(tech: Technology, params: SmoothingParams) -> tuple[float, _Core, _Core]:
-    """`_core_deviation`'s error and the two `_Core`s it measures, computed
-    once per Technology for the same inputs: ``params``, the frontier objects,
-    ``u0`` and ``u_star``. So `build_smooth_pair` reuses the cores of
-    `SmoothingParams.auto`'s choice and re-checks its error for free."""
-    key = (params, tech.f0, tech.f1, tech.u0, tech.u_star)
-    if key not in tech._smoothing_cores:
-        tech._smoothing_cores[key] = _core_deviation(tech, params)
-    return tech._smoothing_cores[key]
-
-
-def _core_error(tech: Technology, params: SmoothingParams) -> float:
-    """The error of `_cores`, for `SmoothingParams.auto`'s budget test."""
-    return _cores(tech, params)[0]
-
-
 def _core_deviation(tech: Technology, params: SmoothingParams) -> tuple[float, _Core, _Core]:
     """Max deviation of the core pair, anchored at ``u_star + 1/n``, from the
-    source, with the two cores.
+    source, with the two cores. `SmoothingParams.auto` measures it and
+    `build_smooth_pair` measures it again on the same points, so a
+    moral-hazard F1 answers the build's repeat from its last solve.
 
     A deviation that is not finite (a NaN from either side) makes it inf, so
     it can never pass an accuracy budget.
@@ -264,7 +250,7 @@ def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair
     """Construct one smoothing level of the pair with all extensions attached."""
     params.validate_for(tech)
     n, zeta = params.n, params.zeta
-    error, core0, core1 = _cores(tech, params)
+    error, core0, core1 = _core_deviation(tech, params)
     if error > params.eps:
         raise ParamsOutOfRange("core deviation exceeds the eps budget")
 

@@ -53,13 +53,16 @@ _U1_MARGIN = 2.0**-40
 _FIRST_REPEAT = 47
 
 
+@dataclass(frozen=True)
 class PowerUtility:
     """Utility of consumption ``phi(c) = c**a`` with ``0 < a < 1``."""
 
-    def __init__(self, exponent: float):
-        if not 0.0 < exponent < 1.0:
+    a: float
+
+    def __post_init__(self):
+        if not 0.0 < self.a < 1.0:
             raise ValueError("utility exponent must lie in (0, 1)")
-        self.a = float(exponent)
+        object.__setattr__(self, "a", float(self.a))
 
     def phi_inv(self, u):
         return np.power(u, 1.0 / self.a)
@@ -71,13 +74,16 @@ class PowerUtility:
         return self.a * np.power(u, 1.0 - 1.0 / self.a)
 
 
+@dataclass(frozen=True)
 class PowerCost:
     """Effort cost ``kappa(L) = L**b`` with ``b > 1``."""
 
-    def __init__(self, exponent: float):
-        if not 1.0 < exponent < math.inf:
+    b: float
+
+    def __post_init__(self):
+        if not 1.0 < self.b < math.inf:
             raise ValueError("cost exponent must be finite and exceed 1")
-        self.b = float(exponent)
+        object.__setattr__(self, "b", float(self.b))
 
     def kappa(self, L):
         return np.power(L, self.b)
@@ -86,9 +92,9 @@ class PowerCost:
         return self.b * np.power(L, self.b - 1.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MoralHazardPrimitives:
-    """Cost weight, wage, utility-of-consumption and effort-cost specs."""
+    """Cost weight, wage, utility-of-consumption and effort-cost specs (frozen)."""
 
     lam: float
     w: float
@@ -189,12 +195,13 @@ def effort_star_array(prims: MoralHazardPrimitives, u) -> np.ndarray:
     the last bits, since that one brackets and stops differently.
 
     An element's steps are its own and the loop ends only once no midpoint
-    moves, so the solve runs on the distinct inputs and scatters them back;
-    any subset of the inputs gets the same bits. ``ratio < w`` is the FOC
-    gap's ``ratio - w < 0.0``: a finite difference rounds to 0 only where the
-    two are equal, and both tests are false at +inf and NaN.
+    moves, so each element gets the bits of its solve alone, in any batch,
+    repeated or not: de-duplicating is the caller's business (F1's value
+    path passes distinct points). ``ratio < w`` is the FOC gap's ``ratio - w
+    < 0.0``: a finite difference rounds to 0 only where the two are equal,
+    and both tests are false at +inf and NaN.
     """
-    u, back = np.unique(np.atleast_1d(np.asarray(u, dtype=float)), return_inverse=True)
+    u = np.atleast_1d(np.asarray(u, dtype=float))
     ratio, w = _foc_ratio(prims), prims.w
     lo = np.full_like(u, 1e-14)
     hi = np.ones_like(u)
@@ -216,7 +223,7 @@ def effort_star_array(prims: MoralHazardPrimitives, u) -> np.ndarray:
             # and every later step changes nothing. ``mid`` is already the
             # final midpoint, so the remaining FOC evaluations are skipped.
             break
-    return mid[back]
+    return mid
 
 
 @dataclass
@@ -229,8 +236,6 @@ class Technology:
     u1: float
     u_star: float
     prims: MoralHazardPrimitives | None = field(default=None, repr=False)
-    #: smoothing's cores and their errors by their inputs (see `smoothing._cores`)
-    _smoothing_cores: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def gap(self, u):
         return self.f1.value(u) - self.f0.value(u)
@@ -240,34 +245,31 @@ class _PostBreakthroughFrontier(ParametricFrontier):
     """F1 with the effort problem solved pointwise (vectorized bisection).
 
     The value path remembers its last solve: the distinct inputs of its
-    latest call, their efforts and the ``(phi.a, kappa.b, w)`` they were
-    solved under. A call reuses the inputs that equal one of those and
-    solves only the rest, so a payoff pair sharing most of its promises
-    solves most of them once. `effort_star_array` solves each input on its
-    own, so the reused efforts are the bits a fresh solve gives. The
-    derivative path never reads or writes them: its scalar solve can differ
-    in the last bits.
+    latest call and their efforts, which the frozen primitives keep valid. A
+    call reuses the inputs that equal one of those and solves only the rest,
+    so a payoff pair sharing most of its promises, or a smoothing build
+    repeating its parameter choice's points, solves most of them once.
+    `effort_star_array` solves each input on its own, so the reused efforts
+    are the bits a fresh solve gives. The derivative path never reads or
+    writes them: its scalar solve can differ in the last bits.
     """
 
     def __init__(self, prims: MoralHazardPrimitives, peak: float):
         self._prims = prims
-        self._last = None
+        self._last = (np.empty(0), np.empty(0))
         super().__init__(self._val, self._deriv, domain=(0.0, INF), peak=peak)
 
+    @_quiet
     def _val(self, us):
+        # quiet: phi_inv overflows to +inf at huge promises, where F1 is -inf
         p = self._prims
-        key = (p.phi.a, p.kappa.b, p.w)  # the primitives are mutable
         u, back = np.unique(us, return_inverse=True)
-        last = self._last
-        if last is None or last[0] != key:
-            L = effort_star_array(p, u)
-        else:
-            _, i, j = np.intersect1d(last[1], u, assume_unique=True, return_indices=True)
-            L, miss = np.empty_like(u), np.ones(u.shape, dtype=bool)
-            L[j], miss[j] = last[2][i], False
-            if j.size < u.size:
-                L[miss] = effort_star_array(p, u[miss])
-        self._last = (key, u, L)
+        _, i, j = np.intersect1d(self._last[0], u, assume_unique=True, return_indices=True)
+        L, miss = np.empty_like(u), np.ones(u.shape, dtype=bool)
+        L[j], miss[j] = self._last[1][i], False
+        if j.size < u.size:
+            L[miss] = effort_star_array(p, u[miss])
+        self._last = (u, L)
         L = L[back]
         return us + p.lam * (p.w * L - p.phi.phi_inv(us + p.kappa.kappa(L)))
 
@@ -303,7 +305,7 @@ def make_frontier_f0(prims: MoralHazardPrimitives) -> Frontier:
             f"ln(v)/a = {reach:.6g} reaches ln(DBL_MAX) = {_LN_DBL_MAX:.6g}, so F0 and F1 are -inf just above u0"
         )
     return ParametricFrontier(
-        lambda u: u - p.lam * p.phi.phi_inv(u),
+        _quiet(lambda u: u - p.lam * p.phi.phi_inv(u)),
         _quiet(lambda u: 1.0 - p.lam / p.phi.phi_prime_at_inv(u)),
         domain=(0.0, INF),
         peak=u0,
@@ -404,12 +406,10 @@ def _checked_gap_argmax(f0: Frontier, f1: Frontier, cand: float, u_hi: float) ->
     nonincreasing on ``[0, u0]`` (``gap-derivative-negative`` in ``verify
     ui-assns``): there ``u_star`` does not depend on where the search probes.
     Smoothed pairs skip this step; at a corner (``u1 = 0``) their argmax can
-    fail it. A ``cand`` of exactly 0.0 comes from `gap_argmax`'s certificate
-    and is returned without evaluating F1: golden section would have ended
-    within 1e-12 of 0, where this step returns 0.0.
+    fail it. A ``cand`` of 0.0 from `gap_argmax`'s certificate needs no case
+    of its own: it ties with ``gap(0)``, and F1's values at 0 and ``u_hi``
+    end the search's grid, F1's last value call, so no effort is solved.
     """
-    if cand == 0.0:
-        return 0.0
     ends = np.array([0.0, cand, u_hi])
     g0, g_cand, g_hi = (f1.value(ends) - f0.value(ends)).tolist()
     if g0 >= g_cand - 1e-12:

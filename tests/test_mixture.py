@@ -354,6 +354,16 @@ class TestRegularityReport:
         )
         assert rep.overall_pass
 
+    def test_a_nan_midpoint_value_fails_concavity(self):
+        class NanStrip(QuadraticFrontier):
+            # NaN on (0.6, 0.7), which holds the grid's midpoint 0.625 but no grid point
+            def _values(self, us):
+                return np.where((us > 0.6) & (us < 0.7), np.nan, super()._values(us))
+
+        rep = verify_mixture_regularity(FrontierDistribution([(NanStrip(-1.0, 2.0, -1.0), 1.0)]), [0.5, 0.75, 1.0])
+        assert not rep["midpoint-concavity"].passed
+        assert rep["unique-peak"].passed and rep["usc-lower"].passed
+
     def test_usc_probes_only_the_three_points_it_reads(self):
         # 9 grid values, 36 midpoints, the peak, and the lower boundary with
         # its three nearest probes; the upper side is unbounded

@@ -18,7 +18,7 @@ from frontierkit.frontiers import (
 from frontierkit.smoothing import (
     SmoothingParams,
     _Core,
-    _core_error,
+    _core_deviation,
     _StrictFixFrontier,
     _evaluate,
     _window_plan,
@@ -135,16 +135,66 @@ class TestParams:
         )
         tech = quad_tech()
         params = SmoothingParams.auto(tech, n)
-        build_smooth_pair(tech, params)
         assert evaluated == [params]
-        # hand-made params are still checked against the budget
+        build_smooth_pair(tech, params)
+        assert evaluated == [params, params]
+        # hand-made params are measured once by their build
         hand = dataclasses.replace(params, delta=0.5 * params.delta)
         build_smooth_pair(tech, hand)
-        assert evaluated == [params, hand]
-        # a Technology whose frontier changed is evaluated afresh
+        assert evaluated == [params, params, hand]
+        # a Technology whose frontier changed is measured afresh, and the
+        # build's verdict follows that measurement
         tech.f1 = kinked_tech().f1
-        _core_error(tech, params)
-        assert evaluated == [params, hand, params]
+        if real(tech, params)[0] > params.eps:
+            with pytest.raises(ParamsOutOfRange, match="eps budget"):
+                build_smooth_pair(tech, params)
+        else:
+            build_smooth_pair(tech, params)
+        assert evaluated == [params, params, hand, params]
+
+
+class TestNoCoreCacheBesideTheEffortMemo:
+    """`auto` and the build each measure the cores; F1's effort memo, not a
+    cache on the Technology, makes the build's repeat cheap."""
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_build_after_auto_makes_no_effort_solve(self, n, default_prims, monkeypatch):
+        # array effort solves per core measurement: `auto`'s accepted one
+        # solves its points, and the build's repeat of it none
+        calls, per_measure = [], []
+        solve, measure = technology.effort_star_array, smoothing._core_deviation
+
+        def measured(tech, p):
+            before = len(calls)
+            out = measure(tech, p)
+            per_measure.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(technology, "effort_star_array", lambda p, u: calls.append(np.size(u)) or solve(p, u))
+        monkeypatch.setattr(smoothing, "_core_deviation", measured)
+        tech = technology.make_moral_hazard_technology(default_prims)
+        pair = build_smooth_pair(tech, SmoothingParams.auto(tech, n))
+        assert per_measure[-2:] == [1, 0]
+        assert verify_monster(tech, [pair]).overall_pass
+
+    def test_hand_made_params_go_through_the_effort_budget(self):
+        tech = quad_tech()
+        params = SmoothingParams.auto(tech, 16)
+        hand = dataclasses.replace(params, delta=0.5 * params.delta)
+        build_smooth_pair(tech, hand)
+        # a budget below the measured error refuses the build
+        error = smoothing._core_deviation(tech, hand)[0]
+        assert error > 0.0
+        with pytest.raises(ParamsOutOfRange, match="eps budget"):
+            build_smooth_pair(tech, dataclasses.replace(hand, eps=0.5 * error))
+
+    def test_a_changed_frontier_is_measured_afresh_no_effort_cache(self):
+        tech = quad_tech()
+        params = SmoothingParams.auto(tech, 8)
+        build_smooth_pair(tech, params)
+        tech.f1 = nan_strip_tech(0.2, 0.201).f1
+        with pytest.raises(ParamsOutOfRange, match="eps budget"):
+            build_smooth_pair(tech, params)
 
 
 class TestDerivativeEnvelope:
@@ -363,7 +413,7 @@ def test_nan_inside_a_window_fails_the_budget():
     # strip, so only the windows of the points below it see the NaN
     params = SmoothingParams.auto(quad_tech(), 8)
     tech = nan_strip_tech(0.2, 0.201)
-    assert _core_error(tech, params) == np.inf
+    assert _core_deviation(tech, params)[0] == np.inf
     with pytest.raises(ParamsOutOfRange):
         build_smooth_pair(tech, params)
     # NaN at a grid point fails at every window width, so auto gives up
