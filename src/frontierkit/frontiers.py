@@ -108,26 +108,24 @@ class Frontier:
         least ``u`` with ``right_deriv(u) <= eta``, the largest the greatest
         ``u`` with ``left_deriv(u) >= eta``; both tests are monotone in ``u``,
         so one bisection finds either (to adjacent floats, kink-safe). It
-        tests arrays of points through ``deriv``. An unbounded upper end is
-        doubled out first.
+        gives the bisection ``deriv``'s values on arrays of points, which also
+        guide its probes. An unbounded upper end is doubled out first.
         """
         lo, hi = self._bounds(lo, hi)
-        if largest:
-            above = lambda us: self.deriv(us, "left") >= eta
-        else:
-            above = lambda us: self.deriv(us, "right") > eta
+        slope = lambda us: self.deriv(us, "left" if largest else "right")
+        above = (lambda d: d >= eta) if largest else (lambda d: d > eta)
         if math.isinf(hi):
             hi = max(1.0, lo + 1.0)
-            while above(hi):
+            while above(slope(hi)):
                 hi = lo + 2.0 * (hi - lo)
                 if hi > 1e12:
                     raise DomainError(f"no maximizer of f(u) - {eta:g}*u found below u=1e12")
-        above_lo, above_hi = above(np.array([lo, hi]))
+        above_lo, above_hi = above(slope(np.array([lo, hi])))
         if not above_lo:
             return lo
         if above_hi:
             return hi
-        lo, hi = bisect_predicate_array(above, lo, hi)
+        lo, hi = bisect_predicate_array(slope, lo, hi, eta, strict=not largest)
         return lo if largest else hi
 
     @property

@@ -5,10 +5,13 @@ unknown, so bisection with geometric bracket expansion is globally safe.
 Root solves probe one point per step; `speculate` runs such a search with
 its points evaluated in array calls, bit for bit. The frontier searches,
 `golden_section_max` and `bisect_predicate_array`, take array oracles and
-look ahead: one oracle call covers their next `LOOKAHEAD` steps (see
-`_lookahead`). `interpolated_switch` gives `bisect_predicate_array`'s bracket
-for the level test ``T(x) > u`` of a nonincreasing scalar ``T`` in fewer
-calls, by interpolating on the values of ``T``; where it cannot, it runs that
+look ahead: each oracle call holds every point of their next `LOOKAHEAD`
+steps, so the tree of those steps bounds the calls (see `_lookahead`).
+`bisect_predicate_array` reads the oracle's values and adds, as extra points
+in the same call, the rest of the path that a secant guess at the switch
+predicts. `interpolated_switch` gives `bisect_predicate_array`'s bracket for
+the level test ``T(x) > u`` of a nonincreasing scalar ``T`` in fewer calls,
+by interpolating on the values of ``T``; where it cannot, it runs that
 bisection with one ``T`` call per point.
 """
 
@@ -232,7 +235,7 @@ def interpolated_switch(
                 nudge = x + moved * step
     near_zero = min(abs(lo), abs(hi)) <= (start[1] - start[0]) * 2.0**-140
     if near_zero or hi != math.nextafter(lo, math.inf):
-        return bisect_predicate_array(lambda xs: np.array([T(x) > u for x in xs.tolist()]), *start)
+        return bisect_predicate_array(lambda xs: np.array([T(x) for x in xs.tolist()]), *start, u)
     return lo, hi
 
 
@@ -274,27 +277,68 @@ def _lookahead(f, state, probe, decide, move):
 
 
 def bisect_predicate_array(
-    pred: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
+    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, level: float, strict: bool = True
 ) -> tuple[float, float]:
-    """Shrink ``[lo, hi]`` around the switch of a monotone predicate.
+    """Shrink ``[lo, hi]`` around the switch of the monotone test ``f(x) > level``
+    (``f(x) >= level`` when not ``strict``).
 
-    ``pred`` tests an array of points elementwise; it is true up to some point
-    and false beyond it. The returned bracket keeps ``lo`` on the true side
-    and ``hi`` on the false side, after at most 200 halvings or once it spans
-    adjacent floats. One ``pred`` call covers `LOOKAHEAD` halvings."""
+    ``f`` evaluates an array of points elementwise, and the test on its values
+    is true up to some point and false beyond it; NaN counts as false. The
+    returned bracket keeps ``lo`` on the true side and ``hi`` on the false side,
+    after at most 200 halvings or once it spans adjacent floats. Every step
+    probes the midpoint and decides on its real value, so the result is the
+    one-point bisection's, bit for bit.
 
-    def probe(s):
-        lo, hi, steps = s
+    Each ``f`` call evaluates the tree of the `LOOKAHEAD` steps after the last
+    one decided, over every outcome, so a call resolves at least `LOOKAHEAD`
+    steps and the tree bounds the number of calls. The same call also
+    evaluates the rest of the path that a guess at the switch predicts: the
+    secant root of the tightest bracket of finite values seen so far, as
+    `speculate` guesses. Where the guess holds, the walk takes those steps too,
+    so on a smooth ``f`` a few calls reach adjacent floats.
+    """
+    level = float(level)  # with Python floats the guess's arithmetic never warns
+    above = (lambda v: v > level) if strict else (lambda v: v >= level)
+    known: dict[float, float] = {}
+    # level - f(x) where it is finite: negative on the true side, as `_secant_root` reads it
+    excess: dict[float, float] = {}
+    steps = 0
+    while True:
         mid = 0.5 * (lo + hi)
-        return None if steps == 200 or mid <= lo or mid >= hi else mid
-
-    def move(s, fx, go):
-        lo, hi, steps = s
-        mid = 0.5 * (lo + hi)
-        return (mid, hi, steps + 1) if go else (lo, mid, steps + 1)
-
-    lo, hi, _ = _lookahead(pred, (lo, hi, 0), probe, lambda s, fx: fx, move)
-    return lo, hi
+        if steps == 200 or mid <= lo or mid >= hi:
+            return lo, hi
+        if mid in known:
+            lo, hi, steps = (mid, hi, steps + 1) if above(known[mid]) else (lo, mid, steps + 1)
+            continue
+        # the tree, level by level; a bracket that cannot shrink has no point
+        points, brackets = [], [(lo, hi)]
+        for _ in range(min(LOOKAHEAD, 200 - steps)):
+            deeper = []
+            for a, b in brackets:
+                m = 0.5 * (a + b)
+                if a < m < b:
+                    points.append(m)
+                    deeper += [(a, m), (m, b)]
+            brackets = deeper
+        # the predicted path past the tree, with the test true below the guess.
+        # Where the values leave the switch outside the bracket (flat or not
+        # finite near it) and the bracket holds 0, the guess is 0: only a
+        # switch within 2**-140 times the start width of 0 takes all 200 halvings
+        guess, a, b = _secant_root(excess), lo, hi
+        if not lo <= guess <= hi and lo < 0.0 < hi:
+            guess = 0.0
+        for k in range(steps, 200 if math.isfinite(guess) else steps):
+            m = 0.5 * (a + b)
+            if not a < m < b:
+                break
+            if k >= steps + LOOKAHEAD:
+                points.append(m)
+            a, b = (m, b) if m < guess else (a, m)
+        values = f(np.array(points)).tolist()
+        known.update(zip(points, values))
+        for x, v in zip(points, values):
+            if math.isfinite(level - v):
+                excess[float(x)] = level - v
 
 
 def golden_section_max(

@@ -166,7 +166,9 @@ def _core_deviation(tech: Technology, params: SmoothingParams) -> tuple[float, _
     """Max deviation of the core pair, anchored at ``u_star + 1/n``, from the
     source, with the two cores. `SmoothingParams.auto` measures it and
     `build_smooth_pair` measures it again on the same points, so a
-    moral-hazard F1 answers the build's repeat from its last solve.
+    moral-hazard F1 answers the build's repeat from its last solve. The
+    source call also takes the far ends of the end windows, so that solve
+    holds every point of the build's `_Core.ends` as well.
 
     A deviation that is not finite (a NaN from either side) makes it inf, so
     it can never pass an accuracy budget.
@@ -174,9 +176,10 @@ def _core_deviation(tech: Technology, params: SmoothingParams) -> tuple[float, _
     n = params.n
     anchor, us = tech.u_star + 1.0 / n, np.linspace(1.0 / n, tech.u0 - 2.0 / n, 33)
     points = np.append(anchor, us)  # their windows and values, one source call per core
+    far_ends = us[[0, -1]] + params.delta  # for the build's end slopes
     cores, dev = [], []
     for f in (tech.f0, tech.f1):
-        h, vals = _evaluate(f, _window_plan(f, points, params.delta), (points, lambda v: v))
+        h, vals = _evaluate(f, _window_plan(f, points, params.delta), (np.append(points, far_ends), lambda v: v[:-2]))
         cores.append(_Core(f, params, anchor, float(h[0]), float(vals[0])))
         dev.append(np.abs(cores[-1]._from_integral(us, h[1:]) - vals[1:]))
     dev = np.concatenate(dev)

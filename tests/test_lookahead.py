@@ -1,6 +1,7 @@
 """The lookahead frontier searches against one-step references, and their cost."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -83,13 +84,53 @@ def test_bisection_is_the_one_step_search_bit_for_bit(monkeypatch, depth):
     brackets += [tuple(sorted(rng.uniform(-3.0, 3.0, 2))) for _ in range(30)]
     for lo, hi in brackets:
         for switch in (lo, hi, 0.0, rng.uniform(lo, hi), np.nextafter(hi, -np.inf)):
-            for pred in (lambda x: x < switch, lambda x: x <= switch, lambda x: np.arctan(x) < 0.5):
-                f = Recorder(pred)
+            # (values, level, strict): x < switch, x <= switch and arctan(x) < 0.5
+            tests = [(np.negative, -switch, True), (np.negative, -switch, False), (lambda x: -np.arctan(x), -0.5, True)]
+            for fn, level, strict in tests:
+                f = Recorder(fn)
+                test = operator.gt if strict else operator.ge
                 probed = []
-                ref = bisect_reference(lambda x: probed.append(x) or pred(x), lo, hi)
-                assert bisect_predicate_array(f, lo, hi) == ref
-                assert len(f.calls) == math.ceil(len(probed) / depth)
+                ref = bisect_reference(lambda x: probed.append(x) or test(fn(x), level), lo, hi)
+                assert bisect_predicate_array(f, lo, hi, level, strict) == ref
+                # the tree of each call resolves `depth` steps, so no call resolves fewer
+                assert len(f.calls) <= math.ceil(len(probed) / depth)
                 assert np.all((lo < f.points) & (f.points < hi))
+
+
+def test_bisection_follows_the_secant_guess_on_a_smooth_oracle():
+    # arctan(x) < 0.5 on [0, 2]: 53 halvings, which the tree alone covers in
+    # 9 calls. The first call has no value to guess from; after it each
+    # secant guess holds for about twice as many steps as the last
+    probed = []
+    ref = bisect_reference(lambda x: probed.append(x) or np.arctan(x) < 0.5, 0.0, 2.0)
+    f = Recorder(lambda x: -np.arctan(x))
+    assert bisect_predicate_array(f, 0.0, 2.0, -0.5) == ref
+    assert math.ceil(len(probed) / roots.LOOKAHEAD) == 9
+    assert len(f.calls) == 5
+
+
+def test_bisection_guess_skips_infinite_and_nan_values():
+    # the test is true below 0.3 and false above. The values are +inf just
+    # below the switch, and -inf, then NaN, well above it
+    def fn(x):
+        with np.errstate(invalid="ignore"):
+            v = np.where((x > 0.2) & (x < 0.3), np.inf, 0.3 - x)
+            return np.where(x > 0.9, np.nan, np.where(x > 0.5, -np.inf, v))
+
+    # calls: the secant through the finite values on either side of the switch
+    # holds from the second call on. Above 0.29 every true value is +inf, so
+    # there is no guess and the trees resolve 6 steps a call; the widest
+    # bracket's trees see no finite value at all
+    probed = []
+    wide = np.float64(1e300)
+    for lo, hi, calls in ((0.0, 1.0, 2), (-5.0, 5.0, 2), (0.29, 2.0, 10), (-wide, wide, 34)):
+        f = Recorder(fn)
+        ref = bisect_reference(lambda x: bool(fn(np.array(x)) > 0.0), lo, hi)
+        assert bisect_predicate_array(f, lo, hi, 0.0) == ref
+        assert len(f.calls) == calls
+        probed.append(fn(f.points))
+    values = np.concatenate(probed)
+    assert (values == np.inf).any() and (values == -np.inf).any() and np.isnan(values).any()
 
 
 def test_bisect_returns_exact_zeros_and_rejects_a_same_sign_bracket():
@@ -105,13 +146,13 @@ def test_bisection_stops_after_200_halvings():
     probed = []
     lo, hi = bisect_reference(lambda x: probed.append(x) or x < 0.0, -1.0, 1.0)
     assert len(probed) == 200 and (lo, hi) == (-(2.0**-199), 0.0)
-    f = Recorder(lambda x: x < 0.0)
-    assert bisect_predicate_array(f, -1.0, 1.0) == (lo, hi)
+    f = Recorder(np.negative)
+    assert bisect_predicate_array(f, -1.0, 1.0, 0.0) == (lo, hi)
     assert f.points.size < 2**roots.LOOKAHEAD * 40
 
 
 def test_bisection_ends_on_adjacent_floats():
-    lo, hi = bisect_predicate_array(lambda x: x * x < 2.0, 0.0, 2.0)
+    lo, hi = bisect_predicate_array(lambda x: 2.0 - x * x, 0.0, 2.0, 0.0)
     assert lo * lo < 2.0 <= hi * hi
     assert np.nextafter(lo, 3.0) == hi
 

@@ -440,8 +440,9 @@ def test_effort_solves_per_level_are_batched(default_prims, monkeypatch):
 
 def test_array_effort_calls_per_stage(default_prims, monkeypatch):
     # each smoothing step evaluates F1 in one array pass: `auto`'s core error
-    # in one, the build's end probes in one per core, the certificate in three
-    # (concavity grid, left joins, everything right-sided)
+    # in one, which also holds the build's end probes; the build's ordering
+    # guard and gap grid in one each, and its peak search in six; the
+    # certificate in three (concavity grid, left joins, everything right-sided)
     calls = []
     solve = technology.effort_star_array
     monkeypatch.setattr(technology, "effort_star_array", lambda prims, u: calls.append(np.size(u)) or solve(prims, u))
@@ -450,7 +451,33 @@ def test_array_effort_calls_per_stage(default_prims, monkeypatch):
     params = SmoothingParams.auto(tech, 16)
     assert len(calls) == 1
     pair = build_smooth_pair(tech, params)
-    assert len(calls) <= 1 + 13
+    assert len(calls) <= 1 + 8
     del calls[:]
     assert verify_monster(tech, [pair]).overall_pass
     assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_peak_search_effort_calls_per_build(n, default_prims, monkeypatch):
+    # F1_n's peak is a bisection on its slope: the lookahead trees alone take
+    # ten effort calls, and six with the predicted path past each tree. Every
+    # other call of the build is a batch: the core measurement holds the end
+    # probes, so no call solves two points or fewer
+    calls, in_peak = [], [False]
+    solve, search = technology.effort_star_array, smoothing._PiecewiseFrontier.argmax_linear
+
+    def peak_search(*args):
+        in_peak[0] = True
+        try:
+            return search(*args)
+        finally:
+            in_peak[0] = False
+
+    monkeypatch.setattr(technology, "effort_star_array", lambda p, u: calls.append((in_peak[0], np.size(u))) or solve(p, u))
+    monkeypatch.setattr(smoothing._PiecewiseFrontier, "argmax_linear", peak_search)
+    tech = technology.make_moral_hazard_technology(default_prims)
+    params = SmoothingParams.auto(tech, n)
+    del calls[:]
+    build_smooth_pair(tech, params)
+    assert 0 < sum(peak for peak, _ in calls) <= 7
+    assert all(size > 2 for peak, size in calls if not peak)
