@@ -32,7 +32,6 @@ from .gap_analysis import (
     GapKind,
     GapWitness,
     classify_u_star,
-    is_saddle,
     shared_supergradient_interval,
 )
 from .mechanism import (

@@ -33,6 +33,7 @@ from .mechanism import (
     dominance_check,
     make_deadline_mechanism,
     no_delay_improve,
+    normalize,
     payoff,
 )
 from .mixture import FrontierDistribution, mixture_value, verify_mixture_regularity
@@ -331,7 +332,7 @@ def _suite_no_delay(cfg, rng, trials, grid) -> VerificationReport:
     affine = _affine_tech()
     starts = grid.edges[:-1]
     x0 = np.where(starts < 1.0, 0.5 * affine.u0, np.where(starts < 2.0, affine.u0, 0.0))
-    two_step = Mechanism.from_grid(grid, x0, u1=affine.u1)
+    two_step = normalize(Mechanism.from_grid(grid, x0), affine)
     family = [BreakthroughDistribution.point_mass(0.5), BreakthroughDistribution.exponential(1.0)]
     rep.extend("dominance/", dominance_check(two_step, affine, family))
     return rep

@@ -292,7 +292,7 @@ def gap_argmax(f0: Frontier, f1: Frontier, hi: float) -> float:
         and f1.right_deriv(0.0) <= f0.left_deriv(float(us[2])) - 1e-9
     ):
         return 0.0
-    return golden_section_max(gap, float(us[max(0, i - 2)]), float(us[min(600, i + 2)]), tol=1e-12)
+    return golden_section_max(gap, float(us[max(0, i - 2)]), float(us[min(600, i + 2)]))
 
 
 def midpoint_concavity_plan(us: Sequence[float]):

@@ -47,14 +47,6 @@ class GapWitness:
     f1_right: float
     shared_interval: tuple[float, float]
 
-    @property
-    def psi_left(self) -> float:
-        return self.f1_left - self.f0_left
-
-    @property
-    def psi_right(self) -> float:
-        return self.f1_right - self.f0_right
-
 
 @dataclass
 class GapClassification:
@@ -88,8 +80,15 @@ def _windows(psi, u_bar: float, lo: float, hi: float):
 
 
 def _saddle_verdict(center: float, windows) -> bool:
-    """`is_saddle`'s decision on the probe ``windows`` around a point where
-    ``psi`` is ``center``."""
+    """Saddle probe on the `_windows` around ``u_bar``, where ``psi`` is
+    ``center``.
+
+    True iff, in every window of radius ``eps``, (a) some straddling pair
+    ``u < u_bar < u'`` has ``|psi(u') - psi(u)|/(u' - u) < eps`` and (b) the
+    local-max and local-min probes both fail. A finite grid can support but
+    never prove the verdict: it holds down to the finest radius,
+    ``PROBE_EPSILONS[-1]``.
+    """
     for eps, left, right, vals in windows:
         if left.size == 0 or right.size == 0:
             return False
@@ -100,21 +99,6 @@ def _saddle_verdict(center: float, windows) -> bool:
         if not (quot.min() < eps and not_max and not_min):
             return False
     return True
-
-
-def is_saddle(psi, u_bar: float, domain: tuple[float, float] = (0.0, np.inf)) -> bool:
-    """Saddle probe for a function ``psi`` at ``u_bar``; ``psi`` takes a
-    scalar or an array of points.
-
-    True iff, for every probe radius ``eps``, (a) some straddling pair
-    ``u < u_bar < u'`` within ``eps`` has ``|psi(u') - psi(u)|/(u' - u) < eps``
-    and (b) the local-max and local-min probes both fail inside the window.
-    A finite grid can support but never prove the verdict: it holds down to
-    the finest radius, ``PROBE_EPSILONS[-1]``.
-    """
-    if u_bar <= 0:
-        raise ValueError("the probe point must be positive")
-    return _saddle_verdict(float(psi(u_bar)), _windows(psi, u_bar, *domain))
 
 
 def classify_u_star(tech: Technology) -> GapClassification:

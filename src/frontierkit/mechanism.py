@@ -74,13 +74,6 @@ class BreakthroughDistribution(MeasureOnTime):
     def point_mass(t: float) -> "BreakthroughDistribution":
         return BreakthroughDistribution(atoms=((float(t), 1.0),))
 
-    @staticmethod
-    def uniform(a: float, b: float) -> "BreakthroughDistribution":
-        return BreakthroughDistribution(
-            density_edges=np.array([a, b]),
-            density_values=np.array([1.0 / (b - a)]),
-        )
-
 
 # ---------------------------------------------------------------------------
 # mechanisms
@@ -387,6 +380,10 @@ def _require_affine_f0(tech: Technology) -> None:
         raise PreconditionViolation("F0 is not affine on [0, u0]")
 
 
+def _mass_at_zero(G: BreakthroughDistribution) -> bool:
+    return any(t == 0.0 and mass > 0.0 for t, mass in G.atoms)
+
+
 def payoff_affine_rewrite(
     m: Mechanism, tech: Technology, G: BreakthroughDistribution
 ) -> float:
@@ -398,7 +395,7 @@ def payoff_affine_rewrite(
     _require_affine_f0(tech)
     if m.u1 is None:
         raise PreconditionViolation("mechanism must be in no-delay form")
-    if any(t == 0.0 and mass > 0.0 for t, mass in G.atoms):
+    if _mass_at_zero(G):
         raise PreconditionViolation("G must have no mass at time 0")
     r = m.r
     plan = _PayoffPlan(m, G)
@@ -441,7 +438,8 @@ def dominance_check(m: Mechanism, tech: Technology, G_family) -> VerificationRep
     The twin delivers the same initial promise; with affine F0 its
     continuation path is pointwise below the original's and its payoff is
     weakly higher for every G, strictly when G puts mass where the paths
-    differ.
+    differ. Under each G without mass at time 0, both payoffs must also
+    match `payoff_affine_rewrite`, the form the argument rests on.
     """
     rep = VerificationReport("no-delay")
     _require_affine_f0(tech)
@@ -466,8 +464,14 @@ def dominance_check(m: Mechanism, tech: Technology, G_family) -> VerificationRep
     )
 
     changed = lambda t: (m.X0_at(t) - twin.X0_at(t)) > 1e-9
+    rewrite_errs, skipped = [], []
     for i, G in enumerate(G_family):
-        gain = payoff(twin, tech, G) - payoff(m, tech, G)
+        twin_pay, m_pay = payoff(twin, tech, G), payoff(m, tech, G)
+        if _mass_at_zero(G):
+            skipped.append(str(i))
+        else:
+            rewrite_errs += [abs(payoff_affine_rewrite(x, tech, G) - v) for x, v in ((twin, twin_pay), (m, m_pay))]
+        gain = twin_pay - m_pay
         mass = _mass_on_region(G, changed, probes)
         if mass > 1e-9:
             ok = gain > 1e-12
@@ -476,4 +480,10 @@ def dominance_check(m: Mechanism, tech: Technology, G_family) -> VerificationRep
             ok = gain > -1e-9
             note = "weak (no mass on changed set)"
         rep.add(f"payoff-dominance-{i}", ok, worst_violation=max(0.0, -gain), note=note)
+    rep.add(
+        "affine-rewrite-matches-payoff",
+        all(e <= 1e-10 for e in rewrite_errs),  # NaN fails
+        worst_violation=float(np.max(rewrite_errs, initial=0.0)),
+        note=f"skipped G {', '.join(skipped)}: mass at time 0" if skipped else "",
+    )
     return rep

@@ -66,8 +66,8 @@ def mixture_value(dist: FrontierDistribution, u: float) -> tuple[float, np.ndarr
     Each member must have finite one-sided derivatives at its floor and
     ceiling, which bracket the level.
     """
-    if u < 0:
-        raise ValueError("promised utility must be nonnegative")
+    if not u >= 0.0:  # NaN fails
+        raise ValueError(f"promised utility `u` must be nonnegative, got {u!r}")
     members, probs = dist.members, dist.probs
     cap = max(2.0 * u + 1.0, u / float(probs.min()))
     floors = [_alloc_floor(f) for f in members]

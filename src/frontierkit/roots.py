@@ -345,7 +345,7 @@ def golden_section_max(
     f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
-    tol: float = 1e-10,
+    tol: float = 1e-12,
 ) -> float:
     """Argmax of a unimodal ``f`` on ``[lo, hi]`` by golden-section search.
 

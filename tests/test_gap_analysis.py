@@ -15,8 +15,9 @@ from frontierkit.gap_analysis import (
     PROBE_EPSILONS,
     GapKind,
     GapWitness,
+    _saddle_verdict,
+    _windows,
     classify_u_star,
-    is_saddle,
     shared_supergradient_interval,
 )
 
@@ -78,24 +79,25 @@ class TestSharedSupergradientInterval:
                 shared_supergradient_interval(tech, u)
 
 
+def saddle_verdict(psi, u):
+    """The saddle probe of `classify_u_star` at ``u`` on ``[0, inf]``."""
+    return _saddle_verdict(psi(u), _windows(psi, u, 0.0, np.inf))
+
+
 class TestIsSaddle:
     # the verdict is a bool: ``is True`` and ``is False`` hold for no other value
     def test_cubic_is_saddle(self):
-        assert is_saddle(lambda u: -((u - 1.0) ** 3), 1.0) is True
+        assert saddle_verdict(lambda u: -((u - 1.0) ** 3), 1.0) is True
         # symmetric pairs at distance delta give quotient delta^2 -> 0
         for delta in (1e-1, 1e-2, 1e-3):
             quot = abs(-(delta**3) - delta**3) / (2 * delta)
             assert quot == pytest.approx(delta**2)
 
     def test_quadratic_local_max_is_not(self):
-        assert is_saddle(lambda u: -((u - 1.0) ** 2), 1.0) is False
+        assert saddle_verdict(lambda u: -((u - 1.0) ** 2), 1.0) is False
 
     def test_abs_local_min_is_not(self):
-        assert is_saddle(lambda u: abs(u - 1.0), 1.0) is False
-
-    def test_requires_positive_point(self):
-        with pytest.raises(ValueError):
-            is_saddle(lambda u: u, 0.0)
+        assert saddle_verdict(lambda u: abs(u - 1.0), 1.0) is False
 
 
 class TestClassifyUStar:
@@ -107,7 +109,6 @@ class TestClassifyUStar:
         assert w.f1_right < w.f0_right <= w.shared_interval[0]
         assert w.shared_interval[0] <= w.shared_interval[1]
         assert w.shared_interval[1] <= w.f1_left < w.f0_left
-        assert w.psi_left < 0 and w.psi_right < 0
 
     def test_witness_holds_the_slopes_and_the_shared_interval_only(self):
         names = [f.name for f in dataclasses.fields(GapWitness)]

@@ -389,7 +389,7 @@ class TestAffineRewrite:
         f1 = QuadraticFrontier(2.0 - 0.0625, 0.5, -1.0)
         tech = Technology(f0=f0, f1=f1, u0=0.5, u1=0.25, u_star=0.0)
         m = make_deadline_mechanism(1.0, tech, GRID)
-        G = BreakthroughDistribution.uniform(0.2, 2.2)
+        G = BreakthroughDistribution(density_edges=np.array([0.2, 2.2]), density_values=np.array([0.5]))
         assert payoff_affine_rewrite(m, tech, G) == pytest.approx(
             payoff(m, tech, G), abs=1e-7
         )
@@ -605,6 +605,23 @@ class TestDominance:
         with pytest.raises(PreconditionViolation, match="normalized"):
             dominance_check(m, tech, [BreakthroughDistribution.exponential(1.0)])
         assert dominance_check(normalize(m, tech), tech, [BreakthroughDistribution.exponential(1.0)]).overall_pass
+
+    def test_a_G_with_mass_at_zero_is_skipped_and_noted(self):
+        tech = affine_tech()
+        family = [BreakthroughDistribution.exponential(1.0), BreakthroughDistribution.point_mass(0.0)]
+        rep = dominance_check(two_step_mechanism(tech, GRID), tech, family)
+        check = rep["affine-rewrite-matches-payoff"]
+        assert check.passed and check.note == "skipped G 1: mass at time 0"
+        assert {c.check_id for c in rep.checks} >= {"payoff-dominance-0", "payoff-dominance-1"}
+
+    def test_a_rewrite_off_by_1e_9_fails_the_line(self, monkeypatch):
+        rewrite = mechanism.payoff_affine_rewrite
+        monkeypatch.setattr(mechanism, "payoff_affine_rewrite", lambda *a: rewrite(*a) + 1e-9)
+        tech = affine_tech()
+        rep = dominance_check(two_step_mechanism(tech, GRID), tech, [BreakthroughDistribution.exponential(1.0)])
+        check = rep["affine-rewrite-matches-payoff"]
+        assert not check.passed and check.worst_violation == pytest.approx(1e-9, rel=1e-3)
+        assert all(c.passed for c in rep.checks if c is not check)
 
 
 class TestOnePayoffBody:

@@ -73,6 +73,14 @@ class TestMixtureValue:
         with pytest.raises(ValueError, match="nonnegative"):
             mixture_value(quad_pair(), -0.1)
 
+    def test_nan_promise_is_blamed_on_u(self):
+        # NaN passed ``u < 0`` and was reported as the members' slopes
+        with pytest.raises(ValueError, match="promised utility `u` must be nonnegative, got nan"):
+            mixture_value(quad_pair(), math.nan)
+        # an infinite promise still reaches the members' slopes at their ceilings
+        with pytest.raises(ValueError, match="finite slopes"):
+            mixture_value(quad_pair(), math.inf)
+
     def test_infinite_slope_at_the_floor_rejected(self):
         # sqrt is vertical at its floor 0, so no finite level brackets the search
         root = ParametricFrontier(np.sqrt, lambda u: 0.5 / np.sqrt(u), domain=(0.0, 4.0), peak=4.0)

@@ -390,7 +390,8 @@ def pinned_G(rng, kind):
         return BreakthroughDistribution(
             atoms=((0.0, 0.25),), tail_rate=rate, tail_mass=0.75, tail_start=0.0
         )
-    return BreakthroughDistribution.uniform(0.0, float(rng.uniform(0.5, 2.5)))
+    b = float(rng.uniform(0.5, 2.5))
+    return BreakthroughDistribution(density_edges=np.array([0.0, b]), density_values=np.array([1.0 / b]))
 
 
 def pinned_instance(i, mh_tech):
