@@ -9,7 +9,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +293,11 @@ def _suite_saddle(cfg, rng, trials, grid) -> VerificationReport:
     return rep
 
 
+# `verify no-delay` draws an explicit promise in `--trials` trials, at most
+# this many: one costs as much as a trial of the first line
+_EXPLICIT_PROMISE_TRIALS = 100
+
+
 def _suite_no_delay(cfg, rng, trials, grid) -> VerificationReport:
     rep = VerificationReport("no-delay")
     tech = cfg.technology()
@@ -328,6 +334,24 @@ def _suite_no_delay(cfg, rng, trials, grid) -> VerificationReport:
         note=f"{trials} trials",
     )
     rep.add("no-delay-strict-sometimes", corner or strict_seen > 0, note=note)
+
+    # the lemma's other half: an explicit promise X1 >= X0 above max(X0, u1) is
+    # lowered to it. The draws come from a generator of their own, so the
+    # lines above keep theirs
+    own, worst_gain, count = rng.spawn(1)[0], math.inf, min(trials, _EXPLICIT_PROMISE_TRIALS)
+    for k in range(count):
+        m = _random_mechanism(own, grid, tech.u0)
+        cells = np.maximum(m.X0_edges[:-1], m.X0_edges[1:]) + own.uniform(0.0, 0.6 * tech.u0, grid.n_cells)
+        tail = max(m.x0_tail, float(own.uniform(0.0, 1.2 * tech.u0)))
+        m = replace(m, X1=partial(step_value, grid.edges, cells, tail))
+        rate = float(own.uniform(0.3, 2.0))
+        worst_gain = min(worst_gain, gain(m, BreakthroughDistribution.exponential(rate) if k % 2 == 0 else _mixed_G(rate)))
+    rep.add(
+        "no-delay-explicit-promise",
+        worst_gain > -1e-10,
+        worst_violation=max(0.0, -worst_gain),
+        note=f"{count} trials",
+    )
 
     affine = _affine_tech()
     starts = grid.edges[:-1]

@@ -193,16 +193,18 @@ def interpolated_switch(
     halvings bring the bracket below the spacing of the floats near any
     point farther out. When the pair found lies that close to 0, or the
     search ends on floats that are not adjacent, `bisect_predicate_array`
-    runs on the whole bracket, with ``T`` called once per point.
+    runs on the whole bracket, with ``T`` called once per point. The search
+    hands over as soon as both ends of its bracket lie that close to 0, since
+    the pair it would find lies between them.
     """
-    start = lo, hi
+    start, tiny = (lo, hi), (hi - lo) * 2.0**-140
     g_lo, g_hi = t_lo - u, t_hi - u
     kept = 0  # +1 (-1) when the last interpolated probe moved lo (hi)
     nudge = None
     budget = (hi - lo) * 2.0**_SLACK  # the widest the bracket may be after the next probe
     for _ in range(200 + _SLACK):
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        if mid <= lo or mid >= hi or -tiny <= lo and hi <= tiny:
             break
         width = hi - lo
         budget *= 0.5
@@ -233,8 +235,7 @@ def interpolated_switch(
             step = _NUDGE_ULPS * max(math.ulp(x), math.ulp(u) * run)
             if abs(tx - u) * run <= step:
                 nudge = x + moved * step
-    near_zero = min(abs(lo), abs(hi)) <= (start[1] - start[0]) * 2.0**-140
-    if near_zero or hi != math.nextafter(lo, math.inf):
+    if min(abs(lo), abs(hi)) <= tiny or hi != math.nextafter(lo, math.inf):
         return bisect_predicate_array(lambda xs: np.array([T(x) for x in xs.tolist()]), *start, u)
     return lo, hi
 

@@ -333,7 +333,12 @@ def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair
         raise ParamsOutOfRange("extensions failed to keep the pair ordered")
 
     u1_n = f1n.peak
-    u_star_n = gap_argmax(f0n, f1n, p)
+    # the gap's ceiling on the core, which spares the grid its windows there;
+    # `gap_argmax` derives the margin
+    S = max(B, abs(V_b0), abs(V_B0), abs(V_b1), abs(V_B1), abs(V_b1 + d_b1 * (B - b)))
+    margin = 2.0**-40 * S * (6.0 + 2.0 * (B - b) / params.delta)
+    ceiling = (b, B, V_b1 - V_b0 + margin, d_b1 - (V_B0 - V_b0) / (B - b))
+    u_star_n = gap_argmax(f0n, f1n, p, ceiling)
 
     # strict-local-max fix: lower F1_n slightly below u_star_n if the gap's
     # argmax is not strict there
@@ -341,7 +346,8 @@ def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair
     rivals = gaps[np.abs(probes - u_star_n) > 0.5 / n]
     if rivals.size and np.max(rivals) >= top - 1e-12:
         f1n = _StrictFixFrontier(f1n, u_star_n, params.zeta / 8.0)
-        u_star_n = gap_argmax(f0n, f1n, p)
+        # the fix only lowers F1_n, so the ceiling still holds
+        u_star_n = gap_argmax(f0n, f1n, p, ceiling)
 
     return SmoothedPair(
         f0n=f0n, f1n=f1n, params=params,

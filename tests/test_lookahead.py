@@ -279,7 +279,7 @@ def test_both_builders_call_the_one_gap_argmax(monkeypatch, default_prims):
     assert technology.gap_argmax is smoothing.gap_argmax is frontiers.gap_argmax
     his = []
     search = frontiers.gap_argmax
-    spy = lambda f0, f1, hi: his.append(hi) or search(f0, f1, hi)
+    spy = lambda f0, f1, hi, *ceiling: his.append(hi) or search(f0, f1, hi, *ceiling)
     for module in (technology, smoothing):
         monkeypatch.setattr(module, "gap_argmax", spy)
     tech = fk.make_moral_hazard_technology(default_prims)

@@ -501,13 +501,15 @@ def test_level_near_zero_falls_back_to_bisection():
 def test_level_at_a_bisected_members_peak_takes_few_T_calls():
     # a member without a closed-form argmax, at its peak u = 1: the level
     # switches at eta = 0, where bisection takes all 200 halvings and T is flat
-    # within rounding, so the search hands over to the fallback. That guesses
-    # the switch from T's values, and at 0 where they cannot place it; the
-    # lookahead trees alone would take 2,286 calls
+    # within rounding, so the search hands over to the fallback once its
+    # bracket lies within 2**-140 of its start width of 0 (91 calls; it spent
+    # all 204 before, 461 in all). The fallback guesses the switch from T's
+    # values, and at 0 where they cannot place it; the lookahead trees alone
+    # would take 2,286 calls
     q = QuadraticFrontier(-1.0, 2.0, -1.0)
     dist = FrontierDistribution([(ParametricFrontier(q.value, lambda u: q.deriv(u, "right")), 1.0)])
     levels = []
     counted = lambda T, *args: roots.interpolated_switch(lambda eta: levels.append(eta) or T(eta), *args)
     got = solve_with(counted, dist, 1.0)
-    assert len(levels) < 600
+    assert len(levels) == 348
     assert got == solve_with(bisected_level, dist, 1.0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_batched_equals_scalar
-from frontierkit import smoothing, technology
+from frontierkit import frontiers, smoothing, technology
 from frontierkit.errors import DomainError, ParamsOutOfRange
 from frontierkit.frontiers import (
     AffineFrontier,
@@ -441,8 +441,9 @@ def test_effort_solves_per_level_are_batched(default_prims, monkeypatch):
 def test_array_effort_calls_per_stage(default_prims, monkeypatch):
     # each smoothing step evaluates F1 in one array pass: `auto`'s core error
     # in one, which also holds the build's end probes; the build's ordering
-    # guard and gap grid in one each, and its peak search in six; the
-    # certificate in three (concavity grid, left joins, everything right-sided)
+    # guard in one and its peak search in six, while the gap grid's ceiling
+    # spares it any; the certificate in three (concavity grid, left joins,
+    # everything right-sided)
     calls = []
     solve = technology.effort_star_array
     monkeypatch.setattr(technology, "effort_star_array", lambda prims, u: calls.append(np.size(u)) or solve(prims, u))
@@ -451,7 +452,7 @@ def test_array_effort_calls_per_stage(default_prims, monkeypatch):
     params = SmoothingParams.auto(tech, 16)
     assert len(calls) == 1
     pair = build_smooth_pair(tech, params)
-    assert len(calls) <= 1 + 8
+    assert len(calls) <= 1 + 7
     del calls[:]
     assert verify_monster(tech, [pair]).overall_pass
     assert len(calls) <= 3
@@ -481,3 +482,97 @@ def test_peak_search_effort_calls_per_build(n, default_prims, monkeypatch):
     build_smooth_pair(tech, params)
     assert 0 < sum(peak for peak, _ in calls) <= 7
     assert all(size > 2 for peak, size in calls if not peak)
+
+
+def effort_tech(lam, w, a, b):
+    prims = technology.MoralHazardPrimitives(lam=lam, w=w, phi=technology.PowerUtility(a), kappa=technology.PowerCost(b))
+    return technology.make_moral_hazard_technology(prims)
+
+
+def recorded_gap_searches(monkeypatch):
+    """The arguments of each `gap_argmax` call a build makes, with its ceiling."""
+    searches, search = [], frontiers.gap_argmax
+    monkeypatch.setattr(smoothing, "gap_argmax", lambda *args: searches.append(args) or search(*args))
+    return searches
+
+
+def core_grid_evaluated(monkeypatch, f0, f1, hi, ceiling):
+    """`gap_argmax`'s result, and whether one of its calls evaluated the core
+    windows of all its grid points on ``(b, B]``. F1's memo may answer such a
+    call without an effort solve, so the windows are counted, not the solves."""
+    starts, plan = [], smoothing._window_plan
+    with monkeypatch.context() as m:
+        m.setattr(smoothing, "_window_plan", lambda f, a, delta: starts.append(a.size) or plan(f, a, delta))
+        got = frontiers.gap_argmax(f0, f1, hi, ceiling)
+    us = np.linspace(0.0, hi, 601)
+    return got, max(starts, default=0) >= np.count_nonzero((us > ceiling[0]) & (us <= ceiling[1]))
+
+
+# (lam, w, phi exponent, kappa exponent) across the box lam, w in [0.3, 3],
+# exponents in [0.2, 0.8] and [1.3, 4]; the second and third take the
+# strict-local-max fix at their smallest level
+EFFORT_BOX = [(1.0, 1.0, 0.5, 2.0), (1.0, 2.0, 0.5, 2.0), (2.0, 0.5, 0.7, 1.5), (0.4, 2.5, 0.3, 3.5), (3.0, 3.0, 0.2, 1.3)]
+
+
+@pytest.mark.parametrize("inst", EFFORT_BOX)
+def test_effort_pairs_certified_gap_argmax_is_the_full_grids(inst, monkeypatch):
+    # with its ceiling the search leaves out the core's grid points, and with
+    # none it evaluates them all; the two agree bit for bit, the strict fix's
+    # re-search included, and on the box the ceiling spares every core
+    tech = effort_tech(*inst)
+    searches = recorded_gap_searches(monkeypatch)
+    n0 = smoothing.smallest_level(tech)
+    fixes = 0
+    for n in (n0, 2 * n0, 4 * n0):
+        del searches[:]
+        build_smooth_pair(tech, SmoothingParams.auto(tech, n))
+        fixes += len(searches) - 1
+        for f0, f1, hi, ceiling in searches:
+            certified, full_grid = core_grid_evaluated(monkeypatch, f0, f1, hi, ceiling)
+            assert not full_grid
+            assert certified == frontiers.gap_argmax(f0, f1, hi)
+    assert fixes == (1 if inst in EFFORT_BOX[1:3] else 0)
+
+
+def test_effort_pair_whose_first_grid_points_lie_in_the_core(default_prims, monkeypatch):
+    # at n = 2048 the core starts below us[1], so the points the search always
+    # evaluates reach into it, and the ceiling covers only those after them
+    tech = technology.make_moral_hazard_technology(default_prims)
+    searches = recorded_gap_searches(monkeypatch)
+    build_smooth_pair(tech, SmoothingParams.auto(tech, 2048))
+    ((f0, f1, hi, ceiling),) = searches
+    b, B = ceiling[:2]
+    assert b < hi / 600 and 2 * hi / 600 < B
+    certified, full_grid = core_grid_evaluated(monkeypatch, f0, f1, hi, ceiling)
+    assert not full_grid
+    assert certified == frontiers.gap_argmax(f0, f1, hi)
+
+
+def test_effort_ceiling_not_below_the_outside_gaps_falls_back_to_the_full_grid(default_prims, monkeypatch):
+    tech = technology.make_moral_hazard_technology(default_prims)
+    searches = recorded_gap_searches(monkeypatch)
+    build_smooth_pair(tech, SmoothingParams.auto(tech, 16))
+    ((f0, f1, hi, (b, B, top, slope)),) = searches
+    us = np.linspace(0.0, hi, 601)
+    best = float(np.max(f1.value(us) - f0.value(us)))
+    full = frontiers.gap_argmax(f0, f1, hi)
+    # a line that ties the best gap, lies above it, or is NaN certifies nothing
+    for lifted in (best, np.inf, np.nan):
+        assert core_grid_evaluated(monkeypatch, f0, f1, hi, (b, B, lifted, 0.0)) == (full, True)
+    assert core_grid_evaluated(monkeypatch, f0, f1, hi, (b, B, top, slope)) == (full, False)
+
+
+def test_a_build_makes_no_effort_call_over_the_core_grid(monkeypatch):
+    # without the ceiling the gap grid's core windows, eight solves each, are
+    # one call (about 3,200 solves at the default); the largest call left is
+    # the ordering guard's, on the 257 probes' core windows, under half that
+    sizes, solve = [], technology.effort_star_array
+    monkeypatch.setattr(technology, "effort_star_array", lambda p, u: sizes.append(np.size(u)) or solve(p, u))
+    for inst in EFFORT_BOX:
+        tech = effort_tech(*inst)
+        params = SmoothingParams.auto(tech, 2 * smoothing.smallest_level(tech))
+        del sizes[:]
+        pair = build_smooth_pair(tech, params)
+        us = np.linspace(0.0, pair.u0_n, 601)
+        in_core = np.count_nonzero((us > 1.0 / params.n) & (us <= tech.u0 - 2.0 / params.n))
+        assert 0 < max(sizes) < 8 * in_core / 2
