@@ -67,6 +67,9 @@ EXPORTS = ("frontiers", "mechanism", "residuals", "smoothing")
 #: post-breakthrough frontier's derivative cost, more would run for minutes
 MAX_GRID_ROWS = 100_000
 
+#: the default time grid, ``--horizon`` and ``--grid-step``
+_HORIZON, _GRID_STEP = 6.0, 0.05
+
 _DEFAULT_CONFIG = {
     "lambda": 1.0,
     "w": 1.0,
@@ -517,7 +520,7 @@ def run_suite(
     if seed < 0:
         raise ConfigError(f"`--seed` must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
-    grid = grid or TimeGrid(horizon=6.0, step=0.05, r=cfg.rate)
+    grid = grid or TimeGrid(horizon=_HORIZON, step=_GRID_STEP, r=cfg.rate)
     return _SUITES[suite](cfg, rng, trials, grid)
 
 
@@ -536,6 +539,16 @@ def _write_csv(path: Path, header: str, rows) -> Path:
     lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
     path.write_bytes(("\n".join(lines) + "\n").encode("ascii"))
     return path
+
+
+def _out_dir(path) -> Path:
+    """The directory ``path``, made with its parents where missing, or a config
+    error naming `--out` where it cannot be."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"`--out` {str(path)!r} cannot be used as an output directory: {exc}") from exc
+    return Path(path)
 
 
 def _curve_grid(u0: float, step: float) -> np.ndarray:
@@ -603,11 +616,10 @@ def export_curves(
     cfg: InstanceConfig,
     what: str,
     out_dir: str | Path = ".",
-    grid_step: float = 0.05,
-    horizon: float = 6.0,
+    grid_step: float = _GRID_STEP,
+    horizon: float = _HORIZON,
 ) -> list[Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     tech = cfg.technology()
 
     if what == "frontiers":
@@ -651,14 +663,13 @@ def export_curves(
 
 
 def _cmd_frontier(cfg: InstanceConfig, args) -> int:
+    out = _out_dir(args.out) if args.out else None
     tech = cfg.technology()
     print(f"u0 = {tech.u0:.12g}")
     print(f"u1 = {tech.u1:.12g}")
     print(f"u_star = {tech.u_star:.12g}")
     print(f"L_star(u1) = {effort_star(tech.prims, tech.u1):.12g}")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         print(f"wrote {_write_frontiers_csv(out, tech, _curve_grid(tech.u0, args.grid_step))}")
     return 0
 
@@ -679,18 +690,18 @@ def _cmd_solve_deadline(cfg: InstanceConfig, args) -> int:
 
 
 def _cmd_verify(cfg: InstanceConfig, args) -> int:
+    out = _out_dir(args.out) if args.out else None
     # only the no-delay suite runs on the time grid
     grid = _time_grid(args.horizon, args.grid_step, cfg.rate) if args.suite == "no-delay" else None
     rep = run_suite(cfg, args.suite, seed=args.seed, trials=args.trials, grid=grid)
     print(rep.render())
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         (out / f"{args.suite}.txt").write_text(rep.render() + "\n")
     return 0 if rep.overall_pass else 1
 
 
 def _cmd_smooth(cfg: InstanceConfig, args) -> int:
+    out = _out_dir(args.out or ".")
     tech = cfg.technology()
     try:
         ns = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
@@ -698,8 +709,6 @@ def _cmd_smooth(cfg: InstanceConfig, args) -> int:
         raise ConfigError(f"--n-list must be comma-separated integers: {exc}") from exc
     pairs = _smooth_pairs(tech, ns, "`--n-list`")
     us = _curve_grid(tech.u0, args.grid_step)
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
     for pair in pairs:
         print(f"wrote {_write_smoothing_csv(out, pair, us)}")
     rep = verify_monster(tech, pairs)
@@ -717,26 +726,35 @@ def _cmd_export(cfg: InstanceConfig, args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="YAML instance configuration")
-    common.add_argument("--out", help="output directory for reports and CSV files")
-    common.add_argument("--seed", type=int, default=42, help="RNG seed for randomized suites")
-    common.add_argument("--trials", type=int, default=1000, help="randomized trial count")
-    common.add_argument("--grid-step", type=float, default=0.05, help="sampling step")
-    common.add_argument("--horizon", type=float, default=6.0, help="time-grid horizon")
+_OPTIONS = {
+    "--config": dict(help="YAML instance configuration"),
+    "--out": dict(help="output directory for reports and CSV files"),
+    "--seed": dict(type=int, default=42, help="RNG seed for randomized suites"),
+    "--trials": dict(type=int, default=1000, help="randomized trial count"),
+    "--grid-step": dict(type=float, default=_GRID_STEP, help="sampling step"),
+    "--horizon": dict(type=float, default=_HORIZON, help="time-grid horizon"),
+}
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="frontierkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("frontier", parents=[common], help="print peak values, optionally export curves")
-    sd = sub.add_parser("solve-deadline", parents=[common], help="deadline for a promise plus payoffs")
+    def command(name, help_, *options):
+        """The subcommand ``name`` with ``--config`` and the `_OPTIONS` it reads."""
+        cmd = sub.add_parser(name, help=help_)
+        for option in ("--config", *options):
+            cmd.add_argument(option, **_OPTIONS[option])
+        return cmd
+
+    command("frontier", "print peak values, optionally export curves", "--out", "--grid-step")
+    sd = command("solve-deadline", "deadline for a promise plus payoffs", "--grid-step", "--horizon")
     sd.add_argument("--promise", type=float, required=True, help="initial promised utility")
-    v = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    v = command("verify", "run a verification suite", "--out", "--seed", "--trials", "--grid-step", "--horizon")
     v.add_argument("suite", choices=SUITES)
-    sm = sub.add_parser("smooth", parents=[common], help="build and certify smoothing levels")
+    sm = command("smooth", "build and certify smoothing levels", "--out", "--grid-step")
     sm.add_argument("--n-list", default="16,32,64", help="comma-separated smoothing levels")
-    ex = sub.add_parser("export", parents=[common], help="write CSV curves")
+    ex = command("export", "write CSV curves", "--out", "--grid-step", "--horizon")
     ex.add_argument("--what", choices=EXPORTS, required=True)
     return parser
 

@@ -5,8 +5,9 @@ unknown, so bisection with geometric bracket expansion is globally safe.
 Root solves probe one point per step; `speculate` runs such a search with
 its points evaluated in array calls, bit for bit. The frontier searches,
 `golden_section_max` and `bisect_predicate_array`, take array oracles and
-look ahead: each oracle call holds every point of their next `LOOKAHEAD`
-steps, so the tree of those steps bounds the calls (see `_lookahead`).
+look ahead: each keeps the values it has seen, and a step whose point has
+none evaluates, in one oracle call, the tree of the next `LOOKAHEAD` steps
+over every outcome, so that tree bounds the calls. Each walks its own tree.
 `bisect_predicate_array` reads the oracle's values and adds, as extra points
 in the same call, the rest of the path that a secant guess at the switch
 predicts. `interpolated_switch` gives `bisect_predicate_array`'s bracket for
@@ -26,8 +27,8 @@ from .errors import RootBracketFailure
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: steps a lookahead search walks per oracle call; the call evaluates the
-#: ``2**LOOKAHEAD - 1`` points those steps can probe
+#: steps a lookahead search walks per oracle call; the call evaluates at most
+#: the ``2**LOOKAHEAD - 1`` points those steps can probe
 LOOKAHEAD = 6
 
 #: the bracket `expand_bracket` starts from
@@ -240,43 +241,6 @@ def interpolated_switch(
     return lo, hi
 
 
-def _lookahead(f, state, probe, decide, move):
-    """Walk a binary search, `LOOKAHEAD` steps per call of the array oracle ``f``.
-
-    One step probes ``x = probe(state)`` (``None`` once the search has
-    stopped), learns from ``decide(state, f(x))`` which of its two ways it
-    goes, and takes it: ``state = move(state, f(x), go)``. ``probe`` reads
-    only the bracket, never a value, so the points of the next `LOOKAHEAD`
-    steps over every outcome are known before any is evaluated. They form a
-    binary tree, stored heap-style (node ``i`` leads to ``2i+1`` when ``go``
-    and to ``2i+2`` otherwise) and built by ``move`` with ``fx=None``. One
-    ``f`` call on the whole tree lets the walk take those steps with the real
-    values. ``f`` is elementwise, so each value is what a one-point call
-    gives, and the walk is the one-step search bit for bit. Returns the state
-    the search stopped in.
-    """
-    size, inner = 2**LOOKAHEAD - 1, 2 ** (LOOKAHEAD - 1) - 1
-    while True:
-        nodes, points = [state], []
-        for i in range(size):
-            s = nodes[i]
-            x = None if s is None else probe(s)
-            points.append(x)
-            if i < inner:
-                nodes += [None, None] if x is None else [move(s, None, True), move(s, None, False)]
-        live = [i for i, x in enumerate(points) if x is not None]
-        if not live:
-            return state
-        values = dict(zip(live, f(np.array([points[i] for i in live])).tolist()))
-        i = 0
-        for _ in range(LOOKAHEAD):
-            if points[i] is None:
-                return state
-            go = decide(state, values[i])
-            state = move(state, values[i], go)
-            i = 2 * i + (1 if go else 2)
-
-
 def bisect_predicate_array(
     f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, level: float, strict: bool = True
 ) -> tuple[float, float]:
@@ -351,33 +315,43 @@ def golden_section_max(
     """Argmax of a unimodal ``f`` on ``[lo, hi]`` by golden-section search.
 
     ``f`` takes an array of points and returns their values elementwise. One
-    call evaluates the two first points, and each later one the points of
-    the next `LOOKAHEAD` steps.
+    call evaluates the two first points. Each step keeps the inner point of
+    the larger value and probes one new point; a step whose probe has no value
+    yet evaluates, in one call, the tree of the next `LOOKAHEAD` steps over
+    every outcome (less the points already known), so the walk is the one-step
+    search bit for bit and the tree bounds the calls. The search stops once
+    the bracket is no wider than ``tol``, or at the first repeated state: where
+    ``tol`` is below the float spacing the bracket stops shrinking, and the
+    deterministic walk would cycle.
     """
     a, b = lo, hi
     if not b - a > tol:
         return 0.5 * (a + b)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(np.array([c, d])).tolist()
-
-    # a state is (a, b, c, d, the value kept from the last step, whether c
-    # is the point to probe next); the other inner point holds the kept value
-    def probe(s):
-        a, b, c, d, _, new_c = s
-        return (c if new_c else d) if b - a > tol else None
-
-    def decide(s, fx):
-        return fx >= s[4] if s[5] else s[4] >= fx
-
-    def move(s, fx, go):
-        a, b, c, d, kept, new_c = s
-        fc, fd = (fx, kept) if new_c else (kept, fx)
-        if go:
-            return a, d, d - _GOLDEN * (d - a), c, fc, True
-        return c, b, d, c + _GOLDEN * (b - c), fd, False
-
-    # the first step has both values: c's enters as if it had just been probed
-    start = move((a, b, c, d, fd, True), fc, fc >= fd)
-    a, b = _lookahead(f, start, probe, decide, move)[:2]
-    return 0.5 * (a + b)
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    known = dict(zip((c, d), f(np.array([c, d])).tolist()))
+    # a state is (a, b, c, d, whether c is the step's new point); both inner
+    # points of the first state have values
+    state, seen = (a, b, c, d, True), set()
+    while True:
+        a, b, c, d, new_c = state
+        if not b - a > tol or state in seen:
+            return 0.5 * (a + b)
+        if (c if new_c else d) not in known:
+            # the tree of the next `LOOKAHEAD` steps, level by level
+            points, level = {}, [state]
+            for _ in range(LOOKAHEAD):
+                deeper = []
+                for a, b, c, d, new_c in level:
+                    if b - a > tol:
+                        points[c if new_c else d] = None
+                        deeper.append((a, d, d - _GOLDEN * (d - a), c, True))
+                        deeper.append((c, b, d, c + _GOLDEN * (b - c), False))
+                level = deeper
+            points = [x for x in points if x not in known]
+            known.update(zip(points, f(np.array(points)).tolist()))
+            continue  # the names above now hold a tree node: read the state again
+        seen.add(state)
+        if known[c] >= known[d]:
+            state = (a, d, d - _GOLDEN * (d - a), c, True)
+        else:
+            state = (c, b, d, c + _GOLDEN * (b - c), False)

@@ -254,6 +254,11 @@ def run_quietly(argv):
     return rc, err.getvalue()
 
 
+def out_option(argv, out):
+    """``--out out`` for a command that takes it; `solve-deadline` writes no file."""
+    return [] if argv[0] == "solve-deadline" else ["--out", str(out)]
+
+
 def run_on_config(tmp_path_factory, config, argv):
     """Run ``argv`` on ``config``; it must exit 0 with empty stderr, or exit 2
     with one line that names a key. (The no-delay test below keeps its own
@@ -262,7 +267,7 @@ def run_on_config(tmp_path_factory, config, argv):
     out = tmp_path_factory.mktemp("box")
     path = out / "config.yaml"
     path.write_text(yaml.safe_dump(config))
-    rc, err = run_quietly([*argv, "--config", str(path), "--out", str(out)])
+    rc, err = run_quietly([*argv, "--config", str(path), *out_option(argv, out)])
     assert rc in (0, 2), err
     if rc == 0:
         assert err == ""
@@ -365,7 +370,7 @@ class TestTimeGridOptions:
     )
     def test_step_that_does_not_divide_the_horizon_is_config_error(self, tmp_path, argv):
         # used to exit 3 with "horizon must be an integer number of steps"
-        rc, err = run_quietly([*argv, "--grid-step", "0.07", "--out", str(tmp_path)])
+        rc, err = run_quietly([*argv, "--grid-step", "0.07", *out_option(argv, tmp_path)])
         assert rc == 2
         assert err.startswith("config error:") and "`--grid-step`" in err and "`--horizon`" in err
 
@@ -440,7 +445,7 @@ def test_grid_options_exit_0_or_2_and_name_the_key(tmp_path_factory, argv, examp
     def check(options):
         step, horizon = options
         out = tmp_path_factory.mktemp("grid")
-        rc, err = run_quietly([*argv, "--grid-step", repr(step), "--horizon", repr(horizon), "--out", str(out)])
+        rc, err = run_quietly([*argv, "--grid-step", repr(step), "--horizon", repr(horizon), *out_option(argv, out)])
         assert rc in (0, 2), err
         if rc == 0:
             assert err == ""
@@ -555,6 +560,63 @@ class TestSuites:
         a = run_suite(cfg, "ibp", seed=7, trials=5).render()
         b = run_suite(cfg, "ibp", seed=7, trials=5).render()
         assert a == b
+
+
+_WRITERS = [["frontier"], ["verify", "euler"], ["smooth", "--n-list", "16"], ["export", "--what", "residuals"]]
+
+
+class TestOptions:
+    @pytest.mark.parametrize("argv", _WRITERS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_out_that_cannot_be_a_directory_is_config_error(self, tmp_path, capsys, argv, below):
+        # used to exit 1 with a FileExistsError traceback, after `verify` had
+        # printed a passing report; now no command prints before the check
+        path = tmp_path / "afile"
+        path.write_text("")
+        out = path / "sub" if below else path
+        assert main([*argv, "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert err.startswith("config error: `--out`") and err.count("\n") == 1, err
+        assert stdout == ""
+        assert path.read_text() == ""
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["frontier"], "--seed"),
+            (["frontier"], "--trials"),
+            (["frontier"], "--horizon"),
+            (["solve-deadline", "--promise", "0.2"], "--out"),
+            (["solve-deadline", "--promise", "0.2"], "--seed"),
+            (["solve-deadline", "--promise", "0.2"], "--trials"),
+            (["smooth"], "--seed"),
+            (["smooth"], "--trials"),
+            (["smooth"], "--horizon"),
+            (["export", "--what", "frontiers"], "--seed"),
+            (["export", "--what", "frontiers"], "--trials"),
+        ],
+    )
+    def test_option_a_command_does_not_read_is_refused(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, option, "1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unrecognized arguments: {option} 1" in err
+
+    def test_each_command_takes_only_the_options_it_reads(self):
+        sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+        taken = {
+            name: {a.option_strings[0] if a.option_strings else a.dest for a in parser._actions} - {"-h"}
+            for name, parser in sub.choices.items()
+        }
+        # 23 (command, option) pairs, where every command took the six shared ones
+        assert taken == {
+            "frontier": {"--config", "--out", "--grid-step"},
+            "solve-deadline": {"--config", "--grid-step", "--horizon", "--promise"},
+            "verify": {"--config", "--out", "--seed", "--trials", "--grid-step", "--horizon", "suite"},
+            "smooth": {"--config", "--out", "--grid-step", "--n-list"},
+            "export": {"--config", "--out", "--grid-step", "--horizon", "--what"},
+        }
 
 
 class TestSolveDeadline:

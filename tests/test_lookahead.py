@@ -2,6 +2,9 @@
 
 import math
 import operator
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -74,6 +77,33 @@ def test_golden_section_is_the_one_step_search_bit_for_bit(monkeypatch, depth):
                 # the reference's last probe cannot move its result, so it is skipped
                 assert len(f.calls) <= 1 + math.ceil(max(len(steps) - 3, 0) / depth)
                 assert np.all((lo <= f.points) & (f.points <= hi))
+
+
+# (code, argmax): searches whose tolerance lies below the float spacing at
+# the argmax, where the bracket stops shrinking. Each used to run forever
+STOP_RULE = {
+    "golden-tol-0": ("roots.golden_section_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, tol=0.0)", 0.3),
+    **{
+        f"gap-argmax-at-{hi:g}": (
+            f"fk.gap_argmax(fk.QuadraticFrontier(0, 1, -1e-9), fk.QuadraticFrontier(0, 3, -1e-9), {hi!r})",
+            hi,
+        )
+        for hi in (9000.0, 2e4, 1e8)
+    },
+}
+
+
+@pytest.mark.parametrize("code, argmax", STOP_RULE.values(), ids=STOP_RULE.keys())
+def test_golden_section_stops_where_the_floats_stop_it(code, argmax):
+    # in a subprocess with a timeout, so that a search that cycles fails
+    # the test instead of hanging it
+    src = os.path.dirname(os.path.dirname(fk.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", f"import frontierkit as fk; from frontierkit import roots; print(repr({code}))"],
+        capture_output=True, text=True, timeout=60, env=env, check=True,
+    )
+    assert abs(float(run.stdout) - argmax) <= 8 * math.ulp(argmax)
 
 
 @pytest.mark.parametrize("depth", [1, 3, 5, 6])
@@ -203,6 +233,22 @@ def test_peaks_and_gap_argmaxes_are_pinned(inst, peaks, smoothed):
     assert (tech.u0, tech.u1, tech.u_star) == peaks
     pair = smallest_level_pair(tech)
     assert (pair.params.n, pair.u0_n, pair.u1_n, pair.u_star_n) == smoothed
+
+
+def test_golden_section_oracle_calls_over_the_pinned_builds(monkeypatch):
+    # known values carry from one tree to the next: 195 calls, where trees
+    # that evaluate every point they hold made 198
+    calls = []
+    search = frontiers.golden_section_max
+
+    def spy(f, *args, **kwargs):
+        return search(lambda us: calls.append(len(us)) or f(us), *args, **kwargs)
+
+    monkeypatch.setattr(frontiers, "golden_section_max", spy)
+    for (lam, w, a, b), _, _ in PINNED:
+        prims = fk.MoralHazardPrimitives(lam=lam, w=w, phi=fk.PowerUtility(a), kappa=fk.PowerCost(b))
+        smallest_level_pair(fk.make_moral_hazard_technology(prims))
+    assert len(calls) <= 198
 
 
 def interior_peak_pair():
