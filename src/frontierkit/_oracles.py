@@ -2,7 +2,8 @@
 
 Kept in the package (not the tests) so the CLI's randomized suites can reuse
 them, but never called from the production solvers they cross-check, and
-sharing no code with them.
+sharing no code with them. The mixture oracle's table of assignments is made
+once per member count and kept for the life of the process.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ import itertools
 import numpy as np
 
 from .frontiers import QuadraticFrontier
+
+#: per member count ``k``, the floor and free masks of the ``3**k`` assignments
+_ASSIGNMENTS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def brute_force_mixture_value(dist, u: float) -> float:
@@ -34,9 +38,11 @@ def brute_force_mixture_value(dist, u: float) -> float:
     hi = np.array([min(cap, f.domain[1]) for f in members])
 
     # one row per assignment: 0 floor, 1 ceiling, 2 free
-    state = np.array(list(itertools.product((0, 1, 2), repeat=len(members))))
-    free = state == 2
-    x = np.where(state == 0, lo, hi)
+    if len(members) not in _ASSIGNMENTS:
+        state = np.array(list(itertools.product((0, 1, 2), repeat=len(members))))
+        _ASSIGNMENTS[len(members)] = state == 0, state == 2
+    at_floor, free = _ASSIGNMENTS[len(members)]
+    x = np.where(at_floor, lo, hi)
     slope_mass = np.where(free, probs / (2.0 * c), 0.0)  # d(expectation)/d(eta)
     with np.errstate(divide="ignore", invalid="ignore"):
         eta = (u - np.where(free, 0.0, probs * x).sum(1) + (slope_mass * b).sum(1)) / slope_mass.sum(1)

@@ -32,7 +32,10 @@ class Frontier:
       returns the ``side`` ("left" or "right") derivative in the same shape.
 
     This class does the rest. ``value`` accepts a scalar or an array, gives
-    ``-inf`` outside the domain and a ``float`` for a scalar. ``left_deriv``
+    ``-inf`` outside the domain (and at NaN) and a ``float`` for a scalar. A
+    ``float`` (or ``np.float64``) is tested against the domain in Python and
+    handed to the hook as the one-element array the array path would build,
+    so one number skips the array masks and keeps the bits. ``left_deriv``
     and ``right_deriv`` are scalar-only, for callers that need one
     derivative at a time (the mixture's per-member level test, one-off
     checks), where an array test per call would cost more than the
@@ -57,8 +60,10 @@ class Frontier:
         raise NotImplementedError
 
     def value(self, u):
-        us = np.asarray(u, dtype=float)
         lo, hi = self.domain
+        if isinstance(u, float):
+            return float(self._values(np.array([u]))[0]) if lo <= u <= hi else -INF
+        us = np.asarray(u, dtype=float)
         inside = (us >= lo) & (us <= hi)
         out = np.full(us.shape, -INF)
         out[inside] = self._values(us[inside])
@@ -178,9 +183,9 @@ class QuadraticFrontier(ParametricFrontier):
     def argmax_linear(self, eta, lo=None, hi=None, largest=False):
         # the tilted parabola's vertex, clipped: the one maximizer, so ``largest``
         # changes nothing. At eta = 0 this is -b/(2c) bit for bit
-        lo, hi = self._bounds(lo, hi)
-        b, c = self.coeffs[1:]
-        return min(max(-(b - eta) / (2.0 * c), lo), hi)
+        _, b, c = self.coeffs
+        x = max(-(b - eta) / (2.0 * c), self.domain[0] if lo is None else lo)
+        return min(x, self.domain[1] if hi is None else hi)
 
 
 class AffineFrontier(ParametricFrontier):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,11 +30,17 @@ _PROB_TOL = 1e-12
 _EXPECT_TOL = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrontierDistribution:
-    """Finitely many concave frontiers with strictly positive probabilities."""
+    """Finitely many concave frontiers with strictly positive probabilities.
 
-    support: list[tuple[Frontier, float]]
+    Frozen: ``support`` is a tuple, and the ``members``, the read-only
+    ``probs``, the allocation ``floors`` ``max(0, domain lo)`` and their
+    expectation ``lo_total`` are made once here; ``eta_hi``, the largest
+    right slope at the floors, on first use.
+    """
+
+    support: tuple[tuple[Frontier, float], ...]
 
     def __post_init__(self):
         if not self.support:
@@ -43,18 +50,17 @@ class FrontierDistribution:
             raise ValueError("probabilities must be strictly positive")
         if not abs(probs.sum() - 1.0) <= _PROB_TOL:  # NaN fails
             raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
+        probs.flags.writeable = False
+        members = tuple(f for f, _ in self.support)
+        floors = tuple(max(0.0, f.domain[0]) for f in members)
+        lo_total = float(probs @ floors)
+        made = dict(support=tuple(self.support), members=members, probs=probs, floors=floors, lo_total=lo_total)
+        for name, v in made.items():
+            object.__setattr__(self, name, v)
 
-    @property
-    def members(self) -> list[Frontier]:
-        return [f for f, _ in self.support]
-
-    @property
-    def probs(self) -> np.ndarray:
-        return np.array([p for _, p in self.support], dtype=float)
-
-
-def _alloc_floor(f: Frontier) -> float:
-    return max(0.0, f.domain[0])
+    @cached_property
+    def eta_hi(self) -> float:
+        return max(f.right_deriv(x) for f, x in zip(self.members, self.floors))
 
 
 def mixture_value(dist: FrontierDistribution, u: float) -> tuple[float, np.ndarray]:
@@ -68,11 +74,10 @@ def mixture_value(dist: FrontierDistribution, u: float) -> tuple[float, np.ndarr
     """
     if not u >= 0.0:  # NaN fails
         raise ValueError(f"promised utility `u` must be nonnegative, got {u!r}")
-    members, probs = dist.members, dist.probs
+    members, probs, floors = dist.members, dist.probs, dist.floors
     cap = max(2.0 * u + 1.0, u / float(probs.min()))
-    floors = [_alloc_floor(f) for f in members]
     ceils = [min(cap, f.domain[1]) for f in members]
-    lo_total, hi_total = float(probs @ floors), float(probs @ ceils)
+    lo_total, hi_total = dist.lo_total, float(probs @ ceils)
     if u < lo_total - _EXPECT_TOL or u > hi_total + _EXPECT_TOL:
         # no allocation in the box has expectation u
         return -INF, np.array(floors)
@@ -86,10 +91,10 @@ def mixture_value(dist: FrontierDistribution, u: float) -> tuple[float, np.ndarr
     # slope); at eta_hi every one is its floor. Total allocation is
     # nonincreasing between
     eta_lo = min(f.left_deriv(x) for f, x in zip(members, ceils))
-    eta_hi = max(f.right_deriv(x) for f, x in zip(members, floors))
+    eta_hi = dist.eta_hi
     if not math.isfinite(eta_lo) or not math.isfinite(eta_hi):
         raise ValueError("mixture members need finite slopes at their floor and ceiling")
-    eta_lo = float(np.nextafter(eta_lo, -INF))
+    eta_lo = math.nextafter(eta_lo, -INF)
     # the total is monotone in eta in floating point too, as the search needs:
     # so are the closed forms (the clipped quadratic vertex, a chain of
     # monotone roundings; the affine and piecewise-linear slope thresholds)
@@ -129,11 +134,9 @@ def mixture_peak(dist: FrontierDistribution) -> float:
 def mixture_domain(dist: FrontierDistribution) -> tuple[float, float]:
     """Effective domain endpoints: the expected floor and the expected domain
     upper end, between which `mixture_value` is finite."""
-    members, probs = dist.members, dist.probs
-    lo = float(probs @ [_alloc_floor(f) for f in members])
-    his = np.array([f.domain[1] for f in members])
-    hi = INF if np.any(np.isinf(his)) else float(probs @ his)
-    return lo, hi
+    his = np.array([f.domain[1] for f in dist.members])
+    hi = INF if np.any(np.isinf(his)) else float(dist.probs @ his)
+    return dist.lo_total, hi
 
 
 def verify_mixture_regularity(dist: FrontierDistribution, grid) -> VerificationReport:

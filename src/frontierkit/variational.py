@@ -157,13 +157,21 @@ def integrability_bounds(
 
 
 def warmup_identity(G: BreakthroughDistribution, r: float) -> float:
-    """``E_G[ r int_0^tau e^{-rt} / (1 - G(t)) dt ]``; equals 1 for atom-free G."""
+    """``E_G[ r int_0^tau e^{-rt} / (1 - G(t)) dt ]``; equals 1 for atom-free G.
+
+    The outer integrand decays as G does, so where G's tail is slower than
+    ``e^{-rt}`` the edges run ``37 / tail_rate`` past the ``37/r`` horizon of
+    `integration_edges`, in 19 cells, each within the tail's scale ``2 / tail_rate``."""
 
     def integrand(t):
         sf = G.sf(t)
         return r * np.exp(-r * t) / np.where(sf > 0, sf, np.nan)
 
-    return NodePlan.build(G, integration_edges(G, r)).expect_running(integrand)
+    edges = integration_edges(G, r)
+    if G.tail_mass > 0 and G.tail_rate < r:
+        end = edges[-1]
+        edges = np.append(edges, subdivide(end, end + 37.0 / G.tail_rate, 2.0 / G.tail_rate)[1:])
+    return NodePlan.build(G, edges).expect_running(integrand)
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,27 @@ def test_no_delay_on_the_interior_box_exits_0_or_2_and_names_the_key(tmp_path_fa
     run_on_config(tmp_path_factory, config, ["verify", "no-delay", "--trials", "20"])
 
 
+def run_euler(path, trials):
+    rc, err = run_quietly(["verify", "euler", "--trials", str(trials), "--config", str(path)])
+    assert (rc, err) == (0, "")
+
+
+@given(config=_BOX)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_euler_passes_on_the_config_box(tmp_path_factory, config):
+    # the warm-up identity's tail runs past e^{-rt}'s horizon where G decays
+    # slower: at rate 2.75 the mixed G's line read 1.4e-5 against its 1e-6 gate
+    path = tmp_path_factory.mktemp("box") / "config.yaml"
+    path.write_text(yaml.safe_dump(config))
+    run_euler(path, 3)
+
+
+def test_euler_passes_at_rate_2_75(tmp_path):
+    path = tmp_path / "rate.yaml"
+    path.write_text("rate: 2.75\n")
+    run_euler(path, 1000)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

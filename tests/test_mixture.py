@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -130,6 +133,34 @@ class TestMixtureValue:
         assert dist.probs @ alloc == pytest.approx(u, abs=1e-12)
         assert alloc == pytest.approx(expected_values, abs=1e-12)
         assert val == pytest.approx(expected_value, abs=1e-12)
+
+
+class TestFrozenDistribution:
+    def test_fields_cannot_be_set_and_probs_is_read_only(self):
+        dist = quad_pair()
+        assert isinstance(dist.support, tuple) and isinstance(dist.members, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dist.support = ()
+        with pytest.raises(ValueError, match="read-only"):
+            dist.probs[0] = 1.0
+        assert dist.probs is dist.probs and dist.lo_total == 0.0 and dist.floors == (0.0, 0.0)
+
+    def test_a_member_whose_slopes_raise_raises_from_mixture_value_in_order(self):
+        class Raising(QuadraticFrontier):
+            def left_deriv(self, u):
+                raise KeyError("left")
+
+            def right_deriv(self, u):
+                raise LookupError("right")
+
+        dist = FrontierDistribution([(Raising(-1.0, 2.0, -1.0, domain=(1.0, 3.0)), 1.0)])
+        # no slope is read where no allocation is feasible
+        assert mixture_value(dist, 0.5)[0] == -np.inf
+        # the ceilings' slopes are read first, then the floors'
+        with pytest.raises(KeyError):
+            mixture_value(dist, 2.0)
+        with mock.patch.object(Raising, "left_deriv", return_value=-1.0), pytest.raises(LookupError):
+            mixture_value(dist, 2.0)
 
 
 class _PeakRaises(QuadraticFrontier):
@@ -513,3 +544,39 @@ def test_level_at_a_bisected_members_peak_takes_few_T_calls():
     got = solve_with(counted, dist, 1.0)
     assert len(levels) == 348
     assert got == solve_with(bisected_level, dist, 1.0)
+
+
+def workload_family(seed):
+    """Family ``seed`` of the pinned values, drawn as the benchmark's mixture
+    workload draws its inputs: two to four quadratics with peaks in
+    ``[0.5, 3]``, curvatures in ``[-2, -0.5]`` and heights in ``[0, 2]``,
+    Dirichlet weights and a promise in ``[0.5, 2.5]``."""
+    rng = np.random.default_rng(seed)
+    coeffs = []
+    for _ in range(int(rng.integers(2, 5))):
+        peak, curv, height = float(rng.uniform(0.5, 3.0)), -float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.0, 2.0))
+        coeffs.append((height + curv * peak * peak, -2.0 * curv * peak, curv))
+    probs = rng.dirichlet(np.ones(len(coeffs)))
+    dist = FrontierDistribution([(QuadraticFrontier(*c), p) for c, p in zip(coeffs, probs)])
+    return dist, float(rng.uniform(0.5, 2.5))
+
+
+def mixture_pinned_values(seed):
+    """The value, the allocation and the exact oracle's value, as hex strings,
+    at the family's promise and at its peak."""
+    dist, u = workload_family(seed)
+    out = {}
+    for name, x in (("u", u), ("peak", mixture_peak(dist))):
+        value, alloc = mixture_value(dist, x)
+        out[name] = [float(v).hex() for v in (value, *alloc, brute_force_mixture_value(dist, x))]
+    return out
+
+
+MIXTURE_PINS = json.loads((Path(__file__).parent / "mixture_pins.json").read_text())
+
+
+@pytest.mark.parametrize("seed", range(len(MIXTURE_PINS)))
+def test_mixture_values_are_pinned_bit_for_bit(seed):
+    # recorded before the distribution kept its arrays and the oracle its
+    # assignment table; both must keep every bit
+    assert mixture_pinned_values(seed) == MIXTURE_PINS[seed]

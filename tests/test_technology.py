@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from frontierkit import (
     Frontier,
     InadmissiblePrimitives,
     MoralHazardPrimitives,
+    ParametricFrontier,
     PiecewiseLinearFrontier,
     PowerCost,
     PowerUtility,
@@ -29,6 +31,7 @@ from frontierkit import (
 )
 from frontierkit import technology
 from frontierkit.roots import solve_monotone
+from frontierkit.smoothing import SmoothingParams, _StrictFixFrontier, build_smooth_pair
 from frontierkit.technology import effort_star_array
 
 
@@ -478,6 +481,69 @@ class TestFrontierValues:
             L = effort_star(p, u)
             env = 1.0 - p.lam / float(p.phi.phi_prime_at_inv(u + p.kappa.kappa(L)))
             assert abs(fd - env) < 1e-5
+
+
+def one_of_each_frontier(tech):
+    """A frontier of every class in the package: the closed forms, the
+    technology's F0 and F1, both smoothed fronts and a strict-fix front."""
+    pair = build_smooth_pair(tech, SmoothingParams.auto(tech, 16))
+    return [
+        QuadraticFrontier(-1.0, 2.0, -1.0),
+        QuadraticFrontier(0.0, 1.0, -1.0, domain=(0.5, 2.0)),
+        AffineFrontier(0.5, -1.0, (0.25, 1.5)),
+        PiecewiseLinearFrontier([0.0, 1.0, 3.0], [0.0, 1.0, 1.0]),
+        ParametricFrontier(np.log1p, lambda u: 1.0 / (1.0 + u)),
+        CallableFrontier(lambda u: -((u - 1.0) ** 2), domain=(0.0, 4.0)),
+        tech.f0,
+        tech.f1,
+        pair.f0n,
+        pair.f1n,
+        _StrictFixFrontier(pair.f1n, pair.u_star_n, pair.params.zeta / 8.0),
+    ]
+
+
+def package_frontier_classes():
+    found, todo = set(), [Frontier]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("frontierkit."):
+                found.add(cls)
+            todo.append(cls)
+    return found
+
+
+class TestOneNumberValue:
+    """``value`` on a float or ``np.float64`` skips the array masks and gives
+    the bits of a one-point array, for every frontier class."""
+
+    @pytest.fixture(scope="class")
+    def fronts(self, default_tech):
+        return one_of_each_frontier(default_tech)
+
+    def test_every_frontier_class_is_covered(self, fronts):
+        assert {type(f) for f in fronts} == package_frontier_classes()
+
+    def test_a_number_gets_the_bits_of_a_one_point_array(self, fronts):
+        for f in fronts:
+            lo, hi = f.domain
+            top = hi if math.isfinite(hi) else lo + 3.0
+            points = [lo, hi, 0.5 * (lo + top), 0.3 * lo + 0.7 * top, top]
+            points += [np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), lo - 1.0, hi + 1.0, np.nan]
+            for x in points:
+                # a closed form overflows at an unbounded domain's end, u = inf
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = float(f.value(np.array([x]))[0])
+                    for one in (float(x), np.float64(x)):
+                        got = f.value(one)
+                        assert type(got) is float and got.hex() == want.hex(), (f, x)
+
+    def test_outside_the_domain_the_hook_is_not_called(self, fronts):
+        for f in fronts:
+            lo, hi = f.domain
+            with mock.patch.object(f, "_values", side_effect=AssertionError("hook called")):
+                outside = [np.nextafter(lo, -np.inf), np.nan] + [np.nextafter(hi, np.inf)] * math.isfinite(hi)
+                for x in outside:
+                    assert f.value(float(x)) == -np.inf
 
 
 class TestVerifyUiAssumptions:

@@ -21,7 +21,7 @@ from frontierkit import (
     Technology,
 )
 from frontierkit import mechanism, technology
-from frontierkit.quadrature import NodePlan, step_value
+from frontierkit.quadrature import NodePlan, integration_edges, step_value
 from frontierkit.mechanism import BreakthroughDistribution, Mechanism, TimeGrid
 from frontierkit.variational import (
     IntegrabilityReport,
@@ -202,6 +202,21 @@ class TestIntegrability:
             BreakthroughDistribution.exponential(1.3), r=1.0
         ) == pytest.approx(1.0, abs=1e-6)
         assert warmup_identity(mixed_G(0.8), r=0.7) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("tail_rate", [0.03, 0.8, 2.9])
+    def test_warmup_identity_runs_past_a_slow_tail_in_19_cells(self, tail_rate, monkeypatch):
+        # past the 37/r horizon a tail slower than e^{-rt} still carries
+        # e^{-37 tail_rate / r} of the identity: 1.4e-5 at rate 2.75 and tail 0.8
+        built = []
+        build = NodePlan.build.__func__
+        monkeypatch.setattr(NodePlan, "build", classmethod(lambda cls, G, e: built.append(e) or build(cls, G, e)))
+        G = mixed_G(tail_rate)
+        assert abs(warmup_identity(G, r=3.0) - 1.0) < 1e-14
+        (edges,) = built
+        base = integration_edges(G, 3.0)
+        assert edges.size == base.size + 19
+        np.testing.assert_array_equal(edges[: base.size], base)
+        np.testing.assert_allclose(np.diff(edges[base.size - 1 :]), 37.0 / tail_rate / 19, rtol=1e-12)
 
 
 def random_mechanism(rng, grid=GRID, lo=0.05, hi=0.45):
