@@ -274,25 +274,16 @@ def directional_deriv(f: Frontier, a, b):
 
 
 def gap_argmax(f0: Frontier, f1: Frontier, hi: float, ceiling=None) -> float:
-    """Argmax of ``f1 - f0`` on ``[0, hi]`` for a technology or a smoothed pair:
-    the best of 601 even grid points, then golden section at ``tol=1e-12``
-    between the grid points two steps either side of it.
-
-    Where the grid peaks at its first point ``us[0] = 0``, the gap at the
-    first three points lies within 1 of 0, and ``f1.right_deriv(0) <=
-    f0.left_deriv(us[2]) - 1e-9``, the result is exactly 0.0, with no golden
-    section: by concavity ``f1(u) <= f1(0) + f1'(0+) u`` and ``f0(u) >= f0(0)
-    + f0'(us[2]-) u`` on the golden bracket ``[0, us[2]]``, so there the gap
-    is at most ``gap(0)`` and 0 is its argmax. A smoothed pair's gap rises
-    from 0, so it never takes this branch. Callers need not single the 0.0
-    out: it is the argmax, as any other result is.
+    """Argmax of ``f1 - f0`` on ``[0, hi]`` for a smoothed pair: the best of
+    601 even grid points, then golden section at ``tol=1e-12`` between the
+    grid points two steps either side of it.
 
     ``ceiling = (b, B, top, slope)`` bounds every computed gap on ``(b, B]``
     by ``top + slope * (u - b)``. While that line lies strictly below the
-    largest gap of the other grid points and the first three (which the
-    branch above reads), all of them finite, the grid points it covers are
-    left out: the full grid's argmax is among those evaluated, and the search
-    returns it bit for bit. Otherwise the whole grid is evaluated.
+    largest gap of the other grid points, all of them finite, the grid points
+    it covers are left out: the full grid's argmax is among those evaluated,
+    and the search returns it bit for bit. Otherwise the whole grid is
+    evaluated.
 
     A smoothed pair passes its core ``(b, B] = (1/n, u0 - 2/n]``, where each
     gap costs a window of source solves. By concavity ``F1_n`` lies below its
@@ -319,7 +310,6 @@ def gap_argmax(f0: Frontier, f1: Frontier, hi: float, ceiling=None) -> float:
     if ceiling is not None:
         b, B, top, slope = ceiling
         skip = (us > b) & (us <= B)
-        skip[:3] = False
         part = gap(us[~skip])
         if np.all(np.isfinite(part)) and np.max(top + slope * (us[skip] - b), initial=-INF) < np.max(part):
             gaps = np.full(us.shape, -INF)
@@ -327,12 +317,6 @@ def gap_argmax(f0: Frontier, f1: Frontier, hi: float, ceiling=None) -> float:
     if gaps is None:
         gaps = gap(us)
     i = int(np.argmax(gaps))
-    if (
-        i == 0
-        and np.all(np.abs(gaps[:3]) <= 1.0)
-        and f1.right_deriv(0.0) <= f0.left_deriv(float(us[2])) - 1e-9
-    ):
-        return 0.0
     return golden_section_max(gap, float(us[max(0, i - 2)]), float(us[min(600, i + 2)]))
 
 

@@ -105,7 +105,7 @@ def classify_u_star(tech: Technology) -> GapClassification:
     """Sort ``u_star`` into the local-max / saddle / mutual-kink trichotomy.
 
     Only defined for an interior argmax: raises UStarAtOrigin when
-    ``u_star = 0`` (the generic moral-hazard case).
+    ``u_star = 0``, as on every moral-hazard technology.
     """
     u = tech.u_star
     if abs(u) < 1e-8:

@@ -8,6 +8,12 @@ post-breakthrough frontier is
 with the inner effort problem solved by its first-order condition
 ``w = kappa'(L) / phi'(phi_inv(u + kappa(L)))``, whose left side is constant
 and right side strictly increasing in ``L``.
+
+The gap ``F1 - F0`` peaks at ``u* = 0``. By the envelope theorem its slope
+is ``lam / phi'(phi_inv(u)) - lam / phi'(phi_inv(u + kappa(L*)))``, and
+``phi'(phi_inv(v)) = a v**(1 - 1/a)`` strictly decreases while the optimal
+effort ``L* > 0`` makes ``kappa(L*) > 0``: the slope is negative, so the gap
+strictly decreases on ``[0, inf)`` for every admissible instance.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceViolation, InadmissiblePrimitives, UnresolvablePeaks
-from .frontiers import INF, Frontier, ParametricFrontier, gap_argmax, midpoint_concavity_slack
+from .errors import InadmissiblePrimitives, UnresolvablePeaks
+from .frontiers import INF, Frontier, ParametricFrontier, midpoint_concavity_slack
 from .report import VerificationReport
 from .roots import BRACKET_HI, BRACKET_LO, bisect, solve_monotone, speculate
 
@@ -313,11 +319,10 @@ def make_frontier_f0(prims: MoralHazardPrimitives) -> Frontier:
 
 
 def make_moral_hazard_technology(prims: MoralHazardPrimitives) -> Technology:
-    """Build both frontiers and solve for ``u0``, ``u1`` and the gap argmax.
+    """Build both frontiers and solve for ``u0`` and ``u1``; ``u* = 0``.
 
-    The ``u1`` bisection runs on `_u1_condition`, and ``u* = 0`` usually comes
-    from `gap_argmax`'s certificate: each gives the plain search's bits with
-    fewer effort solves.
+    The ``u1`` bisection runs on `_u1_condition`, which gives the plain
+    bisection's bits with fewer effort solves.
     """
     prims.validate()
     f0 = make_frontier_f0(prims)
@@ -364,9 +369,10 @@ def make_moral_hazard_technology(prims: MoralHazardPrimitives) -> Technology:
             f"u1 = 0) by {abs(miss):.3g}, more than 1024 solver steps of {resolution:.3g}, "
             f"so the peaks are not resolved"
         )
-    f1 = _PostBreakthroughFrontier(prims, u1)
-    u_star = _checked_gap_argmax(f0, f1, gap_argmax(f0, f1, u0), u0)
-    return Technology(f0=f0, f1=f1, u0=u0, u1=u1, u_star=u_star, prims=prims)
+    # F1 - F0 has slope F1's `_deriv` minus F0's ``1 - lam / phi'(phi_inv(u))``,
+    # ``lam / phi'(phi_inv(u)) - lam / phi'(phi_inv(u + kappa(L)))``, negative
+    # since phi'(phi_inv(.)) strictly decreases and the effort L > 0: u* = 0
+    return Technology(f0=f0, f1=_PostBreakthroughFrontier(prims, u1), u0=u0, u1=u1, u_star=0.0, prims=prims)
 
 
 def _u1_condition(u1_foc, at_zero: float, u0: float, est: float, d: float, tau: float):
@@ -393,35 +399,6 @@ def _u1_condition(u1_foc, at_zero: float, u0: float, est: float, d: float, tau: 
         if f_lo > tau and f_hi < -tau:
             return lambda u: f_lo if u < lo else f_hi if u > hi else u1_foc(u)
     return lambda u: at_zero if u == 0.0 else u1_foc(u)
-
-
-def _checked_gap_argmax(f0: Frontier, f1: Frontier, cand: float, u_hi: float) -> float:
-    """Trust step for ``cand``, the `gap_argmax` of ``F1 - F0`` on ``[0, u_hi]``:
-    returns ``0.0``, ``u_hi`` or ``cand``.
-
-    The gap is a difference of concave functions, so an end whose gap is
-    within 1e-12 of ``cand``'s wins, and an interior ``cand`` must pass a
-    one-sided first-order check. The result is ``0.0`` unless a probe beats
-    ``gap(0)`` by more than 1e-12, which cannot happen where the gap is
-    nonincreasing on ``[0, u0]`` (``gap-derivative-negative`` in ``verify
-    ui-assns``): there ``u_star`` does not depend on where the search probes.
-    Smoothed pairs skip this step; at a corner (``u1 = 0``) their argmax can
-    fail it. A ``cand`` of 0.0 from `gap_argmax`'s certificate needs no case
-    of its own: it ties with ``gap(0)``, and F1's values at 0 and ``u_hi``
-    end the search's grid, F1's last value call, so no effort is solved.
-    """
-    ends = np.array([0.0, cand, u_hi])
-    g0, g_cand, g_hi = (f1.value(ends) - f0.value(ends)).tolist()
-    if g0 >= g_cand - 1e-12:
-        return 0.0
-    if g_hi >= g_cand - 1e-12:
-        return u_hi
-    # first-order post-check: right deriv <= 0 <= left deriv at the candidate
-    right = f1.right_deriv(cand) - f0.right_deriv(cand)
-    left = f1.left_deriv(cand) - f0.left_deriv(cand)
-    if not (right <= 1e-6 and left >= -1e-6):
-        raise DivergenceViolation(f"gap argmax candidate {cand:g} fails the one-sided derivative check")
-    return cand
 
 
 def verify_ui_assumptions(tech: Technology, grid) -> VerificationReport:
@@ -458,7 +435,17 @@ def verify_ui_assumptions(tech: Technology, grid) -> VerificationReport:
         note="" if checked else "skipped (grid only contains the peak)",
     )
 
-    rep.add("u-star-at-origin", abs(tech.u_star) < 1e-8, worst_violation=abs(tech.u_star))
+    # the origin's gap is at least every grid point's (a NaN fails). A
+    # moral-hazard F1 remembers the grid from `concavity-F1`, so the grid's
+    # efforts are not solved again
+    gaps = tech.gap(np.array([0.0, *grid]))
+    rise = float(np.max(gaps[1:] - gaps[0], initial=0.0))
+    rep.add(
+        "u-star-at-origin",
+        abs(tech.u_star) < 1e-8 and rise <= 0.0,
+        worst_violation=rise,
+        location=f"u={grid[int(np.argmax(gaps[1:]))]:g}" if rise > 0.0 else "",
+    )
 
     if tech.prims is None or not grid:
         note = "not applicable (no effort problem)" if tech.prims is None else "vacuous"

@@ -157,11 +157,17 @@ def integrability_bounds(
 
 
 def warmup_identity(G: BreakthroughDistribution, r: float) -> float:
-    """``E_G[ r int_0^tau e^{-rt} / (1 - G(t)) dt ]``; equals 1 for atom-free G.
+    """``E_G[ r int_0^tau e^{-rt} / (1 - G(t)) dt ]``, which by Fubini is
+    ``int_{sf > 0} r e^{-rt} dt``: 1 for a G with an exponential tail, whose
+    ``sf`` is positive on ``[0, inf)``. A G without one has ``sf = 0`` past
+    the end ``T`` of its support, where the value is ``1 - e^{-rT}``, and is
+    refused with `PreconditionViolation`.
 
     The outer integrand decays as G does, so where G's tail is slower than
     ``e^{-rt}`` the edges run ``37 / tail_rate`` past the ``37/r`` horizon of
     `integration_edges`, in 19 cells, each within the tail's scale ``2 / tail_rate``."""
+    if G.tail_mass <= 0.0:
+        raise PreconditionViolation("G must have an unbounded (exponential) tail")
 
     def integrand(t):
         sf = G.sf(t)

@@ -1,11 +1,12 @@
-"""The moral-hazard Technology build against its one-step reference, bit for bit.
+"""The moral-hazard Technology build against its full reference, bit for bit.
 
-The build takes two shortcuts: `gap_argmax` certifies ``u* = 0`` from two
-slopes instead of running golden section, and the ``u1`` bisection runs on
-`technology._u1_condition`, which answers its far steps from two guards. The
-reference is the path without them: the 601-point grid, `golden_section_max`
-on ``[us[i-2], us[i+2]]``, `_checked_gap_argmax`, and the plain
-``bisect(u1_foc, 0.0, u0, tol=1e-12)``.
+The build takes two shortcuts. It sets ``u* = 0`` from the envelope theorem
+(the gap's slope is negative on ``[0, inf)``) instead of searching for it,
+and the ``u1`` bisection runs on `technology._u1_condition`, which answers
+its far steps from two guards. The reference is the path without them: the
+plain ``bisect(u1_foc, 0.0, u0, tol=1e-12)``, then the search the build used
+to run, the 601-point grid and `golden_section_max` on ``[us[i-2], us[i+2]]``
+followed by the trust step below.
 """
 
 import math
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 import frontierkit as fk
-from frontierkit import frontiers, technology
+from frontierkit import technology
 from frontierkit.roots import golden_section_max
 from test_lookahead import PINNED
 
@@ -21,30 +22,43 @@ from test_lookahead import PINNED
 SMOOTH_BOX = ((0.9, 1.1), (0.9, 1.1), (0.45, 0.55), (1.8, 2.2))
 
 
-def reference_gap_argmax(f0, f1, hi):
+def reference_u_star(tech):
+    """The gap's argmax on ``[0, u0]`` by search: grid, golden section, and a
+    trust step that keeps an end whose gap is within 1e-12 of the candidate's
+    and holds an interior candidate to a one-sided first-order check."""
+    f0, f1, hi = tech.f0, tech.f1, tech.u0
     gap = lambda u: f1.value(u) - f0.value(u)
     us = np.linspace(0.0, hi, 601)
     i = int(np.argmax(gap(us)))
-    return golden_section_max(gap, float(us[max(0, i - 2)]), float(us[min(600, i + 2)]), tol=1e-12)
+    cand = golden_section_max(gap, float(us[max(0, i - 2)]), float(us[min(600, i + 2)]), tol=1e-12)
+    g0, g_cand, g_hi = gap(np.array([0.0, cand, hi])).tolist()
+    if g0 >= g_cand - 1e-12:
+        return 0.0
+    if g_hi >= g_cand - 1e-12:
+        return hi
+    right = f1.right_deriv(cand) - f0.right_deriv(cand)
+    left = f1.left_deriv(cand) - f0.left_deriv(cand)
+    if not (right <= 1e-6 and left >= -1e-6):
+        raise fk.DivergenceViolation(f"gap argmax candidate {cand:g} fails the one-sided derivative check")
+    return cand
 
 
-def outcome(inst):
-    """``(u0, u1, u_star)`` as hex strings, or the type and text of the error."""
+def outcome(inst, u_star=lambda tech: tech.u_star):
+    """``(u0, u1, u_star(tech))`` as hex strings, or the type and text of the error."""
     lam, w, a, b = inst
     try:
         prims = fk.MoralHazardPrimitives(lam=lam, w=w, phi=fk.PowerUtility(a), kappa=fk.PowerCost(b))
         tech = fk.make_moral_hazard_technology(prims)
+        return tech.u0.hex(), tech.u1.hex(), u_star(tech).hex()
     except Exception as exc:  # noqa: BLE001 - the error is the outcome
         return type(exc).__name__, str(exc)
-    return tech.u0.hex(), tech.u1.hex(), tech.u_star.hex()
 
 
 def reference_outcome(inst, monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(technology, "gap_argmax", reference_gap_argmax)
         # the plain condition: `bisect(u1_foc, 0.0, u0, tol=1e-12)`
         m.setattr(technology, "_u1_condition", lambda u1_foc, *rest: u1_foc)
-        return outcome(inst)
+        return outcome(inst, reference_u_star)
 
 
 def box_configs(count, seed):
@@ -88,14 +102,16 @@ def test_build_is_the_reference_bit_for_bit(monkeypatch):
     references = [reference_outcome(inst, monkeypatch) for inst in CONFIGS]
     mismatched = [(inst, got, ref) for inst, got, ref in zip(CONFIGS, outcomes, references) if got != ref]
     assert not mismatched
-    # the sample holds corners (u1 = 0) and refusals as well as interior peaks
+    # the sample holds corners (u1 = 0) and refusals as well as interior peaks,
+    # and the search finds u* = 0 on every built one, +0.0 as the build sets it
     built = [o for o in outcomes if len(o) == 3]
+    assert all(o[2] == (0.0).hex() for o in built)
     assert sum(o[1] == (0.0).hex() for o in built) >= 1
     assert len(built) >= 300 and len(outcomes) - len(built) >= 10
 
 
 def test_default_build_counts(monkeypatch, default_prims):
-    counts = {"grid": 0, "golden": 0, "scalar": 0}
+    counts = {"array": 0, "scalar": 0}
 
     def counted(key, fn):
         def call(*args, **kwargs):
@@ -104,11 +120,10 @@ def test_default_build_counts(monkeypatch, default_prims):
 
         return call
 
-    monkeypatch.setattr(technology, "effort_star_array", counted("grid", technology.effort_star_array))
+    monkeypatch.setattr(technology, "effort_star_array", counted("array", technology.effort_star_array))
     monkeypatch.setattr(technology, "effort_star", counted("scalar", technology.effort_star))
-    monkeypatch.setattr(frontiers, "golden_section_max", counted("golden", frontiers.golden_section_max))
     tech = fk.make_moral_hazard_technology(default_prims)
     assert tech.u_star == 0.0
-    # F1's one array call is the gap search's grid
-    assert counts["grid"] == 1 and counts["golden"] == 0
-    assert counts["scalar"] <= 18
+    # no gap search, so no call of F1's values; the scalar solves are the u1 bisection's
+    assert counts["array"] == 0
+    assert counts["scalar"] <= 17

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import bisect_reference
 import frontierkit as fk
-from frontierkit import frontiers, roots, smoothing, technology
+from frontierkit import cli, frontiers, roots, smoothing, technology
 from frontierkit.roots import bisect_predicate_array, golden_section_max
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -267,40 +267,12 @@ def test_gap_argmax_of_an_interior_peak_is_golden_section_around_the_grid_best()
     assert fk.gap_argmax(f0, f1, 0.5) == ref
 
 
-def test_technology_trust_step_returns_an_end_or_the_candidate():
-    f0, f1 = interior_peak_pair()
-    cand = fk.gap_argmax(f0, f1, 0.5)
-    assert technology._checked_gap_argmax(f0, f1, cand, 0.5) == cand
-    # a falling gap gives the origin, a rising one the upper end
-    falling = fk.QuadraticFrontier(1.0, -1.0, -1.0)
-    assert technology._checked_gap_argmax(f0, falling, fk.gap_argmax(f0, falling, 0.5), 0.5) == 0.0
-    rising = fk.QuadraticFrontier(1.0, 3.0, -1.0)
-    assert technology._checked_gap_argmax(f0, rising, fk.gap_argmax(f0, rising, 0.5), 0.5) == 0.5
-    # a candidate short of the peak beats both ends but fails the first-order check
-    with pytest.raises(fk.DivergenceViolation, match="one-sided derivative check"):
-        technology._checked_gap_argmax(f0, f1, 0.8 * cand, 0.5)
-
-
 def grid_and_golden(f0, f1, hi):
-    """`gap_argmax` without its certificate: golden section around the grid's best."""
+    """Golden section around the grid's best, one scalar probe per step."""
     gap = lambda u: float(f1.value(u)) - float(f0.value(u))
     us = np.linspace(0.0, hi, 601)
     i = int(np.argmax(f1.value(us) - f0.value(us)))
     return golden_reference(gap, float(us[max(0, i - 2)]), float(us[min(600, i + 2)]), tol=1e-12)
-
-
-def test_gap_argmax_certifies_the_origin_without_golden_section(monkeypatch):
-    golden = []
-    search = frontiers.golden_section_max
-    monkeypatch.setattr(frontiers, "golden_section_max", lambda *a, **k: golden.append(a) or search(*a, **k))
-    f0, _ = interior_peak_pair()
-    # the falling pair of the trust-step test: gap 1 - 2u, slopes -1 and 1 - 2 us[2]
-    falling = fk.QuadraticFrontier(1.0, -1.0, -1.0)
-    assert fk.gap_argmax(f0, falling, 0.5) == 0.0 and not golden
-    # golden section would have landed within its tolerance of 0, which the
-    # trust step turns into 0 as well
-    assert 0.0 < grid_and_golden(f0, falling, 0.5) < 1e-12
-    assert technology._checked_gap_argmax(f0, falling, 0.0, 0.5) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -310,6 +282,7 @@ def test_gap_argmax_certifies_the_origin_without_golden_section(monkeypatch):
         fk.QuadraticFrontier(1.0, 3.0, -1.0),  # rising: the grid peaks at the upper end
         fk.QuadraticFrontier(0.0, 1.0, -2.0),  # gap -u^2: peaks at 0, but flat there
         fk.QuadraticFrontier(6.0, -1.0, -1.0),  # peaks at 0 and falls, but gap(0) = 6
+        fk.QuadraticFrontier(1.0, -1.0, -1.0),  # falling: gap 1 - 2u, golden section lands within 1e-12 of 0
     ],
 )
 def test_gap_argmax_outside_the_certificate_is_golden_section(monkeypatch, f1):
@@ -322,16 +295,46 @@ def test_gap_argmax_outside_the_certificate_is_golden_section(monkeypatch, f1):
 
 
 def test_both_builders_call_the_one_gap_argmax(monkeypatch, default_prims):
-    assert technology.gap_argmax is smoothing.gap_argmax is frontiers.gap_argmax
+    # the technology sets u* = 0 with no search; the smoothed pair searches
+    assert smoothing.gap_argmax is frontiers.gap_argmax and not hasattr(technology, "gap_argmax")
     his = []
     search = frontiers.gap_argmax
     spy = lambda f0, f1, hi, *ceiling: his.append(hi) or search(f0, f1, hi, *ceiling)
-    for module in (technology, smoothing):
+    for module in (frontiers, smoothing):
         monkeypatch.setattr(module, "gap_argmax", spy)
     tech = fk.make_moral_hazard_technology(default_prims)
-    assert his == [tech.u0]
+    assert his == [] and tech.u_star == 0.0
     pair = fk.build_smooth_pair(tech, fk.SmoothingParams.auto(tech, 16))
-    assert his[1:] and all(hi == pair.u0_n for hi in his[1:])
+    assert his and all(hi == pair.u0_n for hi in his)
+
+
+def smoothed_pairs():
+    """Every smoothed pair of `verify smoothing`'s two fixtures (levels 8 to
+    64) and of `PINNED`'s technologies (levels 16 to 128)."""
+    for tech in (cli._smooth_fixture(), cli._kinked_fixture()):
+        yield from fk.build_sequence(tech, (8, 16, 32, 64))
+    for (lam, w, a, b), _, _ in PINNED:
+        prims = fk.MoralHazardPrimitives(lam=lam, w=w, phi=fk.PowerUtility(a), kappa=fk.PowerCost(b))
+        tech = fk.make_moral_hazard_technology(prims)
+        for n in (16, 32, 64, 128):
+            try:
+                yield fk.build_smooth_pair(tech, fk.SmoothingParams.auto(tech, n))
+            except fk.ParamsOutOfRange:
+                continue
+
+
+def test_a_smoothed_pairs_gap_rises_at_the_origin_by_at_least_1_over_n():
+    # the left quadratics give the gap the right slope g_b + (c1 - c0) b =
+    # g_b + max(0, -g_b) + 1/n at 0, and the strict-local-max fix only adds to
+    # it, so `gap_argmax` has no origin to certify on a smoothed pair. Each
+    # slope is d + c b in floats: the difference may round 1/n down by an ulp
+    # or so of the slopes (1 at most over these 92 pairs)
+    count = 0
+    for pair in smoothed_pairs():
+        d1, d0 = pair.f1n.right_deriv(0.0), pair.f0n.right_deriv(0.0)
+        assert d1 - d0 >= 1.0 / pair.params.n - 4.0 * math.ulp(max(abs(d1), abs(d0)))
+        count += 1
+    assert count == 92
 
 
 def test_builds_make_few_effort_calls(monkeypatch, default_prims):

@@ -535,8 +535,8 @@ def test_effort_pairs_certified_gap_argmax_is_the_full_grids(inst, monkeypatch):
 
 
 def test_effort_pair_whose_first_grid_points_lie_in_the_core(default_prims, monkeypatch):
-    # at n = 2048 the core starts below us[1], so the points the search always
-    # evaluates reach into it, and the ceiling covers only those after them
+    # at n = 2048 the core starts below us[1], so the ceiling covers every
+    # grid point from us[1] to B and the search still evaluates the origin
     tech = technology.make_moral_hazard_technology(default_prims)
     searches = recorded_gap_searches(monkeypatch)
     build_smooth_pair(tech, SmoothingParams.auto(tech, 2048))

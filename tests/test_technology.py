@@ -8,6 +8,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import assert_batched_equals_scalar, foc_gap
+from test_lookahead import interior_peak_pair
 from frontierkit import (
     AffineFrontier,
     CallableFrontier,
@@ -591,6 +592,24 @@ class TestVerifyUiAssumptions:
                 solve = getattr(technology, name)
                 m.setattr(technology, name, lambda p, u: off(solve(p, u)))
                 assert not verify_ui_assumptions(default_tech, grid)["effort-foc-residual"].passed
+
+    def test_u_star_at_origin_reads_the_gap(self, default_prims, monkeypatch):
+        # an interior peak (u = 1/3) fails, whatever u_star says
+        f0, f1 = interior_peak_pair()
+        tech = Technology(f0=f0, f1=f1, u0=0.5, u1=0.25, u_star=0.0)
+        check = verify_ui_assumptions(tech, np.linspace(0.0, 0.5, 7))["u-star-at-origin"]
+        assert not check.passed and check.location == "u=0.333333"
+        assert check.worst_violation == pytest.approx(0.2 / 6.0)
+        tech.f1 = QuadraticFrontier(0.3, 0.0, -1.3)
+        check = verify_ui_assumptions(tech, np.linspace(0.0, 0.5, 7))["u-star-at-origin"]
+        assert check.passed and check.worst_violation == 0.0 and check.location == ""
+        # on the suite's grid F1's efforts come from `concavity-F1`'s solve:
+        # the other array solve is `effort-foc-residual`'s
+        tech = make_moral_hazard_technology(default_prims)
+        sizes, solve = [], technology.effort_star_array
+        monkeypatch.setattr(technology, "effort_star_array", lambda p, u: sizes.append(np.size(u)) or solve(p, u))
+        assert verify_ui_assumptions(tech, np.linspace(0.0, tech.u0, 200)).overall_pass
+        assert len(sizes) == 2 and sizes[1] == 200
 
     def test_degenerate_grid(self, default_tech):
         rep = verify_ui_assumptions(default_tech, [default_tech.u0])

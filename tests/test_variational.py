@@ -436,7 +436,7 @@ def pinned_values(i, mh_tech):
     if G.tail_mass > 0:
         gap, valid = strict_concavity_probe(m, m_dag, lam, tech, G)
         out["probe"] = [gap, float(valid)]
-    out["warmup"] = [warmup_identity(G, r=m.r)]
+        out["warmup"] = [warmup_identity(G, r=m.r)]
     out["euler"] = euler_residual(prof, G).tolist()
     if tech is not mh_tech:
         # skipped for the moral-hazard F1, whose derivative is solved one
@@ -450,6 +450,15 @@ def pinned_values(i, mh_tech):
 
 
 PINS = json.loads((Path(__file__).parent / "variational_pins.json").read_text())
+
+
+@pytest.mark.parametrize("i", [i for i in range(len(PINS)) if i % 5 == 4])
+def test_warmup_identity_refuses_a_law_without_a_tail(i, default_tech):
+    # past the end T of such a support sf is 0, and the identity reads 1 - e^{-rT}
+    _, m, _, G, _, _ = pinned_instance(i, default_tech)
+    assert G.tail_mass == 0.0
+    with pytest.raises(PreconditionViolation, match="exponential"):
+        warmup_identity(G, r=m.r)
 
 
 @pytest.mark.parametrize("i", range(len(PINS)))
