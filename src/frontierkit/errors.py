@@ -6,8 +6,7 @@ exit 2, among them `InadmissiblePrimitives` (primitives that fail
 ``u0``) and `UnresolvablePeaks` (``u0`` beyond the
 peak solver's reach, ``u1`` too close to ``u0``, or solved peaks off the
 identity ``u0 - u1 = kappa(L1)``). Every other
-`FrontierKitError`, like a `ValueError` or `ArithmeticError`, exits 3; so
-does a `DivergenceViolation` that is not an `InadmissiblePrimitives`.
+`FrontierKitError`, like a `ValueError` or `ArithmeticError`, exits 3.
 """
 
 

@@ -9,11 +9,14 @@ look ahead: each keeps the values it has seen, and a step whose point has
 none evaluates, in one oracle call, the tree of the next `LOOKAHEAD` steps
 over every outcome, so that tree bounds the calls. Each walks its own tree.
 `bisect_predicate_array` reads the oracle's values and adds, as extra points
-in the same call, the rest of the path that a secant guess at the switch
-predicts. `interpolated_switch` gives `bisect_predicate_array`'s bracket for
-the level test ``T(x) > u`` of a nonincreasing scalar ``T`` in fewer calls,
-by interpolating on the values of ``T``; where it cannot, it runs that
-bisection with one ``T`` call per point.
+in the same call, the rest of the path that a guess at the switch predicts.
+Both guess by inverse interpolation (Brent, *Algorithms for Minimization
+without Derivatives*, 1973, ch. 4) through the two values on either side of
+the tightest sign change, in Newton form from the secant on that bracket, so
+a linear oracle gets the secant's guess. `interpolated_switch` gives
+`bisect_predicate_array`'s bracket for the level test ``T(x) > u`` of a
+nonincreasing scalar ``T`` in fewer calls, by interpolating on the values of
+``T``; where it cannot, it runs that bisection with one ``T`` call per point.
 """
 
 from __future__ import annotations
@@ -107,10 +110,10 @@ def speculate(search: Callable, f: Callable[[np.ndarray], np.ndarray], guess: fl
     evaluated with its value, and any other point with the prediction
     ``x - guess`` (right where ``f`` increases through its root at
     ``guess``), recording that point. One ``f`` call then evaluates the
-    recorded points, and the guess moves to the secant root of the tightest
-    bracket of real values. A predicted pass that returns has converged on
-    the guess, and the real path mostly ends within a few floats of it, so
-    the call also evaluates the guess and the 2 floats on either side. A pass
+    recorded points, and the guess moves to `_root_guess` from the real
+    values. A predicted pass that returns has converged on the guess, and the
+    real path mostly ends within a few floats of it, so the call also
+    evaluates the guess and the 2 floats on either side. A pass
     that records no point ran on real values only, so its result, or its
     exception, is the one-point search's. An exception in a pass that
     recorded points is dropped with its predictions. Any guess gives that
@@ -145,23 +148,35 @@ def speculate(search: Callable, f: Callable[[np.ndarray], np.ndarray], guess: fl
                 near = [math.nextafter(near[0], -math.inf), *near, math.nextafter(near[-1], math.inf)]
             asked.update(dict.fromkeys(near))
         known.update(zip(asked, f(np.array(list(asked))).tolist()))
-        guess = _secant_root(known)
+        guess = _root_guess(known)
 
 
-def _secant_root(known: dict[float, float]) -> float:
-    """Root estimate of an increasing function from its values ``known``: the
-    secant root of the tightest sign-change bracket, kept in the bracket (its
-    midpoint where the secant is NaN), or ``±inf`` while no value on one side
-    has its sign."""
-    lo = hi = None
-    for x, fx in known.items():
-        if fx < 0.0 and (lo is None or x > lo):
-            lo, flo = x, fx
-        elif fx > 0.0 and (hi is None or x < hi):
-            hi, fhi = x, fx
-    if lo is None or hi is None:
-        return -math.inf if lo is None else math.inf
-    x = lo - flo * ((hi - lo) / (fhi - flo))
+def _root_guess(known: dict[float, float]) -> float:
+    """Root estimate of an increasing function from its values ``known``, kept
+    in the tightest sign-change bracket: the inverse polynomial (``x`` as a
+    polynomial in the value, read at 0) through the two points on either side
+    of that bracket, fewer where fewer exist. Its Newton form starts from the
+    bracket's secant root, so a function linear in ``x`` there gets that root.
+    Where two values repeat or the polynomial's root is not finite, the secant
+    root (the bracket's midpoint where that is NaN); ``±inf`` while no value on
+    one side has its sign."""
+    below = sorted([x for x, fx in known.items() if fx < 0.0])[:-3:-1]
+    above = sorted([x for x, fx in known.items() if fx > 0.0])[:2]
+    if not below or not above:
+        return -math.inf if not below else math.inf
+    xs = [below[0], above[0], *below[1:], *above[1:]]
+    ys = [known[x] for x in xs]
+    lo, hi = xs[0], xs[1]
+    x = lo - ys[0] * ((hi - lo) / (ys[1] - ys[0]))  # the secant root
+    if len(set(ys)) == len(ys):
+        c = list(xs)  # divided differences, in place
+        for j in range(1, len(c)):
+            for i in range(len(c) - 1, j - 1, -1):
+                c[i] = (c[i] - c[i - 1]) / (ys[i] - ys[i - j])
+        poly = c[-1]
+        for i in range(len(c) - 2, -1, -1):
+            poly = c[i] - ys[i] * poly
+        x = poly if math.isfinite(poly) else x
     return min(max(x, lo), hi) if x == x else 0.5 * (lo + hi)
 
 
@@ -258,14 +273,14 @@ def bisect_predicate_array(
     one decided, over every outcome, so a call resolves at least `LOOKAHEAD`
     steps and the tree bounds the number of calls. The same call also
     evaluates the rest of the path that a guess at the switch predicts: the
-    secant root of the tightest bracket of finite values seen so far, as
-    `speculate` guesses. Where the guess holds, the walk takes those steps too,
-    so on a smooth ``f`` a few calls reach adjacent floats.
+    inverse polynomial through the finite values seen so far nearest the
+    switch (`_root_guess`). Where the guess holds, the walk takes those
+    steps too, so on a smooth ``f`` a few calls reach adjacent floats.
     """
     level = float(level)  # with Python floats the guess's arithmetic never warns
     above = (lambda v: v > level) if strict else (lambda v: v >= level)
     known: dict[float, float] = {}
-    # level - f(x) where it is finite: negative on the true side, as `_secant_root` reads it
+    # level - f(x) where it is finite: negative on the true side, as `_root_guess` reads it
     excess: dict[float, float] = {}
     steps = 0
     while True:
@@ -289,7 +304,7 @@ def bisect_predicate_array(
         # Where the values leave the switch outside the bracket (flat or not
         # finite near it) and the bracket holds 0, the guess is 0: only a
         # switch within 2**-140 times the start width of 0 takes all 200 halvings
-        guess, a, b = _secant_root(excess), lo, hi
+        guess, a, b = _root_guess(excess), lo, hi
         if not lo <= guess <= hi and lo < 0.0 < hi:
             guess = 0.0
         for k in range(steps, 200 if math.isfinite(guess) else steps):

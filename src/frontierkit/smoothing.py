@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParamsOutOfRange
+from .errors import DomainError, ParamsOutOfRange, PreconditionViolation
 from .frontiers import INF, Frontier, gap_argmax, midpoint_concavity_plan
 from .quadrature import cell_index
 from .report import VerificationReport
@@ -73,10 +73,10 @@ class SmoothingParams:
         zeta = 0.9 / n
         delta = 0.5 / n
         gamma = 0.4 / (tech.u0 * n)
-        for _ in range(40):
+        for k in range(40):
             params = cls(n=n, delta=delta, gamma=gamma, zeta=zeta, eps=eps)
             params.validate_for(tech)
-            if _core_deviation(tech, params)[0] <= 0.95 * eps:
+            if _core_deviation(tech, params, guard=k == 0)[0] <= 0.95 * eps:
                 return params
             delta *= 0.5
             gamma *= 0.5
@@ -140,48 +140,69 @@ def averaged_right_derivative(f: Frontier, u, params: SmoothingParams):
 
 class _Core:
     """Windowed-average smoother of one source frontier on ``I_n``, through
-    ``F_anchor`` at ``anchor``, whose window integral is ``H_anchor``. ``value`` and
-    ``deriv`` take a scalar or an array, for one ``f.value`` call; `ends` gives both for one."""
+    ``F_anchor`` at ``anchor``, whose window integral is ``H_anchor``. `value`
+    and `slope` give `_evaluate`'s plans on the source at an array ``us``, so a
+    caller can merge several into one source call; `ends` gives both for one."""
 
     def __init__(self, f: Frontier, params: SmoothingParams, anchor: float, H_anchor: float, F_anchor: float):
         self.f, self.p, self.anchor, self._H_anchor, self._F_anchor = f, params, anchor, H_anchor, F_anchor
 
-    def deriv(self, u):
-        return averaged_right_derivative(self.f, u, self.p)
+    def slope(self, us):
+        return _slope_plan(self.f, us, self.p)
 
-    def value(self, u):
-        (h,) = _evaluate(self.f, _window_plan(self.f, np.atleast_1d(np.asarray(u, dtype=float)), self.p.delta))
-        return self._from_integral(u, float(h[0]) if np.ndim(u) == 0 else h)
+    def value(self, us, zeta=None):
+        """The plan of the values at ``us``, plus ``zeta`` added last if given."""
+        points, integrals = _window_plan(self.f, us, self.p.delta)
+        rule = lambda v: self._from_integral(us, integrals(v))
+        return points, rule if zeta is None else lambda v: rule(v) + zeta
 
     def ends(self, us: np.ndarray) -> tuple[list, list]:
-        slopes, h = _evaluate(self.f, _slope_plan(self.f, us, self.p), _window_plan(self.f, us, self.p.delta))
-        return slopes.tolist(), self._from_integral(us, h).tolist()
+        slopes, vals = _evaluate(self.f, self.slope(us), self.value(us))
+        return slopes.tolist(), vals.tolist()
 
     def _from_integral(self, u, h):
         p, a = self.p, self.anchor
         return self._F_anchor + (h - self._H_anchor) / p.delta - p.gamma * 0.5 * (u * u - a * a)
 
 
-def _core_deviation(tech: Technology, params: SmoothingParams) -> tuple[float, _Core, _Core]:
+def _core_range(tech: Technology, n: int) -> tuple[float, float]:
+    """The ends ``b, B`` of a level-``n`` pair's core pieces."""
+    return 1.0 / n, tech.u0 - 2.0 / n
+
+
+def _guard_probes(u0: float) -> np.ndarray:
+    """The points where `build_smooth_pair` certifies the pair's ordering."""
+    return np.linspace(0.0, u0 + 2.0, 257)
+
+
+def _core_deviation(tech: Technology, params: SmoothingParams, guard: bool = True) -> tuple[float, _Core, _Core]:
     """Max deviation of the core pair, anchored at ``u_star + 1/n``, from the
     source, with the two cores. `SmoothingParams.auto` measures it and
     `build_smooth_pair` measures it again on the same points, so a
     moral-hazard F1 answers the build's repeat from its last solve. The
-    source call also takes the far ends of the end windows, so that solve
-    holds every point of the build's `_Core.ends` as well.
+    source calls also take the far ends of the end windows and, F1's where
+    ``guard``, the windows of the ordering guard's probes (`_guard_probes`)
+    in the core ``(b, B]`` (`_core_range`), so that solve holds every source
+    point of the build's `_Core.ends` and of its guard as well; F1 keeps it
+    across calls that solve nothing. `auto` asks for the guard's windows
+    only with its first candidate, which passes on every sampled
+    `mh-smooth-sweep` instance: they are a waste on a candidate it refuses.
 
     A deviation that is not finite (a NaN from either side) makes it inf, so
     it can never pass an accuracy budget.
     """
     n = params.n
-    anchor, us = tech.u_star + 1.0 / n, np.linspace(1.0 / n, tech.u0 - 2.0 / n, 33)
+    b, B = _core_range(tech, n)
+    anchor, us, probes = tech.u_star + 1.0 / n, np.linspace(b, B, 33), _guard_probes(tech.u0)
     points = np.append(anchor, us)  # their windows and values, one source call per core
+    starts = np.append(points, probes[(probes > b) & (probes <= B)])
     far_ends = us[[0, -1]] + params.delta  # for the build's end slopes
     cores, dev = [], []
-    for f in (tech.f0, tech.f1):
-        h, vals = _evaluate(f, _window_plan(f, points, params.delta), (np.append(points, far_ends), lambda v: v[:-2]))
+    for f, guarded in ((tech.f0, False), (tech.f1, guard)):
+        plan = _window_plan(f, starts if guarded else points, params.delta)
+        h, vals = _evaluate(f, plan, (np.append(points, far_ends), lambda v: v[:-2]))
         cores.append(_Core(f, params, anchor, float(h[0]), float(vals[0])))
-        dev.append(np.abs(cores[-1]._from_integral(us, h[1:]) - vals[1:]))
+        dev.append(np.abs(cores[-1]._from_integral(us, h[1 : points.size]) - vals[1:]))
     dev = np.concatenate(dev)
     return (float(np.max(dev)) if np.all(np.isfinite(dev)) else INF), *cores
 
@@ -195,6 +216,8 @@ class _Piece:
     #: ``val`` and ``der`` take arrays. The exponential pieces run per point
     #: instead: they use ``math.exp``, which ``np.exp`` does not match bit for bit
     batch: bool = True
+    #: a core piece's source: ``val`` and ``der`` then give `_evaluate`'s plans on it
+    src: Frontier | None = None
 
 
 class _PiecewiseFrontier(Frontier):
@@ -208,30 +231,39 @@ class _PiecewiseFrontier(Frontier):
         if peak is not None:
             self._peak = float(peak)
 
-    def _dispatch(self, u, what: str, side: str = "left"):
-        """Piece ``what`` ('val' or 'der') at in-domain ``u``, in the shape of ``u``.
+    def _answer(self, requests):
+        """For each ``(u, what, side)`` request, piece ``what`` ('val' or 'der')
+        at in-domain ``u``, in the shape of ``u``.
 
         A join belongs to the piece on its ``side``: the piece below it
-        ("left") or above it ("right"). Batch pieces get all their points in
-        one call.
+        ("left") or above it ("right"). Batch pieces get a request's points in
+        one call. A core piece gives its plan instead, and the plans of all
+        requests on one source go to it in one `_evaluate` call.
         """
-        us = np.atleast_1d(np.asarray(u, dtype=float))
-        idx = cell_index(self._edges, us, side)
-        out = np.empty_like(us)
-        for i in set(idx.tolist()):
-            piece = self.pieces[i]
-            fn = getattr(piece, what)
-            sel = idx == i
-            out[sel] = fn(us[sel]) if piece.batch else [fn(x) for x in us[sel].tolist()]
-        return out.reshape(np.shape(u))
+        outs, planned = [], {}
+        for u, what, side in requests:
+            us = np.atleast_1d(np.asarray(u, dtype=float))
+            idx = cell_index(self._edges, us, side)
+            outs.append(np.empty_like(us))
+            for i in set(idx.tolist()):
+                piece, sel = self.pieces[i], idx == i
+                fn = getattr(piece, what)
+                if piece.src is not None:
+                    planned.setdefault(piece.src, []).append((outs[-1], sel, fn(us[sel])))
+                else:
+                    outs[-1][sel] = fn(us[sel]) if piece.batch else [fn(x) for x in us[sel].tolist()]
+        for f, parts in planned.items():
+            for (out, sel, _), vals in zip(parts, _evaluate(f, *(plan for *_, plan in parts))):
+                out[sel] = vals
+        return [out.reshape(np.shape(u)) for out, (u, *_) in zip(outs, requests)]
 
     def _values(self, us):
-        return self._dispatch(us, "val")
+        return self._answer([(us, "val", "left")])[0]
 
     def _derivs(self, u, side):
         # C1 by construction; at a join each side reads its own piece, so the
         # two sides there compare the adjacent pieces' slopes
-        return self._dispatch(u, "der", side)
+        return self._answer([(u, "der", side)])[0]
 
 
 @dataclass
@@ -258,7 +290,7 @@ def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair
         raise ParamsOutOfRange("core deviation exceeds the eps budget")
 
     u0 = tech.u0
-    b, B = 1.0 / n, u0 - 2.0 / n
+    b, B = _core_range(tech, n)
     (d_b0, d_B0), (V_b0, V_B0) = core0.ends(np.array([b, B]))
     (d_b1, d_B1), (V_b1, V_B1) = core1.ends(np.array([b, B]))
     V_b1, V_B1 = V_b1 + zeta, V_B1 + zeta
@@ -280,9 +312,8 @@ def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair
             lambda u, d=d, c=c: d + c * (b - u),
         )
 
-    core_piece0 = _Piece(b, B, core0.value, core0.deriv)
-    # F1_n's core is core1 raised by zeta, added last
-    core_piece1 = _Piece(b, B, lambda u: core1.value(u) + zeta, core1.deriv)
+    core_piece0 = _Piece(b, B, core0.value, core0.slope, src=tech.f0)
+    core_piece1 = _Piece(b, B, lambda us: core1.value(us, zeta), core1.slope, src=tech.f1)
 
     # right extension of F1: derivative glides down to its clamp d_B1 - 1/n
     m1 = d_B1 - 1.0 / n
@@ -326,8 +357,9 @@ def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair
     f1n = _PiecewiseFrontier([quad_piece(V_b1, d_b1, c1), core_piece1, right1])
 
     # ordering guard: the extensions keep F1_n above F0_n by construction at
-    # the chosen scales, but the margin is instance-dependent, so certify it
-    probes = np.linspace(0.0, u0 + 2.0, 257)
+    # the chosen scales, but the margin is instance-dependent, so certify it.
+    # The core measurement's source call holds the probes' core windows
+    probes = _guard_probes(u0)
     gaps = f1n.value(probes) - f0n.value(probes)
     if not np.min(gaps) > 0.0:
         raise ParamsOutOfRange("extensions failed to keep the pair ordered")
@@ -356,21 +388,26 @@ def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair
 
 
 class _StrictFixFrontier(Frontier):
-    """Base frontier minus ``eps*(u - u_star)^2`` below ``u_star`` (C1, concave)."""
+    """Base frontier minus ``eps*(u - u_star)^2`` below ``u_star`` (C1, concave);
+    it passes `_answer`'s requests through to the base."""
 
-    def __init__(self, base: Frontier, u_star: float, eps: float):
+    def __init__(self, base: _PiecewiseFrontier, u_star: float, eps: float):
         self.base, self.u_star, self.eps = base, u_star, eps
         self.domain = base.domain
         self.knots = tuple(sorted(set(base.knots) | {u_star}))
 
-    def _bump(self, u):
-        return self.eps * np.square(np.minimum(u - self.u_star, 0.0))
+    def _answer(self, requests):
+        low = [np.minimum(u - self.u_star, 0.0) for u, *_ in requests]
+        return [
+            out - (self.eps * np.square(d) if what == "val" else 2.0 * self.eps * d)
+            for out, d, (_, what, _) in zip(self.base._answer(requests), low, requests)
+        ]
 
     def _values(self, us):
-        return self.base._values(us) - self._bump(us)
+        return self._answer([(us, "val", "left")])[0]
 
     def _derivs(self, u, side):
-        return self.base._derivs(u, side) - 2.0 * self.eps * np.minimum(u - self.u_star, 0.0)
+        return self._answer([(u, "der", side)])[0]
 
 
 def build_sequence(tech: Technology, ns) -> list[SmoothedPair]:
@@ -392,24 +429,38 @@ def verify_monster(tech: Technology, sequence: list[SmoothedPair]) -> Verificati
 
     for pair in sequence:
         n = pair.params.n
-        fronts = (pair.f0n, pair.f1n)
-        vals = [f.value(concavity_points) for f in fronts]
-        ordered = bool(np.min(vals[1][:33] - vals[0][:33]) > 0)
-        # one right-side call per front: (c)'s grids, the joins and, at the largest level, (d)'s starts
+        # one request call per front, on points inside its domain (the slopes'
+        # strictly): the concavity grid's values, the right side at (c)'s
+        # grids, the joins and, at the largest level, (d)'s starts, and the
+        # left side at the joins
         probes = us - half if pair is largest else us[:0]
-        rights = [f.deriv(np.concatenate([grids, f.knots, probes]), "right") for f in fronts]
-        bounds += [d[:66] for d in rights]
+        # `_answer` skips `Frontier.value`'s and `deriv`'s domain and edge
+        # handling, which none of these points may reach
+        for f in (pair.f0n, pair.f1n):
+            lo, hi = f.domain
+            if not (lo <= 0.0 and u0 < hi and all(lo < k < hi for k in f.knots)):
+                raise PreconditionViolation(f"n={n}: a front's domain must hold [0, u0] and its joins inside")
+        (vals0, rights0, lefts0), (vals1, rights1, lefts1) = (
+            f._answer([
+                (concavity_points, "val", "left"),
+                (np.concatenate([grids, f.knots, probes]), "der", "right"),
+                (np.array(f.knots), "der", "left"),
+            ])
+            for f in (pair.f0n, pair.f1n)
+        )
+        ordered = bool(np.min(vals1[:33] - vals0[:33]) > 0)
+        bounds += [rights0[:66], rights1[:66]]
         if pair is largest:
-            sandwich = [d[d.size - us.size :] for d in rights]
+            sandwich = [d[d.size - us.size :] for d in (rights0, rights1)]
         # each piece is C1, so the pair is C1 if the two sides agree at every
         # join (a NaN fails); uniform-derivative-bounds catches other non-finite slopes
         c1_ok = all(
-            bool(np.all(np.abs(f.deriv(f.knots, "left") - d[66 : 66 + len(f.knots)]) < 1e-9))
-            for f, d in zip(fronts, rights)
+            bool(np.all(np.abs(left - right[66 : 66 + left.size]) < 1e-9))
+            for left, right in ((lefts0, rights0), (lefts1, rights1))
         )
         rep.add(
             f"model-assumptions-n{n}",
-            slack(vals[0]) > 0 and slack(vals[1]) > 0 and c1_ok and ordered and pair.u1_n < pair.u0_n,
+            slack(vals0) > 0 and slack(vals1) > 0 and c1_ok and ordered and pair.u1_n < pair.u0_n,
         )
 
         peaks_ok = (

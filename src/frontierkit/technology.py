@@ -45,10 +45,10 @@ _LN_DBL_MAX = math.log(np.finfo(float).max)
 # `_effort_guess`: Newton steps on the log-FOC
 _NEWTON_STEPS = 6
 
-# `_u1_condition`: its guards' distance from the identity's u1, in solver
-# steps (1e-12 or the float spacing at u0), and the margin their values must
-# clear, per unit of ``lam / a``
-_U1_WINDOW = 2048.0
+# `_u1_condition`: its guards' distances from the identity's u1, narrow first,
+# in solver steps (1e-12 or the float spacing at u0), and the margin their
+# values must clear, per unit of ``lam / a``
+_U1_WINDOWS = (32.0, 2048.0)
 _U1_MARGIN = 2.0**-40
 
 # `effort_star_array` tests for repeated midpoints from this halving on
@@ -250,11 +250,12 @@ class Technology:
 class _PostBreakthroughFrontier(ParametricFrontier):
     """F1 with the effort problem solved pointwise (vectorized bisection).
 
-    The value path remembers its last solve: the distinct inputs of its
-    latest call and their efforts, which the frozen primitives keep valid. A
-    call reuses the inputs that equal one of those and solves only the rest,
-    so a payoff pair sharing most of its promises, or a smoothing build
-    repeating its parameter choice's points, solves most of them once.
+    The value path remembers its last solve: the distinct inputs of the
+    latest call that solved any and their efforts, which the frozen
+    primitives keep valid. A call reuses the inputs that equal one of those
+    and solves only the rest; a call with nothing to solve leaves the memo as
+    it was. So a payoff pair sharing most of its promises, or a smoothing
+    build repeating its parameter choice's points, solves most of them once.
     `effort_star_array` solves each input on its own, so the reused efforts
     are the bits a fresh solve gives. The derivative path never reads or
     writes them: its scalar solve can differ in the last bits.
@@ -275,7 +276,7 @@ class _PostBreakthroughFrontier(ParametricFrontier):
         L[j], miss[j] = self._last[1][i], False
         if j.size < u.size:
             L[miss] = effort_star_array(p, u[miss])
-        self._last = (u, L)
+            self._last = (u, L)
         L = L[back]
         return us + p.lam * (p.w * L - p.phi.phi_inv(us + p.kappa.kappa(L)))
 
@@ -354,9 +355,9 @@ def make_moral_hazard_technology(prims: MoralHazardPrimitives) -> Technology:
     if at_zero <= 0.0:
         u1 = 0.0
     else:
-        # the guards sit `_U1_WINDOW` steps either side of the identity's u1
-        d, tau = _U1_WINDOW * resolution, _U1_MARGIN * prims.lam / prims.phi.a
-        u1 = bisect(_u1_condition(u1_foc, at_zero, u0, u0 - gap, d, tau), 0.0, u0, tol=1e-12)
+        # the guards sit `_U1_WINDOWS` steps either side of the identity's u1
+        tau = _U1_MARGIN * prims.lam / prims.phi.a
+        u1 = bisect(_u1_condition(u1_foc, at_zero, u0, u0 - gap, resolution, tau), 0.0, u0, tol=1e-12)
     # the solved peaks must meet that identity. In random scans of a wide
     # box, admissible instances miss it by at most about 16 steps; a tiny
     # `phi.exponent` (1e-8 and below at the other defaults) puts phi_inv's
@@ -375,29 +376,36 @@ def make_moral_hazard_technology(prims: MoralHazardPrimitives) -> Technology:
     return Technology(f0=f0, f1=_PostBreakthroughFrontier(prims, u1), u0=u0, u1=u1, u_star=0.0, prims=prims)
 
 
-def _u1_condition(u1_foc, at_zero: float, u0: float, est: float, d: float, tau: float):
+def _u1_condition(u1_foc, at_zero: float, u0: float, est: float, step: float, tau: float):
     """A stand-in for ``u1_foc``, strictly decreasing on ``[0, u0]``, with its
     sign and zeros at every point: `bisect` reads nothing else, so it takes the
     same steps and returns the same bits.
 
-    The guards ``est -+ d`` straddle ``est``, the identity's u1; the build
-    refuses a u1 more than 1024 steps off it, so `_U1_WINDOW` = 2048 steps
-    hold every u1 it accepts. Where ``u1_foc`` exceeds ``tau`` at the lower
-    guard and lies below ``-tau`` at the upper one, every point left (right)
-    of the window has the lower (upper) guard's sign, and the stand-in returns
-    that guard's value there: only the bisection's last 13 or so steps solve
-    the effort problem. ``tau = 2**-40 lam/a`` is 2**12 times the condition's
-    rounding at the root, where one float of ``v = u + kappa(L) = u0`` moves
-    ``a v**(1 - 1/a)`` by about ``lam/a * 2**-52``; at a tiny ``phi.exponent``
-    that rounding is a staircase that is not monotone, and the guards fail.
-    Otherwise, or where a guard leaves ``(0, u0)``, the stand-in is ``u1_foc``
-    with ``at_zero``, its value at 0, reused.
+    Guards straddle ``est``, the identity's u1, 32 solver steps (``step``)
+    either side of it and, where those fail, 2048 (`_U1_WINDOWS`): the build
+    refuses a u1 more than 1024 steps off ``est``, so the wide pair holds
+    every u1 it accepts, and on the `mh-smooth-sweep` box u1 lay within a
+    step of it. Where the condition is flat at u1, the narrow guards stay
+    inside the margin below though u1 is as close (15 of the 200 wide
+    configs of `test_build_reference`), and the wide pair saves about 35
+    solves. Where ``u1_foc`` exceeds ``tau`` at a pair's lower guard and
+    lies below ``-tau`` at its upper one, every point left (right) of the
+    window has the lower (upper) guard's sign, and the stand-in returns that
+    guard's value there: only the bisection's last 7 or so steps (13 for the
+    wide pair) solve the effort problem. ``tau = 2**-40 lam/a`` is
+    2**12 times the condition's rounding at the root, where one float of
+    ``v = u + kappa(L) = u0`` moves ``a v**(1 - 1/a)`` by about ``lam/a *
+    2**-52``; at a tiny ``phi.exponent`` that rounding is a staircase that is
+    not monotone, and the guards fail. Where neither pair certifies, or a
+    guard leaves ``(0, u0)``, the stand-in is ``u1_foc`` with ``at_zero``, its
+    value at 0, reused.
     """
-    lo, hi = est - d, est + d
-    if 0.0 < lo and hi < u0:
-        f_lo, f_hi = u1_foc(lo), u1_foc(hi)
-        if f_lo > tau and f_hi < -tau:
-            return lambda u: f_lo if u < lo else f_hi if u > hi else u1_foc(u)
+    for d in _U1_WINDOWS:
+        lo, hi = est - d * step, est + d * step
+        if 0.0 < lo and hi < u0:
+            f_lo, f_hi = u1_foc(lo), u1_foc(hi)
+            if f_lo > tau and f_hi < -tau:
+                return lambda u: f_lo if u < lo else f_hi if u > hi else u1_foc(u)
     return lambda u: at_zero if u == 0.0 else u1_foc(u)
 
 

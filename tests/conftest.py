@@ -8,6 +8,7 @@ from frontierkit import (
     make_moral_hazard_technology,
 )
 from frontierkit.errors import DomainError
+from frontierkit.smoothing import _evaluate
 
 
 @pytest.fixture(scope="session")
@@ -55,6 +56,20 @@ def bisect_reference(pred, lo, hi):
     return lo, hi
 
 
+def piece_fn(piece, what):
+    """Piece ``what`` ('val' or 'der') as a function of a scalar or an array
+    ``u``; a core piece's plan is evaluated on its source alone."""
+    fn = piece.val if what == "val" else piece.der
+    if piece.src is None:
+        return fn
+
+    def direct(u):
+        (out,) = _evaluate(piece.src, fn(np.atleast_1d(np.asarray(u, dtype=float))))
+        return float(out[0]) if np.ndim(u) == 0 else out
+
+    return direct
+
+
 def piece_by_piece(f, u, what):
     """The per-point piece lookup of a `_PiecewiseFrontier`, as a plain loop.
 
@@ -65,11 +80,11 @@ def piece_by_piece(f, u, what):
     if what == "left":
         for p in reversed(f.pieces):
             if u > p.lo:
-                return p.der(u)
+                return piece_fn(p, "der")(u)
     if what == "right":
-        return next((p for p in f.pieces if u < p.hi), f.pieces[-1]).der(u)
+        return piece_fn(next((p for p in f.pieces if u < p.hi), f.pieces[-1]), "der")(u)
     piece = next((p for p in f.pieces if u <= p.hi), f.pieces[-1])
-    return piece.val(u) if what == "value" else piece.der(u)
+    return piece_fn(piece, "val" if what == "value" else "der")(u)
 
 
 def assert_batched_equals_scalar(f, us):

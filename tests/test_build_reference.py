@@ -110,7 +110,8 @@ def test_build_is_the_reference_bit_for_bit(monkeypatch):
     assert len(built) >= 300 and len(outcomes) - len(built) >= 10
 
 
-def test_default_build_counts(monkeypatch, default_prims):
+def build_counts(monkeypatch, prims):
+    """The Technology built from ``prims`` and the effort solves its build made."""
     counts = {"array": 0, "scalar": 0}
 
     def counted(key, fn):
@@ -122,8 +123,29 @@ def test_default_build_counts(monkeypatch, default_prims):
 
     monkeypatch.setattr(technology, "effort_star_array", counted("array", technology.effort_star_array))
     monkeypatch.setattr(technology, "effort_star", counted("scalar", technology.effort_star))
-    tech = fk.make_moral_hazard_technology(default_prims)
+    return fk.make_moral_hazard_technology(prims), counts
+
+
+def test_default_build_counts(monkeypatch, default_prims):
+    tech, counts = build_counts(monkeypatch, default_prims)
     assert tech.u_star == 0.0
-    # no gap search, so no call of F1's values; the scalar solves are the u1 bisection's
+    # no gap search, so no call of F1's values; the scalar solves are the u1
+    # bisection's: the corner test, two guards 32 steps either side of the
+    # identity's u1 and the steps between them
     assert counts["array"] == 0
-    assert counts["scalar"] <= 17
+    assert counts["scalar"] <= 10
+
+
+# u1 lies within a step of the identity's estimate, but the u1 condition is so
+# flat there that the guards 32 steps away stay inside its margin
+FLAT_U1 = (0.05371968940179944, 1.5800806265297505, 0.6891656120894794, 4.031721092803687)
+
+
+def test_wide_u1_guards_save_effort_solves(monkeypatch):
+    assert FLAT_U1 in CONFIGS  # so its u1 is checked against the reference
+    lam, w, a, b = FLAT_U1
+    prims = fk.MoralHazardPrimitives(lam=lam, w=w, phi=fk.PowerUtility(a), kappa=fk.PowerCost(b))
+    _, counts = build_counts(monkeypatch, prims)
+    # the wide guards 2048 steps away certify: the corner test, four guards and
+    # about 13 steps, where the plain bisection makes about 50 solves
+    assert counts["scalar"] <= 20

@@ -30,6 +30,7 @@ UNREACHED = {
     "mechanism.pi_G": "the benchmark's quad-gateaux gate calls fk.pi_G",
     "mechanism.Mechanism.with_knots": "_align calls it when two grids differ",
     "report.VerificationReport.__getitem__": "tests read a report's checks by id",
+    "smoothing.averaged_right_derivative": "public; a smoothed front merges the same slope plan into its source calls",
 }
 
 

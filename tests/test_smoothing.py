@@ -6,9 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import assert_batched_equals_scalar
+from conftest import assert_batched_equals_scalar, piece_fn
 from frontierkit import frontiers, smoothing, technology
-from frontierkit.errors import DomainError, ParamsOutOfRange
+from frontierkit.errors import DomainError, ParamsOutOfRange, PreconditionViolation
 from frontierkit.frontiers import (
     AffineFrontier,
     ParametricFrontier,
@@ -131,7 +131,7 @@ class TestParams:
         evaluated = []
         real = smoothing._core_deviation
         monkeypatch.setattr(
-            smoothing, "_core_deviation", lambda tech, p: evaluated.append(p) or real(tech, p)
+            smoothing, "_core_deviation", lambda tech, p, **kw: evaluated.append(p) or real(tech, p, **kw)
         )
         tech = quad_tech()
         params = SmoothingParams.auto(tech, n)
@@ -164,9 +164,9 @@ class TestNoCoreCacheBesideTheEffortMemo:
         calls, per_measure = [], []
         solve, measure = technology.effort_star_array, smoothing._core_deviation
 
-        def measured(tech, p):
+        def measured(tech, p, **kw):
             before = len(calls)
-            out = measure(tech, p)
+            out = measure(tech, p, **kw)
             per_measure.append(len(calls) - before)
             return out
 
@@ -176,6 +176,22 @@ class TestNoCoreCacheBesideTheEffortMemo:
         pair = build_smooth_pair(tech, SmoothingParams.auto(tech, n))
         assert per_measure[-2:] == [1, 0]
         assert verify_monster(tech, [pair]).overall_pass
+
+    def test_refused_candidates_solve_no_guard_effort(self, monkeypatch):
+        # `auto` halves delta three times on this instance: only its first
+        # candidate's F1 solve takes the ordering guard's windows, and the
+        # build's measurement solves them for the accepted fourth
+        sizes, solve = [], technology.effort_star_array
+        monkeypatch.setattr(technology, "effort_star_array", lambda p, u: sizes.append(np.size(u)) or solve(p, u))
+        prims = technology.MoralHazardPrimitives(
+            lam=0.0956, w=24.04, phi=technology.PowerUtility(0.563), kappa=technology.PowerCost(5.634)
+        )
+        tech = technology.make_moral_hazard_technology(prims)
+        params = SmoothingParams.auto(tech, 16)
+        assert params.delta == 0.0625 / 16 and len(sizes) == 4
+        assert max(sizes[1:]) < 300 and sizes[0] > 1500
+        build_smooth_pair(tech, params)
+        assert sizes[4] > 1500
 
     def test_hand_made_params_go_through_the_effort_budget(self):
         tech = quad_tech()
@@ -326,8 +342,9 @@ class TestBatchedEvaluation:
         core = _Core(f, params, 0.5, float(h_anchor[0]), f.value(0.5))
         # two windows hold the kink inside, one ends and one starts on it
         us = np.array([0.3, 0.9, 0.95, 1.0 - 1e-12, 1.0, 1.05, 1.5])
-        np.testing.assert_array_equal(core.value(us), [core.value(float(u)) for u in us])
-        np.testing.assert_array_equal(core.deriv(us), [core.deriv(float(u)) for u in us])
+        for plan in (core.value, core.slope):
+            (batched,) = _evaluate(f, plan(us))
+            np.testing.assert_array_equal(batched, [_evaluate(f, plan(us[i : i + 1]))[0][0] for i in range(us.size)])
         # split at the kink, GL-8 integrates each linear stretch exactly
         antideriv = lambda x: np.where(x <= 1.0, 0.5 * x * x, 2.0 * x - 0.5 * x * x - 1.0)
         exact = antideriv(us + params.delta) - antideriv(us)
@@ -345,10 +362,26 @@ def test_nan_derivative_fails_the_uniform_bounds(default_tech):
     assert "min=nan" in note and "max=nan" in note
 
 
+def test_the_certificate_refuses_a_front_whose_domain_misses_a_point_it_reads():
+    # its request calls skip the domain and edge handling of `value` and
+    # `deriv`: a front starting above 0 (its values at 0 would be -inf), or
+    # with a join at its domain's lower end (+inf on the left), is refused
+    tech = quad_tech()
+    pair = build_smooth_pair(tech, SmoothingParams.auto(tech, 16))
+    late, knotted = copy.copy(pair.f0n), copy.copy(pair.f0n)
+    late.domain = (1e-3, np.inf)
+    knotted.knots = (0.0, *knotted.knots)
+    for f0n in (late, knotted):
+        with pytest.raises(PreconditionViolation, match="n=16"):
+            verify_monster(tech, [dataclasses.replace(pair, f0n=f0n)])
+
+
 def with_piece(f, i, **changes):
-    """A copy of the piecewise frontier ``f`` with piece ``i`` changed."""
+    """A copy of the piecewise frontier ``f`` with piece ``i`` changed; a
+    changed core piece evaluates on its own, with no source to plan on."""
     g = copy.copy(f)
-    g.pieces = [dataclasses.replace(p, **changes) if j == i else p for j, p in enumerate(f.pieces)]
+    plain = lambda p: {"val": piece_fn(p, "val"), "der": piece_fn(p, "der"), "src": None}
+    g.pieces = [dataclasses.replace(p, **{**plain(p), **changes}) if j == i else p for j, p in enumerate(f.pieces)]
     return g
 
 
@@ -388,10 +421,10 @@ def test_a_join_belongs_to_the_piece_on_the_side_read(tech):
 def test_non_finite_slopes_inside_a_piece_fail_the_uniform_bounds(bad):
     tech = quad_tech()
     pair = build_smooth_pair(tech, SmoothingParams.auto(tech, 16))
-    core = pair.f0n.pieces[1]
+    core_der = piece_fn(pair.f0n.pieces[1], "der")
     # the slope is not finite around u0/2, which the bounds probe, and
     # finite at the core's joins
-    spoiled = with_piece(pair.f0n, 1, der=lambda u: np.where(np.abs(u - 0.25) < 0.05, bad, core.der(u)))
+    spoiled = with_piece(pair.f0n, 1, der=lambda u: np.where(np.abs(u - 0.25) < 0.05, bad, core_der(u)))
     rep = verify_monster(tech, [dataclasses.replace(pair, f0n=spoiled)])
     assert rep["model-assumptions-n16"].passed
     assert not rep["uniform-derivative-bounds"].passed
@@ -440,10 +473,10 @@ def test_effort_solves_per_level_are_batched(default_prims, monkeypatch):
 
 def test_array_effort_calls_per_stage(default_prims, monkeypatch):
     # each smoothing step evaluates F1 in one array pass: `auto`'s core error
-    # in one, which also holds the build's end probes; the build's ordering
-    # guard in one and its peak search in six, while the gap grid's ceiling
-    # spares it any; the certificate in three (concavity grid, left joins,
-    # everything right-sided)
+    # in one, which also holds the build's end probes and its ordering
+    # guard's core windows; the build's peak search in five, while the gap
+    # grid's ceiling spares it any; the certificate in one (concavity grid
+    # and both sides' slopes)
     calls = []
     solve = technology.effort_star_array
     monkeypatch.setattr(technology, "effort_star_array", lambda prims, u: calls.append(np.size(u)) or solve(prims, u))
@@ -452,18 +485,19 @@ def test_array_effort_calls_per_stage(default_prims, monkeypatch):
     params = SmoothingParams.auto(tech, 16)
     assert len(calls) == 1
     pair = build_smooth_pair(tech, params)
-    assert len(calls) <= 1 + 7
+    assert len(calls) <= 1 + 5
     del calls[:]
     assert verify_monster(tech, [pair]).overall_pass
-    assert len(calls) <= 3
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
 def test_peak_search_effort_calls_per_build(n, default_prims, monkeypatch):
     # F1_n's peak is a bisection on its slope: the lookahead trees alone take
-    # ten effort calls, and six with the predicted path past each tree. Every
-    # other call of the build is a batch: the core measurement holds the end
-    # probes, so no call solves two points or fewer
+    # ten effort calls, and five with the path the inverse cubic predicts
+    # past each tree. The core measurement holds the end
+    # probes and the ordering guard's core windows, so the build makes no
+    # other effort call
     calls, in_peak = [], [False]
     solve, search = technology.effort_star_array, smoothing._PiecewiseFrontier.argmax_linear
 
@@ -480,8 +514,8 @@ def test_peak_search_effort_calls_per_build(n, default_prims, monkeypatch):
     params = SmoothingParams.auto(tech, n)
     del calls[:]
     build_smooth_pair(tech, params)
-    assert 0 < sum(peak for peak, _ in calls) <= 7
-    assert all(size > 2 for peak, size in calls if not peak)
+    assert 0 < len(calls) <= 5
+    assert all(peak for peak, _ in calls)
 
 
 def effort_tech(lam, w, a, b):

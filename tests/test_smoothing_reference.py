@@ -3,12 +3,12 @@
 `smoothing` evaluates its source once per step: `_window_plan` lays out every
 window's GL-8 stretches in arrays, `_core_deviation` takes the anchor's and
 the grid's windows and values in one ``value`` call per source, a core's end
-slopes and values come from one call, and `verify_monster` makes one
-right-side call per front for the joins, the uniform-bound grids and the
-sandwich probes. The polynomial pieces take arrays. The reference is the code
-before that, kept here only: one Python list per window and one ``np.dot``
-per stretch, a ``value`` call per quantity, and the polynomial pieces run
-per point.
+slopes and values come from one call, and `verify_monster` asks each front
+for its concavity-grid values and its slopes on both sides at once, so each
+core's points go to its source in one call. The polynomial pieces take
+arrays. The reference is the code before that, kept here only: one Python
+list per window and one ``np.dot`` per stretch, a ``value`` call per
+quantity, and the polynomial pieces run per point.
 """
 
 import dataclasses
@@ -35,6 +35,7 @@ from frontierkit.smoothing import (
     verify_monster,
 )
 from test_build_reference import box_configs
+from test_lookahead import PINNED
 
 NS = [8, 16, 32, 64]
 
@@ -72,21 +73,24 @@ class ReferenceCore:
         self._H_anchor = reference_window_integral(f, anchor, params.delta)
         self._F_anchor = float(f.value(anchor))
 
-    def deriv(self, u):
+    # a core's slopes and values themselves, where `_Core` gives plans
+    def slope(self, u):
         return reference_averaged_right_derivative(self.f, u, self.p)
 
-    def value(self, u):
+    def value(self, u, zeta=None):
         p = self.p
         h = reference_window_integral(self.f, u, p.delta)
         a = self.anchor
-        return self._F_anchor + (h - self._H_anchor) / p.delta - p.gamma * 0.5 * (u * u - a * a)
+        v = self._F_anchor + (h - self._H_anchor) / p.delta - p.gamma * 0.5 * (u * u - a * a)
+        return v if zeta is None else v + zeta
 
     def ends(self, us):
         # the build's end slopes and values, one call each
-        return self.deriv(us).tolist(), self.value(us).tolist()
+        return self.slope(us).tolist(), self.value(us).tolist()
 
 
-def reference_core_deviation(tech, params):
+def reference_core_deviation(tech, params, guard=True):
+    # ``guard`` only adds points to today's source calls
     n = params.n
     cores = [ReferenceCore(f, params, tech.u_star + 1.0 / n) for f in (tech.f0, tech.f1)]
     us = np.linspace(1.0 / n, tech.u0 - 2.0 / n, 33)
@@ -94,8 +98,9 @@ def reference_core_deviation(tech, params):
     return (float(np.max(dev)) if np.all(np.isfinite(dev)) else INF), *cores
 
 
-def reference_piece(lo, hi, val, der, batch=True):
-    # only the core's functions take arrays; every other piece runs per point
+def reference_piece(lo, hi, val, der, batch=True, src=None):
+    # only the core's functions take arrays; every other piece runs per point.
+    # A core's functions give values, so no piece has a source to plan on
     return _Piece(lo, hi, val, der, isinstance(getattr(der, "__self__", None), ReferenceCore))
 
 
@@ -261,6 +266,23 @@ def test_box_configs(monkeypatch):
         today, ref = build_both(tech, (n,), monkeypatch)
         assert_same_pairs(today, ref, tech.u0 + 2.0)
         assert assert_same_report(tech, today, ref).overall_pass
+
+
+@pytest.mark.parametrize("inst", [inst for inst, _, _ in PINNED])
+def test_pinned_sequences_certificate(inst):
+    # every admissible level in 16-128 of each `PINNED` technology, certified
+    # on the same pairs by one request call per front and by the accessors
+    lam, w, a, b = inst
+    prims = fk.MoralHazardPrimitives(lam=lam, w=w, phi=fk.PowerUtility(a), kappa=fk.PowerCost(b))
+    tech = fk.make_moral_hazard_technology(prims)
+    pairs = []
+    for n in (16, 32, 64, 128):
+        try:
+            pairs.append(level(tech, n))
+        except ParamsOutOfRange:
+            continue
+    assert pairs
+    assert assert_same_report(tech, pairs, pairs).overall_pass
 
 
 def window_starts(knots, delta):

@@ -224,9 +224,9 @@ def fresh_f1(prims):
 
 
 class TestValueMemo:
-    """F1's value path keeps its last call's efforts: a warm F1 must give a
-    fresh one's bits on every call, and solve only the points its last call
-    did not."""
+    """F1's value path keeps the efforts of its last call that solved any: a
+    warm F1 must give a fresh one's bits on every call, and solve only the
+    points that call did not hold."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -256,20 +256,35 @@ class TestValueMemo:
         f = fresh_f1(prims)
         base = np.concatenate([[0.0, 0.25, 0.5, 0.5], rng.uniform(0.0, 2.0, 200)])
         other = rng.uniform(0.0, 2.0, 50)
-        # (call, distinct points it must solve)
+        # (call, distinct points it must solve). A call with nothing to solve
+        # keeps the memo, so the subset, the empty call and the rows after
+        # them solve nothing; a call that solves replaces it
         calls = [
             (base, 203),
             (base[::-1], 0),  # identical
             (np.concatenate([base, other]), 50),  # superset
             (base[::3], 0),  # subset
-            (other[:20], 20),  # disjoint from the last call
-            (base[:10], 9),
+            (other[:20], 0),  # in the superset, which the subset left in place
+            (base[:10], 0),
             (np.array([]), 0),  # empty
-            (base[:10], 9),  # the empty call was the last
+            (base[:10], 0),
+            (np.append(base[:10], 2.5), 1),  # one new point: the memo is this call's
+            (other[:20], 20),  # gone with the superset
         ]
         for us, new in calls:
             self.check(f, prims, us, solves)
             assert solves == ([new] if new else [])
+
+    def test_a_call_solved_from_the_memo_leaves_it_as_it_was(self, solves):
+        prims = self.prims()
+        f = fresh_f1(prims)
+        f.value(np.linspace(0.0, 1.0, 9))
+        last = f._last
+        for us in (np.linspace(0.0, 1.0, 9)[::-1], np.array([0.5]), np.array([0.25, 0.25]), np.array([])):
+            self.check(f, prims, us, solves)
+            assert solves == [] and f._last is last
+        self.check(f, prims, [0.5, 3.0], solves)
+        assert solves == [1] and f._last[0].tolist() == [0.5, 3.0]
 
     def test_signed_zeros_and_points_outside_the_domain(self, solves):
         prims = self.prims()
@@ -279,8 +294,9 @@ class TestValueMemo:
             got = self.check(f, prims, us, solves)
             assert solves == ([new] if new else [])
             assert got[0] == float(fresh_f1(prims).value(0.0))
+        # the memo still holds the first call's 0.3, so only 5.0 is new
         outside = [-1.0, -5e-324, math.nan, -math.inf, 0.3, 5.0, 0.3]
-        for us, new in ((outside, 2), (outside[::-1], 0), ([0.3, 5.0], 0)):
+        for us, new in ((outside, 1), (outside[::-1], 0), ([0.3, 5.0], 0)):
             self.check(f, prims, us, solves)
             assert solves == ([new] if new else [])
         assert np.all(f.value(np.array(outside[:4])) == -math.inf)
