@@ -221,19 +221,21 @@ class _Piece:
 
 
 class _PiecewiseFrontier(Frontier):
-    """Concave C1 frontier assembled from closed-form pieces."""
+    """Concave C1 frontier assembled from closed-form pieces, less ``eps*(u -
+    u_star)^2`` below ``u_star`` (still C1, concave) if ``lowered = (u_star, eps)``."""
 
-    def __init__(self, pieces: list[_Piece], peak: float | None = None):
-        self.pieces = pieces
+    def __init__(self, pieces: list[_Piece], peak: float | None = None, lowered: tuple[float, float] | None = None):
+        self.pieces, self.lowered = pieces, lowered
         self.domain = (pieces[0].lo, pieces[-1].hi)
-        self.knots = tuple(p.lo for p in pieces[1:])
+        knots = tuple(p.lo for p in pieces[1:])
+        self.knots = knots if lowered is None else tuple(sorted({*knots, lowered[0]}))
         self._edges = np.array([pieces[0].lo, *(p.hi for p in pieces)])
         if peak is not None:
             self._peak = float(peak)
 
     def _answer(self, requests):
         """For each ``(u, what, side)`` request, piece ``what`` ('val' or 'der')
-        at in-domain ``u``, in the shape of ``u``.
+        at in-domain ``u``, in the shape of ``u``, less the lowering.
 
         A join belongs to the piece on its ``side``: the piece below it
         ("left") or above it ("right"). Batch pieces get a request's points in
@@ -255,7 +257,13 @@ class _PiecewiseFrontier(Frontier):
         for f, parts in planned.items():
             for (out, sel, _), vals in zip(parts, _evaluate(f, *(plan for *_, plan in parts))):
                 out[sel] = vals
-        return [out.reshape(np.shape(u)) for out, (u, *_) in zip(outs, requests)]
+        outs = [out.reshape(np.shape(u)) for out, (u, *_) in zip(outs, requests)]
+        if self.lowered is not None:
+            u_star, eps = self.lowered
+            for i, (u, what, _) in enumerate(requests):
+                d = np.minimum(u - u_star, 0.0)
+                outs[i] = outs[i] - (eps * np.square(d) if what == "val" else 2.0 * eps * d)
+        return outs
 
     def _values(self, us):
         return self._answer([(us, "val", "left")])[0]
@@ -377,7 +385,7 @@ def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair
     top = float(f1n.value(u_star_n) - f0n.value(u_star_n))
     rivals = gaps[np.abs(probes - u_star_n) > 0.5 / n]
     if rivals.size and np.max(rivals) >= top - 1e-12:
-        f1n = _StrictFixFrontier(f1n, u_star_n, params.zeta / 8.0)
+        f1n = _PiecewiseFrontier(f1n.pieces, lowered=(u_star_n, params.zeta / 8.0))
         # the fix only lowers F1_n, so the ceiling still holds
         u_star_n = gap_argmax(f0n, f1n, p, ceiling)
 
@@ -385,29 +393,6 @@ def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair
         f0n=f0n, f1n=f1n, params=params,
         u0_n=f0n.peak, u1_n=u1_n, u_star_n=u_star_n,
     )
-
-
-class _StrictFixFrontier(Frontier):
-    """Base frontier minus ``eps*(u - u_star)^2`` below ``u_star`` (C1, concave);
-    it passes `_answer`'s requests through to the base."""
-
-    def __init__(self, base: _PiecewiseFrontier, u_star: float, eps: float):
-        self.base, self.u_star, self.eps = base, u_star, eps
-        self.domain = base.domain
-        self.knots = tuple(sorted(set(base.knots) | {u_star}))
-
-    def _answer(self, requests):
-        low = [np.minimum(u - self.u_star, 0.0) for u, *_ in requests]
-        return [
-            out - (self.eps * np.square(d) if what == "val" else 2.0 * self.eps * d)
-            for out, d, (_, what, _) in zip(self.base._answer(requests), low, requests)
-        ]
-
-    def _values(self, us):
-        return self._answer([(us, "val", "left")])[0]
-
-    def _derivs(self, u, side):
-        return self._answer([(u, "der", side)])[0]
 
 
 def build_sequence(tech: Technology, ns) -> list[SmoothedPair]:

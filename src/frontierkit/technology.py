@@ -115,19 +115,13 @@ class MoralHazardPrimitives:
 
     @_quiet
     def validate(self) -> None:
-        """Check the qualitative-shape invariants at the grid endpoints.
-
-        Extreme exponents overflow to inf or divide by zero there; the
-        comparisons handle those limits, so the warnings are silenced.
+        """Check that the marginal effort cost diverges; the power constructors
+        already make ``phi'`` strictly decreasing and ``kappa(0) = 0``. Extreme
+        exponents overflow to inf or divide by zero at ``_DIVERGENCE_L``; the
+        comparison handles those limits, so the warnings are silenced.
         """
-        ratio_small = float(self.phi.phi_prime_at_inv(1e-10))
-        ratio_large = float(self.phi.phi_prime_at_inv(1e10))
         L = _DIVERGENCE_L
         marginal = float(self.kappa.kappa_prime(L) / self.phi.phi_prime_at_inv(self.kappa.kappa(L)))
-        if not ratio_small > ratio_large:
-            raise InadmissiblePrimitives("`phi.exponent` must make phi' strictly decreasing")
-        if float(self.kappa.kappa(0.0)) != 0.0:
-            raise InadmissiblePrimitives("`kappa.exponent` must make kappa(0) equal 0")
         if marginal < _DIVERGENCE_FACTOR * self.w:
             raise InadmissiblePrimitives(
                 f"`w`, `phi.exponent` and `kappa.exponent` give a marginal effort cost "

@@ -71,10 +71,20 @@ def piece_fn(piece, what):
 
 
 def piece_by_piece(f, u, what):
-    """The per-point piece lookup of a `_PiecewiseFrontier`, as a plain loop.
+    """The per-point piece lookup of a `_PiecewiseFrontier`, as a plain loop,
+    less its lowering ``eps*(u - u_star)^2`` below ``u_star`` if it has one.
 
     A join's slope on either side is that side's piece's; its value is the
     left piece's."""
+    out = piece_lookup(f, u, what)
+    if f.lowered is None:
+        return out
+    u_star, eps = f.lowered
+    d = min(u - u_star, 0.0)
+    return out - (eps * d * d if what == "value" else 2.0 * eps * d)
+
+
+def piece_lookup(f, u, what):
     if what == "value" and (u < f.domain[0] or u > f.domain[1]):
         return -np.inf
     if what == "left":

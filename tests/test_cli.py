@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from frontierkit import cli
 from frontierkit.cli import export_curves, load_config, main, run_suite
 from frontierkit.errors import ConfigError, FrontierKitError
+from frontierkit.mechanism import TimeGrid
+from frontierkit.variational import SupergradientProfile, gateaux_closed_form, gateaux_fd
 
 
 class TestConfig:
@@ -323,8 +325,8 @@ def test_no_delay_on_the_interior_box_exits_0_or_2_and_names_the_key(tmp_path_fa
     run_on_config(tmp_path_factory, config, ["verify", "no-delay", "--trials", "20"])
 
 
-def run_euler(path, trials):
-    rc, err = run_quietly(["verify", "euler", "--trials", str(trials), "--config", str(path)])
+def run_verify(suite, path, trials):
+    rc, err = run_quietly(["verify", suite, "--trials", str(trials), "--config", str(path)])
     assert (rc, err) == (0, "")
 
 
@@ -335,13 +337,41 @@ def test_euler_passes_on_the_config_box(tmp_path_factory, config):
     # slower: at rate 2.75 the mixed G's line read 1.4e-5 against its 1e-6 gate
     path = tmp_path_factory.mktemp("box") / "config.yaml"
     path.write_text(yaml.safe_dump(config))
-    run_euler(path, 3)
+    run_verify("euler", path, 3)
 
 
 def test_euler_passes_at_rate_2_75(tmp_path):
     path = tmp_path / "rate.yaml"
     path.write_text("rate: 2.75\n")
-    run_euler(path, 1000)
+    run_verify("euler", path, 1000)
+
+
+@given(config=_BOX)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_gateaux_passes_on_the_config_box(tmp_path_factory, config):
+    # the suite reads only the config's rate
+    path = tmp_path_factory.mktemp("box") / "config.yaml"
+    path.write_text(yaml.safe_dump(config))
+    run_verify("gateaux", path, 3)
+
+
+def test_gateaux_trial_that_failed_at_rate_0_67():
+    # trial 260 of `verify gateaux` at seed 42 and rate 0.6725137967407795,
+    # drawn as the suite draws it. Its derivative, 1.56e-6, sits near the 1e-6
+    # floor of the relative error, so the payoffs' rounding divided by alpha
+    # 1e-4 to 1e-6 read 1.6e-4 against the 1e-4 gate; halving alpha from 0.1
+    # down to 0.003125 reads 6.4e-8
+    rng = np.random.default_rng(42)
+    tech = cli._quad_tech()
+    grid = TimeGrid(horizon=2.0, step=0.25, r=0.6725137967407795)
+    cli._random_mechanism(rng, grid, tech.u0)  # the zero-direction check's
+    for _ in range(261):
+        m, m_dag = cli._random_mechanism(rng, grid, tech.u0), cli._random_mechanism(rng, grid, tech.u0)
+        G = cli._mixed_G(float(rng.uniform(0.6, 1.5)))
+    closed = gateaux_closed_form(m, m_dag, SupergradientProfile.exact(m, tech), tech, G)
+    fd = gateaux_fd(m, m_dag, tech, G)
+    assert (closed.hex(), fd.hex()) == ("0x1.a1ccd19020c00p-20", "0x1.a1cccfcd55554p-20")
+    assert abs(closed - fd) / max(abs(fd), 1e-6) < 1e-7
 
 
 @pytest.mark.parametrize(
@@ -730,6 +760,23 @@ class TestExport:
 
 
 class TestSmoothCommand:
+    def test_strict_fix_csvs_are_pinned(self, tmp_path, monkeypatch):
+        # at w = 2 the smallest level's gap has a rival within 1e-12 of its
+        # peak, so F1_6 is lowered below u*_6; the default config never is
+        data = Path(__file__).parent / "data"
+        (tmp_path / "w2.yaml").write_text("w: 2.0\n")
+        monkeypatch.chdir(tmp_path)
+        assert run_quietly(["smooth", "--config", "w2.yaml", "--n-list", "6,12,24", "--out", "o"]) == (0, "")
+        digests = {
+            "smoothing_n6.csv": "6021d1ed618afb97bf7cb78b3f47d699c18603eecb1074718425027d6688e0a0",
+            "smoothing_n12.csv": "acfebfc9b90c76430baf4091162a512dcfe210df1bd0f6e5e75ec5e77f625d63",
+            "smoothing_n24.csv": "3fdc4d11b2757e50d3e99227b1a6ef77eb363341f45450f7a02d0348d8690766",
+        }
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest() == digest
+        report = (tmp_path / "o" / "smoothing_report.txt").read_text()
+        assert report == (data / "smoothing_report_w2.txt").read_text()
+
     def test_writes_curves_and_report(self, tmp_path, capsys):
         rc = main(
             ["smooth", "--n-list", "16", "--out", str(tmp_path), "--grid-step", "0.1"]

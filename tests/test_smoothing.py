@@ -19,7 +19,7 @@ from frontierkit.smoothing import (
     SmoothingParams,
     _Core,
     _core_deviation,
-    _StrictFixFrontier,
+    _PiecewiseFrontier,
     _evaluate,
     _window_plan,
     averaged_right_derivative,
@@ -326,8 +326,8 @@ class TestBatchedEvaluation:
         hi = default_tech.u0 + 2.0
         for f in (pair.f0n, pair.f1n):
             assert_batched_equals_scalar(f, probe_points(f, hi))
-        fixed = _StrictFixFrontier(pair.f1n, pair.u_star_n, pair.params.zeta / 8.0)
-        assert_batched_equals_scalar(fixed, probe_points(fixed, hi))
+        lowered = _PiecewiseFrontier(pair.f1n.pieces, lowered=(pair.u_star_n, pair.params.zeta / 8.0))
+        assert_batched_equals_scalar(lowered, probe_points(lowered, hi))
 
     def test_kinked_source_pair(self):
         tech = kinked_tech()
@@ -355,7 +355,7 @@ class TestBatchedEvaluation:
 def test_nan_derivative_fails_the_uniform_bounds(default_tech):
     pair = build_smooth_pair(default_tech, SmoothingParams.auto(default_tech, 16))
     # the second frontier of the pair has NaN slopes everywhere
-    nan_f1n = _StrictFixFrontier(pair.f1n, pair.u_star_n, np.nan)
+    nan_f1n = _PiecewiseFrontier(pair.f1n.pieces, lowered=(pair.u_star_n, np.nan))
     rep = verify_monster(default_tech, [dataclasses.replace(pair, f1n=nan_f1n)])
     assert not rep["uniform-derivative-bounds"].passed
     note = rep["uniform-derivative-bounds"].note
@@ -394,8 +394,8 @@ def test_a_broken_join_fails_the_model_assumptions():
     broken = with_piece(pair.f1n, 0, der=lambda u: quad.der(u) + 1e-8)
     join = broken.knots[0]
     assert broken.left_deriv(join) - broken.right_deriv(join) == pytest.approx(1e-8, rel=1e-6)
-    fixed = _StrictFixFrontier(broken, pair.u_star_n, pair.params.zeta / 8.0)
-    for f1n in (broken, fixed):
+    lowered = _PiecewiseFrontier(broken.pieces, lowered=(pair.u_star_n, pair.params.zeta / 8.0))
+    for f1n in (broken, lowered):
         rep = verify_monster(tech, [dataclasses.replace(pair, f1n=f1n)])
         assert not rep["model-assumptions-n16"].passed
 

@@ -28,7 +28,7 @@ from frontierkit.smoothing import (
     _GL8_NODES,
     _GL8_WEIGHTS,
     _Piece,
-    _StrictFixFrontier,
+    _PiecewiseFrontier,
     _evaluate,
     _window_plan,
     build_smooth_pair,
@@ -36,6 +36,7 @@ from frontierkit.smoothing import (
 )
 from test_build_reference import box_configs
 from test_lookahead import PINNED
+from test_smoothing import EFFORT_BOX, effort_tech, probe_points
 
 NS = [8, 16, 32, 64]
 
@@ -179,9 +180,8 @@ def build_both(tech, ns, monkeypatch):
         m.setattr(smoothing, "_Piece", reference_piece)
         ref = [level(tech, n) for n in ns]
     for pair in ref:
-        base = getattr(pair.f1n, "base", pair.f1n)
-        assert [p.batch for p in base.pieces] == [False, True, False]
-        assert isinstance(base.pieces[1].der.__self__, ReferenceCore)
+        assert [p.batch for p in pair.f1n.pieces] == [False, True, False]
+        assert isinstance(pair.f1n.pieces[1].der.__self__, ReferenceCore)
     return today, ref
 
 
@@ -238,11 +238,86 @@ def test_fixture_sequences(make, monkeypatch):
     assert_same_report(tech, today[::-1], ref[::-1])
 
 
+def lower(pair, front=_PiecewiseFrontier):
+    """``pair`` with F1_n lowered below its ``u_star_n``, as `build_smooth_pair`'s strict-local-max fix lowers it."""
+    lowered = (pair.u_star_n, pair.params.zeta / 8.0)
+    return dataclasses.replace(pair, f1n=front(pair.f1n.pieces, lowered=lowered))
+
+
 def test_strict_fix_frontier_in_the_certificate(monkeypatch):
     tech = cli.load_config(None).technology()
     (pair,), (ref,) = build_both(tech, (16,), monkeypatch)
-    fix = lambda p: dataclasses.replace(p, f1n=_StrictFixFrontier(p.f1n, p.u_star_n, p.params.zeta / 8.0))
-    assert_same_report(tech, [fix(pair)], [fix(ref)])
+    assert_same_report(tech, [lower(pair)], [lower(ref)])
+
+
+class ReferenceStrictFixFrontier(Frontier):
+    """The strict-local-max fix as a wrapper: the base front minus ``eps*(u -
+    u_star)^2`` below ``u_star``, passing `_answer`'s requests through."""
+
+    def __init__(self, base, u_star: float, eps: float):
+        self.base, self.u_star, self.eps = base, u_star, eps
+        self.domain = base.domain
+        self.knots = tuple(sorted(set(base.knots) | {u_star}))
+
+    def _answer(self, requests):
+        low = [np.minimum(u - self.u_star, 0.0) for u, *_ in requests]
+        return [
+            out - (self.eps * np.square(d) if what == "val" else 2.0 * self.eps * d)
+            for out, d, (_, what, _) in zip(self.base._answer(requests), low, requests)
+        ]
+
+    def _values(self, us):
+        return self._answer([(us, "val", "left")])[0]
+
+    def _derivs(self, u, side):
+        return self._answer([(u, "der", side)])[0]
+
+
+def reference_front(pieces, peak=None, lowered=None):
+    """`_PiecewiseFrontier`, with a lowering made by the wrapper."""
+    base = _PiecewiseFrontier(pieces, peak)
+    return base if lowered is None else ReferenceStrictFixFrontier(base, *lowered)
+
+
+# (technology, levels, builds that take the fix); the effort instances at their smallest level
+LOWERED_SETS = {
+    "smooth-fixture": (_smooth_fixture, NS, 0),
+    "kinked-fixture": (_kinked_fixture, NS, 1),
+    "default-config": (lambda: cli.load_config(None).technology(), (16, 32, 64), 0),
+    **{f"effort-box-{i}": (lambda inst=inst: effort_tech(*inst), None, 1) for i, inst in enumerate(EFFORT_BOX[1:3], 1)},
+}
+
+
+@pytest.mark.parametrize("name", LOWERED_SETS)
+def test_lowered_front_matches_the_wrapper_reference(name, monkeypatch):
+    # the lowering of every level's F1_n equals the wrapper's in its joins,
+    # domain, values and slopes, and in every certificate check; where a
+    # build takes the fix, its search for u*_n on the wrapper's front gives
+    # the same bits
+    make, ns, want_fixes = LOWERED_SETS[name]
+    tech = make()
+    ns = ns or (smoothing.smallest_level(tech),)
+    pairs = [level(tech, n) for n in ns]
+    with monkeypatch.context() as m:
+        m.setattr(smoothing, "_PiecewiseFrontier", reference_front)
+        built_ref = [level(tech, n) for n in ns]
+    hi = tech.u0 + 2.0
+    fixes = 0
+    for pair, ref_pair in zip(pairs, built_ref, strict=True):
+        fixes += pair.f1n.lowered is not None
+        assert (pair.f1n.lowered is not None) == isinstance(ref_pair.f1n, ReferenceStrictFixFrontier)
+        assert (pair.u1_n.hex(), pair.u_star_n.hex()) == (ref_pair.u1_n.hex(), ref_pair.u_star_n.hex())
+        for f, g in ((lower(pair).f1n, lower(pair, reference_front).f1n), (pair.f1n, ref_pair.f1n)):
+            assert (f.knots, f.domain) == (g.knots, g.domain)
+            us = probe_points(f, hi)
+            assert bits(f.value(us)) == bits(g.value(us))
+            for side in ("left", "right"):
+                assert bits(f.deriv(us, side)) == bits(g.deriv(us, side))
+    assert fixes == want_fixes
+    for today, ref in ((pairs, built_ref), ([lower(p) for p in pairs], [lower(p, reference_front) for p in pairs])):
+        got, want = verify_monster(tech, today), verify_monster(tech, ref)
+        assert [dataclasses.astuple(c) for c in got.checks] == [dataclasses.astuple(c) for c in want.checks]
+        assert [c.worst_violation.hex() for c in got.checks] == [c.worst_violation.hex() for c in want.checks]
 
 
 def test_box_configs(monkeypatch):
@@ -304,7 +379,7 @@ def window_starts(knots, delta):
 @pytest.mark.parametrize("delta", [0.01, 0.05, 0.3])
 def test_window_integrals(delta, default_tech):
     kinked = PiecewiseLinearFrontier([0.0, 0.1, 0.12, 0.45, 0.5, 1.0], [0.8, 0.85, 0.86, 0.8, 0.78, 0.5])
-    fixed = _StrictFixFrontier(level(_kinked_fixture(), 16).f1n, 0.2, 0.01)
+    fixed = _PiecewiseFrontier(level(_kinked_fixture(), 16).f1n.pieces, lowered=(0.2, 0.01))
     # -0.0 everywhere: each total is still +0.0, as `sum` from 0 gives
     negative_zero = ParametricFrontier(lambda u: np.full_like(u, -0.0), lambda u: 0.0 * u, domain=(0.0, 1.0))
     negative_zero.knots = (0.3, 0.31)

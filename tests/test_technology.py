@@ -32,7 +32,7 @@ from frontierkit import (
 )
 from frontierkit import technology
 from frontierkit.roots import solve_monotone
-from frontierkit.smoothing import SmoothingParams, _StrictFixFrontier, build_smooth_pair
+from frontierkit.smoothing import SmoothingParams, _PiecewiseFrontier, build_smooth_pair
 from frontierkit.technology import effort_star_array
 
 
@@ -502,7 +502,7 @@ class TestFrontierValues:
 
 def one_of_each_frontier(tech):
     """A frontier of every class in the package: the closed forms, the
-    technology's F0 and F1, both smoothed fronts and a strict-fix front."""
+    technology's F0 and F1, both smoothed fronts and a lowered front."""
     pair = build_smooth_pair(tech, SmoothingParams.auto(tech, 16))
     return [
         QuadraticFrontier(-1.0, 2.0, -1.0),
@@ -515,7 +515,7 @@ def one_of_each_frontier(tech):
         tech.f1,
         pair.f0n,
         pair.f1n,
-        _StrictFixFrontier(pair.f1n, pair.u_star_n, pair.params.zeta / 8.0),
+        _PiecewiseFrontier(pair.f1n.pieces, lowered=(pair.u_star_n, pair.params.zeta / 8.0)),
     ]
 
 

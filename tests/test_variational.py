@@ -20,7 +20,7 @@ from frontierkit import (
     QuadraticFrontier,
     Technology,
 )
-from frontierkit import mechanism, technology
+from frontierkit import NonConvergent, mechanism, technology, variational
 from frontierkit.quadrature import NodePlan, integration_edges, step_value
 from frontierkit.mechanism import BreakthroughDistribution, Mechanism, TimeGrid
 from frontierkit.variational import (
@@ -288,6 +288,27 @@ class TestGateaux:
             )
             quots.append((pi_G(blend, tech, G) - base) / a)
         assert all(q2 >= q1 - 1e-12 for q1, q2 in zip(quots[:-1], quots[1:]))
+
+    def test_payoff_noise_trips_the_divergence_guard(self, monkeypatch):
+        # noise s on the payoffs, alternating in sign, puts 2 s / alpha into
+        # every other quotient. At rounding size the estimate keeps within
+        # 1e-12 of the closed form; the guard refuses it once the last
+        # quotient difference, 320 s at alpha 0.003125, passes ten times the
+        # first and 1e-6 (s = 1e-4 here; 1e-7 under alpha 0.1 to 1e-6)
+        rng = np.random.default_rng(5)
+        m, m_dag = random_mechanism(rng), random_mechanism(rng)
+        tech, G = quad_tech(), mixed_G(0.9)
+        closed = gateaux_closed_form(m, m_dag, SupergradientProfile.exact(m, tech), tech, G)
+        payoffs = variational._payoffs
+
+        def noisy(s):
+            noise = lambda vals: [v + s * (-1) ** i for i, v in enumerate(vals)]
+            monkeypatch.setattr(variational, "_payoffs", lambda ms, t, g: noise(payoffs(ms, t, g)))
+            return gateaux_fd(m, m_dag, tech, G)
+
+        assert abs(noisy(1e-15) - closed) < 1e-12
+        with pytest.raises(NonConvergent, match="diverge"):
+            noisy(1e-4)
 
     def test_profile_off_the_supergradients_is_rejected(self):
         tech = quad_tech()
