@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParamsOutOfRange, PreconditionViolation
-from .frontiers import INF, Frontier, gap_argmax, midpoint_concavity_plan
+from .frontiers import INF, Frontier, ParametricFrontier, gap_argmax, midpoint_concavity_plan
 from .quadrature import cell_index
 from .report import VerificationReport
 from .technology import Technology
@@ -468,8 +468,10 @@ def verify_monster(tech: Technology, sequence: list[SmoothedPair]) -> Verificati
     n = largest.params.n
     ok_d, worst = True, 0.0
     for d, f_src in zip(sandwich, (tech.f0, tech.f1)):
-        lo_lim = f_src.deriv(us, "right") - 2.0 / n - 2.0 * largest.params.gamma
-        hi_lim = f_src.deriv(us, "left") + 2.0 / n
+        # one ``deriv_fn`` gives both sides (not `CallableFrontier`'s quotients)
+        right = f_src.deriv(us, "right")
+        left = right if type(f_src)._derivs is ParametricFrontier._derivs else f_src.deriv(us, "left")
+        lo_lim, hi_lim = right - 2.0 / n - 2.0 * largest.params.gamma, left + 2.0 / n
         inside = (lo_lim <= d) & (d <= hi_lim)
         if not inside.all():
             ok_d = False

@@ -200,6 +200,11 @@ def effort_star_array(prims: MoralHazardPrimitives, u) -> np.ndarray:
     path passes distinct points). ``ratio < w`` is the FOC gap's ``ratio - w
     < 0.0``: a finite difference rounds to 0 only where the two are equal,
     and both tests are false at +inf and NaN.
+
+    A halving keeps its midpoint as one end of the bracket, so the loop
+    stores only the other, ``kept``, which takes the previous midpoint where
+    the FOC's outcome flipped. Addition commutes, so ``0.5 * (mid + kept)``
+    is ``0.5 * (lo + hi)`` bit for bit: the same midpoints, one select each.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     ratio, w = _foc_ratio(prims), prims.w
@@ -211,12 +216,14 @@ def effort_star_array(prims: MoralHazardPrimitives, u) -> np.ndarray:
         if not np.any(bad):
             break
         hi[bad] *= 2.0
-    mid = 0.5 * (lo + hi)
+    # the bracket is {prev, kept}: prev is its upper end where ``was`` is False
+    kept, prev, mid, was = lo, hi, 0.5 * (lo + hi), np.zeros(u.shape, dtype=bool)
     for step in range(90):
         up = ratio(u, mid) < w
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
-        prev, mid = mid, 0.5 * (lo + hi)
+        np.putmask(kept, up != was, prev)
+        np.add(mid, kept, out=prev)
+        prev *= 0.5
+        mid, prev, was = prev, mid, up
         if step >= _FIRST_REPEAT and not np.count_nonzero(mid != prev):
             # Each midpoint repeated, so it is an end of its bracket: the next
             # step either keeps the bracket or collapses it onto that midpoint,

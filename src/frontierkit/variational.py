@@ -284,7 +284,8 @@ def gateaux_fd(
     base, *vals = _payoffs([m, *blends], tech, G)
     quots = [(a, (v - base) / a) for a, v in zip(FD_ALPHAS, vals)]
     diffs = [abs(q2 - q1) for (_, q1), (_, q2) in zip(quots[:-1], quots[1:])]
-    if diffs[-1] > 10.0 * diffs[0] + 1e-6:
+    # smooth quotients halve their differences with alpha: none may grow
+    if any(d2 > d1 + 1e-6 for d1, d2 in zip(diffs[:-1], diffs[1:])):
         raise NonConvergent("difference quotients diverge as alpha decreases")
     # Neville polynomial-in-alpha extrapolation through the last three points
     pts = quots[-3:]

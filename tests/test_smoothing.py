@@ -491,6 +491,30 @@ def test_array_effort_calls_per_stage(default_prims, monkeypatch):
     assert len(calls) == 1
 
 
+def test_the_sandwich_solves_each_probe_effort_once(default_prims, monkeypatch):
+    # F1's slope is one closed form on both sides, so the certificate's
+    # check (d) reads it once: one scalar effort solve per probe point
+    tech = technology.make_moral_hazard_technology(default_prims)
+    pair = build_smooth_pair(tech, SmoothingParams.auto(tech, 16))
+    solves, solve = [], technology.effort_star
+    monkeypatch.setattr(technology, "effort_star", lambda p, u: solves.append(u) or solve(p, u))
+    assert verify_monster(tech, [pair])["derivative-limits-sandwich"].passed
+    assert len(solves) == 2 and len(set(solves)) == 2
+
+
+def test_the_sandwich_reads_both_sides_of_a_kinked_source(monkeypatch):
+    # F1's knots at 0.1 and 0.45 are probe points, where its sides differ
+    tech = kinked_tech()
+    pair = build_smooth_pair(tech, SmoothingParams.auto(tech, 64))
+    read = []
+    for name, f in (("f0", tech.f0), ("f1", tech.f1)):
+        deriv = lambda us, side, f=f, name=name: read.append((name, side)) or type(f).deriv(f, us, side)
+        monkeypatch.setattr(f, "deriv", deriv)
+    assert verify_monster(tech, [pair])["derivative-limits-sandwich"].passed
+    assert read == [("f0", "right"), ("f0", "left"), ("f1", "right"), ("f1", "left")]
+    assert tech.f1.left_deriv(0.1) != tech.f1.right_deriv(0.1)
+
+
 @pytest.mark.parametrize("n", [16, 32, 64])
 def test_peak_search_effort_calls_per_build(n, default_prims, monkeypatch):
     # F1_n's peak is a bisection on its slope: the lookahead trees alone take

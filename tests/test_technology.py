@@ -105,6 +105,30 @@ def ninety_step_bisection(prims, u):
     return 0.5 * (lo + hi)
 
 
+def two_end_bisection(prims, u):
+    """The array solve's halving loop as it was before it kept one bracket
+    end: both ends stored and two selects per halving, with the same
+    early exit. Returns the result and the number of halvings taken."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    ratio, w = technology._foc_ratio(prims), prims.w
+    lo, hi = np.full_like(u, 1e-14), np.ones_like(u)
+    with np.errstate(divide="ignore", over="ignore"):
+        for _ in range(200):
+            bad = ratio(u, hi) < w
+            if not np.any(bad):
+                break
+            hi[bad] *= 2.0
+        mid = 0.5 * (lo + hi)
+        for step in range(90):
+            up = ratio(u, mid) < w
+            lo = np.where(up, mid, lo)
+            hi = np.where(up, hi, mid)
+            prev, mid = mid, 0.5 * (lo + hi)
+            if step >= technology._FIRST_REPEAT and not np.count_nonzero(mid != prev):
+                break
+    return mid, step + 1
+
+
 class TestEffortStar:
     def test_w4_closed_form(self, corner_prims):
         # 4 L^3 = 4 has root 1
@@ -216,6 +240,60 @@ class TestEffortStar:
         got = effort_star_array(default_prims, us)
         alone = [float(effort_star_array(default_prims, [u])[0]) for u in us.tolist()]
         assert [x.hex() for x in got.tolist()] == [x.hex() for x in alone]
+
+
+class TestOneEndEffortLoop:
+    """`effort_star_array` keeps one bracket end per halving: it must give the
+    two-end loop's bits and evaluate the FOC at as many points."""
+
+    SPECIAL = np.array([0.0, -0.0, 5e-324, 1e-300, 1e10, 1e14, 1e300, np.inf, np.nan])
+
+    @pytest.fixture
+    def foc_evals(self, monkeypatch):
+        # elements passed to kappa_prime, as the benchmark tracer counts them
+        count = [0]
+        kappa_prime = PowerCost.kappa_prime
+
+        def counted(self, L):
+            count[0] += np.size(L)
+            return kappa_prime(self, L)
+
+        monkeypatch.setattr(PowerCost, "kappa_prime", counted)
+        return count
+
+    @staticmethod
+    def assert_same(prims, us, foc_evals):
+        """Both loops' bits and FOC evaluations agree; returns the halvings."""
+        foc_evals[0] = 0
+        want, halvings = two_end_bisection(prims, us)
+        want_evals, foc_evals[0] = foc_evals[0], 0
+        got = effort_star_array(prims, us)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert foc_evals[0] == want_evals
+        return halvings
+
+    def test_one_end_effort_loop_keeps_the_bits_on_random_primitives(self, foc_evals):
+        rng = np.random.default_rng(35)
+        for _ in range(60):
+            a, b, w = rng.uniform(0.05, 0.95), rng.uniform(1.05, 6.0), 0.03 * 1000.0 ** rng.uniform()
+            prims = MoralHazardPrimitives(lam=1.0, w=w, phi=PowerUtility(a), kappa=PowerCost(b))
+            us = np.concatenate([self.SPECIAL, rng.uniform(0.0, 5.0, 200), np.exp(rng.uniform(-30.0, 10.0, 199))])
+            self.assert_same(prims, us, foc_evals)
+
+    def test_one_end_effort_loop_keeps_the_bits_at_each_batch_size(self, default_prims, foc_evals):
+        rng = np.random.default_rng(36)
+        us = np.concatenate([self.SPECIAL, rng.uniform(0.0, 3.0, 4224 - self.SPECIAL.size)])
+        for u in us[:40]:
+            self.assert_same(default_prims, np.array([u]), foc_evals)
+        for batch in (us[:8], us[5:13], rng.permutation(us)):
+            self.assert_same(default_prims, batch, foc_evals)
+
+    def test_one_end_effort_loop_exits_early_and_at_the_cap_as_before(self, default_prims, foc_evals):
+        # ordinary promises repeat their midpoints before 90 halvings; at u =
+        # 1e14 the root lies below the bracket's 1e-14, and NaN never settles
+        assert self.assert_same(default_prims, np.linspace(0.0, 2.0, 8), foc_evals) < 90
+        for stuck in (1e14, np.nan):
+            assert self.assert_same(default_prims, np.array([0.25, stuck]), foc_evals) == 90
 
 
 def fresh_f1(prims):

@@ -292,9 +292,11 @@ class TestGateaux:
     def test_payoff_noise_trips_the_divergence_guard(self, monkeypatch):
         # noise s on the payoffs, alternating in sign, puts 2 s / alpha into
         # every other quotient. At rounding size the estimate keeps within
-        # 1e-12 of the closed form; the guard refuses it once the last
-        # quotient difference, 320 s at alpha 0.003125, passes ten times the
-        # first and 1e-6 (s = 1e-4 here; 1e-7 under alpha 0.1 to 1e-6)
+        # 1e-12 of the closed form. The clean differences halve, from 9.1e-4
+        # to 5.7e-5; the noise adds 320 s to the last and takes it from the
+        # one before, so the guard refuses s above about 9.1e-8 (2.5e-6
+        # times the payoff's curvature along alpha, 0.037 here). At 3e-6 the
+        # estimate would be 1.9e-3 off
         rng = np.random.default_rng(5)
         m, m_dag = random_mechanism(rng), random_mechanism(rng)
         tech, G = quad_tech(), mixed_G(0.9)
@@ -307,8 +309,9 @@ class TestGateaux:
             return gateaux_fd(m, m_dag, tech, G)
 
         assert abs(noisy(1e-15) - closed) < 1e-12
-        with pytest.raises(NonConvergent, match="diverge"):
-            noisy(1e-4)
+        for s in (3e-6, 1e-4):
+            with pytest.raises(NonConvergent, match="diverge"):
+                noisy(s)
 
     def test_profile_off_the_supergradients_is_rejected(self):
         tech = quad_tech()
