@@ -2,6 +2,10 @@
 
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 bad
 configuration, 3 computation failed.
+
+Only what every command needs is imported here. Each suite and command
+imports `smoothing`, `variational`, `mixture`, `gap_analysis` and `_oracles`
+where it uses them, so a command never loads a suite it does not run.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._oracles import brute_force_mixture_value
 from .errors import ConfigError, FrontierKitError, ParamsOutOfRange
 from .frontiers import (
     INF,
@@ -24,7 +27,6 @@ from .frontiers import (
     PiecewiseLinearFrontier,
     QuadraticFrontier,
 )
-from .gap_analysis import GapKind, classify_u_star
 from .mechanism import (
     BreakthroughDistribution,
     Mechanism,
@@ -37,10 +39,8 @@ from .mechanism import (
     normalize,
     payoff,
 )
-from .mixture import FrontierDistribution, mixture_value, verify_mixture_regularity
 from .quadrature import MeasureOnTime, step_value
 from .report import VerificationReport
-from .smoothing import SmoothingParams, build_sequence, build_smooth_pair, smallest_level, verify_monster
 from .technology import (
     MoralHazardPrimitives,
     PowerCost,
@@ -49,16 +49,6 @@ from .technology import (
     effort_star,
     make_moral_hazard_technology,
     verify_ui_assumptions,
-)
-from .variational import (
-    SupergradientProfile,
-    euler_residual,
-    gateaux_closed_form,
-    gateaux_fd,
-    integrability_bounds,
-    stieltjes_ibp,
-    strict_concavity_probe,
-    warmup_identity,
 )
 
 EXPORTS = ("frontiers", "mechanism", "residuals", "smoothing")
@@ -251,6 +241,9 @@ def _suite_ui_assns(cfg, rng, trials, grid) -> VerificationReport:
 
 
 def _suite_mixture(cfg, rng, trials, grid) -> VerificationReport:
+    from ._oracles import brute_force_mixture_value
+    from .mixture import FrontierDistribution, mixture_value, verify_mixture_regularity
+
     rep = VerificationReport("mixture")
     pair = FrontierDistribution(
         [(QuadraticFrontier(-1.0, 2.0, -1.0), 0.5), (QuadraticFrontier(-9.0, 6.0, -1.0), 0.5)]
@@ -275,6 +268,8 @@ def _suite_mixture(cfg, rng, trials, grid) -> VerificationReport:
 
 
 def _suite_saddle(cfg, rng, trials, grid) -> VerificationReport:
+    from .gap_analysis import GapKind, classify_u_star
+
     rep = VerificationReport("saddle")
     # the build refuses a bad config; a built one has u* = 0, where the
     # trichotomy does not apply
@@ -365,6 +360,8 @@ def _suite_no_delay(cfg, rng, trials, grid) -> VerificationReport:
 
 
 def _exact_euler_profile(perturb: float = 0.0) -> SupergradientProfile:
+    from .variational import SupergradientProfile
+
     # G = Exp(1), phi1 = -1, phi0(t) = G/(1-G) = e^t - 1 solves the equation
     edges = np.linspace(0.0, 4.0, 41)
     cells = -np.ones(len(edges) - 1)
@@ -376,6 +373,8 @@ def _exact_euler_profile(perturb: float = 0.0) -> SupergradientProfile:
 
 
 def _suite_euler(cfg, rng, trials, grid) -> VerificationReport:
+    from .variational import euler_residual, integrability_bounds, warmup_identity
+
     rep = VerificationReport("euler")
     res = euler_residual(_exact_euler_profile(cfg.perturb), BreakthroughDistribution.exponential(1.0))
     worst = float(np.nanmax(np.abs(res)))
@@ -393,6 +392,8 @@ def _suite_euler(cfg, rng, trials, grid) -> VerificationReport:
 
 
 def _suite_gateaux(cfg, rng, trials, grid) -> VerificationReport:
+    from .variational import SupergradientProfile, gateaux_closed_form, gateaux_fd
+
     rep = VerificationReport("gateaux")
     tech = _quad_tech()
     small = TimeGrid(horizon=2.0, step=0.25, r=cfg.rate)
@@ -417,6 +418,8 @@ def _suite_gateaux(cfg, rng, trials, grid) -> VerificationReport:
 
 
 def _suite_ibp(cfg, rng, trials, grid) -> VerificationReport:
+    from .variational import stieltjes_ibp
+
     rep = VerificationReport("ibp")
     nu = MeasureOnTime(atoms=((1.0, 1.0),))
     lhs, rhs = stieltjes_ibp(nu, 0.0, lambda t: np.ones_like(t), 2.0)
@@ -449,6 +452,8 @@ def _suite_ibp(cfg, rng, trials, grid) -> VerificationReport:
 
 
 def _suite_smoothing(cfg, rng, trials, grid) -> VerificationReport:
+    from .smoothing import build_sequence, verify_monster
+
     rep = VerificationReport("smoothing")
     ns = (8, 16, 32, 64)
     for label, tech in (("smooth", _smooth_fixture()), ("kinked", _kinked_fixture())):
@@ -470,6 +475,8 @@ def _suite_smoothing(cfg, rng, trials, grid) -> VerificationReport:
 
 
 def _suite_concavity(cfg, rng, trials, grid) -> VerificationReport:
+    from .variational import strict_concavity_probe
+
     rep = VerificationReport("concavity")
     tech = _quad_tech()
     small = TimeGrid(horizon=2.0, step=0.25, r=1.0)
@@ -579,6 +586,8 @@ def _time_grid(horizon: float, step: float, rate: float) -> TimeGrid:
 def _smooth_pairs(tech: Technology, ns, source: str) -> list:
     """The smoothed pairs at levels ``ns``, or a config error naming ``source``
     for a level below `smallest_level` or one the construction cannot smooth."""
+    from .smoothing import SmoothingParams, build_smooth_pair, smallest_level
+
     least = smallest_level(tech)
     if not ns or min(ns) < least:
         raise ConfigError(f"{source} needs levels of {least} or more, so that 1/n < (u0 - u1)/3")
@@ -633,6 +642,8 @@ def export_curves(
         return [_write_csv(out / "mechanism.csv", "t,x0,X0,X1", rows)]
 
     if what == "residuals":
+        from .variational import euler_residual
+
         G = BreakthroughDistribution.exponential(cfg.rate)
         prof = _exact_euler_profile(cfg.perturb)
         ts = prof.edges
@@ -700,6 +711,8 @@ def _cmd_verify(cfg: InstanceConfig, args) -> int:
 
 
 def _cmd_smooth(cfg: InstanceConfig, args) -> int:
+    from .smoothing import verify_monster
+
     out = _out_dir(args.out or ".")
     tech = cfg.technology()
     try:

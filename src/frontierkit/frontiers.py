@@ -53,6 +53,9 @@ class Frontier:
     #: derivative breakpoints, if any (used for exact windowed integrals)
     knots: tuple[float, ...] = ()
 
+    #: whether ``deriv`` gives one value for both sides at every point
+    sides_agree: bool = False
+
     def _values(self, us: np.ndarray):
         raise NotImplementedError
 
@@ -147,8 +150,10 @@ class ParametricFrontier(Frontier):
 
     ``value_fn`` and ``deriv_fn`` are elementwise: each takes a float or an
     array and returns the same shape, so ``deriv`` evaluates a whole array in
-    one ``deriv_fn`` call. Both sides share ``deriv_fn``.
+    one ``deriv_fn`` call, for either side (`sides_agree`).
     """
+
+    sides_agree = True
 
     def __init__(
         self,
@@ -243,6 +248,7 @@ class CallableFrontier(ParametricFrontier):
     """Black-box concave function; one-sided difference quotients, step 1e-6."""
 
     FD_STEP = 1e-6
+    sides_agree = False  # the two quotients differ at a kink
 
     def __init__(self, fn: Callable, domain=(0.0, INF), peak: float | None = None):
         super().__init__(fn, None, domain=domain, peak=peak)

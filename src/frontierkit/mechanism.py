@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NonFiniteValue, PreconditionViolation
 from .frontiers import INF
-from .quadrature import MeasureOnTime, NodePlan, cell_index, step_value
+from .quadrature import MeasureOnTime, NodePlan, cell_index, sorted_unique, step_value
 from .report import VerificationReport
 from .technology import Technology
 
@@ -199,7 +199,7 @@ class Mechanism:
     def with_knots(self, knots) -> "Mechanism":
         """The same mechanism on a refined edge set including ``knots``."""
         extra = [k for k in knots if 0.0 < k < self.horizon]
-        edges = np.unique(np.concatenate([self.edges, np.asarray(extra, dtype=float)]))
+        edges = sorted_unique(np.concatenate([self.edges, np.asarray(extra, dtype=float)]))
         k = cell_index(self.edges, edges[:-1])
         return replace(self, edges=edges, x0=self.x0[k])
 
@@ -214,7 +214,7 @@ def make_deadline_mechanism(T: float, tech: Technology, grid: TimeGrid | Mechani
         x0 = np.full(len(edges) - 1, tech.u0)
         return Mechanism(edges=edges, x0=x0, r=r, x0_tail=tech.u0, u1=tech.u1)
     if T > 0.0:
-        edges = np.unique(np.append(edges, T))
+        edges = sorted_unique(np.append(edges, T))
     x0 = np.where(edges[:-1] < T - 1e-15, tech.u0, 0.0)
     return Mechanism(edges=edges, x0=x0, r=r, x0_tail=0.0, u1=tech.u1)
 
@@ -292,7 +292,7 @@ class _PayoffPlan:
     def __init__(self, m: Mechanism, G: BreakthroughDistribution):
         knots = [*m.edges, *_crossing_knots(m, m.u1), *G.knots]
         self.T_max = T_max = max(knots)
-        edges = np.unique(np.concatenate([[0.0], knots]))
+        edges = sorted_unique(np.concatenate([[0.0], knots]))
         self.quad = NodePlan.build(G, edges[edges >= 0.0])
         times = np.concatenate([self.quad.nodes, [T_max + 1.0] if G.tail_mass > 0 else []])
         self.at = _GridTimes(m.edges, m.r, times)
@@ -455,7 +455,7 @@ def dominance_check(m: Mechanism, tech: Technology, G_family) -> VerificationRep
         worst_violation=abs(float(twin.X0_edges[0]) - v),
     )
 
-    probes = np.unique(np.concatenate([m.edges, twin.edges, [m.horizon + 1.0]]))
+    probes = sorted_unique(np.concatenate([m.edges, twin.edges, [m.horizon + 1.0]]))
     diff = m.X0_at(probes) - twin.X0_at(probes)
     rep.add(
         "twin-pointwise-below",

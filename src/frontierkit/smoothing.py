@@ -24,12 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParamsOutOfRange, PreconditionViolation
-from .frontiers import INF, Frontier, ParametricFrontier, gap_argmax, midpoint_concavity_plan
+from .frontiers import INF, Frontier, gap_argmax, midpoint_concavity_plan
 from .quadrature import cell_index
 from .report import VerificationReport
 from .technology import Technology
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+#: the most a smoothed front's two slopes at a join may differ by
+_C1_GATE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -341,6 +344,10 @@ def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair
     u_m = p + (-m0_mid) / K
     V_p = V_B0 + 0.5 * d_B0 * (p - B)  # integral of the linear descent to 0
     V_um = V_p - 0.5 * K * (u_m - p) ** 2
+    # u_m rounds by up to half an ulp, which moves the fall's slope there by K
+    # times that: past the C1 gate the two sides of that join cannot agree
+    if (drift := K * 0.5 * math.ulp(u_m)) >= _C1_GATE:
+        raise ParamsOutOfRange(f"float64 moves F0_n's slope at its last join by up to {drift:.3g}, past {_C1_GATE:g}")
 
     rise = _Piece(
         B, p,
@@ -440,7 +447,7 @@ def verify_monster(tech: Technology, sequence: list[SmoothedPair]) -> Verificati
         # each piece is C1, so the pair is C1 if the two sides agree at every
         # join (a NaN fails); uniform-derivative-bounds catches other non-finite slopes
         c1_ok = all(
-            bool(np.all(np.abs(left - right[66 : 66 + left.size]) < 1e-9))
+            bool(np.all(np.abs(left - right[66 : 66 + left.size]) < _C1_GATE))
             for left, right in ((lefts0, rights0), (lefts1, rights1))
         )
         rep.add(
@@ -468,9 +475,8 @@ def verify_monster(tech: Technology, sequence: list[SmoothedPair]) -> Verificati
     n = largest.params.n
     ok_d, worst = True, 0.0
     for d, f_src in zip(sandwich, (tech.f0, tech.f1)):
-        # one ``deriv_fn`` gives both sides (not `CallableFrontier`'s quotients)
         right = f_src.deriv(us, "right")
-        left = right if type(f_src)._derivs is ParametricFrontier._derivs else f_src.deriv(us, "left")
+        left = right if f_src.sides_agree else f_src.deriv(us, "left")
         lo_lim, hi_lim = right - 2.0 / n - 2.0 * largest.params.gamma, left + 2.0 / n
         inside = (lo_lim <= d) & (d <= hi_lim)
         if not inside.all():

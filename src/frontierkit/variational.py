@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidProfile, NonConvergent, PreconditionViolation
 from .frontiers import directional_deriv
 from .mechanism import BreakthroughDistribution, Mechanism, _payoffs, _pinned
-from .quadrature import MeasureOnTime, NodePlan, integration_edges, step_value, subdivide
+from .quadrature import MeasureOnTime, NodePlan, integration_edges, sorted_unique, step_value, subdivide
 from .technology import Technology
 
 # ---------------------------------------------------------------------------
@@ -35,7 +35,7 @@ def stieltjes_ibp(nu: MeasureOnTime, L0: float, l, T: float):
     """
     knots = sorted({0.0, T} | set(nu.knots))
     knots = [k for k in knots if 0.0 <= k <= T]
-    edges = np.unique(
+    edges = sorted_unique(
         np.concatenate([subdivide(a, b, 0.5) for a, b in zip(knots[:-1], knots[1:])])
         if len(knots) > 1
         else np.array([0.0, T])

@@ -777,6 +777,19 @@ class TestSmoothCommand:
         report = (tmp_path / "o" / "smoothing_report.txt").read_text()
         assert report == (data / "smoothing_report_w2.txt").read_text()
 
+    @pytest.mark.parametrize("level, code", [(2**25, 0), (2**26, 2), (10**8, 2)])
+    def test_levels_past_float64_resolution_are_refused(self, tmp_path, capsys, level, code):
+        # F0_n's fall meets its glide at u_m, which rounds by up to half an ulp;
+        # the fall's slope moves n times that, against the 1e-9 C1 gate: 9.3e-10
+        # at 2^25, 1.9e-9 at 2^26, which used to fail model-assumptions
+        assert main(["smooth", "--n-list", str(level), "--out", str(tmp_path), "--grid-step", "0.25"]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert err.startswith(f"config error: `--n-list` level {level} cannot be smoothed")
+            assert "past 1e-09" in err
+        else:
+            assert "overall: PASS" in out and err == ""
+
     def test_writes_curves_and_report(self, tmp_path, capsys):
         rc = main(
             ["smooth", "--n-list", "16", "--out", str(tmp_path), "--grid-step", "0.1"]

@@ -21,6 +21,7 @@ from frontierkit.quadrature import (
     cell_index,
     gl_nodes,
     integration_edges,
+    sorted_unique,
     step_value,
 )
 from frontierkit.variational import stieltjes_ibp
@@ -225,6 +226,21 @@ class TestCellLookup:
         counts = {p.name: p.read_text().count("searchsorted") for p in sorted(src.rglob("*.py"))}
         assert {name: n for name, n in counts.items() if n} == {"quadrature.py": 1}
         assert "np.searchsorted(" in inspect.getsource(cell_index)
+
+    def test_no_plain_np_unique_is_left(self):
+        # a plain np.unique imports numpy.ma on its first call: every module
+        # calls sorted_unique, and F1's return_inverse call is the one left
+        src = Path(frontierkit.__file__).parent
+        calls = {p.name: p.read_text().count("np.unique(") for p in sorted(src.rglob("*.py"))}
+        assert {name: n for name, n in calls.items() if n} == {"technology.py": 1}
+        assert "np.unique(us, return_inverse=True)" in (src / "technology.py").read_text()
+
+    def test_sorted_unique_is_np_unique_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        ties = rng.integers(0, 50, 400) / 7.0
+        for x in (ties, np.sort(ties)[::-1], rng.uniform(0.0, 6.0, (3, 40)), [2.0], []):
+            x = np.asarray(x, dtype=float)
+            assert sorted_unique(x).tobytes() == np.unique(x).tobytes()
 
     def test_piecewise_linear_kinks_take_the_slope_on_their_side(self):
         f = PiecewiseLinearFrontier([0.0, 1.0, 2.0, 4.0], [0.0, 2.0, 3.0, 3.0])

@@ -23,6 +23,8 @@ _BRANCH_AT_0 = "exact at a breakpoint at 0, where the base bisection stops 200 h
 
 #: the functions no default command enters, and why each stays
 UNREACHED = {
+    "__init__.__getattr__": "`frontierkit.<name>` loads through it; the commands import from the submodules",
+    "__init__.__dir__": "`dir(frontierkit)`; no command lists the package",
     "frontiers.Frontier._values": "the protocol's value hook declaration; every frontier class overrides it",
     "frontiers.Frontier._derivs": "the protocol's derivative hook declaration; every frontier class overrides it",
     "frontiers.AffineFrontier.argmax_linear": _BRANCH_AT_0,

@@ -11,6 +11,7 @@ from frontierkit import frontiers, smoothing, technology
 from frontierkit.errors import DomainError, ParamsOutOfRange, PreconditionViolation
 from frontierkit.frontiers import (
     AffineFrontier,
+    CallableFrontier,
     ParametricFrontier,
     PiecewiseLinearFrontier,
     QuadraticFrontier,
@@ -502,17 +503,28 @@ def test_the_sandwich_solves_each_probe_effort_once(default_prims, monkeypatch):
     assert len(solves) == 2 and len(set(solves)) == 2
 
 
+def callable_kinked_tech() -> Technology:
+    # the kinked pair as black boxes: difference quotients on both sides,
+    # with the knots declared so that the probes sit on them
+    fronts = []
+    for f in (kinked_tech().f0, kinked_tech().f1):
+        g = CallableFrontier(f.value, domain=f.domain, peak=f.peak)
+        g.knots = f.knots
+        fronts.append(g)
+    return Technology(f0=fronts[0], f1=fronts[1], u0=0.5, u1=0.1, u_star=0.0)
+
+
 def test_the_sandwich_reads_both_sides_of_a_kinked_source(monkeypatch):
     # F1's knots at 0.1 and 0.45 are probe points, where its sides differ
-    tech = kinked_tech()
-    pair = build_smooth_pair(tech, SmoothingParams.auto(tech, 64))
-    read = []
-    for name, f in (("f0", tech.f0), ("f1", tech.f1)):
-        deriv = lambda us, side, f=f, name=name: read.append((name, side)) or type(f).deriv(f, us, side)
-        monkeypatch.setattr(f, "deriv", deriv)
-    assert verify_monster(tech, [pair])["derivative-limits-sandwich"].passed
-    assert read == [("f0", "right"), ("f0", "left"), ("f1", "right"), ("f1", "left")]
-    assert tech.f1.left_deriv(0.1) != tech.f1.right_deriv(0.1)
+    for tech in (kinked_tech(), callable_kinked_tech()):
+        pair = build_smooth_pair(tech, SmoothingParams.auto(tech, 64))
+        read = []
+        for name, f in (("f0", tech.f0), ("f1", tech.f1)):
+            deriv = lambda us, side, f=f, name=name: read.append((name, side)) or type(f).deriv(f, us, side)
+            monkeypatch.setattr(f, "deriv", deriv)
+        assert verify_monster(tech, [pair])["derivative-limits-sandwich"].passed
+        assert read == [("f0", "right"), ("f0", "left"), ("f1", "right"), ("f1", "left")]
+        assert tech.f1.left_deriv(0.1) != tech.f1.right_deriv(0.1)
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
