@@ -3,9 +3,8 @@
     python bench/cli_bench.py --out BENCH.json                      # 7 runs per entry
     python bench/cli_bench.py --runs 9 --against BENCH_old.json     # ratios to an older file
 
-Each entry starts a fresh interpreter and is timed from outside, from start
-to exit: wall clock, and the CPU time (user + system) the child used, which
-a busy host disturbs less. The sources of ``src/frontierkit`` are copied into a
+Each entry starts a fresh interpreter and is timed from outside, wall clock
+from start to exit. The sources of ``src/frontierkit`` are copied into a
 temporary directory twice:
 
 - *cold*: no ``__pycache__``, so every module compiles from source, as on a
@@ -29,7 +28,6 @@ import importlib.metadata
 import json
 import os
 import platform
-import resource
 import shutil
 import statistics
 import subprocess
@@ -51,7 +49,6 @@ ENTRIES = {
     "verify ui-assns --trials 1000": ["-m", "frontierkit.cli", "verify", "ui-assns", "--trials", "1000"],
 }
 MODES = ("cold", "warm")
-CLOCKS = ("wall", "cpu")
 
 
 def _git(*args: str) -> str:
@@ -123,59 +120,49 @@ def run(runs: int) -> dict:
             if not Path(where).is_relative_to(paths[mode]):
                 raise RuntimeError(f"{mode} runs load frontierkit from {where}, not from the copy")
 
-        samples = {(name, mode, clock): [] for name in ENTRIES for mode in MODES for clock in CLOCKS}
+        samples = {(name, mode): [] for name in ENTRIES for mode in MODES}
         for _ in range(runs):
             for name, args in ENTRIES.items():
                 for mode in MODES:
-                    before = resource.getrusage(resource.RUSAGE_CHILDREN)
                     start = time.perf_counter()
                     proc = subprocess.run([sys.executable, *args], env=envs[mode], cwd=tmp, capture_output=True)
                     elapsed = time.perf_counter() - start
-                    after = resource.getrusage(resource.RUSAGE_CHILDREN)
                     if proc.returncode != 0:
                         raise RuntimeError(f"{name} ({mode}) exited {proc.returncode}: {proc.stderr.decode()[-2000:]}")
-                    samples[name, mode, "wall"].append(elapsed)
-                    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
-                    samples[name, mode, "cpu"].append(cpu)
+                    samples[name, mode].append(elapsed)
         if any(paths["cold"].rglob("*.pyc")):
             raise RuntimeError("a cold run wrote bytecode")
 
     return {
         "environment": environment(),
         "runs": runs,
-        "entries": {
-            name: {mode: {clock: _summary(samples[name, mode, clock]) for clock in CLOCKS} for mode in MODES}
-            for name in ENTRIES
-        },
+        "entries": {name: {mode: _summary(samples[name, mode]) for mode in MODES} for name in ENTRIES},
     }
 
 
 def _table(result: dict) -> str:
-    heads = [f"{mode} {clock} median [q1, q3] s" for mode in MODES for clock in CLOCKS]
+    heads = [f"{mode} median [q1, q3] s" for mode in MODES]
     lines = [f"{'entry':<30}" + "".join(f"{h:>30}" for h in heads)]
     for name, modes in result["entries"].items():
-        cells = [modes[mode][clock] for mode in MODES for clock in CLOCKS]
-        cells = [f"{m['median_s']:.4f} [{m['q1_s']:.4f}, {m['q3_s']:.4f}]" for m in cells]
+        cells = [f"{m['median_s']:.4f} [{m['q1_s']:.4f}, {m['q3_s']:.4f}]" for m in modes.values()]
         lines.append(f"{name:<30}" + "".join(f"{cell:>30}" for cell in cells))
     return "\n".join(lines)
 
 
 def compare(result: dict, other: dict) -> str:
-    """Each entry's median over ``other``'s, per mode and clock."""
+    """Each entry's median over ``other``'s, per mode."""
     lines = []
     host = ("cpu_model", "nproc", "python", "numpy")
     mine, theirs = result["environment"], other["environment"]
     for key in host:
         if mine.get(key) != theirs.get(key):
             lines.append(f"warning: {key} differs: {mine.get(key)!r} here, {theirs.get(key)!r} there")
-    heads = [f"{mode} {clock}" for mode in MODES for clock in CLOCKS]
-    lines.append(f"{'median ratio to the other file':<32}" + "".join(f"{h:>11}" for h in heads))
+    lines.append(f"{'median ratio to the other file':<32}" + "".join(f"{mode:>11}" for mode in MODES))
     for name, modes in result["entries"].items():
         ratios = []
         for mode in MODES:
-            for clock in CLOCKS:
-                base = other["entries"].get(name, {}).get(mode, {}).get(clock)
-                ratios.append(f"{modes[mode][clock]['median_s'] / base['median_s']:.3f}" if base else "-")
+            base = other["entries"].get(name, {}).get(mode)
+            ratios.append(f"{modes[mode]['median_s'] / base['median_s']:.3f}" if base else "-")
         lines.append(f"{name:<32}" + "".join(f"{r:>11}" for r in ratios))
     return "\n".join(lines)
 

@@ -344,10 +344,6 @@ def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair
     u_m = p + (-m0_mid) / K
     V_p = V_B0 + 0.5 * d_B0 * (p - B)  # integral of the linear descent to 0
     V_um = V_p - 0.5 * K * (u_m - p) ** 2
-    # u_m rounds by up to half an ulp, which moves the fall's slope there by K
-    # times that: past the C1 gate the two sides of that join cannot agree
-    if (drift := K * 0.5 * math.ulp(u_m)) >= _C1_GATE:
-        raise ParamsOutOfRange(f"float64 moves F0_n's slope at its last join by up to {drift:.3g}, past {_C1_GATE:g}")
 
     rise = _Piece(
         B, p,
@@ -367,6 +363,10 @@ def build_smooth_pair(tech: Technology, params: SmoothingParams) -> SmoothedPair
         lambda u: m0_lim + (m0_mid - m0_lim) * math.exp(-n * (u - u_m)),
         batch=False,
     )
+    # u_m rounds, which moves the fall's slope there by K times that: refuse a
+    # level whose two slopes at that join float64 leaves past the C1 gate
+    if (drift := abs(fall.der(u_m) - glide.der(u_m))) >= _C1_GATE:
+        raise ParamsOutOfRange(f"float64 leaves F0_n's slopes at its last join {drift:.3g} apart, past {_C1_GATE:g}")
 
     f0n = _PiecewiseFrontier([quad_piece(V_b0, d_b0, c0), core_piece0, rise, fall, glide], peak=p)
     f1n = _PiecewiseFrontier([quad_piece(V_b1, d_b1, c1), core_piece1, right1])

@@ -777,11 +777,15 @@ class TestSmoothCommand:
         report = (tmp_path / "o" / "smoothing_report.txt").read_text()
         assert report == (data / "smoothing_report_w2.txt").read_text()
 
-    @pytest.mark.parametrize("level, code", [(2**25, 0), (2**26, 2), (10**8, 2)])
+    @pytest.mark.parametrize(
+        "level, code", [(2**25, 0), (40826961, 2), (41545131, 0), (2**26, 2), (10**8, 2)]
+    )
     def test_levels_past_float64_resolution_are_refused(self, tmp_path, capsys, level, code):
-        # F0_n's fall meets its glide at u_m, which rounds by up to half an ulp;
-        # the fall's slope moves n times that, against the 1e-9 C1 gate: 9.3e-10
-        # at 2^25, 1.9e-9 at 2^26, which used to fail model-assumptions
+        # F0_n's fall meets its glide at u_m, which rounds; the fall's slope
+        # there moves K (about n) times that. A level whose two slopes at that
+        # join end 1e-9 or more apart used to fail model-assumptions and is
+        # refused (1.06e-9 at 40826961, 1.49e-9 at 2^26, 2.35e-9 at 1e8); a
+        # finer one whose rounding lands closer, as 41545131's does, still passes
         assert main(["smooth", "--n-list", str(level), "--out", str(tmp_path), "--grid-step", "0.25"]) == code
         out, err = capsys.readouterr()
         if code:

@@ -15,6 +15,7 @@ import frontierkit
 
 SRC = Path(frontierkit.__file__).resolve().parents[1]
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+CLI_BENCH = Path(__file__).resolve().parents[1] / "bench" / "cli_bench.py"
 
 #: what a payoff on the default config never needs
 SUITES = ("frontierkit.smoothing", "frontierkit.variational", "frontierkit.mixture", "frontierkit.gap_analysis")
@@ -115,3 +116,19 @@ def test_a_name_read_while_traced_is_untraced_after_uninstall():
         tracer.uninstall()
     assert frontierkit.payoff is original
     assert "payoff" not in vars(frontierkit)
+
+
+def test_cli_bench_times_every_entry_cold_and_warm(tmp_path):
+    spec = importlib.util.spec_from_file_location("cli_bench", CLI_BENCH)
+    cli_bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_bench)
+    out = tmp_path / "bench.json"
+    assert cli_bench.main(["--runs", "1", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert result["runs"] == 1
+    assert {"git_sha", "git_dirty", "cpu_model", "nproc", "python", "numpy"} <= set(result["environment"])
+    assert list(result["entries"]) == list(cli_bench.ENTRIES)
+    for name, modes in result["entries"].items():
+        assert list(modes) == list(cli_bench.MODES), name
+        for summary in modes.values():
+            assert len(summary["samples_s"]) == 1 and summary["median_s"] > 0, name
