@@ -1,4 +1,4 @@
-"""Start-up timings of frontierkit, cold and warm, in fresh interpreters.
+"""Start-up and command timings of frontierkit, cold and warm, in fresh interpreters.
 
     python bench/cli_bench.py --out BENCH.json                      # 7 runs per entry
     python bench/cli_bench.py --runs 9 --against BENCH_old.json     # ratios to an older file
@@ -47,6 +47,7 @@ ENTRIES = {
     "import frontierkit.cli": ["-c", "import frontierkit.cli"],
     "solve-deadline --promise 0.2": ["-m", "frontierkit.cli", "solve-deadline", "--promise", "0.2"],
     "verify ui-assns --trials 1000": ["-m", "frontierkit.cli", "verify", "ui-assns", "--trials", "1000"],
+    "verify gateaux --trials 1000": ["-m", "frontierkit.cli", "verify", "gateaux", "--trials", "1000"],
 }
 MODES = ("cold", "warm")
 

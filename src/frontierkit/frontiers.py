@@ -106,6 +106,18 @@ class Frontier:
         out[~edge] = self._derivs(us[~edge], side)
         return out
 
+    def deriv_sides(self, us) -> tuple[np.ndarray, np.ndarray]:
+        """``deriv(us, "right")`` and ``deriv(us, "left")``, from one call where
+        the sides agree: they then differ only at the domain's ends."""
+        us = np.asarray(us, dtype=float)
+        right = self.deriv(us, "right")
+        if not self.sides_agree:
+            return right, self.deriv(us, "left")
+        left, top = np.where(us <= self.domain[0], INF, right), us >= self.domain[1]
+        if top.any():  # the right side is -inf there
+            left[top] = self.deriv(us[top], "left")
+        return right, left
+
     def _bounds(self, lo, hi) -> tuple[float, float]:
         return (self.domain[0] if lo is None else lo, self.domain[1] if hi is None else hi)
 

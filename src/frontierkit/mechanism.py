@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NonFiniteValue, PreconditionViolation
 from .frontiers import INF
-from .quadrature import MeasureOnTime, NodePlan, cell_index, sorted_unique, step_value
+from .quadrature import MeasureOnTime, NodePlan, cell_index, sorted_unique
 from .report import VerificationReport
 from .technology import Technology
 
@@ -97,11 +97,17 @@ def _promise_edges(edges: np.ndarray, x0: np.ndarray, r: float, x0_tail: float) 
 class _GridTimes:
     """Times on a mechanism grid (``edges`` at rate ``r``): each time's cell,
     whether it lies at or past the horizon and, on first use, the discount
-    ``e^{-r(edges[k+1] - t)}`` from it to the end of its cell."""
+    ``e^{-r(edges[k+1] - t)}`` from it to the end of its cell. Every path on
+    the grid reads this one placement of the times."""
 
     def __init__(self, edges: np.ndarray, r: float, t: np.ndarray):
         self.edges, self.r, self.t = edges, r, t
         self.cell, self.beyond = cell_index(edges, t), t >= edges[-1]
+
+    def step(self, cells: np.ndarray, tail):
+        """The piecewise-constant path ``cells`` per cell, ``tail`` from the
+        horizon on, at the times: `step_value` on this placement."""
+        return np.where(self.beyond, tail, cells[self.cell])
 
     def X0(self, x0: np.ndarray, X0_edges: np.ndarray, x0_tail):
         """X0 at the times from the flow ``x0`` per cell, the promises at the
@@ -163,10 +169,6 @@ class Mechanism:
     def horizon(self) -> float:
         return float(self.edges[-1])
 
-    def x0_at(self, t):
-        """Flow utility at arbitrary times (cell lookup, tail beyond horizon)."""
-        return step_value(self.edges, self.x0, self.x0_tail, t)
-
     def X0_at(self, t):
         """Continuation promise at arbitrary times (continuous in t)."""
         out = self._X0_on(_GridTimes(self.edges, self.r, np.asarray(t, dtype=float)))
@@ -194,6 +196,18 @@ class Mechanism:
         _check_u1(u1)
         out = object.__new__(Mechanism)
         out.__dict__.update(vars(self), u1=u1, X1=None)
+        return out
+
+    def _with_flow(self, x0: np.ndarray, x0_tail: float) -> "Mechanism":
+        """This grid, rate and promise form with the flow ``x0``, ``x0_tail``
+        (``x0`` one float per cell). Only the flow is checked, and its
+        ``X0_edges`` computed: `replace` would check the grid and promise
+        again."""
+        if not (np.isfinite(x0).all() and math.isfinite(x0_tail)):
+            raise ValueError("flow path x0 and x0_tail must be finite")
+        out = object.__new__(Mechanism)
+        X0_edges = _promise_edges(self.edges, x0, self.r, x0_tail)
+        out.__dict__.update(vars(self), x0=x0, x0_tail=x0_tail, X0_edges=X0_edges)
         return out
 
     def with_knots(self, knots) -> "Mechanism":
@@ -290,9 +304,9 @@ class _PayoffPlan:
     """
 
     def __init__(self, m: Mechanism, G: BreakthroughDistribution):
-        knots = [*m.edges, *_crossing_knots(m, m.u1), *G.knots]
-        self.T_max = T_max = max(knots)
-        edges = sorted_unique(np.concatenate([[0.0], knots]))
+        knots = np.concatenate([[0.0], m.edges, _crossing_knots(m, m.u1), G.knots])
+        self.T_max = T_max = float(knots[1:].max())
+        edges = sorted_unique(knots)
         self.quad = NodePlan.build(G, edges[edges >= 0.0])
         times = np.concatenate([self.quad.nodes, [T_max + 1.0] if G.tail_mass > 0 else []])
         self.at = _GridTimes(m.edges, m.r, times)
@@ -334,9 +348,8 @@ def _payoffs(mechs, tech: Technology, G: BreakthroughDistribution) -> list[float
     plan splits at the first path's edges and at its crossings of ``u1``, so
     several paths must share one grid and rate and have no ``u1``."""
     plan = _PayoffPlan(mechs[0], G)
-    if len(mechs) > 1 and any(
-        m.u1 is not None or m.r != plan.at.r or not np.array_equal(m.edges, plan.at.edges) for m in mechs
-    ):
+    same_grid = lambda m: m.edges is plan.at.edges or np.array_equal(m.edges, plan.at.edges)
+    if len(mechs) > 1 and any(m.u1 is not None or m.r != plan.at.r or not same_grid(m) for m in mechs):
         raise ValueError("the paths of one payoff pass need one grid and rate, and no u1")
     at, n, r = plan.at, plan.quad.nodes.size, plan.at.r
     x0 = np.array([m.x0 for m in mechs])

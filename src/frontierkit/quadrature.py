@@ -129,8 +129,9 @@ class MeasureOnTime:
         so one call is bit for bit the per-point dots; the 2-D matmul
         ``widths @ v`` sums in another order and differs in the last bit on
         some rows. The tail stays `math.exp` per point, which `np.exp` also
-        differs from on some points; only its argument is computed in numpy,
-        by the same IEEE operations (`np.fmax` ignores a NaN as Python's
+        differs from on some points. It is mapped over the points, and only
+        its argument and the product with the mass are computed in numpy, by
+        the same IEEE operations (`np.fmax` ignores a NaN as Python's
         ``max(0.0, x)`` does). Exported residuals would change with either.
         """
         ts = np.asarray(t, dtype=float)
@@ -144,7 +145,7 @@ class MeasureOnTime:
             mass += np.vecdot(widths, v)
         if self.tail_mass > 0:
             args = -self.tail_rate * np.fmax(0.0, flat - self.tail_start)
-            mass += [self.tail_mass * math.exp(a) for a in args.tolist()]
+            mass += self.tail_mass * np.fromiter(map(math.exp, args.tolist()), float, args.size)
         return mass.reshape(ts.shape) if ts.ndim else float(mass[0])
 
     def pdf(self, t):
@@ -176,9 +177,10 @@ class MeasureOnTime:
 
 
 def subdivide(a: float, b: float, max_width: float) -> np.ndarray:
-    """Equal cells of width at most ``max_width`` covering ``[a, b]``."""
-    n = max(1, int(math.ceil((b - a) / max_width)))
-    return np.linspace(a, b, n + 1)
+    """Equal cells of width at most ``max_width`` covering ``[a, b]``. One
+    cell is ``[a, b]`` itself, which is what ``np.linspace(a, b, 2)`` gives."""
+    n = math.ceil((b - a) / max_width)
+    return np.linspace(a, b, n + 1) if n > 1 else np.array([a, b], dtype=float)
 
 
 def integration_edges(G: MeasureOnTime, r: float, knots=()) -> np.ndarray:

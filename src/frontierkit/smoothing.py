@@ -475,8 +475,7 @@ def verify_monster(tech: Technology, sequence: list[SmoothedPair]) -> Verificati
     n = largest.params.n
     ok_d, worst = True, 0.0
     for d, f_src in zip(sandwich, (tech.f0, tech.f1)):
-        right = f_src.deriv(us, "right")
-        left = right if f_src.sides_agree else f_src.deriv(us, "left")
+        right, left = f_src.deriv_sides(us)
         lo_lim, hi_lim = right - 2.0 / n - 2.0 * largest.params.gamma, left + 2.0 / n
         inside = (lo_lim <= d) & (d <= hi_lim)
         if not inside.all():

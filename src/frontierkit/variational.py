@@ -11,14 +11,14 @@ expectation check builds one `NodePlan`, running integrals included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidProfile, NonConvergent, PreconditionViolation
 from .frontiers import directional_deriv
-from .mechanism import BreakthroughDistribution, Mechanism, _payoffs, _pinned
+from .mechanism import BreakthroughDistribution, Mechanism, _GridTimes, _payoffs, _pinned
 from .quadrature import MeasureOnTime, NodePlan, integration_edges, sorted_unique, step_value, subdivide
 from .technology import Technology
 
@@ -71,33 +71,51 @@ class SupergradientProfile:
     edges: np.ndarray
     phi0: Callable[[np.ndarray], np.ndarray]
     phi1: Callable[[np.ndarray], np.ndarray]
+    #: for an `exact` profile: the mechanism it follows, phi0's cells and tail, and F1
+    _exact: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def exact(cls, m: Mechanism, tech: Technology) -> "SupergradientProfile":
         """Exact-derivative profile for smooth frontiers along ``m``.
 
         ``phi0`` follows the flow path cell-by-cell; ``phi1`` follows the
-        continuation promise continuously.
+        continuation promise continuously, as F1's right derivative at
+        ``m.X0_at(t)``. On times placed on ``m``'s grid where X0 is already
+        known, `_paths_on` reads both from that placement and that X0.
         """
         d0 = lambda u: tech.f0.deriv(u, "right")
         cells, tail = d0(m.x0), float(d0(m.x0_tail))
-        return cls(
+        prof = cls(
             edges=m.edges,
             phi0=lambda t: step_value(m.edges, cells, tail, t),
             phi1=lambda t: tech.f1.deriv(m.X0_at(t), "right"),
         )
+        prof._exact = (m, cells, tail, tech.f1)
+        return prof
+
+    def _paths_on(self, m: Mechanism, at: _GridTimes, X0=None) -> tuple[np.ndarray, np.ndarray]:
+        """``phi0`` and ``phi1`` at the times of ``at``, a placement on
+        ``m``'s grid; ``X0``, if given, is m's continuation promise there. The
+        exact profile along ``m`` reads its step and F1's slope from them, with
+        the bits of ``phi0(at.t)`` and ``phi1(at.t)``; any other profile is
+        called on the times."""
+        if self._exact is None or self._exact[0] is not m:
+            return self.phi0(at.t), self.phi1(at.t)
+        _, cells, tail, f1 = self._exact
+        return at.step(cells, tail), f1.deriv(m._X0_on(at) if X0 is None else X0, "right")
 
     def validity_flags(self, m: Mechanism, tech: Technology) -> np.ndarray:
         """Per-cell supergradient membership at the cell midpoints."""
-        mids = 0.5 * (m.edges[:-1] + m.edges[1:])
-        x = np.clip(m.x0, *tech.f0.domain)
-        X = np.clip(m.X0_at(mids), *tech.f1.domain)
-        p0, p1 = self.phi0(mids), self.phi1(mids)
+        at = _GridTimes(m.edges, m.r, 0.5 * (m.edges[:-1] + m.edges[1:]))
+        X0 = m._X0_on(at)
+        p0, p1 = self._paths_on(m, at, X0)
+        right0, left0 = tech.f0.deriv_sides(np.clip(m.x0, *tech.f0.domain))
+        right1, left1 = tech.f1.deriv_sides(np.clip(X0, *tech.f1.domain))
         return (
-            (tech.f0.deriv(x, "right") - 1e-9 <= p0)
-            & (p0 <= tech.f0.deriv(x, "left") + 1e-9)
-            & (tech.f1.deriv(X, "right") - 1e-9 <= p1)
-            & (p1 <= tech.f1.deriv(X, "left") + 1e-9)
+            (right0 - 1e-9 <= p0)
+            & (p0 <= left0 + 1e-9)
+            & (right1 - 1e-9 <= p1)
+            & (p1 <= left1 + 1e-9)
         )
 
 
@@ -207,9 +225,11 @@ def gateaux_closed_form(
     smooth instance.
 
     Each factor is evaluated once on each node set of one `NodePlan`: its
-    nodes and the inner nodes of its running integrals. The integration
-    edges contain both grids, so the flows and F0's directional derivative
-    are evaluated once per integration cell and gathered.
+    nodes and the inner nodes of its running integrals. Each set is placed on
+    m's grid once (one `_GridTimes`), and the flows, F0's directional
+    derivative, the promises of ``m`` and ``m_dag`` and the exact profile's
+    paths read that placement. The integration edges contain both grids, so
+    an inner node's flows are those of the node whose partial cell holds it.
     """
     m, m_dag = _align(m, m_dag)
     flags = prof.validity_flags(m, tech)
@@ -219,16 +239,20 @@ def gateaux_closed_form(
 
     r = m.r
     plan = NodePlan.build(G, integration_edges(G, r, [*m.edges, *m_dag.edges]))
-    n, t = plan.pdf.size, plan.nodes
-    cell, _, inner = plan.partial
-    ti, cell_in = inner.ravel(), np.repeat(cell, inner.shape[1])
+    n, t, width = plan.pdf.size, plan.nodes, plan.partial[2].shape[1]
+    ti = plan.partial[2].ravel()
+    at, at_in = _GridTimes(m.edges, r, t), _GridTimes(m.edges, r, ti)
+    # `_align` leaves two grids apart only where their horizons differ
+    one_grid = m_dag.r == r and np.array_equal(m_dag.edges, m.edges)
+    at_dag = at if one_grid else _GridTimes(m_dag.edges, m_dag.r, t)
 
-    x, x_dag = m.x0_at(plan.edges[:-1]), m_dag.x0_at(plan.edges[:-1])
-    dx_c, dd0_c = x_dag - x, directional_deriv(tech.f0, x, x_dag)
-    dx, dd0 = dx_c[cell[:n]], dd0_c[cell[:n]]
+    x, x_dag = at.step(m.x0, m.x0_tail), at_dag.step(m_dag.x0, m_dag.x0_tail)
+    dx_t, dd0_t = x_dag - x, directional_deriv(tech.f0, x, x_dag)
+    dx, dd0 = dx_t[:n], dd0_t[:n]
+    X, X_dag = m._X0_on(at), m_dag._X0_on(at_dag)
     E, E_in = np.exp(-r * t), np.exp(-r * ti)
-    phi0, phi0_in = prof.phi0(t), prof.phi0(ti)
-    phi1, phi1_in = prof.phi1(t), prof.phi1(ti)
+    phi0, phi1 = prof._paths_on(m, at, X)
+    phi0_in, phi1_in = prof._paths_on(m, at_in)
 
     rE = r * E[:n]
     term_b = plan.integrate(rE * G.sf(t[:n]) * phi0[:n] * dx)
@@ -238,10 +262,9 @@ def gateaux_closed_form(
     term_c = plan.integrate(rE * cum1 * dx)
 
     dens0 = rE * (dd0 - phi0[:n]) * dx
-    dens0_in = r * E_in * (dd0_c[cell_in] - phi0_in) * dx_c[cell_in]
+    dens0_in = r * E_in * (np.repeat(dd0_t, width) - phi0_in) * np.repeat(dx_t, width)
     corr0 = plan.expect_values(plan.running(dens0, dens0_in))
 
-    X, X_dag = m.X0_at(t), m_dag.X0_at(t)
     corr1 = plan.expect_values(E * (directional_deriv(tech.f1, X, X_dag) - phi1) * (X_dag - X))
     if return_terms:
         return {
@@ -274,11 +297,7 @@ def gateaux_fd(
     """
     m, m_dag = (_pinned(p) for p in _align(m, m_dag))
     blends = [
-        replace(
-            m,
-            x0=m.x0 + a * (m_dag.x0 - m.x0),
-            x0_tail=m.x0_tail + a * (m_dag.x0_tail - m.x0_tail),
-        )
+        m._with_flow(m.x0 + a * (m_dag.x0 - m.x0), m.x0_tail + a * (m_dag.x0_tail - m.x0_tail))
         for a in FD_ALPHAS
     ]
     base, *vals = _payoffs([m, *blends], tech, G)
@@ -325,11 +344,7 @@ def strict_concavity_probe(
         np.max(np.abs(m.x0 - m_dag.x0)) > 1e-12
         or abs(m.x0_tail - m_dag.x0_tail) > 1e-12
     )
-    blend = replace(
-        m,
-        x0=lam * m.x0 + (1 - lam) * m_dag.x0,
-        x0_tail=lam * m.x0_tail + (1 - lam) * m_dag.x0_tail,
-    )
+    blend = m._with_flow(lam * m.x0 + (1 - lam) * m_dag.x0, lam * m.x0_tail + (1 - lam) * m_dag.x0_tail)
     at_blend, at_m, at_dag = _payoffs([blend, m, m_dag], tech, G)
     gap = at_blend - (lam * at_m + (1 - lam) * at_dag)
     return gap, valid

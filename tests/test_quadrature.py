@@ -23,6 +23,7 @@ from frontierkit.quadrature import (
     integration_edges,
     sorted_unique,
     step_value,
+    subdivide,
 )
 from frontierkit.variational import stieltjes_ibp
 
@@ -122,6 +123,21 @@ class TestMeasureOnTime:
         for t, want in zip(ts[:8].tolist(), ref[:8].tolist()):
             got = nu.sf(np.asarray(t))
             assert type(got) is float and got == want
+
+    def test_sf_is_the_per_point_tail_comprehension_bit_for_bit(self):
+        # the tail maps `math.exp` over the points; this is the body that
+        # added a list of per-point products instead, compared as int64 views
+        rng = np.random.default_rng(37)
+        for nu in (full_measure(), unit_distribution()):
+            ts = np.concatenate([probe_times(nu), rng.uniform(-1.0, 60.0, 3000), rng.exponential(5.0, 1000)])
+            want = np.zeros(ts.shape)
+            for s, m in nu.atoms:
+                want += np.where(ts < s, m, 0.0)
+            e, v = nu.density_edges, nu.density_values
+            want += np.vecdot(np.clip(e[1:], ts[:, None], None) - np.clip(e[:-1], ts[:, None], None), v)
+            args = -nu.tail_rate * np.fmax(0.0, ts - nu.tail_start)
+            want += [nu.tail_mass * math.exp(a) for a in args.tolist()]
+            assert nu.sf(ts).view(np.int64).tolist() == want.view(np.int64).tolist()
 
     def test_pdf_integrates_to_the_continuous_mass(self):
         nu = full_measure()
@@ -248,6 +264,18 @@ class TestCellLookup:
         assert f.deriv(us, "left").tolist() == [2.0, 2.0, 1.0, 1.0, 0.0]
         assert f.deriv(us, "right").tolist() == [2.0, 1.0, 1.0, 0.0, 0.0]
         assert [f.left_deriv(1.0), f.right_deriv(1.0)] == [2.0, 1.0]
+
+    def test_one_cell_subdivide_is_linspace_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        a = np.concatenate([[0.0, 0.0, 1.0, 2.0], rng.uniform(0.0, 60.0, 3000)])
+        width = np.concatenate([[0.5, 2.0, 2.0, 0.25], rng.uniform(1e-3, 20.0, 3000)])
+        # a piece of at most one width, the width itself included, or a point
+        b = a + width * np.concatenate([[1.0, 0.0, 1.0, 1.0], rng.uniform(0.0, 1.0, 3000)])
+        for lo, hi, w in zip(a.tolist(), b.tolist(), width.tolist()):
+            one = subdivide(lo, hi, w)
+            assert one.dtype == np.float64
+            assert one.view(np.int64).tolist() == np.linspace(lo, hi, 2).view(np.int64).tolist()
+        assert subdivide(0.0, 1.0, 0.4).tolist() == np.linspace(0.0, 1.0, 4).tolist()
 
     def test_step_value_switches_to_tail_at_last_edge(self):
         edges = np.array([0.0, 1.0, 2.0])

@@ -613,13 +613,13 @@ class TestNodePlanPerCheck:
 
 
 def test_exact_phi0_is_the_derivative_along_the_flow(default_tech):
-    # phi0 reads its cells, where it used to evaluate d0(x0_at(t)) per point
+    # phi0 reads its cells, where it used to evaluate d0 at the flow per point
     rng = np.random.default_rng(12)
     for tech in (quad_tech(), default_tech):
         m = random_mechanism(rng, lo=0.05 * tech.u0, hi=0.9 * tech.u0)
         t = np.concatenate([rng.uniform(0.0, 3.0, 200), m.edges, [2.0, 2.5, 1e6]])
         prof = SupergradientProfile.exact(m, tech)
-        want = tech.f0.deriv(m.x0_at(t), "right")
+        want = tech.f0.deriv(step_value(m.edges, m.x0, m.x0_tail, t), "right")
         assert prof.phi0(t).tobytes() == want.tobytes()
 
 
