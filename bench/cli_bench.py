@@ -1,22 +1,24 @@
-"""Start-up and command timings of frontierkit, cold and warm, in fresh interpreters.
+"""Start-up and command timings and peak memory of frontierkit, cold and warm, in fresh interpreters.
 
     python bench/cli_bench.py --out BENCH.json                      # 7 runs per entry
     python bench/cli_bench.py --runs 9 --against BENCH_old.json     # ratios to an older file
 
 Each entry starts a fresh interpreter and is timed from outside, wall clock
-from start to exit. The sources of ``src/frontierkit`` are copied into a
-temporary directory twice:
+from start to exit, and its peak resident set size is read from the
+resource usage ``os.wait4`` reports when it exits. The sources of
+``src/frontierkit`` are copied into a temporary directory twice:
 
 - *cold*: no ``__pycache__``, so every module compiles from source, as on a
   host that keeps no bytecode;
 - *warm*: bytecode compiled beforehand inside the copy.
 
 Children run with ``PYTHONDONTWRITEBYTECODE=1``, so no run writes bytecode,
-and nothing is written inside the checkout. Runs go round the entries in
-turn, so a slow spell on the host spreads over all of them. The JSON holds
-each entry's samples with their median and quartiles, and the host: git SHA
-and dirty flag, a hash of the sources, CPU model, ``nproc``, and the Python
-and numpy versions. Standard library only.
+and nothing is written inside the checkout: ``smooth`` and ``export`` write
+their files into the temporary directory. Runs go round the entries in
+turn, so a slow spell on the host spreads over all of them. The JSON holds,
+per entry and mode, the samples of each of `METRICS` with their median and
+quartiles, and the host: git SHA and dirty flag, a hash of the sources, CPU
+model, ``nproc``, and the Python and numpy versions. Standard library only.
 """
 
 from __future__ import annotations
@@ -48,8 +50,12 @@ ENTRIES = {
     "solve-deadline --promise 0.2": ["-m", "frontierkit.cli", "solve-deadline", "--promise", "0.2"],
     "verify ui-assns --trials 1000": ["-m", "frontierkit.cli", "verify", "ui-assns", "--trials", "1000"],
     "verify gateaux --trials 1000": ["-m", "frontierkit.cli", "verify", "gateaux", "--trials", "1000"],
+    "smooth": ["-m", "frontierkit.cli", "smooth"],
+    "export --what smoothing": ["-m", "frontierkit.cli", "export", "--what", "smoothing"],
 }
 MODES = ("cold", "warm")
+#: what each run records: wall time from start to exit, and peak RSS (MiB)
+METRICS = ("wall_s", "peak_rss_mb")
 
 
 def _git(*args: str) -> str:
@@ -102,7 +108,22 @@ def _summary(samples: list[float]) -> dict:
         q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     else:
         q1 = median = q3 = samples[0]
-    return {"median_s": median, "q1_s": q1, "q3_s": q3, "samples_s": samples}
+    return {"median": median, "q1": q1, "q3": q3, "samples": samples}
+
+
+def _run_once(args: list[str], env: dict, cwd: Path) -> tuple[float, float]:
+    """One fresh interpreter: its wall time and its peak RSS in MiB."""
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, *args], env=env, cwd=cwd, stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        elapsed = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            err.seek(0)
+            raise RuntimeError(f"{args} exited {proc.returncode}: {err.read().decode()[-2000:]}")
+    # Linux reports ru_maxrss in KiB
+    return elapsed, usage.ru_maxrss / 1024.0
 
 
 def run(runs: int) -> dict:
@@ -125,28 +146,29 @@ def run(runs: int) -> dict:
         for _ in range(runs):
             for name, args in ENTRIES.items():
                 for mode in MODES:
-                    start = time.perf_counter()
-                    proc = subprocess.run([sys.executable, *args], env=envs[mode], cwd=tmp, capture_output=True)
-                    elapsed = time.perf_counter() - start
-                    if proc.returncode != 0:
-                        raise RuntimeError(f"{name} ({mode}) exited {proc.returncode}: {proc.stderr.decode()[-2000:]}")
-                    samples[name, mode].append(elapsed)
+                    samples[name, mode].append(_run_once(args, envs[mode], tmp))
         if any(paths["cold"].rglob("*.pyc")):
             raise RuntimeError("a cold run wrote bytecode")
 
     return {
         "environment": environment(),
         "runs": runs,
-        "entries": {name: {mode: _summary(samples[name, mode]) for mode in MODES} for name in ENTRIES},
+        "entries": {
+            name: {
+                mode: {metric: _summary([run[i] for run in samples[name, mode]]) for i, metric in enumerate(METRICS)}
+                for mode in MODES
+            }
+            for name in ENTRIES
+        },
     }
 
 
 def _table(result: dict) -> str:
-    heads = [f"{mode} median [q1, q3] s" for mode in MODES]
-    lines = [f"{'entry':<30}" + "".join(f"{h:>30}" for h in heads)]
+    heads = [f"{mode} {metric} median [q1, q3]" for mode in MODES for metric in METRICS]
+    lines = [f"{'entry':<30}" + "".join(f"{h:>32}" for h in heads)]
     for name, modes in result["entries"].items():
-        cells = [f"{m['median_s']:.4f} [{m['q1_s']:.4f}, {m['q3_s']:.4f}]" for m in modes.values()]
-        lines.append(f"{name:<30}" + "".join(f"{cell:>30}" for cell in cells))
+        cells = [f"{s['median']:.4f} [{s['q1']:.4f}, {s['q3']:.4f}]" for m in modes.values() for s in m.values()]
+        lines.append(f"{name:<30}" + "".join(f"{cell:>32}" for cell in cells))
     return "\n".join(lines)
 
 
@@ -158,13 +180,15 @@ def compare(result: dict, other: dict) -> str:
     for key in host:
         if mine.get(key) != theirs.get(key):
             lines.append(f"warning: {key} differs: {mine.get(key)!r} here, {theirs.get(key)!r} there")
-    lines.append(f"{'median ratio to the other file':<32}" + "".join(f"{mode:>11}" for mode in MODES))
+    heads = [f"{mode} {metric}" for mode in MODES for metric in METRICS]
+    lines.append(f"{'median ratio to the other file':<32}" + "".join(f"{h:>18}" for h in heads))
     for name, modes in result["entries"].items():
         ratios = []
         for mode in MODES:
-            base = other["entries"].get(name, {}).get(mode)
-            ratios.append(f"{modes[mode]['median_s'] / base['median_s']:.3f}" if base else "-")
-        lines.append(f"{name:<32}" + "".join(f"{r:>11}" for r in ratios))
+            for metric in METRICS:
+                base = other["entries"].get(name, {}).get(mode, {}).get(metric)
+                ratios.append(f"{modes[mode][metric]['median'] / base['median']:.3f}" if base else "-")
+        lines.append(f"{name:<32}" + "".join(f"{r:>18}" for r in ratios))
     return "\n".join(lines)
 
 

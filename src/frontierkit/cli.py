@@ -10,7 +10,6 @@ where it uses them, so a command never loads a suite it does not run.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -749,6 +748,10 @@ _OPTIONS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # argparse (and the gettext it imports) loads only with the command line:
+    # `load_config` and `export_curves` need neither
+    import argparse
+
     parser = argparse.ArgumentParser(prog="frontierkit")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -273,21 +273,20 @@ def normalize(m: Mechanism, tech: Technology) -> Mechanism:
 # payoff evaluation
 
 
-def _crossing_knots(m: Mechanism, level: float) -> list[float]:
-    """Times where X0 crosses ``level`` inside a cell (one per monotone cell)."""
+def _crossing_knots(m: Mechanism, level: float) -> np.ndarray:
+    """Times where X0 crosses ``level`` inside a cell (one per monotone cell).
+
+    A cell's time is ``edges[k+1] + log(ratio) / r``, with ``math.log`` mapped
+    over the crossing cells: `np.log` differs from it on some points."""
     if level is None:
-        return []
-    out = []
-    Xe, x0, edges, r = m.X0_edges, m.x0, m.edges, m.r
-    for k in range(len(x0)):
-        a, b = Xe[k], Xe[k + 1]
-        if (a - level) * (b - level) < 0 and b != x0[k]:
-            ratio = (level - x0[k]) / (b - x0[k])
-            if ratio > 0:
-                t = edges[k + 1] + math.log(ratio) / r
-                if edges[k] < t < edges[k + 1]:
-                    out.append(t)
-    return out
+        return np.empty(0)
+    Xe, x0, edges = m.X0_edges, m.x0, m.edges
+    b = Xe[1:]
+    (k,) = np.nonzero(((Xe[:-1] - level) * (b - level) < 0) & (b != x0))
+    ratio = (level - x0[k]) / (b[k] - x0[k])
+    k, ratio = k[ratio > 0], ratio[ratio > 0]
+    t = edges[k + 1] + np.fromiter(map(math.log, ratio.tolist()), float, ratio.size) / m.r
+    return t[(edges[k] < t) & (t < edges[k + 1])]
 
 
 class _PayoffPlan:

@@ -34,7 +34,19 @@ from functools import cached_property
 
 import numpy as np
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# The 16-node Gauss-Legendre rule of ``numpy.polynomial.legendre``, bit for
+# bit, stored so that no process imports ``numpy.polynomial`` or runs LAPACK's
+# eigensolver to get it. numpy symmetrizes the rules it computes, so the float
+# hex of the upper half (nodes ascending, then their weights) gives the rest
+# by mirroring: the nodes with their signs flipped, the weights as they are.
+_GL_HALF = np.array([float.fromhex(h) for h in """
+    0x1.852bd6676a9f9p-4 0x1.205cae642337cp-2 0x1.d50259a43a772p-2 0x1.3c5a466d5e8b8p-1
+    0x1.82c45dda4726bp-1 0x1.bb3403514e483p-1 0x1.e39f56616f9b0p-1 0x1.fa92c264d787ep-1
+    0x1.83feae80e4e01p-3 0x1.75f8c77e0c011p-3 0x1.5a6ebbb5a7600p-3 0x1.325f61bca3cbep-3
+    0x1.fe7af2bad3878p-4 0x1.85c4ee79cc24bp-4 0x1.fdfb1a2c1261ep-5 0x1.bcddab4b7c228p-6
+""".split()]).reshape(2, 8)
+_GL_NODES = np.concatenate([-_GL_HALF[0, ::-1], _GL_HALF[0]])
+_GL_WEIGHTS = np.concatenate([_GL_HALF[1, ::-1], _GL_HALF[1]])
 
 
 # ---------------------------------------------------------------------------

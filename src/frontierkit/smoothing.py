@@ -29,7 +29,14 @@ from .quadrature import cell_index
 from .report import VerificationReport
 from .technology import Technology
 
-_GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# the window rule: the 8-node Gauss-Legendre rule of ``numpy.polynomial.legendre``,
+# stored and mirrored as `quadrature` stores its 16-node rule
+_GL8_HALF = np.array([float.fromhex(h) for h in """
+    0x1.77ac94f3c7344p-3 0x1.0d129583284b4p-1 0x1.97e4ab249f41ep-1 0x1.ebab1cb0acc66p-1
+    0x1.736360b19933dp-2 0x1.413c50a25560ep-2 0x1.c76fb531d2b94p-3 0x1.9ea1d04ca03aep-4
+""".split()]).reshape(2, 4)
+_GL8_NODES = np.concatenate([-_GL8_HALF[0, ::-1], _GL8_HALF[0]])
+_GL8_WEIGHTS = np.concatenate([_GL8_HALF[1, ::-1], _GL8_HALF[1]])
 
 #: the most a smoothed front's two slopes at a join may differ by
 _C1_GATE = 1e-9

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import InadmissiblePrimitives, UnresolvablePeaks
 from .frontiers import INF, Frontier, ParametricFrontier, midpoint_concavity_slack
+from .quadrature import cell_index
 from .report import VerificationReport
 from .roots import BRACKET_HI, BRACKET_LO, bisect, solve_monotone, speculate
 
@@ -271,11 +272,27 @@ class _PostBreakthroughFrontier(ParametricFrontier):
     def _val(self, us):
         # quiet: phi_inv overflows to +inf at huge promises, where F1 is -inf
         p = self._prims
-        u, back = np.unique(us, return_inverse=True)
-        _, i, j = np.intersect1d(self._last[0], u, assume_unique=True, return_indices=True)
-        L, miss = np.empty_like(u), np.ones(u.shape, dtype=bool)
-        L[j], miss[j] = self._last[1][i], False
-        if j.size < u.size:
+        # the distinct inputs, by the one argsort that ``np.unique`` makes for
+        # an inverse (so a tie of -0.0 and 0.0 keeps the zero it keeps), and
+        # each input's index among them
+        order = us.argsort()
+        s = us[order]
+        first = np.empty(s.shape, dtype=bool)
+        first[:1] = True
+        np.not_equal(s[1:], s[:-1], out=first[1:])
+        u, back = s[first], np.empty(us.shape, dtype=np.intp)
+        back[order] = np.cumsum(first) - 1
+        # a memo entry equal to an input is its cell's lower edge, or the upper
+        # one at or past the memo's last entry, where the cells stop
+        memo, efforts = self._last
+        L, hit = np.empty_like(u), np.zeros(u.shape, dtype=bool)
+        if memo.size:
+            k = cell_index(memo, u)
+            k += memo[k + 1] == u  # a one-entry memo is one cell, k = -1
+            hit = memo[k] == u
+            L[hit] = efforts[k[hit]]
+        if not hit.all():
+            miss = ~hit
             L[miss] = effort_star_array(p, u[miss])
             self._last = (u, L)
         L = L[back]

@@ -208,6 +208,18 @@ def _align(m: Mechanism, m_dag: Mechanism) -> tuple[Mechanism, Mechanism]:
     return m.with_knots(m_dag.edges), m_dag.with_knots(m.edges)
 
 
+def _pinned_pair(m: Mechanism, m_dag: Mechanism) -> tuple[Mechanism, Mechanism]:
+    """``m`` and ``m_dag`` on one grid, each with its promise pinned to its own
+    continuation, for blending their flows. `_align` refines two grids into
+    one only where their horizons agree, so two horizons are refused."""
+    m, m_dag = _align(m, m_dag)
+    if not np.array_equal(m.edges, m_dag.edges):
+        raise PreconditionViolation(
+            f"blending needs one grid, but m and m_dag have horizons {float(m.edges[-1])!r} and {float(m_dag.edges[-1])!r}"
+        )
+    return _pinned(m), _pinned(m_dag)
+
+
 def gateaux_closed_form(
     m: Mechanism,
     m_dag: Mechanism,
@@ -295,7 +307,7 @@ def gateaux_fd(
     nonincreasing in alpha, so the last three are extrapolated to alpha = 0.
     All the payoffs share one grid, so they share one payoff plan.
     """
-    m, m_dag = (_pinned(p) for p in _align(m, m_dag))
+    m, m_dag = _pinned_pair(m, m_dag)
     blends = [
         m._with_flow(m.x0 + a * (m_dag.x0 - m.x0), m.x0_tail + a * (m_dag.x0_tail - m.x0_tail))
         for a in FD_ALPHAS
@@ -339,7 +351,7 @@ def strict_concavity_probe(
         raise ValueError("lam must lie strictly between 0 and 1")
     if G.tail_mass <= 0.0:
         raise PreconditionViolation("G must have an unbounded (exponential) tail")
-    m, m_dag = (_pinned(p) for p in _align(m, m_dag))
+    m, m_dag = _pinned_pair(m, m_dag)
     valid = bool(
         np.max(np.abs(m.x0 - m_dag.x0)) > 1e-12
         or abs(m.x0_tail - m_dag.x0_tail) > 1e-12

@@ -8,6 +8,7 @@ cases below, recorded with each factor looking up its own times.
 """
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,14 @@ import pytest
 from frontierkit import cli, variational
 from frontierkit.mechanism import BreakthroughDistribution, Mechanism, TimeGrid
 from frontierkit.quadrature import NodePlan, cell_index, integration_edges
-from frontierkit.variational import SupergradientProfile, _align, gateaux_closed_form, gateaux_fd
+from frontierkit.errors import PreconditionViolation
+from frontierkit.variational import (
+    SupergradientProfile,
+    _align,
+    gateaux_closed_form,
+    gateaux_fd,
+    strict_concavity_probe,
+)
 
 PINS = json.loads((Path(__file__).parent / "gateaux_pins.json").read_text())
 
@@ -127,6 +135,19 @@ def test_each_node_set_is_placed_on_the_grid_once(name, placements):
     assert bits(closed) == closed_pin
     if fd_pin is not None:
         assert bits(gateaux_fd(m, m_dag, tech, G)) == fd_pin
+
+
+def test_blends_across_two_horizons_are_refused_by_name():
+    # `_align` cannot make grids of two horizons one, so the FD blends and the
+    # concavity probe refuse the pair before any payoff; the closed form keeps
+    # its two placements (above)
+    m, m_dag, G = CASES["two-horizons"]
+    tech = cli._quad_tech()
+    horizons = re.escape(f"horizons {float(m.edges[-1])!r} and {float(m_dag.edges[-1])!r}")
+    with pytest.raises(PreconditionViolation, match=horizons):
+        gateaux_fd(m, m_dag, tech, G)
+    with pytest.raises(PreconditionViolation, match=horizons):
+        strict_concavity_probe(m, m_dag, 0.5, tech, G)
 
 
 @pytest.mark.parametrize("name", ["tiny-atom-2", "tiny-atom-3", "tiny-two-grids"])

@@ -237,6 +237,46 @@ PINNED_PAYOFFS = {
 }
 
 
+def crossing_knots_per_cell(m, level):
+    """The crossing knots as one Python step per cell, for a bit reference."""
+    out = []
+    Xe, x0, edges, r = m.X0_edges, m.x0, m.edges, m.r
+    for k in range(len(x0)):
+        a, b = Xe[k], Xe[k + 1]
+        if (a - level) * (b - level) < 0 and b != x0[k]:
+            ratio = (level - x0[k]) / (b - x0[k])
+            if ratio > 0:
+                t = edges[k + 1] + math.log(ratio) / r
+                if edges[k] < t < edges[k + 1]:
+                    out.append(t)
+    return np.array(out, dtype=float)
+
+
+def test_crossing_knots_in_one_array_pass_keep_the_per_cell_bits():
+    # fast rates make X0 follow the flow, so a level crosses it in many cells:
+    # enough knots that `np.log` in place of `math.log` would move some
+    rng = np.random.default_rng(38)
+    knots = flat = 0
+    for trial in range(60):
+        r = float(np.exp(rng.uniform(math.log(0.3), math.log(40.0))))
+        grid = TimeGrid(horizon=float(rng.choice([2.0, 6.0])), step=float(rng.choice([0.05, 0.25])), r=r)
+        x0 = rng.uniform(0.02, 0.5, grid.n_cells)
+        tail = float(rng.uniform(0.02, 0.5))
+        if trial % 3 == 0:
+            x0[-grid.n_cells // 3 :] = tail  # flat cells, where X0 is the flow: b == x0
+        m = Mechanism.from_grid(grid, x0, x0_tail=tail)
+        Xe = m.X0_edges
+        flat += np.count_nonzero(Xe[1:] == m.x0)
+        levels = [*rng.uniform(Xe.min(), Xe.max(), 5), *rng.choice(Xe, 3)]  # three levels met at an edge
+        for level in levels:
+            want = crossing_knots_per_cell(m, float(level))
+            got = mechanism._crossing_knots(m, float(level))
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+            knots += want.size
+    assert knots > 2000 and flat > 100
+    assert mechanism._crossing_knots(m, None).size == 0
+
+
 class TestSingleF1Batch:
     """Effort solves per payoff, each on a Technology of its own: F1 keeps its
     last call's efforts, so a shared one would carry other tests' solves."""

@@ -15,6 +15,7 @@ import frontierkit
 from frontierkit import BreakthroughDistribution, MeasureOnTime, PiecewiseLinearFrontier
 from frontierkit.mechanism import Mechanism
 from frontierkit.quadrature import (
+    _GL_NODES,
     _GL_WEIGHTS,
     NodePlan,
     _partial_cells,
@@ -25,6 +26,7 @@ from frontierkit.quadrature import (
     step_value,
     subdivide,
 )
+from frontierkit.smoothing import _GL8_NODES, _GL8_WEIGHTS
 from frontierkit.variational import stieltjes_ibp
 
 
@@ -228,6 +230,20 @@ class TestStieltjesWithTail:
         assert rhs == pytest.approx(exact, abs=1e-12)
 
 
+@pytest.mark.parametrize("n, nodes, weights", [(16, _GL_NODES, _GL_WEIGHTS), (8, _GL8_NODES, _GL8_WEIGHTS)])
+def test_stored_rules_are_leggauss_bit_for_bit(n, nodes, weights):
+    # the package stores its rules so that no process imports numpy.polynomial
+    # or runs LAPACK; only this test computes them
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(n)
+    assert nodes.view(np.int64).tolist() == x.view(np.int64).tolist()
+    assert weights.view(np.int64).tolist() == w.view(np.int64).tolist()
+    assert nodes.flags.c_contiguous and weights.flags.c_contiguous
+    src = Path(frontierkit.__file__).parent
+    assert [p.name for p in sorted(src.rglob("*.py")) if "leggauss" in p.read_text()] == []
+
+
 class TestCellLookup:
     def test_cell_index_clips_to_first_and_last_cell(self):
         edges = np.array([0.0, 1.0, 2.0, 4.0])
@@ -244,12 +260,13 @@ class TestCellLookup:
         assert "np.searchsorted(" in inspect.getsource(cell_index)
 
     def test_no_plain_np_unique_is_left(self):
-        # a plain np.unique imports numpy.ma on its first call: every module
-        # calls sorted_unique, and F1's return_inverse call is the one left
+        # a plain np.unique imports numpy.ma on its first call, and it and
+        # np.intersect1d each sort again: every module calls sorted_unique,
+        # and F1's value path de-duplicates with its one argsort
         src = Path(frontierkit.__file__).parent
-        calls = {p.name: p.read_text().count("np.unique(") for p in sorted(src.rglob("*.py"))}
-        assert {name: n for name, n in calls.items() if n} == {"technology.py": 1}
-        assert "np.unique(us, return_inverse=True)" in (src / "technology.py").read_text()
+        for call in ("np.unique(", "np.intersect1d("):
+            calls = {p.name: p.read_text().count(call) for p in sorted(src.rglob("*.py"))}
+            assert {name: n for name, n in calls.items() if n} == {}, call
 
     def test_sorted_unique_is_np_unique_bit_for_bit(self):
         rng = np.random.default_rng(5)

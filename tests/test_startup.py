@@ -40,14 +40,18 @@ ALL = [
 ]
 
 
+#: modules outside frontierkit that a library call should not load
+HEAVY = ("numpy.ma", "numpy.polynomial", "argparse")
+
+
 def loaded_after(code: str) -> list[str]:
-    """The ``frontierkit`` and ``numpy.ma`` modules loaded once ``code`` has
-    run in a fresh interpreter."""
+    """The ``frontierkit`` and `HEAVY` modules loaded once ``code`` has run
+    in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     probe = (
         "import json, sys\n"
         f"{code}\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('frontierkit') or m == 'numpy.ma')))"
+        f"print(json.dumps(sorted(m for m in sys.modules if m.startswith('frontierkit') or m in {HEAVY!r})))"
     )
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env=env, check=True)
     return json.loads(run.stdout.splitlines()[-1])
@@ -71,6 +75,21 @@ def test_payoff_edges_and_knots_load_no_suite_and_no_numpy_ma():
     )
     assert "frontierkit.mechanism" in loaded
     assert set(loaded) & {"numpy.ma", *SUITES} == set()
+
+
+def test_a_payoff_and_the_cli_module_load_no_numpy_polynomial_and_no_argparse():
+    # the Gauss-Legendre rules are stored, and argparse loads with the parser
+    code = (
+        "import numpy as np\n"
+        "import frontierkit as fk\n"
+        "from frontierkit import cli\n"
+        "tech = cli.load_config(None).technology()\n"
+        "m = fk.Mechanism.from_grid(fk.TimeGrid(horizon=6.0, step=0.05, r=1.0), np.full(120, 0.3), x0_tail=0.3)\n"
+        "fk.payoff(fk.no_delay_improve(m, tech), tech, fk.BreakthroughDistribution.exponential(1.0))"
+    )
+    assert set(loaded_after("from frontierkit import cli")) & set(HEAVY) == set()
+    assert set(loaded_after(code)) & set(HEAVY) == set()
+    assert "argparse" in loaded_after("from frontierkit import cli\ncli._build_parser()")
 
 
 @pytest.mark.parametrize(
@@ -130,5 +149,9 @@ def test_cli_bench_times_every_entry_cold_and_warm(tmp_path):
     assert list(result["entries"]) == list(cli_bench.ENTRIES)
     for name, modes in result["entries"].items():
         assert list(modes) == list(cli_bench.MODES), name
-        for summary in modes.values():
-            assert len(summary["samples_s"]) == 1 and summary["median_s"] > 0, name
+        for metrics in modes.values():
+            assert list(metrics) == list(cli_bench.METRICS) == ["wall_s", "peak_rss_mb"], name
+            for summary in metrics.values():
+                assert len(summary["samples"]) == 1 and summary["median"] > 0, name
+        # every child loads numpy, which alone takes more than 10 MB
+        assert modes["cold"]["peak_rss_mb"]["median"] > 10.0, name

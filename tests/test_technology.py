@@ -30,7 +30,7 @@ from frontierkit import (
     midpoint_concavity_slack,
     verify_ui_assumptions,
 )
-from frontierkit import technology
+from frontierkit import mechanism, technology
 from frontierkit.roots import solve_monotone
 from frontierkit.smoothing import SmoothingParams, _PiecewiseFrontier, build_smooth_pair
 from frontierkit.technology import effort_star_array
@@ -378,6 +378,54 @@ class TestValueMemo:
             self.check(f, prims, us, solves)
             assert solves == ([new] if new else [])
         assert np.all(f.value(np.array(outside[:4])) == -math.inf)
+
+    def test_one_sort_keeps_the_bits_of_np_unique_and_intersect1d(self, default_prims):
+        # the value path as it was, with `np.unique` and `np.intersect1d`: the
+        # one-sort path gives its values, its memo and its memo's identity
+        class Reference(technology._PostBreakthroughFrontier):
+            @technology._quiet
+            def _val(self, us):
+                p = self._prims
+                u, back = np.unique(us, return_inverse=True)
+                _, i, j = np.intersect1d(self._last[0], u, assume_unique=True, return_indices=True)
+                L, miss = np.empty_like(u), np.ones(u.shape, dtype=bool)
+                L[j], miss[j] = self._last[1][i], False
+                if j.size < u.size:
+                    L[miss] = technology.effort_star_array(p, u[miss])
+                    self._last = (u, L)
+                L = L[back]
+                return us + p.lam * (p.w * L - p.phi.phi_inv(us + p.kappa.kappa(L)))
+
+        tech = make_moral_hazard_technology(default_prims)
+        seen = []
+        value = tech.f1.value
+        tech.f1.value = lambda u: seen.append(np.array(u, dtype=float)) or value(u)
+        grid = mechanism.TimeGrid(horizon=6.0, step=0.05, r=1.0)
+        m = mechanism.Mechanism.from_grid(grid, np.linspace(0.05, 0.45, grid.n_cells), x0_tail=0.3)
+        mechanism.payoff(mechanism.no_delay_improve(m, tech), tech, mechanism.BreakthroughDistribution.exponential(0.8))
+        (runs,) = seen  # the promises of a no-delay payoff: long runs at u1
+        assert np.count_nonzero(runs == tech.u1) > runs.size // 4
+        rng = np.random.default_rng(38)
+        fresh = rng.uniform(0.0, 0.6, 40)
+        calls = [
+            runs,
+            runs[::-1],  # all hits
+            np.array([0.0, -0.0, 0.3, -0.0]),
+            np.array([-0.0, 0.0]),
+            fresh,  # all misses
+            np.concatenate([fresh[::2], rng.uniform(0.0, 0.6, 15), fresh[:3]]),  # partial overlap
+            np.array([]),
+            np.array([-0.0]),
+            np.array([0.0, 0.0, 0.25]),
+            np.array([0.25]),
+        ]
+        f, ref = fresh_f1(default_prims), Reference(default_prims, 0.0)
+        as_int = lambda a: np.asarray(a, dtype=float).view(np.int64).tolist()
+        for us in calls:
+            before, ref_before = f._last, ref._last
+            assert as_int(f.value(us)) == as_int(ref.value(us))
+            assert (f._last is before) == (ref._last is ref_before)
+            assert [as_int(a) for a in f._last] == [as_int(a) for a in ref._last]
 
     @pytest.mark.parametrize("field", ["phi.a", "kappa.b", "w", "lam"])
     def test_frozen_primitives(self, field):
