@@ -165,10 +165,10 @@ def run(runs: int) -> dict:
 
 def _table(result: dict) -> str:
     heads = [f"{mode} {metric} median [q1, q3]" for mode in MODES for metric in METRICS]
-    lines = [f"{'entry':<30}" + "".join(f"{h:>32}" for h in heads)]
+    lines = [f"{'entry':<30}" + "".join(f"{h:>36}" for h in heads)]
     for name, modes in result["entries"].items():
         cells = [f"{s['median']:.4f} [{s['q1']:.4f}, {s['q3']:.4f}]" for m in modes.values() for s in m.values()]
-        lines.append(f"{name:<30}" + "".join(f"{cell:>32}" for cell in cells))
+        lines.append(f"{name:<30}" + "".join(f"{cell:>36}" for cell in cells))
     return "\n".join(lines)
 
 
