@@ -718,6 +718,8 @@ def _cmd_smooth(cfg: InstanceConfig, args) -> int:
         ns = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"--n-list must be comma-separated integers: {exc}") from exc
+    if len(set(ns)) < len(ns):
+        raise ConfigError(f"`--n-list` repeats level {next(n for n in ns if ns.count(n) > 1)}")
     pairs = _smooth_pairs(tech, ns, "`--n-list`")
     us = _curve_grid(tech.u0, args.grid_step)
     for pair in pairs:

@@ -210,12 +210,9 @@ class Mechanism:
         out.__dict__.update(vars(self), x0=x0, x0_tail=x0_tail, X0_edges=X0_edges)
         return out
 
-    def with_knots(self, knots) -> "Mechanism":
-        """The same mechanism on a refined edge set including ``knots``."""
-        extra = [k for k in knots if 0.0 < k < self.horizon]
-        edges = sorted_unique(np.concatenate([self.edges, np.asarray(extra, dtype=float)]))
-        k = cell_index(self.edges, edges[:-1])
-        return replace(self, edges=edges, x0=self.x0[k])
+    def _same_grid(self, other: "Mechanism") -> bool:
+        """Whether ``other`` has this rate and these edges."""
+        return self.r == other.r and (self.edges is other.edges or np.array_equal(self.edges, other.edges))
 
 
 def make_deadline_mechanism(T: float, tech: Technology, grid: TimeGrid | Mechanism) -> Mechanism:
@@ -347,8 +344,7 @@ def _payoffs(mechs, tech: Technology, G: BreakthroughDistribution) -> list[float
     plan splits at the first path's edges and at its crossings of ``u1``, so
     several paths must share one grid and rate and have no ``u1``."""
     plan = _PayoffPlan(mechs[0], G)
-    same_grid = lambda m: m.edges is plan.at.edges or np.array_equal(m.edges, plan.at.edges)
-    if len(mechs) > 1 and any(m.u1 is not None or m.r != plan.at.r or not same_grid(m) for m in mechs):
+    if len(mechs) > 1 and any(m.u1 is not None or not mechs[0]._same_grid(m) for m in mechs):
         raise ValueError("the paths of one payoff pass need one grid and rate, and no u1")
     at, n, r = plan.at, plan.quad.nodes.size, plan.at.r
     x0 = np.array([m.x0 for m in mechs])

@@ -202,22 +202,13 @@ def warmup_identity(G: BreakthroughDistribution, r: float) -> float:
 # Gateaux derivative
 
 
-def _align(m: Mechanism, m_dag: Mechanism) -> tuple[Mechanism, Mechanism]:
-    if np.array_equal(m.edges, m_dag.edges):
-        return m, m_dag
-    return m.with_knots(m_dag.edges), m_dag.with_knots(m.edges)
-
-
-def _pinned_pair(m: Mechanism, m_dag: Mechanism) -> tuple[Mechanism, Mechanism]:
-    """``m`` and ``m_dag`` on one grid, each with its promise pinned to its own
-    continuation, for blending their flows. `_align` refines two grids into
-    one only where their horizons agree, so two horizons are refused."""
-    m, m_dag = _align(m, m_dag)
-    if not np.array_equal(m.edges, m_dag.edges):
+def _require_one_grid(m: Mechanism, m_dag: Mechanism) -> None:
+    """Refuse a pair off one grid and rate: the checks blend flows cell by cell."""
+    if not m._same_grid(m_dag):
         raise PreconditionViolation(
-            f"blending needs one grid, but m and m_dag have horizons {float(m.edges[-1])!r} and {float(m_dag.edges[-1])!r}"
+            f"m and m_dag need one grid and rate, but have {m.x0.size} and {m_dag.x0.size} cells, "
+            f"horizons {m.horizon!r} and {m_dag.horizon!r}, and rates {m.r!r} and {m_dag.r!r}"
         )
-    return _pinned(m), _pinned(m_dag)
 
 
 def gateaux_closed_form(
@@ -238,30 +229,27 @@ def gateaux_closed_form(
 
     Each factor is evaluated once on each node set of one `NodePlan`: its
     nodes and the inner nodes of its running integrals. Each set is placed on
-    m's grid once (one `_GridTimes`), and the flows, F0's directional
-    derivative, the promises of ``m`` and ``m_dag`` and the exact profile's
-    paths read that placement. The integration edges contain both grids, so
-    an inner node's flows are those of the node whose partial cell holds it.
+    the one grid of ``m`` and ``m_dag`` once (one `_GridTimes`), and the flows,
+    F0's directional derivative, both promises and the exact profile's paths
+    read that placement. The integration edges contain the grid, so an inner
+    node's flows are those of the node whose partial cell holds it.
     """
-    m, m_dag = _align(m, m_dag)
+    _require_one_grid(m, m_dag)
     flags = prof.validity_flags(m, tech)
     sf_mids = G.sf(0.5 * (m.edges[:-1] + m.edges[1:]))
     if np.any(~flags & (sf_mids > 0)):
         raise InvalidProfile("profile is not a supergradient where G(t) < 1")
 
     r = m.r
-    plan = NodePlan.build(G, integration_edges(G, r, [*m.edges, *m_dag.edges]))
+    plan = NodePlan.build(G, integration_edges(G, r, m.edges))
     n, t, width = plan.pdf.size, plan.nodes, plan.partial[2].shape[1]
     ti = plan.partial[2].ravel()
     at, at_in = _GridTimes(m.edges, r, t), _GridTimes(m.edges, r, ti)
-    # `_align` leaves two grids apart only where their horizons differ
-    one_grid = m_dag.r == r and np.array_equal(m_dag.edges, m.edges)
-    at_dag = at if one_grid else _GridTimes(m_dag.edges, m_dag.r, t)
 
-    x, x_dag = at.step(m.x0, m.x0_tail), at_dag.step(m_dag.x0, m_dag.x0_tail)
+    x, x_dag = at.step(m.x0, m.x0_tail), at.step(m_dag.x0, m_dag.x0_tail)
     dx_t, dd0_t = x_dag - x, directional_deriv(tech.f0, x, x_dag)
     dx, dd0 = dx_t[:n], dd0_t[:n]
-    X, X_dag = m._X0_on(at), m_dag._X0_on(at_dag)
+    X, X_dag = m._X0_on(at), m_dag._X0_on(at)
     E, E_in = np.exp(-r * t), np.exp(-r * ti)
     phi0, phi1 = prof._paths_on(m, at, X)
     phi0_in, phi1_in = prof._paths_on(m, at_in)
@@ -307,7 +295,8 @@ def gateaux_fd(
     nonincreasing in alpha, so the last three are extrapolated to alpha = 0.
     All the payoffs share one grid, so they share one payoff plan.
     """
-    m, m_dag = _pinned_pair(m, m_dag)
+    _require_one_grid(m, m_dag)
+    m, m_dag = _pinned(m), _pinned(m_dag)
     blends = [
         m._with_flow(m.x0 + a * (m_dag.x0 - m.x0), m.x0_tail + a * (m_dag.x0_tail - m.x0_tail))
         for a in FD_ALPHAS
@@ -347,11 +336,12 @@ def strict_concavity_probe(
     Returns ``(gap, valid)`` where ``valid`` is False when the paths coincide
     (no strictness to test) — the gap is still returned.
     """
+    _require_one_grid(m, m_dag)
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie strictly between 0 and 1")
     if G.tail_mass <= 0.0:
         raise PreconditionViolation("G must have an unbounded (exponential) tail")
-    m, m_dag = _pinned_pair(m, m_dag)
+    m, m_dag = _pinned(m), _pinned(m_dag)
     valid = bool(
         np.max(np.abs(m.x0 - m_dag.x0)) > 1e-12
         or abs(m.x0_tail - m_dag.x0_tail) > 1e-12

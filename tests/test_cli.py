@@ -806,6 +806,16 @@ class TestSmoothCommand:
     def test_bad_n_list_is_config_error(self, capsys):
         assert main(["smooth", "--n-list", "abc"]) == 2
 
+    def test_repeated_n_list_level_is_config_error_before_any_build(self, tmp_path, capsys, monkeypatch):
+        # a repeated level was built, written and reported once per mention
+        from frontierkit import smoothing
+
+        built = []
+        monkeypatch.setattr(smoothing, "build_smooth_pair", lambda tech, params: built.append(params))
+        assert main(["smooth", "--n-list", "32,16,16", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "config error: `--n-list` repeats level 16\n"
+        assert built == [] and list(tmp_path.iterdir()) == []
+
     def test_too_small_level_is_config_error_naming_the_least_level(self, tmp_path, capsys):
         # lambda 5 gives u0 = 0.1, so the default level 16 is too small
         path = tmp_path / "lam5.yaml"

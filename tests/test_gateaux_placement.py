@@ -4,7 +4,9 @@ every bit of the evaluation that placed each factor's times on its own.
 `tests/gateaux_pins.json` holds the int64 views, as hex, of
 `gateaux_closed_form` and `gateaux_fd` on the first 100 trials of the default
 `verify gateaux`, on trial 260 at rate 0.6725137967407795 and on the placement
-cases below, recorded with each factor looking up its own times.
+cases below, recorded with each factor looking up its own times. The three
+Gateaux-layer checks take ``m`` and ``m_dag`` on one grid and rate, and refuse
+any other pair by name.
 """
 
 import json
@@ -20,7 +22,6 @@ from frontierkit.quadrature import NodePlan, cell_index, integration_edges
 from frontierkit.errors import PreconditionViolation
 from frontierkit.variational import (
     SupergradientProfile,
-    _align,
     gateaux_closed_form,
     gateaux_fd,
     strict_concavity_probe,
@@ -47,20 +48,19 @@ def random_edges(rng, horizon=None):
 
 
 def placement_cases():
-    """``name -> (m, m_dag, G)``: random grids, `_align`ed pairs of different
-    grids, a law with atoms, tiny cells where inner nodes round below an edge
-    that is a power of two, and two grids of different horizons, which
-    `_align` leaves apart."""
+    """``name -> (m, m_dag, G)``: random grids, a law with atoms, and tiny
+    cells where inner nodes round below an edge that is a power of two."""
     rng = np.random.default_rng(20261021)
     grid = TimeGrid(horizon=2.0, step=0.25, r=1.0).edges
     out = {}
     for k in range(3):
         edges, r = random_edges(rng), float(rng.uniform(0.4, 2.5))
         out[f"random-grid-{k}"] = flow(rng, edges, r), flow(rng, edges, r), cli._mixed_G(float(rng.uniform(0.6, 1.5)))
-    for k in range(3):
+    for _ in range(3):
+        # the draws of three pairs on two grids, which the checks refuse, so
+        # that the later cases keep theirs
         r = float(rng.uniform(0.4, 2.5))
-        m, m_dag = flow(rng, grid, r), flow(rng, random_edges(rng, 2.0), r)
-        out[f"two-grids-{k}"] = m, m_dag, cli._mixed_G(float(rng.uniform(0.6, 1.5)))
+        flow(rng, grid, r), flow(rng, random_edges(rng, 2.0), r), float(rng.uniform(0.6, 1.5))
     atoms = BreakthroughDistribution(
         atoms=((0.0, 0.2), (0.6, 0.15), (1.0, 0.1)),
         density_edges=np.array([0.0, 1.7]),
@@ -73,10 +73,6 @@ def placement_cases():
     for k in (2, 3):
         tiny = BreakthroughDistribution(atoms=((1.0 + k * ULP1, 0.25),), tail_rate=0.9, tail_mass=0.75)
         out[f"tiny-atom-{k}"] = flow(rng, grid, 1.0), flow(rng, grid, 1.0), tiny
-    near = grid.copy()
-    near[4] = 1.0 + 2 * ULP1  # the aligned grid has a cell 2 ulp wide at 1.0
-    out["tiny-two-grids"] = flow(rng, grid, 0.8), flow(rng, near, 0.8), cli._mixed_G(1.2)
-    out["two-horizons"] = flow(rng, grid, 1.3), flow(rng, random_edges(rng), 1.3), cli._mixed_G(0.9)
     return out
 
 
@@ -108,61 +104,79 @@ def test_each_node_set_is_placed_on_the_grid_once(name, placements):
     closed = gateaux_closed_form(m, m_dag, prof, tech, G)
 
     (plan,) = plans
-    a, a_dag = _align(m, m_dag)
     for at in made:
         assert at.cell.tolist() == cell_index(at.edges, at.t).tolist()
         assert at.beyond.tolist() == (at.t >= at.edges[-1]).tolist()
-    # the mids, the nodes and the inner nodes on m's grid, once each; m_dag's
-    # grid only where `_align` cannot make the two one
-    inner = plan.partial[2].ravel()
-    on_m = [at.t for at in made if np.array_equal(at.edges, a.edges)]
-    assert len(on_m) == 3
-    assert [t.tobytes() for t in on_m] == [
-        (0.5 * (a.edges[:-1] + a.edges[1:])).tobytes(),
+    # the mids, the nodes and the inner nodes on the one grid, once each
+    assert all(at.edges is m.edges for at in made)
+    assert [at.t.tobytes() for at in made] == [
+        (0.5 * (m.edges[:-1] + m.edges[1:])).tobytes(),
         plan.nodes.tobytes(),
-        inner.tobytes(),
+        plan.partial[2].ravel().tobytes(),
     ]
-    apart = [at for at in made if not np.array_equal(at.edges, a.edges)]
-    if name == "two-horizons":
-        assert len(apart) == 1 and np.array_equal(apart[0].edges, a_dag.edges) and apart[0].t is plan.nodes
-    else:
-        assert np.array_equal(a.edges, a_dag.edges) and apart == []
 
     # the callables' own lookups give the same bits
     again = SupergradientProfile(edges=prof.edges, phi0=prof.phi0, phi1=prof.phi1)
     assert bits(gateaux_closed_form(m, m_dag, again, tech, G)) == bits(closed)
-    closed_pin, fd_pin = PINS["placement_cases"][name]
-    assert bits(closed) == closed_pin
-    if fd_pin is not None:
-        assert bits(gateaux_fd(m, m_dag, tech, G)) == fd_pin
+    assert [bits(closed), bits(gateaux_fd(m, m_dag, tech, G))] == PINS["placement_cases"][name]
 
 
-def test_blends_across_two_horizons_are_refused_by_name():
-    # `_align` cannot make grids of two horizons one, so the FD blends and the
-    # concavity probe refuse the pair before any payoff; the closed form keeps
-    # its two placements (above)
-    m, m_dag, G = CASES["two-horizons"]
-    tech = cli._quad_tech()
-    horizons = re.escape(f"horizons {float(m.edges[-1])!r} and {float(m_dag.edges[-1])!r}")
-    with pytest.raises(PreconditionViolation, match=horizons):
-        gateaux_fd(m, m_dag, tech, G)
-    with pytest.raises(PreconditionViolation, match=horizons):
-        strict_concavity_probe(m, m_dag, 0.5, tech, G)
+def off_grid_pairs():
+    """``name -> (m, m_dag, what the refusal names)``: pairs off one grid and rate."""
+    rng = np.random.default_rng(20261022)
+    fine = TimeGrid(horizon=2.0, step=0.25, r=1.0).edges
+    near = fine.copy()
+    near[1:-1] = np.nextafter(near[1:-1], np.inf)
+    coarse, longer = TimeGrid(horizon=2.0, step=0.5, r=1.0).edges, TimeGrid(horizon=2.5, step=0.25, r=1.0).edges
+    return {
+        "two-grids": (
+            flow(rng, fine, 1.0), flow(rng, coarse, 1.0), "8 and 4 cells, horizons 2.0 and 2.0, and rates 1.0 and 1.0"
+        ),
+        "grids-one-ulp-apart": (
+            flow(rng, fine, 1.0), flow(rng, near, 1.0), "8 and 8 cells, horizons 2.0 and 2.0, and rates 1.0 and 1.0"
+        ),
+        "two-horizons": (
+            flow(rng, fine, 1.3), flow(rng, longer, 1.3), "8 and 10 cells, horizons 2.0 and 2.5, and rates 1.3 and 1.3"
+        ),
+        "two-rates": (
+            flow(rng, fine, 1.0), flow(rng, fine, 2.0), "8 and 8 cells, horizons 2.0 and 2.0, and rates 1.0 and 2.0"
+        ),
+    }
 
 
-@pytest.mark.parametrize("name", ["tiny-atom-2", "tiny-atom-3", "tiny-two-grids"])
+OFF_GRID = off_grid_pairs()
+
+GATEAUX_CHECKS = {
+    "closed": lambda m, m_dag, tech, G: gateaux_closed_form(m, m_dag, SupergradientProfile.exact(m, tech), tech, G),
+    "fd": gateaux_fd,
+    "probe": lambda m, m_dag, tech, G: strict_concavity_probe(m, m_dag, 0.5, tech, G),
+}
+
+
+@pytest.mark.parametrize("check", list(GATEAUX_CHECKS))
+@pytest.mark.parametrize("name", list(OFF_GRID))
+def test_a_pair_off_one_grid_and_rate_is_refused_by_name(name, check, placements):
+    # the blend m + alpha (m_dag - m) is taken cell by cell at one discount
+    # rate, so every check refuses such a pair before it builds a node plan
+    _, plans = placements
+    m, m_dag, text = OFF_GRID[name]
+    with pytest.raises(PreconditionViolation, match=re.escape(f"m and m_dag need one grid and rate, but have {text}")):
+        GATEAUX_CHECKS[check](m, m_dag, cli._quad_tech(), cli._mixed_G(0.9))
+    assert plans == []
+
+
+@pytest.mark.parametrize("name", ["tiny-atom-2", "tiny-atom-3"])
 def test_inner_nodes_below_their_cell_need_their_own_lookup(name):
     # an inner node of a cell 1 ulp wide at 1.0 rounds below 1.0, into the
     # grid cell before its node's: the cell of its node's integration cell is
     # not its own, so the inner nodes get their own `cell_index`
-    m, m_dag, G = CASES[name]
-    a, a_dag = _align(m, m_dag)
-    plan = NodePlan.build(G, integration_edges(G, a.r, [*a.edges, *a_dag.edges]))
+    m, _, G = CASES[name]
+    plan = NodePlan.build(G, integration_edges(G, m.r, m.edges))
     cell, _, inner = plan.partial
-    gathered = cell_index(a.edges, plan.edges[:-1])[np.repeat(cell, inner.shape[1])]
-    assert np.any(gathered != cell_index(a.edges, inner.ravel()))
+    gathered = cell_index(m.edges, plan.edges[:-1])[np.repeat(cell, inner.shape[1])]
+    assert np.any(gathered != cell_index(m.edges, inner.ravel()))
     # a node's own integration cell does hold it: the nodes could be gathered
-    assert np.array_equal(cell_index(a.edges, plan.edges[:-1])[cell], cell_index(a.edges, plan.nodes))
+    assert np.array_equal(cell_index(m.edges, plan.edges[:-1])[cell], cell_index(m.edges, plan.nodes))
 
 
 def gateaux_trials(rate, count):

@@ -106,16 +106,6 @@ class TestPromisedUtility:
             below = m.X0_at(t - 1e-10)
             assert m.X0_at(t) == pytest.approx(below, abs=1e-8)
 
-    def test_with_knots_keeps_an_explicit_promise(self):
-        n = GRID.n_cells
-        cells = np.random.default_rng(8).uniform(0.1, 0.5, n)
-        X1 = lambda t: step_value(GRID.edges, cells, 0.45, t)
-        m = Mechanism.from_grid(GRID, np.full(n, 0.3), x0_tail=0.3, X1=X1)
-        fine = m.with_knots([0.123, 1.0 + 1e-3, 5.525, 9.0])
-        assert len(fine.edges) == len(m.edges) + 3
-        ts = np.concatenate([fine.edges, np.linspace(0.0, 8.0, 97)])
-        assert fine.X1_at(ts).tobytes() == m.X1_at(ts).tobytes() == X1(ts).tobytes()
-
 
 class TestDeadlineMechanism:
     def test_zero_deadline(self, default_tech):
@@ -566,7 +556,6 @@ class TestPromiseCopies:
         fresh = lambda c: Mechanism(edges=c.edges, x0=c.x0, r=c.r, x0_tail=c.x0_tail, u1=c.u1)
         for copy in (
             normalize(m, default_tech),
-            m.with_knots([0.123, 2.5]),
             replace(m, x0_tail=0.2),
             replace(m, r=2.0),
             replace(m, edges=2.0 * m.edges),

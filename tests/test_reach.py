@@ -30,7 +30,6 @@ UNREACHED = {
     "frontiers.AffineFrontier.argmax_linear": _BRANCH_AT_0,
     "frontiers.PiecewiseLinearFrontier.argmax_linear": _BRANCH_AT_0,
     "mechanism.pi_G": "the benchmark's quad-gateaux gate calls fk.pi_G",
-    "mechanism.Mechanism.with_knots": "_align calls it when two grids differ",
     "report.VerificationReport.__getitem__": "tests read a report's checks by id",
     "smoothing.averaged_right_derivative": "public; a smoothed front merges the same slope plan into its source calls",
 }

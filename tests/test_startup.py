@@ -70,8 +70,7 @@ def test_payoff_edges_and_knots_load_no_suite_and_no_numpy_ma():
         "tech = cli.load_config(None).technology()\n"
         "m = fk.Mechanism.from_grid(fk.TimeGrid(horizon=6.0, step=0.05, r=1.0), np.full(120, 0.3), x0_tail=0.3)\n"
         "fk.payoff(m, tech, fk.BreakthroughDistribution.exponential(1.0))\n"
-        "integration_edges(fk.BreakthroughDistribution.exponential(2.0), 1.0, (0.3,))\n"
-        "m.with_knots([0.33, 1.77])"
+        "integration_edges(fk.BreakthroughDistribution.exponential(2.0), 1.0, (0.3,))"
     )
     assert "frontierkit.mechanism" in loaded
     assert set(loaded) & {"numpy.ma", *SUITES} == set()

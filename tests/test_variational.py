@@ -435,7 +435,7 @@ def pinned_G(rng, kind):
 
 def pinned_instance(i, mh_tech):
     """Instance ``i`` of the pinned values: rates 1, 2 and 0.7, every fourth
-    ``m_dag`` on a coarser grid (so `_align` refines both), and the
+    ``m_dag`` on a coarser grid (which the checks of the pair refuse), and the
     moral-hazard technology at 7 and 17."""
     rng = np.random.default_rng(900 + i)
     tech = mh_tech if i % 10 == 7 else quad_tech()
@@ -456,18 +456,30 @@ def pinned_instance(i, mh_tech):
 def pinned_values(i, mh_tech):
     tech, m, m_dag, G, lam, _ = pinned_instance(i, mh_tech)
     prof = SupergradientProfile.exact(m, tech)
-    out = {"fd": [gateaux_fd(m, m_dag, tech, G)]}
+    out = {}
+
+    def pair(key, values):
+        # the checks of the pair take one grid: a coarser m_dag is refused
+        if i % 4 == 3:
+            with pytest.raises(PreconditionViolation, match="need one grid and rate, but have 8 and 4 cells"):
+                values()
+        else:
+            out[key] = values()
+
+    pair("fd", lambda: [gateaux_fd(m, m_dag, tech, G)])
     if G.tail_mass > 0:
-        gap, valid = strict_concavity_probe(m, m_dag, lam, tech, G)
-        out["probe"] = [gap, float(valid)]
+        pair("probe", lambda: [float(x) for x in strict_concavity_probe(m, m_dag, lam, tech, G)])
         out["warmup"] = [warmup_identity(G, r=m.r)]
     out["euler"] = euler_residual(prof, G).tolist()
     if tech is not mh_tech:
         # skipped for the moral-hazard F1, whose derivative is solved one
         # point at a time: seconds per instance
-        terms = gateaux_closed_form(m, m_dag, prof, tech, G, return_terms=True)
-        out["closed"] = [terms[k] for k in ("survival", "accumulated", "corr0", "corr1", "total")]
-        out["closed"].append(gateaux_closed_form(m, m_dag, prof, tech, G))
+        def closed():
+            terms = gateaux_closed_form(m, m_dag, prof, tech, G, return_terms=True)
+            total = gateaux_closed_form(m, m_dag, prof, tech, G)
+            return [terms[k] for k in ("survival", "accumulated", "corr0", "corr1", "total")] + [total]
+
+        pair("closed", closed)
         b = integrability_bounds(prof, G, m)
         out["integrability"] = [b.capital_phi_expectation, b.phi1_abs_expectation, b.slack]
     return {k: [float(x).hex() for x in v] for k, v in out.items()}
@@ -596,7 +608,7 @@ class TestNodePlanPerCheck:
     def test_one_plan_per_closed_form(self, plans):
         rng = np.random.default_rng(8)
         tech = quad_tech()
-        m, m_dag = random_mechanism(rng), random_mechanism(rng, TimeGrid(horizon=2.0, step=0.5, r=1.0))
+        m, m_dag = random_mechanism(rng), random_mechanism(rng)
         prof = SupergradientProfile.exact(m, tech)
         gateaux_closed_form(m, m_dag, prof, tech, pinned_G(rng, 2), return_terms=True)
         self.check_one_plan_not_kept(plans)
@@ -634,21 +646,6 @@ def test_exact_profile_makes_no_effort_solve(default_tech, monkeypatch):
     assert m.edges.size == 9
     SupergradientProfile.exact(m, default_tech)
     assert calls == []
-
-
-def test_grids_one_ulp_apart_are_aligned(default_tech):
-    # the closed form gathers the flows by cell, so grids that are only close
-    # must be refined to one grid first
-    rng = np.random.default_rng(13)
-    tech = quad_tech()
-    m = random_mechanism(rng)
-    edges = m.edges.copy()
-    edges[1:-1] = np.nextafter(edges[1:-1], np.inf)
-    m_dag = Mechanism(edges=edges, x0=rng.uniform(0.05, 0.45, len(edges) - 1), r=m.r, x0_tail=0.3)
-    G = mixed_G(0.8)
-    closed = gateaux_closed_form(m, m_dag, SupergradientProfile.exact(m, tech), tech, G)
-    fd = gateaux_fd(m, m_dag, tech, G)
-    assert abs(closed - fd) / max(abs(fd), 1e-6) < 1e-6
 
 
 @pytest.mark.parametrize(
